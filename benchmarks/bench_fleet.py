@@ -1,16 +1,15 @@
 """Fleet sweep throughput: searches per minute at fleet width.
 
 Drains a grid of journalled alexnet searches through the
-`FleetSupervisor` at one and at ``FLEET_WORKERS`` workers (persistent
-worker pool, the default) plus a spawn-per-task control at width
-``FLEET_WORKERS``, and records searches/minute, scaling efficiency,
-worker reuse counts, and per-task seconds in ``BENCH_fleet.json``
-(override the path with ``PASE_BENCH_OUT``).
+`FleetSupervisor` (persistent worker pool) at one and at
+``FLEET_WORKERS`` workers, and records searches/minute, scaling
+efficiency, worker reuse counts, and per-task seconds in
+``BENCH_fleet.json`` (override the path with ``PASE_BENCH_OUT``).
 
 Two classes of assertion:
 
-* **Determinism** — every task must succeed and every width/pool
-  combination must merge a byte-identical ``results.jsonl``.
+* **Determinism** — every task must succeed and both widths must merge
+  a byte-identical ``results.jsonl``.
 * **Throughput guard** — the width-``FLEET_WORKERS`` persistent pool
   must reach at least ``MIN_SPEEDUP``x the width-1 searches/minute on
   the same grid; measured up to ``ROUNDS`` times (fresh fleet dirs)
@@ -64,10 +63,9 @@ def _spec():
     })
 
 
-def _sweep(fleet_dir, workers, pool="persistent"):
+def _sweep(fleet_dir, workers):
     report = FleetSupervisor(
-        _spec(), fleet_dir, workers=workers, pool=pool,
-        backoff_base=0.01).run()
+        _spec(), fleet_dir, workers=workers, backoff_base=0.01).run()
     assert report.clean, "benchmark sweep must not degrade"
     return report
 
@@ -76,7 +74,6 @@ def _record(label, rep):
     _RESULTS[label] = {
         "tasks": rep.tasks_total,
         "workers": rep.workers,
-        "pool": rep.pool,
         "wall_seconds": round(rep.wall_seconds, 4),
         "searches_per_minute": round(rep.searches_per_minute, 2),
         "seconds_per_task": round(
@@ -101,12 +98,10 @@ def test_fleet_throughput(tmp_path):
         rerun = _sweep(tmp_path / f"wN-r{attempt}", workers=FLEET_WORKERS)
         if rerun.searches_per_minute > fleet.searches_per_minute:
             fleet = rerun
-    spawn = _sweep(tmp_path / "spawn", workers=FLEET_WORKERS, pool="spawn")
 
-    # Different widths and pool modes, same answers, byte for byte.
+    # Different widths, same answers, byte for byte.
     w1 = (tmp_path / "w1" / "results.jsonl").read_bytes()
     assert w1 == (tmp_path / "wN" / "results.jsonl").read_bytes()
-    assert w1 == (tmp_path / "spawn" / "results.jsonl").read_bytes()
 
     # The pool must actually reuse processes across the grid.
     assert fleet.workers_reused > 0, "persistent pool never reused a worker"
@@ -114,16 +109,12 @@ def test_fleet_throughput(tmp_path):
 
     _record("workers_1", serial)
     _record(f"workers_{FLEET_WORKERS}", fleet)
-    _record(f"workers_{FLEET_WORKERS}_spawn", spawn)
     speedup = (fleet.searches_per_minute /
                max(serial.searches_per_minute, 1e-9))
     _RESULTS["scaling"] = {
         "width": FLEET_WORKERS,
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
-        "spawn_speedup": round(
-            spawn.searches_per_minute /
-            max(serial.searches_per_minute, 1e-9), 3),
         "rounds_used": float(rounds_used),
     }
 

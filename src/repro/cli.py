@@ -217,9 +217,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec, args.fleet_dir, workers=args.workers,
         max_attempts=args.max_retries + 1,
         task_deadline=args.task_deadline,
-        straggler_after=args.straggler_after, ctx=ctx, pool=args.pool)
+        straggler_after=args.straggler_after, ctx=ctx)
     print(f"# sweep: {n_tasks} tasks from {args.spec} -> {args.fleet_dir} "
-          f"({args.workers} workers, {supervisor.pool} pool)")
+          f"({args.workers} workers)")
     try:
         with trap_signals(ctx.cancellation):
             report = supervisor.run(resume=args.resume)
@@ -462,12 +462,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                          "per-task journals, shared table cache, merged "
                          "results.jsonl + summary.json")
     p_sweep.add_argument("--workers", type=int, default=4, metavar="N",
-                         help="concurrent worker processes (default 4)")
-    p_sweep.add_argument("--pool", choices=("spawn", "persistent"),
-                         default=None,
-                         help="worker management: 'persistent' (default) "
-                         "reuses pre-forked processes across tasks; "
-                         "'spawn' forks one process per task attempt")
+                         help="concurrent worker processes (default 4), "
+                         "pre-forked and reused across tasks")
     p_sweep.add_argument("--resume", action="store_true",
                          help="resume an interrupted sweep from "
                          "--fleet-dir: completed tasks are replayed, "

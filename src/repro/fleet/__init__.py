@@ -34,7 +34,7 @@ from .supervisor import (
     FleetSupervisor,
     run_sweep,
 )
-from .worker import HEARTBEAT_INTERVAL_SECONDS, worker_main
+from .worker import HEARTBEAT_INTERVAL_SECONDS
 
 __all__ = [
     "SweepSpec",
@@ -53,5 +53,4 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_STRAGGLER_AFTER_SECONDS",
     "HEARTBEAT_INTERVAL_SECONDS",
-    "worker_main",
 ]

@@ -1,24 +1,22 @@
 """The persistent fleet worker pool: pre-forked, recycled, crash-only.
 
-Spawn-per-task (`repro.fleet.worker.worker_main` in a fresh process)
-pays a full interpreter bootstrap — fork, imports, journal setup — for
-every task; on the 18-task benchmark grid that fixed cost dominates the
-actual search.  This module keeps a pool of long-lived worker processes
-that drain tasks from per-worker inboxes instead, while preserving the
-crash-only file protocol *exactly*:
+Forking a fresh interpreter per task attempt pays fork, imports and
+journal setup for every task; on the 18-task benchmark grid that fixed
+cost dominates the actual search.  This pool keeps long-lived worker
+processes that drain tasks from per-worker inboxes instead, while
+keeping the crash-only file protocol of `repro.fleet.worker`:
 
-- Workers still communicate results only through ``result.json`` /
+- Workers communicate results only through ``result.json`` /
   ``error.json`` / ``heartbeat.json`` under the task directory (the
   inbox queue carries task dicts *into* a worker, never results out),
-  so the supervisor's straggler detection, quarantine, resume, and
-  orphan-result adoption work unchanged.
+  so straggler detection, quarantine, resume, and orphan-result
+  adoption read files, never pipes.
 - A worker that sees a task attempt *fail* (error, deadline, chaos
   ``raise``) burns itself with ``os._exit(1)`` after writing
-  ``error.json`` — identical crash isolation to spawn-per-task, where a
-  failed task's process dies by definition.  The supervisor replaces it
-  on the next dispatch.
+  ``error.json``, so a failed task never shares an interpreter with
+  the next one.  The scheduler replaces it on the next dispatch.
 - Healthy workers are recycled after `recycle_after` tasks to bound
-  leak accumulation; recycling is supervisor-driven (sentinel + join)
+  leak accumulation; recycling is scheduler-driven (sentinel + join)
   so a task is never enqueued to a process that is about to exit.
 - Workers watch their parent pid each inbox-poll; if the supervisor
   died uncleanly (SIGKILL) they exit rather than linger as orphans.
@@ -51,14 +49,17 @@ def pool_worker_main(inbox, fleet_dir: str, options: Mapping[str, Any],
     over the pool-wide ``options``, which is how the serve daemon gives
     each request its own deadline), ``None`` as a clean-shutdown
     sentinel.  A *failed* attempt (False from `run_task_attempt`, or an
-    escaped exception) ends the process with ``os._exit(1)`` — the pool
-    equivalent of spawn-per-task's nonzero exit — so one task's damage
-    never leaks into the next.
+    escaped exception) ends the process with ``os._exit(1)``, so one
+    task's damage never leaks into the next.
     """
     from .worker import run_task_attempt
 
-    # Same signal posture as worker_main: the supervisor owns SIGINT
-    # shutdown; its terminate() must actually terminate.
+    # The supervisor owns shutdown: ignore SIGINT (a terminal ^C hits
+    # the whole process group) so the fleet winds down through the
+    # supervisor's manifest flush, not through N dying children.  A
+    # forked child also inherits `trap_signals`' SIGTERM handler, which
+    # would flip a *copy* of the supervisor's token and keep running —
+    # restore the default so the pool's terminate() actually terminates.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
@@ -81,7 +82,7 @@ def pool_worker_main(inbox, fleet_dir: str, options: Mapping[str, Any],
             os._exit(1)
         if not ok:
             # error.json is on disk; burn the process for crash
-            # isolation, exactly as a spawn-per-task worker would exit.
+            # isolation.
             os._exit(1)
 
 
@@ -160,9 +161,8 @@ class WorkerPool:
 
     def shutdown(self, grace: float = 2.0) -> None:
         """Stop every worker: idle ones exit on a sentinel, busy ones
-        get SIGTERM (their in-flight attempt dies, exactly as in
-        spawn-per-task shutdown), stragglers are SIGKILLed after
-        ``grace`` seconds."""
+        get SIGTERM (their in-flight attempt dies), stragglers are
+        SIGKILLed after ``grace`` seconds."""
         import time
 
         idle, busy = self._idle, list(self._busy.values())

@@ -53,7 +53,6 @@ class FleetReport:
     wall_seconds: float = 0.0
     searches_per_minute: float = 0.0
     workers: int = 0
-    pool: str = "spawn"
     workers_spawned: int = 0
     workers_reused: int = 0
     resumed: bool = False
@@ -112,7 +111,6 @@ def write_summary(fleet_dir: str | Path, report: FleetReport,
         "wall_seconds": report.wall_seconds,
         "searches_per_minute": report.searches_per_minute,
         "workers": report.workers,
-        "pool": report.pool,
         "workers_spawned": report.workers_spawned,
         "workers_reused": report.workers_reused,
         "resumed": report.resumed,
@@ -128,13 +126,10 @@ def format_fleet_report(report: FleetReport) -> str:
     lines = [
         f"fleet: {report.succeeded}/{report.tasks_total} tasks succeeded "
         f"({report.workers} workers, {report.wall_seconds:.1f}s, "
-        f"{report.searches_per_minute:.1f} searches/min)"
+        f"{report.searches_per_minute:.1f} searches/min)",
+        f"fleet: persistent pool — {report.workers_spawned} "
+        f"process(es) forked, {report.workers_reused} warm reuse(s)",
     ]
-    if report.pool == "persistent":
-        lines.append(
-            f"fleet: persistent pool — {report.workers_spawned} "
-            f"process(es) forked, {report.workers_reused} warm "
-            "reuse(s)")
     if report.resumed:
         lines.append(
             f"fleet: resumed mid-sweep; {report.adopted} finished "

@@ -1,12 +1,13 @@
 """The fleet supervisor: drain a sweep through self-healing workers.
 
 `FleetSupervisor.run` takes a `SweepSpec` and a fleet directory and
-drives every task to ``done`` or ``quarantined`` through a pool of
-single-task worker processes (`repro.fleet.worker`), surviving every
-failure mode the chaos suite can produce:
+drives every task to ``done`` or ``quarantined`` through the shared
+`AttemptScheduler` (`repro.fleet.scheduler`) over a persistent pool of
+crash-isolated worker processes, surviving every failure mode the chaos
+suite can produce:
 
-* **worker crash** (``os._exit``, OOM kill, segfault): the exit code
-  and missing result file mark a failed attempt; the task retries with
+* **worker crash** (``os._exit``, OOM kill, segfault): a dead worker
+  without a result file marks a failed attempt; the task retries with
   exponential backoff and deterministic jitter;
 * **poison task** (fails every attempt): after ``max_attempts`` total
   attempts it is *quarantined* — recorded with its last error in the
@@ -34,10 +35,7 @@ gauge.
 
 from __future__ import annotations
 
-import multiprocessing
-import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -48,22 +46,12 @@ from .manifest import FleetManifest
 from .pool import WorkerPool
 from .report import FleetReport, format_fleet_report, merge_results, \
     write_summary
+from .scheduler import AttemptScheduler, Job
 from .spec import SweepSpec, SweepTask
-from .worker import (
-    prewarm_fork_template,
-    read_json,
-    task_dir,
-    worker_main,
-)
+from .worker import prewarm_fork_template, read_result
 
-__all__ = ["FleetSupervisor", "run_sweep", "DEFAULT_POOL",
-           "DEFAULT_MAX_ATTEMPTS", "DEFAULT_STRAGGLER_AFTER_SECONDS"]
-
-#: Worker management strategy: ``"persistent"`` reuses pre-forked
-#: processes across tasks (`repro.fleet.pool`); ``"spawn"`` forks a
-#: fresh process per task attempt (the original behaviour).
-DEFAULT_POOL = "persistent"
-POOL_MODES = ("spawn", "persistent")
+__all__ = ["FleetSupervisor", "run_sweep", "DEFAULT_MAX_ATTEMPTS",
+           "DEFAULT_STRAGGLER_AFTER_SECONDS"]
 
 #: Total attempts a task gets before quarantine (first run + retries).
 DEFAULT_MAX_ATTEMPTS = 3
@@ -80,29 +68,6 @@ POLL_INTERVAL_SECONDS = 0.05
 
 #: Grace period between SIGTERM and SIGKILL during shutdown.
 SHUTDOWN_GRACE_SECONDS = 2.0
-
-
-def _backoff(task_id: str, attempts: int, base: float, cap: float) -> float:
-    """Exponential backoff with deterministic per-(task, attempt) jitter.
-
-    Jitter decorrelates a thundering herd of simultaneous failures
-    (e.g. every worker dying when a shared filesystem hiccups) without
-    making test runs flaky — the same task/attempt always backs off the
-    same amount.
-    """
-    delay = min(cap, base * (2.0 ** max(attempts - 1, 0)))
-    jitter = random.Random(f"{task_id}:{attempts}").uniform(0.0, 0.5)
-    return delay * (1.0 + jitter)
-
-
-@dataclass
-class _InFlight:
-    """One running worker process as the supervisor tracks it."""
-
-    task: SweepTask
-    process: multiprocessing.Process
-    started: float                 # time.monotonic() at spawn
-    straggler_killed: bool = False
 
 
 class FleetSupervisor:
@@ -130,12 +95,6 @@ class FleetSupervisor:
         Fleet-level `RunContext`: cancellation token (pair with
         `trap_signals`), optional fleet-wide deadline, tracer/metrics.
         Per-task budgets are separate and built by the workers.
-    pool:
-        ``"persistent"`` (default) serves tasks from a pre-forked
-        reusable worker pool; ``"spawn"`` forks one process per task
-        attempt.  Failure semantics are identical: a failed attempt
-        always costs its process.  ``None`` falls back to
-        ``ctx.pool``, then `DEFAULT_POOL`.
     """
 
     def __init__(self, spec: SweepSpec, fleet_dir: str | Path, *,
@@ -145,8 +104,7 @@ class FleetSupervisor:
                  straggler_after: float = DEFAULT_STRAGGLER_AFTER_SECONDS,
                  backoff_base: float = BACKOFF_BASE_SECONDS,
                  backoff_cap: float = BACKOFF_CAP_SECONDS,
-                 ctx: RunContext | None = None,
-                 pool: str | None = None) -> None:
+                 ctx: RunContext | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers={workers} must be >= 1")
         if max_attempts < 1:
@@ -169,16 +127,7 @@ class FleetSupervisor:
                 budget=ctx.budget or RunBudget(),
                 cancellation=ctx.cancellation or Cancellation())
         self.ctx = ctx
-        resolved_pool = pool or ctx.pool or DEFAULT_POOL
-        if resolved_pool not in POOL_MODES:
-            raise ValueError(
-                f"pool={resolved_pool!r} must be one of {POOL_MODES}")
-        self.pool = resolved_pool
-        self._pool: WorkerPool | None = None
-        self._spawn_dispatches = 0
-        self._worker_spawned_counter: Any = None
         self.manifest = FleetManifest(self.fleet_dir)
-        self._mp = multiprocessing.get_context()
 
     # -- public entry point --------------------------------------------------
 
@@ -237,8 +186,8 @@ class FleetSupervisor:
         *is* the right answer) instead of recomputing.
         """
         for tid in self.manifest.in_state("pending"):
-            doc = read_json(task_dir(self.fleet_dir, tid) / "result.json")
-            if doc is None or doc.get("record", {}).get("task_id") != tid:
+            doc = read_result(self.fleet_dir, tid)
+            if doc is None:
                 continue
             self.manifest.mark_done(
                 tid, seconds=float(doc.get("elapsed_seconds", 0.0)))
@@ -253,52 +202,91 @@ class FleetSupervisor:
 
     def _drain(self, by_id: dict[str, SweepTask], tracer, metrics,
                t0: float) -> FleetReport:
-        running: dict[str, _InFlight] = {}
-        next_eligible: dict[str, float] = {}
+        """Run every pending task through the shared `AttemptScheduler`;
+        the manifest, spans and ``fleet_*`` metrics are its callbacks."""
         completed_this_run = 0
         task_seconds = metrics.histogram(
             "fleet_task_seconds", "wall seconds per completed fleet task")
-        spawned_total = metrics.counter(
-            "fleet_worker_spawned_total", "fleet worker processes forked")
-        reused_total = metrics.counter(
-            "fleet_worker_reused_total",
-            "fleet tasks served by an already-warm pool worker")
-        self._worker_spawned_counter = spawned_total
-        if self.pool == "persistent":
-            # Workers fork from this process: memos warmed here are
-            # inherited by every worker, so each distinct problem pays
-            # its first-touch cost exactly once fleet-wide.
-            prewarm_fork_template(
-                (by_id[tid] for tid in self.manifest.in_state("pending")
-                 if tid in by_id),
-                self.fleet_dir)
-            self._pool = WorkerPool(
-                mp_ctx=self._mp, fleet_dir=str(self.fleet_dir),
-                options={"task_deadline": self.task_deadline},
-                max_workers=self.workers,
-                on_spawn=spawned_total.inc, on_reuse=reused_total.inc)
+
+        def on_dispatch(job: Job) -> None:
+            self.manifest.mark_running(job.task.task_id,
+                                       pid=job.process.pid)
+
+        def on_success(job: Job, doc: dict) -> None:
+            nonlocal completed_this_run
+            tid = job.task.task_id
+            seconds = time.monotonic() - job.started
+            self.manifest.mark_done(tid, seconds=seconds)
+            task_seconds.observe(seconds)
+            metrics.counter("fleet_tasks_succeeded_total",
+                            "fleet tasks completed").inc()
+            with tracer.span("fleet.task", task=job.task.label,
+                             state="done", seconds_task=seconds,
+                             attempts=job.attempts):
+                pass
+            completed_this_run += 1
+
+        def on_failure(job: Job, kind: str, detail: str,
+                       final: bool) -> None:
+            state = self.manifest.mark_failed(
+                job.task.task_id, detail=detail, kind=kind,
+                max_attempts=self.max_attempts)
+            if kind == "straggler":
+                metrics.counter("fleet_stragglers_killed_total",
+                                "straggling fleet workers SIGKILLed").inc()
+            if final:
+                metrics.counter("fleet_tasks_quarantined_total",
+                                "fleet tasks quarantined").inc()
+            else:
+                metrics.counter("fleet_task_retries_total",
+                                "fleet task retry dispatches").inc()
+            with tracer.span("fleet.task", task=job.task.label,
+                             state=state, failure=kind,
+                             attempts=job.attempts):
+                pass
+
+        pending = [by_id[tid] for tid in self.manifest.in_state("pending")]
+        # Workers fork from this process: memos warmed here are inherited
+        # by every worker, so each distinct problem pays its first-touch
+        # cost exactly once fleet-wide.
+        prewarm_fork_template(pending, self.fleet_dir)
+        scheduler = AttemptScheduler(
+            self.fleet_dir, workers=self.workers,
+            max_attempts=self.max_attempts,
+            straggler_after=self.straggler_after,
+            backoff_base=self.backoff_base, backoff_cap=self.backoff_cap,
+            options={"task_deadline": self.task_deadline},
+            on_spawn=metrics.counter(
+                "fleet_worker_spawned_total",
+                "fleet worker processes forked").inc,
+            on_reuse=metrics.counter(
+                "fleet_worker_reused_total",
+                "fleet tasks served by an already-warm pool worker").inc,
+            on_dispatch=on_dispatch, on_success=on_success,
+            on_failure=on_failure)
+        for task in pending:
+            scheduler.submit(Job(
+                task=task,
+                attempts=int(self.manifest.task(task.task_id)["attempts"])))
         try:
             while True:
-                self._poll_control(running)
+                self._poll_control()
                 with self.manifest.batch():
-                    completed_this_run += self._reap(
-                        running, by_id, tracer, metrics, next_eligible,
-                        task_seconds)
-                    self._kill_stragglers(running, metrics)
-                    pending = self.manifest.in_state("pending")
-                    if not pending and not running:
-                        break
-                    self._dispatch(pending, running, by_id, next_eligible)
+                    scheduler.cycle()
+                if not len(scheduler):
+                    break
                 time.sleep(POLL_INTERVAL_SECONDS)
         except BaseException:
-            self._shutdown(running)
+            # Busy workers are TERMed, then KILLed past the grace period;
+            # resume demotes their "running" slots back to pending.
+            scheduler.pool.shutdown(SHUTDOWN_GRACE_SECONDS)
+            self.manifest.flush()
             raise
-        if self._pool is not None:
-            self._pool.shutdown(SHUTDOWN_GRACE_SECONDS)
+        scheduler.pool.shutdown(SHUTDOWN_GRACE_SECONDS)
         return self._build_report(by_id, completed_this_run,
-                                  time.monotonic() - t0)
+                                  time.monotonic() - t0, scheduler.pool)
 
-    def _poll_control(self, running: dict[str, _InFlight]) -> None:
+    def _poll_control(self) -> None:
         """Surface cancellation/deadline; `_drain`'s unwind path kills
         the children before the error escapes."""
         assert self.ctx.cancellation is not None
@@ -306,163 +294,11 @@ class FleetSupervisor:
         self.ctx.cancellation.check("fleet")
         self.ctx.budget.check("fleet")
 
-    def _dispatch(self, pending: list[str], running: dict[str, _InFlight],
-                  by_id: dict[str, SweepTask],
-                  next_eligible: dict[str, float]) -> None:
-        now = time.monotonic()
-        for tid in pending:
-            if len(running) >= self.workers:
-                break
-            if tid in running or next_eligible.get(tid, 0.0) > now:
-                continue
-            task = by_id[tid]
-            attempt = int(self.manifest.task(tid)["attempts"])
-            tdir = task_dir(self.fleet_dir, tid)
-            tdir.mkdir(parents=True, exist_ok=True)
-            # Clear the previous attempt's heartbeat so staleness is
-            # always measured against *this* process.
-            (tdir / "heartbeat.json").unlink(missing_ok=True)
-            if self._pool is not None:
-                proc = self._pool.submit(tid, task.to_dict(), attempt + 1)
-            else:
-                proc = self._mp.Process(
-                    target=worker_main,
-                    args=(task.to_dict(), attempt + 1, str(self.fleet_dir),
-                          {"task_deadline": self.task_deadline}),
-                    name=f"fleet-worker-{tid}")
-                proc.start()
-                self._spawn_dispatches += 1
-                if self._worker_spawned_counter is not None:
-                    self._worker_spawned_counter.inc()
-            assert proc.pid is not None
-            self.manifest.mark_running(tid, pid=proc.pid)
-            running[tid] = _InFlight(task=task, process=proc, started=now)
-
-    def _reap(self, running: dict[str, _InFlight],
-              by_id: dict[str, SweepTask], tracer, metrics,
-              next_eligible: dict[str, float], task_seconds) -> int:
-        """Collect finished workers; returns tasks completed this call."""
-        done = 0
-        for tid in list(running):
-            flight = running[tid]
-            tdir = task_dir(self.fleet_dir, tid)
-            if self._pool is not None:
-                # Pool workers outlive their tasks, so completion is the
-                # atomic result.json write, not process exit; a dead
-                # process (burned on failure, straggler-SIGKILLed, real
-                # crash) is the failure signal, exactly as in spawn
-                # mode.  A valid result counts even from a process that
-                # died afterwards — same rule as orphan adoption.
-                result = read_json(tdir / "result.json")
-                attempt_ok = (result is not None and
-                              result.get("record", {}).get("task_id") == tid)
-                if flight.process.is_alive() and not attempt_ok:
-                    continue
-                if not flight.process.is_alive():
-                    flight.process.join()
-                exitcode = 0 if attempt_ok else flight.process.exitcode
-                self._pool.release(tid)
-            else:
-                if flight.process.is_alive():
-                    continue
-                flight.process.join()
-                exitcode = flight.process.exitcode
-                result = read_json(tdir / "result.json")
-                attempt_ok = (exitcode == 0 and result is not None
-                              and result.get("record", {}).get("task_id")
-                              == tid)
-            del running[tid]
-            seconds = time.monotonic() - flight.started
-            if attempt_ok:
-                self.manifest.mark_done(tid, seconds=seconds)
-                task_seconds.observe(seconds)
-                metrics.counter("fleet_tasks_succeeded_total",
-                                "fleet tasks completed").inc()
-                with tracer.span("fleet.task", task=flight.task.label,
-                                 state="done", seconds_task=seconds,
-                                 attempts=self.manifest.task(tid)["attempts"]):
-                    pass
-                done += 1
-                continue
-            kind, detail = self._failure_of(flight, exitcode, tdir)
-            attempts = int(self.manifest.task(tid)["attempts"])
-            state = self.manifest.mark_failed(
-                tid, detail=detail, kind=kind,
-                max_attempts=self.max_attempts)
-            if state == "quarantined":
-                metrics.counter("fleet_tasks_quarantined_total",
-                                "fleet tasks quarantined").inc()
-            else:
-                metrics.counter("fleet_task_retries_total",
-                                "fleet task retry dispatches").inc()
-                next_eligible[tid] = time.monotonic() + _backoff(
-                    tid, attempts, self.backoff_base, self.backoff_cap)
-            with tracer.span("fleet.task", task=flight.task.label,
-                             state=state, failure=kind,
-                             attempts=attempts):
-                pass
-        return done
-
-    @staticmethod
-    def _failure_of(flight: _InFlight, exitcode: int | None,
-                    tdir: Path) -> tuple[str, str]:
-        """Classify a failed attempt from the evidence left behind."""
-        if flight.straggler_killed:
-            return "straggler", "heartbeat went stale; worker SIGKILLed"
-        err = read_json(tdir / "error.json")
-        if exitcode == 1 and err is not None:
-            return (str(err.get("kind", "error")),
-                    f"{err.get('type', 'Exception')}: "
-                    f"{err.get('detail', '?')}")
-        return "crash", (f"worker died with exit code {exitcode} and no "
-                         "error report")
-
-    def _kill_stragglers(self, running: dict[str, _InFlight],
-                         metrics) -> None:
-        """SIGKILL workers whose heartbeat went stale; reap handles it."""
-        now = time.monotonic()
-        wall_now = time.time()
-        for tid, flight in running.items():
-            if not flight.process.is_alive() or flight.straggler_killed:
-                continue
-            age = now - flight.started
-            if age < self.straggler_after:
-                continue  # spawn grace: younger than the threshold
-            hb = read_json(task_dir(self.fleet_dir, tid) / "heartbeat.json")
-            hb_age = (wall_now - float(hb["time"])) if hb else age
-            if hb_age < self.straggler_after:
-                continue
-            flight.straggler_killed = True
-            metrics.counter("fleet_stragglers_killed_total",
-                            "straggling fleet workers SIGKILLed").inc()
-            flight.process.kill()
-
-    def _shutdown(self, running: dict[str, _InFlight]) -> None:
-        """TERM then KILL every child, flush the manifest, stay quiet."""
-        if self._pool is not None:
-            # The pool owns the processes: idle workers drain cleanly,
-            # busy ones are TERMed (their in-flight attempts die, same
-            # as spawn mode) and KILLed past the grace period.
-            self._pool.shutdown(SHUTDOWN_GRACE_SECONDS)
-        else:
-            for flight in running.values():
-                if flight.process.is_alive():
-                    flight.process.terminate()
-            deadline = time.monotonic() + SHUTDOWN_GRACE_SECONDS
-            for flight in running.values():
-                flight.process.join(max(0.0, deadline - time.monotonic()))
-                if flight.process.is_alive():
-                    flight.process.kill()
-                    flight.process.join()
-        # The in-flight attempts die with us; resume demotes their
-        # "running" slots back to pending.
-        self.manifest.flush()
-
     # -- reporting -----------------------------------------------------------
 
     def _build_report(self, by_id: dict[str, SweepTask],
-                      completed_this_run: int,
-                      wall_seconds: float) -> FleetReport:
+                      completed_this_run: int, wall_seconds: float,
+                      pool: WorkerPool) -> FleetReport:
         counts = self.manifest.counts()
         report = FleetReport(
             tasks_total=len(by_id),
@@ -477,11 +313,8 @@ class FleetSupervisor:
             searches_per_minute=(
                 60.0 * completed_this_run / wall_seconds
                 if wall_seconds > 0 else 0.0),
-            pool=self.pool,
-            workers_spawned=(self._pool.spawned if self._pool is not None
-                             else self._spawn_dispatches),
-            workers_reused=(self._pool.reused if self._pool is not None
-                            else 0),
+            workers_spawned=pool.spawned,
+            workers_reused=pool.reused,
         )
         for tid in self.manifest.in_state("quarantined"):
             rec = self.manifest.task(tid)

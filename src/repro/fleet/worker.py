@@ -1,9 +1,10 @@
-"""The fleet worker: one process, one task, crash-only protocol.
+"""The fleet worker: one task attempt, crash-only protocol.
 
-Every dispatch runs :func:`worker_main` in a fresh child process.  The
-worker never talks to the supervisor over a pipe — pipes die with
-processes.  All communication is crash-safe files under the task's
-directory ``<fleet_dir>/tasks/<task_id>/``:
+Every dispatch runs :func:`run_task_attempt` inside a persistent pool
+worker process (`repro.fleet.pool`).  The worker never reports back
+over a pipe — pipes die with processes.  All communication is
+crash-safe files under the task's directory
+``<fleet_dir>/tasks/<task_id>/``:
 
 ``heartbeat.json``
     Re-written atomically every `HEARTBEAT_INTERVAL_SECONDS` by a
@@ -16,10 +17,10 @@ directory ``<fleet_dir>/tasks/<task_id>/``:
     (elapsed seconds, attempt number) kept *out* of the record so
     resumed and fresh sweeps merge bit-identically.
 ``error.json``
-    Written atomically on any caught failure, then the worker exits
-    non-zero.  A worker that dies without writing either file (SIGKILL,
-    ``os._exit``, segfault) is still handled: the supervisor sees the
-    exit code and the missing result.
+    Written atomically on any caught failure, stamped with the attempt
+    number, then the worker exits non-zero.  A worker that dies without
+    writing either file (SIGKILL, ``os._exit``, segfault) is still
+    handled: the scheduler sees the dead process and the missing result.
 
 The search itself is a journalled `execute_search` under the task's own
 `RunContext` — per-task wall-clock deadline and memory budget — with
@@ -38,8 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import sys
 import threading
 import time
 from pathlib import Path
@@ -53,8 +52,8 @@ from ..core.exceptions import (
 from ..obs.metrics import atomic_write_text
 from .spec import SweepTask
 
-__all__ = ["worker_main", "run_task_attempt", "prewarm_fork_template",
-           "task_dir", "read_json",
+__all__ = ["run_task_attempt", "prewarm_fork_template",
+           "task_dir", "read_json", "read_result",
            "HEARTBEAT_INTERVAL_SECONDS", "RESULT_VERSION"]
 
 #: Seconds between heartbeat re-writes.
@@ -79,6 +78,19 @@ def read_json(path: Path) -> dict[str, Any] | None:
             return json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
+
+
+def read_result(fleet_dir: str | os.PathLike,
+                task_id: str) -> dict[str, Any] | None:
+    """The task's ``result.json`` when it holds this task's record.
+
+    Task ids are content hashes, so a matching file *is* the answer,
+    whichever attempt or process wrote it.
+    """
+    doc = read_json(task_dir(fleet_dir, task_id) / "result.json")
+    if doc is None or doc.get("record", {}).get("task_id") != task_id:
+        return None
+    return doc
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -280,9 +292,8 @@ def run_task_attempt(task_dict: Mapping[str, Any], attempt: int,
                      fleet_dir: str, options: Mapping[str, Any]) -> bool:
     """Run one task attempt over the file protocol; True on success.
 
-    The reusable core shared by the spawn-per-task `worker_main` and the
-    persistent pool's worker loop (`repro.fleet.pool`): heartbeat for
-    the duration, apply chaos, run the search, and leave exactly one of
+    The body of the pool's worker loop (`repro.fleet.pool`): heartbeat
+    for the duration, apply chaos, run the search, and leave exactly one of
     ``result.json`` (success) or ``error.json`` (caught failure) behind.
     Task failures are *returned*, not raised — only process-killing
     faults (chaos ``os._exit``, a real crash) escape.
@@ -322,23 +333,3 @@ def run_task_attempt(task_dict: Mapping[str, Any], attempt: int,
     heartbeat.stop()
     return True
 
-
-def worker_main(task_dict: Mapping[str, Any], attempt: int,
-                fleet_dir: str, options: Mapping[str, Any]) -> None:
-    """Child-process entry point: run one task, leave files, exit.
-
-    Exit codes: 0 success (``result.json`` written), 1 failure
-    (``error.json`` written); anything else means the process died
-    uncleanly and the supervisor treats it as a crash.
-    """
-    # The supervisor owns shutdown: ignore SIGINT (a terminal ^C hits
-    # the whole process group) so the fleet winds down through the
-    # supervisor's manifest flush, not through 50 dying children.  A
-    # forked child also inherits `trap_signals`' SIGTERM handler, which
-    # would flip a *copy* of the supervisor's token and keep running —
-    # restore the default so the supervisor's terminate() actually
-    # terminates.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    sys.exit(0 if run_task_attempt(task_dict, attempt, fleet_dir, options)
-             else 1)

@@ -59,10 +59,6 @@ class RunContext:
         `CostModel.build_tables`.  ``jobs`` accepts a worker count
         (``"auto"`` backend selection) or a backend spelling such as
         ``"serial"``, ``"threads:4"``, ``"processes:2"``.
-    pool:
-        Fleet worker management: ``"persistent"`` (reuse pre-forked
-        workers across tasks) or ``"spawn"`` (one process per task
-        attempt).  ``None`` defers to the supervisor's default.
     kernel:
         Compute backend for the hot search kernels
         (`repro.core.kernels`): ``"numpy"``, ``"numba"`` (graceful
@@ -83,7 +79,6 @@ class RunContext:
     metrics: "Metrics | None" = None
     jobs: int | str | None = None
     cache: object | None = None
-    pool: str | None = None
     kernel: str | None = None
     checkpoint: Callable[..., None] | None = None
 

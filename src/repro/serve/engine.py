@@ -1,10 +1,10 @@
 """The search engine behind the serve daemon.
 
-One `SearchEngine` owns a persistent `repro.fleet.pool.WorkerPool` and a
-single **dispatcher thread** that does *all* pool bookkeeping — submit,
-reap, straggler kill, retry, quarantine — exactly like the fleet
-supervisor's drain loop, while HTTP handler threads only enqueue work
-and wait on events.  Searches run in crash-isolated child processes over
+One `SearchEngine` owns a `repro.fleet.scheduler.AttemptScheduler` (the
+fleet supervisor's, over a persistent worker pool) and a single
+**dispatcher thread** that drives it — submit, reap, straggler kill,
+retry, quarantine — while HTTP handler threads only enqueue work and
+wait on events.  Searches run in crash-isolated child processes over
 the fleet's file protocol (``result.json`` / ``error.json`` /
 ``heartbeat.json`` under ``<state_dir>/tasks/<task_id>/``), so a search
 that segfaults, OOMs, or wedges never takes down the server.
@@ -30,24 +30,25 @@ worker with the request's own ``task_deadline``; a failed attempt burns
 the worker process (crash isolation) and retries with deterministic
 backoff; ``max_attempts`` failures quarantine the fingerprint — every
 coalesced waiter gets the same structured 503, persisted so a restarted
-server refuses the poison problem without re-burning workers.
+server refuses the poison problem without re-burning workers.  If the
+dispatcher itself dies (e.g. fork fails), every waiter gets a 503 and
+so does every later miss: nothing waits on a thread that is gone.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import logging
 import os
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..fleet.pool import WorkerPool
+from ..fleet.scheduler import AttemptScheduler, Job
 from ..fleet.spec import SweepTask
-from ..fleet.worker import read_json, task_dir
+from ..fleet.worker import read_result
 from ..obs.metrics import NULL_METRICS
 from .coalesce import Quarantine, ResultCache
 from .wire import ServeError, ServeRequest
@@ -76,17 +77,11 @@ BACKOFF_CAP_SECONDS = 1.0
 #: a cheaper, sturdier search that answers *something* principled.
 DEGRADE_LADDER = {"all": "divisors", "divisors": "pow2", "pow2": "pow2"}
 
+_log = logging.getLogger(__name__)
+
 #: Bound on the process-local problem memo (distinct (model, machine,
 #: p, mode) cells kept hot for fast fingerprints).
 _PROBLEM_MEMO_MAX = 8
-
-
-def _backoff(task_id: str, attempts: int) -> float:
-    """Deterministic per-(task, attempt) backoff, fleet-style jitter."""
-    delay = min(BACKOFF_CAP_SECONDS,
-                BACKOFF_BASE_SECONDS * (2.0 ** max(attempts - 1, 0)))
-    jitter = random.Random(f"{task_id}:{attempts}").uniform(0.0, 0.5)
-    return delay * (1.0 + jitter)
 
 
 def quarantined_error(fingerprint: str, entry: Mapping[str, Any],
@@ -117,21 +112,14 @@ class EngineResult:
     degraded: bool = False
 
 
-@dataclass
-class _Flight:
+@dataclass(kw_only=True)
+class _Flight(Job):
     """One in-flight search shared by every coalesced waiter."""
 
     fingerprint: str
-    task: SweepTask
-    deadline: float | None                 # worker-side budget (seconds)
     event: threading.Event = field(default_factory=threading.Event)
     waiters: int = 1
-    attempts: int = 0
     outcome: Any = None                    # EngineResult | ServeError
-    process: Any = None                    # pool process while running
-    started: float = 0.0                   # monotonic dispatch time
-    next_eligible: float = 0.0
-    straggler_killed: bool = False
 
 
 class SearchEngine:
@@ -183,17 +171,21 @@ class SearchEngine:
         self._inbox: "queue.Queue[_Flight]" = queue.Queue()
         self._problems: dict = {}
         self._stop = threading.Event()
-        self._mp = multiprocessing.get_context()
-        self._pool = WorkerPool(
-            mp_ctx=self._mp, fleet_dir=str(self.state_dir),
+        #: The 503 every new flight gets once the dispatcher has exited.
+        self._down: ServeError | None = None
+        self._scheduler = AttemptScheduler(
+            self.state_dir, workers=workers, max_attempts=max_attempts,
+            straggler_after=straggler_after,
+            backoff_base=BACKOFF_BASE_SECONDS,
+            backoff_cap=BACKOFF_CAP_SECONDS,
             options={"task_deadline": default_deadline},
-            max_workers=workers,
             on_spawn=metrics.counter(
                 "serve_worker_spawned_total",
                 "serve pool worker processes forked").inc,
             on_reuse=metrics.counter(
                 "serve_worker_reused_total",
-                "serve searches run on an already-warm pool worker").inc)
+                "serve searches run on an already-warm pool worker").inc,
+            on_success=self._on_success, on_failure=self._on_failure)
         self._coalesce_hits = metrics.counter(
             "serve_coalesce_hits_total",
             "requests answered by joining an in-flight identical search")
@@ -321,7 +313,11 @@ class SearchEngine:
     def _join(self, fp: str, task: SweepTask,
               deadline: float | None) -> tuple[_Flight, bool]:
         """Join the in-flight search for ``fp``, creating it if needed."""
+        if deadline is None:
+            deadline = self.default_deadline
         with self._lock:
+            if self._down is not None:
+                raise self._down
             flight = self._flights.get(fp)
             if flight is not None:
                 flight.waiters += 1
@@ -329,8 +325,8 @@ class SearchEngine:
                 return flight, True
             flight = _Flight(
                 fingerprint=fp, task=task,
-                deadline=(deadline if deadline is not None
-                          else self.default_deadline))
+                options=(None if deadline is None
+                         else {"task_deadline": deadline}))
             self._flights[fp] = flight
         self._inbox.put(flight)
         return flight, False
@@ -352,31 +348,36 @@ class SearchEngine:
             cached=outcome.cached, coalesced=coalesced,
             attempts=outcome.attempts, degraded=outcome.degraded)
 
-    # -- dispatcher thread (all pool bookkeeping lives here) -----------------
+    # -- dispatcher thread (all scheduling happens here) ----------------------
 
     def _run_dispatcher(self) -> None:
-        waiting: list[_Flight] = []
-        running: dict[str, _Flight] = {}
-        while not self._stop.is_set():
-            self._drain_inbox(waiting, running)
-            # Reap before dispatching so a worker freed this cycle picks
-            # up waiting work immediately instead of idling a full poll.
-            self._reap(running, waiting)
-            self._dispatch(waiting, running)
-            self._kill_stragglers(running)
+        down = ServeError(503, "draining",
+                          "server shut down before the search finished")
+        try:
+            while not self._stop.is_set():
+                self._drain_inbox()
+                self._scheduler.cycle()
+                with self._lock:
+                    self._depth.set(len(self._scheduler))
+                time.sleep(POLL_INTERVAL_SECONDS)
+        except Exception as err:  # e.g. BlockingIOError: fork failed
+            _log.exception("serve dispatcher stopped")
+            down = ServeError(
+                503, "dispatcher-down",
+                "the search dispatcher stopped; this server can only "
+                "answer cached requests",
+                detail={"error": f"{type(err).__name__}: {err}"})
+        finally:
+            # Answer every remaining waiter rather than leaving HTTP
+            # threads parked on events that will never fire, and refuse
+            # every later flight the same way.
             with self._lock:
-                self._depth.set(len(waiting) + len(running))
-            time.sleep(POLL_INTERVAL_SECONDS)
-        # Forced shutdown: answer every remaining waiter rather than
-        # leaving HTTP threads parked on events that will never fire.
-        self._drain_inbox(waiting, running)
-        err = ServeError(503, "draining",
-                         "server shut down before the search finished")
-        for flight in waiting + list(running.values()):
-            self._finish(flight, err, running)
+                self._down = down
+                flights = list(self._flights.values())
+            for flight in flights:
+                self._finish(flight, down)
 
-    def _drain_inbox(self, waiting: list[_Flight],
-                     running: dict[str, _Flight]) -> None:
+    def _drain_inbox(self) -> None:
         while True:
             try:
                 flight = self._inbox.get_nowait()
@@ -385,136 +386,47 @@ class SearchEngine:
             # Adopt a finished result already on disk (server restart,
             # prior fleet run on the same state dir) — same content-hash
             # adoption rule as fleet resume; never touches the pool.
-            if not self._adopt(flight, running):
-                waiting.append(flight)
-
-    def _adopt(self, flight: _Flight,
-               running: dict[str, _Flight]) -> bool:
-        tid = flight.task.task_id
-        doc = read_json(task_dir(self.state_dir, tid) / "result.json")
-        if doc is None or doc.get("record", {}).get("task_id") != tid:
-            return False
-        self._succeed(flight, doc["record"], running)
-        return True
-
-    def _dispatch(self, waiting: list[_Flight],
-                  running: dict[str, _Flight]) -> None:
-        now = time.monotonic()
-        for flight in list(waiting):
-            if len(running) >= self.workers:
-                return
-            if flight.next_eligible > now:
-                continue
-            waiting.remove(flight)
-            tid = flight.task.task_id
-            tdir = task_dir(self.state_dir, tid)
-            tdir.mkdir(parents=True, exist_ok=True)
-            # Staleness is measured against *this* attempt's process.
-            (tdir / "heartbeat.json").unlink(missing_ok=True)
-            flight.attempts += 1
-            options = None
-            if flight.deadline is not None:
-                options = {"task_deadline": flight.deadline}
-            flight.process = self._pool.submit(
-                tid, flight.task.to_dict(), flight.attempts, options)
-            flight.started = now
-            flight.straggler_killed = False
-            running[flight.fingerprint] = flight
-
-    def _reap(self, running: dict[str, _Flight],
-              waiting: list[_Flight]) -> None:
-        for fp in list(running):
-            flight = running[fp]
-            tid = flight.task.task_id
-            tdir = task_dir(self.state_dir, tid)
-            # Pool workers outlive their tasks: completion is the atomic
-            # result.json write; a dead process without one is the
-            # failure signal (burned on error, SIGKILLed, real crash).
-            result = read_json(tdir / "result.json")
-            attempt_ok = (result is not None and
-                          result.get("record", {}).get("task_id") == tid)
-            if flight.process.is_alive() and not attempt_ok:
-                continue
-            if not flight.process.is_alive():
-                flight.process.join()
-            exitcode = 0 if attempt_ok else flight.process.exitcode
-            self._pool.release(tid)
-            del running[fp]
-            if attempt_ok:
-                with self._lock:
-                    self._searches.inc()
-                self._succeed(flight, result["record"], running)
-                continue
-            kind, detail = self._failure_of(flight, exitcode, tdir)
-            if kind == "crash":
-                with self._lock:
-                    self._crashes.inc()
-            if flight.attempts >= self.max_attempts:
-                entry = self.quarantine.add(
-                    fp, attempts=flight.attempts, kind=kind, detail=detail,
-                    label=flight.task.label)
-                with self._lock:
-                    self._quarantined.inc()
-                self._finish(flight,
-                             quarantined_error(fp, entry, degradable=True),
-                             running)
+            doc = read_result(self.state_dir, flight.task.task_id)
+            if doc is not None:
+                self._succeed(flight, doc["record"])
             else:
-                with self._lock:
-                    self._retries.inc()
-                flight.next_eligible = time.monotonic() + _backoff(
-                    tid, flight.attempts)
-                waiting.append(flight)
+                self._scheduler.submit(flight)
 
-    @staticmethod
-    def _failure_of(flight: _Flight, exitcode: int | None,
-                    tdir: Path) -> tuple[str, str]:
-        """Classify a failed attempt from the evidence left behind."""
-        if flight.straggler_killed:
-            return "straggler", "heartbeat went stale; worker SIGKILLed"
-        err = read_json(tdir / "error.json")
-        if err is not None and int(err.get("attempt", -1)) == flight.attempts:
-            return (str(err.get("kind", "error")),
-                    f"{err.get('type', 'Exception')}: "
-                    f"{err.get('detail', '?')}")
-        return "crash", (f"worker died with exit code {exitcode} and no "
-                         "error report")
+    def _on_success(self, flight: _Flight, doc: dict) -> None:
+        with self._lock:
+            self._searches.inc()
+        self._succeed(flight, doc["record"])
 
-    def _kill_stragglers(self, running: dict[str, _Flight]) -> None:
-        now = time.monotonic()
-        wall_now = time.time()
-        for flight in running.values():
-            if not flight.process.is_alive() or flight.straggler_killed:
-                continue
-            age = now - flight.started
-            if age < self.straggler_after:
-                continue  # dispatch grace: younger than the threshold
-            hb = read_json(
-                task_dir(self.state_dir, flight.task.task_id)
-                / "heartbeat.json")
-            hb_age = (wall_now - float(hb["time"])) if hb else age
-            if hb_age < self.straggler_after:
-                continue
-            flight.straggler_killed = True
-            with self._lock:
+    def _on_failure(self, flight: _Flight, kind: str, detail: str,
+                    final: bool) -> None:
+        with self._lock:
+            if kind == "crash":
+                self._crashes.inc()
+            elif kind == "straggler":
                 self.metrics.counter(
                     "serve_stragglers_killed_total",
                     "straggling serve workers SIGKILLed").inc()
-            flight.process.kill()
+            if not final:
+                self._retries.inc()
+        if final:
+            entry = self.quarantine.add(
+                flight.fingerprint, attempts=flight.attempts, kind=kind,
+                detail=detail, label=flight.task.label)
+            with self._lock:
+                self._quarantined.inc()
+            self._finish(flight, quarantined_error(
+                flight.fingerprint, entry, degradable=True))
 
-    def _succeed(self, flight: _Flight, record: Mapping[str, Any],
-                 running: dict[str, _Flight]) -> None:
+    def _succeed(self, flight: _Flight, record: Mapping[str, Any]) -> None:
         self.cache.put(flight.fingerprint, record)
         self._finish(
             flight,
             EngineResult(fingerprint=flight.fingerprint, record=dict(record),
-                         attempts=flight.attempts),
-            running)
+                         attempts=flight.attempts))
 
-    def _finish(self, flight: _Flight, outcome: Any,
-                running: dict[str, _Flight]) -> None:
+    def _finish(self, flight: _Flight, outcome: Any) -> None:
         with self._lock:
             self._flights.pop(flight.fingerprint, None)
-        running.pop(flight.fingerprint, None)
         flight.outcome = outcome
         flight.event.set()
 
@@ -528,7 +440,7 @@ class SearchEngine:
         """
         self._stop.set()
         self._dispatcher.join(timeout=max(grace, 5.0))
-        self._pool.shutdown(grace)
+        self._scheduler.pool.shutdown(grace)
         self.cache.flush()
         self.quarantine.flush()
 

@@ -12,8 +12,6 @@ import multiprocessing
 import queue
 from pathlib import Path
 
-import pytest
-
 from repro.fleet import FleetSupervisor, SweepSpec
 from repro.fleet.pool import WorkerPool, pool_worker_main
 
@@ -177,54 +175,36 @@ class TestPoolWorkerProcess:
 class TestPoolEndToEnd:
     def test_persistent_reuses_and_merges_identically(self, tmp_path):
         spec = sweep_spec(seeds=[0, 1])  # 4 tasks
-        rep_pool = run_fleet(spec, tmp_path / "pool", workers=1,
-                             pool="persistent")
-        rep_spawn = run_fleet(spec, tmp_path / "spawn", workers=1,
-                              pool="spawn")
-        assert rep_pool.clean and rep_spawn.clean
-        assert rep_pool.workers_spawned == 1
-        assert rep_pool.workers_reused == rep_pool.tasks_total - 1
-        assert rep_spawn.workers_spawned == rep_spawn.tasks_total
-        assert rep_spawn.workers_reused == 0
-        assert (tmp_path / "pool" / "results.jsonl").read_bytes() == \
-            (tmp_path / "spawn" / "results.jsonl").read_bytes()
+        rep_narrow = run_fleet(spec, tmp_path / "narrow", workers=1)
+        rep_wide = run_fleet(spec, tmp_path / "wide", workers=2)
+        assert rep_narrow.clean and rep_wide.clean
+        assert rep_narrow.workers_spawned == 1
+        assert rep_narrow.workers_reused == rep_narrow.tasks_total - 1
+        assert (tmp_path / "narrow" / "results.jsonl").read_bytes() == \
+            (tmp_path / "wide" / "results.jsonl").read_bytes()
         summary = json.loads(
-            (tmp_path / "pool" / "summary.json").read_text())
-        assert summary["pool"] == "persistent"
+            (tmp_path / "narrow" / "summary.json").read_text())
+        assert "pool" not in summary
         assert summary["workers_spawned"] == 1
-        assert summary["workers_reused"] == rep_pool.tasks_total - 1
+        assert summary["workers_reused"] == rep_narrow.tasks_total - 1
 
     def test_failed_task_burns_its_worker(self, tmp_path):
         spec = sweep_spec(ps=[2], tasks=[{
             "model": "alexnet", "p": 4,
             "chaos": {"kind": "raise", "attempts": 1}}])
-        report = run_fleet(spec, tmp_path / "fleet", workers=1,
-                           pool="persistent")
+        report = run_fleet(spec, tmp_path / "fleet", workers=1)
         assert report.clean
         assert report.retries == 1
         # The failing attempt's worker died with it; a fresh process
         # served the retry, so at least two forks happened.
         assert report.workers_spawned >= 2
 
-    def test_persistent_is_the_default(self, tmp_path):
-        spec = sweep_spec(ps=[2])
-        sup = FleetSupervisor(spec, tmp_path / "fleet", workers=1, **FAST)
-        assert sup.pool == "persistent"
-        report = sup.run()
-        assert report.clean and report.pool == "persistent"
-
-    def test_bad_pool_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="pool"):
-            FleetSupervisor(sweep_spec(), tmp_path / "fleet",
-                            pool="forkbomb")
-
     def test_resume_under_persistent_pool(self, tmp_path):
         """Kill-free resume parity: a drained sweep resumed under the
         pool replays results without rerunning anything."""
         spec = sweep_spec(seeds=[0, 1])
-        run_fleet(spec, tmp_path / "fleet", workers=2, pool="persistent")
+        run_fleet(spec, tmp_path / "fleet", workers=2)
         first = (tmp_path / "fleet" / "results.jsonl").read_bytes()
-        rep = run_fleet(spec, tmp_path / "fleet", workers=2,
-                        pool="persistent", resume=True)
+        rep = run_fleet(spec, tmp_path / "fleet", workers=2, resume=True)
         assert rep.resumed and rep.completed_this_run == 0
         assert (tmp_path / "fleet" / "results.jsonl").read_bytes() == first

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.exceptions import JournalError
 from repro.fleet import FleetSupervisor, SweepSpec
+from repro.fleet.worker import task_dir
 
 FAST = dict(backoff_base=0.01, backoff_cap=0.1)
 
@@ -120,6 +121,25 @@ class TestWorkerChaos:
             (tmp_path / "fleet" / "summary.json").read_text())
         assert summary["quarantined"] == 1
         assert summary["quarantined_tasks"][0]["task_id"] == q["task_id"]
+
+    def test_stale_error_report_never_relabels_a_crash(self, tmp_path):
+        """An error.json stamped by another attempt is not this
+        attempt's report: a worker that then dies is a crash."""
+        spec = sweep_spec(ps=[2], tasks=[{
+            "model": "alexnet", "p": 4,
+            "chaos": {"kind": "exit", "code": 1}}])
+        doomed = spec.expand()[-1]
+        tdir = task_dir(tmp_path / "fleet", doomed.task_id)
+        tdir.mkdir(parents=True)
+        (tdir / "error.json").write_text(json.dumps({
+            "version": 1, "task_id": doomed.task_id, "attempt": 99,
+            "kind": "resource", "type": "SearchResourceError",
+            "detail": "stale report from an old attempt"}))
+        report = run_fleet(spec, tmp_path / "fleet", workers=2,
+                           max_attempts=2)
+        [q] = report.quarantined_tasks
+        assert q["last_error"]["kind"] == "crash"
+        assert report.worker_crashes == 2
 
     def test_wedged_worker_is_sigkilled_and_reassigned(self, tmp_path):
         spec = sweep_spec(ps=[2], tasks=[{

@@ -11,9 +11,12 @@ obtained.
 
 import json
 import threading
+import time
 
 import pytest
 
+from repro.fleet.pool import WorkerPool
+from repro.fleet.worker import task_dir
 from repro.obs.metrics import Metrics
 from repro.serve.engine import SearchEngine
 from repro.serve.wire import ServeError, validate_request
@@ -188,3 +191,50 @@ class TestDeadline:
                 engine.execute(request(doc))
             assert exc.value.status == 504
             assert exc.value.kind == "deadline"
+
+
+class TestStaleEvidence:
+    def test_stale_error_report_never_relabels_a_crash(self, tmp_path):
+        """An error.json an earlier server life left behind carries the
+        same attempt stamp as this life's first attempt; it must not
+        relabel that attempt's crash."""
+        metrics = Metrics()
+        doc = {"model": "alexnet", "p": 4, "seed": 19,
+               "chaos": {"kind": "exit", "code": 1}}
+        with make_engine(tmp_path, metrics, max_attempts=1) as engine:
+            task = engine.normalize(request(doc).task)
+            tdir = task_dir(engine.state_dir, task.task_id)
+            tdir.mkdir(parents=True)
+            (tdir / "error.json").write_text(json.dumps({
+                "version": 1, "task_id": task.task_id, "attempt": 1,
+                "kind": "resource", "type": "SearchResourceError",
+                "detail": "stale report from an earlier server life"}))
+            with pytest.raises(ServeError) as exc:
+                engine.execute(request(doc))
+            assert exc.value.kind == "quarantined"
+            [entry] = engine.quarantine_snapshot().values()
+            assert entry["kind"] == "crash"
+        assert metrics.counter("serve_worker_crashes_total").value == 1
+
+
+class TestDispatcherFailure:
+    def test_dead_dispatcher_answers_every_waiter_with_503(
+            self, tmp_path, monkeypatch):
+        """A dispatcher killed by an exception (here: fork failing) must
+        answer its waiters at once and refuse later misses, not leave
+        them parked until their deadlines."""
+        def fork_fails(self, *args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(WorkerPool, "submit", fork_fails)
+        with make_engine(tmp_path) as engine:
+            for seed in (23, 29):
+                req = request({"model": "alexnet", "p": 4, "seed": seed,
+                               "deadline": 5.0})
+                fp = engine.fingerprint_of(req.task)
+                t0 = time.monotonic()
+                with pytest.raises(ServeError) as exc:
+                    engine.execute(req, fp)
+                assert time.monotonic() - t0 < 1.0
+                assert exc.value.status == 503
+                assert "BlockingIOError" in exc.value.detail["error"]
