@@ -26,7 +26,7 @@ from repro.core.costmodel import CostModel
 from repro.core.dp import find_best_strategy
 from repro.core.machine import GTX1080TI
 from repro.models import BENCHMARKS
-from repro.runtime import RunBudget, SearchJournal, execute_search
+from repro.runtime import RunBudget, RunContext, SearchJournal, execute_search
 from _config import FULL
 
 NETWORKS = ("rnnlm", "transformer")
@@ -60,8 +60,9 @@ def test_hardened_overhead(net, tmp_path):
     # Hardened path: deadline-bounded, checkpointed, journalled.
     t0 = time.perf_counter()
     out = execute_search(graph, space, GTX1080TI,
-                         budget=RunBudget(deadline=3600.0),
-                         journal=SearchJournal(tmp_path / "journal"))
+                         ctx=RunContext(
+                             budget=RunBudget(deadline=3600.0),
+                             journal=SearchJournal(tmp_path / "journal")))
     t_hard = time.perf_counter() - t0
 
     assert out.result.cost == plain.cost, \
@@ -72,9 +73,10 @@ def test_hardened_overhead(net, tmp_path):
 
     # Resume replay: everything comes back from the journal.
     t0 = time.perf_counter()
-    replay = execute_search(graph, space, GTX1080TI,
-                            journal=SearchJournal(tmp_path / "journal"),
-                            resume=True)
+    replay = execute_search(
+        graph, space, GTX1080TI,
+        ctx=RunContext(journal=SearchJournal(tmp_path / "journal")),
+        resume=True)
     t_replay = time.perf_counter() - t0
     assert replay.result.cost == plain.cost
 

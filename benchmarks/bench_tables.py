@@ -1,10 +1,10 @@
 """Cost-table construction perf guard: serial vs auto-selected backend.
 
 For each network this times `CostModel.build_tables` serial and with
-``jobs=JOBS`` (auto backend selection: serial/threads/processes from the
-measured work cells and result bytes), asserts every variant is
-bit-identical to the serial reference, and proves the warm cache hit
-never touches the matrix constructors.
+``jobs=JOBS`` (auto backend selection: serial or threads from the
+measured work cells and core count), forces one ``threads:2`` build,
+asserts every variant is bit-identical to the serial reference, and
+proves the warm cache hit never touches the matrix constructors.
 
 Timing protocol (like ``bench_dp.py``): best-of-``BEST_OF`` with the two
 variants interleaved to decorrelate machine noise, and up to ``ROUNDS``
@@ -18,8 +18,8 @@ and are held to the same tie tolerance.
 
 Timings land in ``BENCH_tables.json`` (override with ``PASE_BENCH_OUT``),
 one row per network: ``backend`` records the auto-selected backend by
-name, ``*_seconds`` are best-of timings, ``shm_bytes`` the arena size
-when the process backend ran.
+name, ``serial_seconds``/``parallel_seconds`` are best-of timings and
+the other ``*_seconds`` single runs.
 
 Unlike the other bench modules this one needs no pytest-benchmark
 plugin, so CI can smoke it with the base test toolchain:
@@ -39,6 +39,7 @@ from repro.core.costmodel import CostModel
 from repro.core.machine import GTX1080TI
 from repro.core.tablecache import TableCache
 from repro.models import BENCHMARKS
+from repro.runtime import RunContext
 from _config import FULL
 
 NETWORKS = ("inception_v3", "transformer")
@@ -110,7 +111,7 @@ def test_build_perf_guard_and_identity(net, tmp_path, monkeypatch):
         return cm.build_tables(graph, space)
 
     def run_auto():
-        return cm.build_tables(graph, space, jobs=JOBS)
+        return cm.build_tables(graph, space, ctx=RunContext(jobs=JOBS))
 
     # Warm pass: pages in the model code and gives first-shot timings.
     t0 = time.perf_counter()
@@ -134,18 +135,19 @@ def test_build_perf_guard_and_identity(net, tmp_path, monkeypatch):
         if _guard_ok(t_par, t_serial):
             break
 
-    # Forced shared-memory process build: identity only (on small boxes
-    # the fork cost makes it legitimately slower — that is exactly why
-    # auto-selection exists, and the guard above holds *auto* harmless).
+    # Forced thread build: identity only, so the pool path is exercised
+    # even where auto-selection stays serial (a single-core box).
     t0 = time.perf_counter()
-    forced = cm.build_tables(graph, space, jobs="processes:2")
+    forced = cm.build_tables(graph, space,
+                             ctx=RunContext(jobs="threads:2"))
     t_forced = time.perf_counter() - t0
-    assert forced.backend == "processes"
+    assert forced.backend == "threads"
     assert _identical(serial, forced), \
-        f"{net}: shared-memory process tables differ from serial"
+        f"{net}: thread-pool tables differ from serial"
 
+    cached = RunContext(cache=cache)
     t0 = time.perf_counter()
-    cold = cm.build_tables(graph, space, cache=cache)
+    cold = cm.build_tables(graph, space, ctx=cached)
     t_cold = time.perf_counter() - t0
     assert cold.build_stats["cache_hit"] == 0.0
 
@@ -157,7 +159,7 @@ def test_build_perf_guard_and_identity(net, tmp_path, monkeypatch):
     monkeypatch.setattr(CostModel, "layer_cost", _boom)
     monkeypatch.setattr(CostModel, "edge_bytes_matrix", _boom)
     t0 = time.perf_counter()
-    warm = cm.build_tables(graph, space, cache=cache)
+    warm = cm.build_tables(graph, space, ctx=cached)
     t_warm = time.perf_counter() - t0
     monkeypatch.undo()
     assert warm.build_stats["cache_hit"] == 1.0
@@ -170,8 +172,7 @@ def test_build_perf_guard_and_identity(net, tmp_path, monkeypatch):
         "parallel_seconds": t_par,
         "parallel_jobs": par.build_stats["jobs"],
         "backend": backend,
-        "shm_bytes": par.build_stats["shm_bytes"],
-        "forced_processes_seconds": t_forced,
+        "forced_threads_seconds": t_forced,
         "cold_cache_seconds": t_cold,
         "warm_cache_seconds": t_warm,
         "rounds_used": float(rounds_used),

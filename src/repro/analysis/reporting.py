@@ -112,14 +112,7 @@ def format_table_build_stats(stats: Mapping[str, float]) -> str:
     if get("cache_hit"):
         return f"cost tables: {seconds:.3f}s (cache hit{size})"
     jobs = int(get("jobs") or 1)
-    if jobs > 1:
-        # The backend travels as a numeric code (build_stats is floats
-        # only); see BACKEND_CODES in repro.core.costmodel.
-        backend = {1.0: "threads", 2.0: "processes"}.get(
-            get("backend"), "parallel")
-        how = f"{backend} x{jobs}"
-    else:
-        how = "serial"
+    how = f"threads x{jobs}" if jobs > 1 else "serial"
     note = " [DEGRADED: pool failed, serial fallback]" if get("degraded") \
         else ""
     return f"cost tables: {seconds:.3f}s ({how}{size}){note}"

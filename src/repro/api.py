@@ -136,7 +136,7 @@ class Problem:
           dict this method always hashed, so every pre-existing journal
           resume key and serve coalesce/cache key stays valid.
 
-        Deliberately excluded: wall-clock deadlines, jobs/cache/kernel
+        Deliberately excluded: wall-clock deadlines, jobs/cache
         knobs, and the observability pair — those change how fast the
         answer arrives, not what it is.  Two problems with equal
         fingerprints return bit-identical `SearchResult`\\ s, which is

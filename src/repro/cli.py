@@ -22,7 +22,8 @@ from .analysis import section_3c_report
 from .cluster import simulate_step
 from .core.machine import MACHINES as _MACHINES
 from .experiments import figure6, table1, table2
-from .experiments.common import METHODS, build_setup, search_with
+from .experiments.common import (METHODS, add_jobs_arg, build_setup,
+                                 search_with)
 from .models import BENCHMARKS
 
 __all__ = ["main"]
@@ -36,33 +37,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      default="pow2", help="configuration enumeration mode")
 
 
-def _jobs_arg(value: str):
-    """``--jobs`` accepts a worker count or a backend spelling.
-
-    Plain integers keep the historical meaning (auto backend selection,
-    0 = all cores); strings like ``serial``, ``threads:4``,
-    ``processes:2``, or ``auto`` force a specific backend.
-    """
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    from .core.costmodel import _parse_jobs
-
-    try:
-        _parse_jobs(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return value
-
-
 def _add_table_opts(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
-                     help="cost-table construction parallelism: a worker "
-                     "count (0 = all cores, backend auto-selected from "
-                     "the measured work) or an explicit backend spelling "
-                     "like 'serial', 'threads:4', 'processes:2' "
-                     "(default: serial)")
+    add_jobs_arg(sub)
     sub.add_argument("--table-cache", metavar="DIR", default=None,
                      help="cache precomputed cost tables under DIR "
                      "(content-addressed; reused across runs)")
@@ -72,11 +48,6 @@ def _add_table_opts(sub: argparse.ArgumentParser) -> None:
                      "reduction (dominance pruning + chain contraction) "
                      "before the DP (auto-bypassed when the plain DP is "
                      "predicted to be cheap; see PASE_REDUCE_BYPASS_RATIO)")
-    sub.add_argument("--kernel", choices=("numpy", "numba", "auto"),
-                     default=None,
-                     help="compute backend for the hot search kernels "
-                     "(numba falls back to numpy with a warning when not "
-                     "installed; default: $PASE_KERNEL or numpy)")
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -135,7 +106,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             else DEFAULT_MEMORY_BUDGET),
         cancellation=Cancellation(),
         journal=journal, jobs=args.jobs, cache=cache,
-        tracer=tracer, metrics=metrics, kernel=args.kernel)
+        tracer=tracer, metrics=metrics)
     try:
         with trap_signals(ctx.cancellation):
             outcome = execute_search(
@@ -259,19 +230,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_table_build_stats
 
     print(f"# {format_table_build_stats(setup.tables.build_stats)}")
-    from .core import kernels
-
     rows = []
     base = None
-    with kernels.use(args.kernel):
-        for method in args.methods:
-            strat = search_with(setup, method, seed=args.seed,
-                                reduce=args.reduce).strategy
-            rep = simulate_step(setup.graph, strat, machine, args.p,
-                                keep_trace=args.gantt)
-            if method == "data_parallel":
-                base = rep.throughput
-            rows.append((method, rep, strat))
+    for method in args.methods:
+        strat = search_with(setup, method, seed=args.seed,
+                            reduce=args.reduce).strategy
+        rep = simulate_step(setup.graph, strat, machine, args.p,
+                            keep_trace=args.gantt)
+        if method == "data_parallel":
+            base = rep.throughput
+        rows.append((method, rep, strat))
     print(f"# {args.model} p={args.p} machine={args.machine}")
     for method, rep, _ in rows:
         speed = f"  ({rep.throughput / base:.2f}x vs dp)" if base else ""
@@ -347,12 +315,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         from .core.tablecache import TableCache
 
         cache = TableCache(args.table_cache)
-    from .core import kernels
-
-    with kernels.use(args.kernel):
-        res = pipeline_pase(graph, args.p, args.stages, machine=machine,
-                            mode=args.mode, jobs=args.jobs, cache=cache,
-                            reduce=args.reduce)
+    res = pipeline_pase(graph, args.p, args.stages, machine=machine,
+                        mode=args.mode, jobs=args.jobs, cache=cache,
+                        reduce=args.reduce)
     print(f"# {args.model} p={args.p} stages={args.stages} "
           f"({res.devices_per_stage} devices/stage)")
     for i, (stage, cost) in enumerate(zip(res.stages, res.stage_costs)):

@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from .._compat import UNSET, reject_ctx_conflict, warn_deprecated_kwargs
 from ..obs.profile import metrics_of, tracer_of
 from ..ops.base import OpSpec
 from .configs import ConfigSpace
@@ -46,30 +45,21 @@ from .machine import MachineSpec
 from .tensors import DTYPE_BYTES, TensorSpec
 
 __all__ = ["CostModel", "CostTables", "allreduce_bytes",
-           "PARALLEL_THRESHOLD_CELLS", "PROCESS_MIN_RESULT_BYTES",
-           "BACKEND_CODES"]
+           "PARALLEL_THRESHOLD_CELLS", "BACKEND_CODES"]
 
 #: Minimum total table cells (Σ_v K_v + Σ_e K_u·K_v) before ``jobs=``
-#: auto-selection considers any parallel backend; below it task-dispatch
-#: overhead dominates and construction stays serial.
-PARALLEL_THRESHOLD_CELLS = 200_000
-
-#: Minimum *result payload* (``work_cells * 8`` bytes of float64) before
-#: auto-selection picks the process backend over threads.  Below it the
-#: per-worker fork cost is larger than any GIL contention the thread
-#: backend suffers (the matrix kernels are vectorized numpy, which
-#: releases the GIL for the heavy work); above it process-private
-#: interpreters win and the shared-memory arena makes result shipping a
-#: plain memcpy.  This is the result-bytes half of the decision the old
-#: cells-only ``PARALLEL_THRESHOLD_CELLS`` test miscalibrated.
-PROCESS_MIN_RESULT_BYTES = 64 * 1024 * 1024
+#: auto-selection fans out to threads; below it task-dispatch overhead
+#: dominates and construction stays serial.  Measured with two threads
+#: on a 2-vCPU host: threads lose 7-20% up to inception_v3 p=8 (356k
+#: cells) and win from transformer p=32 (1.01M cells, 11%) upwards.
+PARALLEL_THRESHOLD_CELLS = 1_000_000
 
 #: Backend names -> the numeric code recorded in ``build_stats``
 #: (every stats value must be a float; the string name lives on
 #: ``CostTables.backend``).
-BACKEND_CODES = {"serial": 0.0, "threads": 1.0, "processes": 2.0}
+BACKEND_CODES = {"serial": 0.0, "threads": 1.0}
 
-#: Extra parallel attempts after a pool failure before the serial
+#: Extra parallel attempts after a thread-pool failure before the serial
 #: fallback, and the backoff slept before each retry.
 PARALLEL_BUILD_RETRIES = 1
 PARALLEL_RETRY_BACKOFF_SECONDS = 0.25
@@ -100,68 +90,11 @@ def _interruptible_sleep(seconds: float,
             return
         time.sleep(min(BACKOFF_POLL_SECONDS, remaining))
 
-# Per-worker state installed by the pool initializer (inherited cheaply on
-# fork, re-pickled once per worker on spawn) so tasks only ship indices.
-# When a shared-memory arena is active the worker also holds its mapping
-# and ships back *nothing* — the matrix is written in place.
-_WORKER: dict[str, object] = {}
-
-
-def _init_worker(model: "CostModel", graph: CompGraph, space: ConfigSpace,
-                 arena_name: str | None = None,
-                 arena_manifest: dict | None = None) -> None:
-    _WORKER["model"] = model
-    _WORKER["graph"] = graph
-    _WORKER["space"] = space
-    _WORKER.pop("arena", None)
-    if arena_name is not None:
-        from .shm import ShmArena
-
-        _WORKER["arena"] = ShmArena.attach(arena_name, arena_manifest)
-
-
-def _node_task(name: str) -> tuple[str, np.ndarray | None]:
-    model: CostModel = _WORKER["model"]          # type: ignore[assignment]
-    graph: CompGraph = _WORKER["graph"]          # type: ignore[assignment]
-    space: ConfigSpace = _WORKER["space"]        # type: ignore[assignment]
-    out = model.layer_cost(graph.node(name), space.configs(name))
-    arena = _WORKER.get("arena")
-    if arena is not None:
-        arena.write(("lc", name), out)           # type: ignore[attr-defined]
-        return name, None
-    return name, out
-
-
-def _edge_task(index: int) -> tuple[int, np.ndarray | None]:
-    model: CostModel = _WORKER["model"]          # type: ignore[assignment]
-    graph: CompGraph = _WORKER["graph"]          # type: ignore[assignment]
-    space: ConfigSpace = _WORKER["space"]        # type: ignore[assignment]
-    e = graph.edges[index]
-    out = model.edge_bytes_matrix(
-        graph, e, space.configs(e.src), space.configs(e.dst))
-    arena = _WORKER.get("arena")
-    if arena is not None:
-        arena.write(("tx", index), out)          # type: ignore[attr-defined]
-        return index, None
-    return index, out
-
-
-def _mem_task(name: str) -> tuple[str, np.ndarray | None]:
-    graph: CompGraph = _WORKER["graph"]          # type: ignore[assignment]
-    space: ConfigSpace = _WORKER["space"]        # type: ignore[assignment]
-    out = _node_memory_table(graph.node(name), space.configs(name))
-    arena = _WORKER.get("arena")
-    if arena is not None:
-        arena.write(("mem", name), out)          # type: ignore[attr-defined]
-        return name, None
-    return name, out
-
-
 def _node_memory_table(op, configs: np.ndarray) -> np.ndarray:
     """One node's per-config worst-device memory bytes ``[K]``.
 
     The frontier DP's second objective axis (`repro.analysis.memory`),
-    built through the same jobs/cache/shm data plane as the cost tables.
+    built through the same jobs/cache data plane as the cost tables.
     """
     from ..analysis.memory import MemoryModel
 
@@ -177,12 +110,11 @@ def _parse_jobs(jobs: int | str | None) -> tuple[str, int]:
     * ``None`` — serial (the default);
     * ``int n`` — auto-select a backend with at most ``n`` workers
       (``0`` = all cores; negative is an error);
-    * ``"serial"`` — force the single-process reference path;
+    * ``"serial"`` — force the single-thread reference path;
     * ``"auto"`` / ``"auto:N"`` — explicit auto-selection;
-    * ``"threads"`` / ``"threads:N"`` — force the thread backend;
-    * ``"processes"`` / ``"processes:N"`` — force the shared-memory
-      process backend (used by tests/benchmarks to exercise the pool
-      even where auto-selection would stay serial).
+    * ``"threads"`` / ``"threads:N"`` — force the thread backend (used
+      by tests/benchmarks to exercise the pool even where
+      auto-selection would stay serial).
 
     An omitted or zero count means "all cores".
     """
@@ -195,10 +127,10 @@ def _parse_jobs(jobs: int | str | None) -> tuple[str, int]:
     if isinstance(jobs, str):
         spec = jobs.strip().lower()
         mode, _, count = spec.partition(":")
-        if mode not in ("serial", "auto", "threads", "processes"):
+        if mode not in ("serial", "auto", "threads"):
             raise ValueError(
                 f"jobs={jobs!r}: expected an int, 'serial', or "
-                "'auto'/'threads'/'processes' with an optional ':N' count")
+                "'auto'/'threads' with an optional ':N' count")
         if mode == "serial":
             if count:
                 raise ValueError(f"jobs={jobs!r}: 'serial' takes no count")
@@ -216,7 +148,7 @@ def _parse_jobs(jobs: int | str | None) -> tuple[str, int]:
             n = 0
         return mode, (n or (os.cpu_count() or 1))
     raise ValueError(f"jobs={jobs!r}: expected None, an int, or a "
-                     "'serial'/'auto'/'threads'/'processes[:N]' string")
+                     "'serial'/'auto[:N]'/'threads[:N]' string")
 
 
 def allreduce_bytes(volume_bytes, group_size):
@@ -386,59 +318,30 @@ class CostModel:
                          n_tasks: int) -> tuple[str, int]:
         """Pick ``(backend, workers)`` for one build.
 
-        Forced spellings (``"threads[:N]"`` / ``"processes[:N]"``) are
-        honored as long as there is more than one task to fan out —
-        regardless of core count, so tests can exercise the pool paths
-        on single-core machines.  ``"auto"`` (and plain integers) apply
-        the calibrated rule:
-
-        * serial when fewer than `PARALLEL_THRESHOLD_CELLS` table cells
-          or fewer than two usable workers (``min(requested, cores,
-          tasks)``) — dispatch overhead dominates;
-        * processes when the result payload (``work_cells * 8`` bytes)
-          reaches `PROCESS_MIN_RESULT_BYTES` — enough work to amortize
-          per-worker forks, with the shm arena making result shipping a
-          memcpy;
-        * threads otherwise — the vectorized kernels release the GIL,
-          and threads pay neither fork nor any result copy.
+        The forced ``"threads[:N]"`` spelling is honored as long as there
+        is more than one task to fan out — regardless of core count, so
+        tests can exercise the pool path on single-core machines.
+        ``"auto"`` (and plain integers) stay serial when there are fewer
+        than `PARALLEL_THRESHOLD_CELLS` table cells or fewer than two
+        usable workers (``min(requested, cores, tasks)``) — dispatch
+        overhead dominates — and use threads otherwise: the vectorized
+        kernels release the GIL, and threads pay neither fork nor any
+        result copy.
         """
         mode, requested = _parse_jobs(jobs)
         cap = max(n_tasks, 1)
         if mode == "serial":
             return "serial", 1
-        if mode in ("threads", "processes"):
+        if mode == "threads":
             workers = min(requested, cap)
-            return (mode, workers) if workers > 1 else ("serial", 1)
-        workers = min(requested, os.cpu_count() or 1, cap)
-        if workers <= 1 or work_cells < PARALLEL_THRESHOLD_CELLS:
-            return "serial", 1
-        if work_cells * 8 >= PROCESS_MIN_RESULT_BYTES:
-            return "processes", workers
-        return "threads", workers
-
-    def _arena_plan(self, graph: CompGraph, space: ConfigSpace,
-                    memory: bool = False) -> dict:
-        """Shared-memory layout for one build: every table array's slot.
-
-        Planned entirely from the configuration space — no cost needs to
-        be computed to size the arena.
-        """
-        plan: dict = {}
-        for op in graph:
-            plan[("lc", op.name)] = ((space.size(op.name),), np.float64)
-        for i, e in enumerate(graph.edges):
-            plan[("tx", i)] = ((space.size(e.src), space.size(e.dst)),
-                               np.float64)
-        if memory:
-            for op in graph:
-                plan[("mem", op.name)] = ((space.size(op.name),), np.float64)
-        return plan
+        else:
+            workers = min(requested, os.cpu_count() or 1, cap)
+            if work_cells < PARALLEL_THRESHOLD_CELLS:
+                return "serial", 1
+        return ("threads", workers) if workers > 1 else ("serial", 1)
 
     def build_tables(self, graph: CompGraph, space: ConfigSpace, *,
                      ctx: "object | None" = None,
-                     jobs: int | str | None = UNSET,
-                     cache: "object | None" = UNSET,
-                     checkpoint: Callable[..., None] | None = UNSET,
                      memory: bool = False,
                      ) -> "CostTables":
         """Precompute `CostTables` for one (graph, machine, p) instance.
@@ -446,65 +349,49 @@ class CostModel:
         Parameters
         ----------
         ctx:
-            A `repro.runtime.RunContext` supplying ``jobs``, ``cache``,
-            the cooperative checkpoint, and the observability pair.  The
-            loose ``jobs=`` / ``cache=`` / ``checkpoint=`` keywords below
-            are **deprecated** spellings of the same knobs (bit-identical
-            behaviour, `DeprecationWarning`); mixing them with ``ctx=``
-            is an error.
-        jobs:
-            Parallelism for the per-node / per-edge matrix construction.
-            ``None`` (default) stays serial; an int ``n`` auto-selects a
-            backend with at most ``n`` workers (``0`` = all cores); the
-            string spellings ``"serial"``, ``"auto[:N]"``,
-            ``"threads[:N]"``, and ``"processes[:N]"`` force a backend
-            (see `_resolve_backend` for the auto rule, which weighs
-            measured work cells *and* estimated result bytes).  The
-            process backend writes its matrices into a
-            `repro.core.shm.ShmArena` — workers ship offsets, not
-            pickles.  Every backend is bit-identical to the serial path:
-            workers compute exactly the arrays the serial loop would,
-            and the parent accumulates them in the serial iteration
-            order.  A broken pool (worker killed, fork failure, shm
-            exhaustion) is retried `PARALLEL_BUILD_RETRIES` times with
+            A `repro.runtime.RunContext` supplying the build knobs below
+            and the observability pair; ``None`` builds serially,
+            uncached and unpolled.
+
+            ``ctx.jobs`` — parallelism for the per-node / per-edge matrix
+            construction.  ``None`` (default) stays serial; an int ``n``
+            auto-selects a backend with at most ``n`` workers (``0`` =
+            all cores); the string spellings ``"serial"``,
+            ``"auto[:N]"`` and ``"threads[:N]"`` force a backend (see
+            `_resolve_backend` for the auto rule).  The thread backend
+            is bit-identical to the serial path: workers compute exactly
+            the arrays the serial loop would, and the parent accumulates
+            them in the serial iteration order.  A pool that fails to
+            start threads is retried `PARALLEL_BUILD_RETRIES` times with
             backoff and then *degrades* to the serial path — still
             bit-identical, recorded in ``build_stats["degraded"]`` —
             instead of crashing the run.
-        cache:
-            Optional `repro.core.tablecache.TableCache`.  On a digest hit
-            the stored arrays are loaded and no matrix is constructed; on
-            a miss the freshly built tables are stored — unless the build
-            degraded, in which case the store is skipped (and logged):
-            a build that needed a fallback should never be the one that
-            populates a long-lived cache.
-        checkpoint:
-            Optional cooperative cancellation hook
-            (`repro.runtime.make_checkpoint`), polled between per-node /
-            per-edge tasks and around pool attempts; it aborts the build
-            by raising.  An aborted build never reaches the cache store.
+
+            ``ctx.cache`` — optional `repro.core.tablecache.TableCache`.
+            On a digest hit the stored arrays are loaded and no matrix is
+            constructed; on a miss the freshly built tables are stored —
+            unless the build degraded, in which case the store is
+            skipped (and logged): a build that needed a fallback should
+            never be the one that populates a long-lived cache.
+
+            ``ctx.make_checkpoint()`` — optional cooperative cancellation
+            hook, polled between per-node / per-edge tasks and around
+            pool attempts; it aborts the build by raising.  An aborted
+            build never reaches the cache store.
         memory:
             Also build per-node per-config memory tables
             (``CostTables.mem``, worst-device peak bytes from
             `repro.analysis.memory.MemoryModel.node_bytes`) on the same
-            jobs / cache / shm data plane as the LC/TX tables.  The
-            frontier search requires them; scalar searches never pay for
-            them.  Flipping this changes the cache digest, so scalar and
+            jobs / cache data plane as the LC/TX tables.  The frontier
+            search requires them; scalar searches never pay for them.
+            Flipping this changes the cache digest, so scalar and
             memory-carrying table sets never alias in a `TableCache`.
 
         The returned tables carry ``build_stats`` (seconds, cache hit,
         worker count, table cells, degradation flags) which the searchers
         surface in ``SearchResult.stats``.
         """
-        legacy = [name for name, val in (("jobs", jobs), ("cache", cache),
-                                         ("checkpoint", checkpoint))
-                  if val is not UNSET]
-        if legacy:
-            if ctx is not None:
-                reject_ctx_conflict("CostModel.build_tables", legacy)
-            warn_deprecated_kwargs("CostModel.build_tables", legacy)
-        jobs = None if jobs is UNSET else jobs
-        cache = None if cache is UNSET else cache
-        checkpoint = None if checkpoint is UNSET else checkpoint
+        jobs = cache = checkpoint = None
         if ctx is not None:
             jobs = ctx.jobs
             cache = ctx.cache
@@ -541,11 +428,6 @@ class CostModel:
             metrics.counter("table_pool_retries_total",
                             "parallel table-build pool retries").inc(
                                 stats["parallel_retries"])
-            if stats.get("shm_bytes"):
-                metrics.gauge(
-                    "table_shm_bytes",
-                    "shared-memory arena bytes of the last parallel "
-                    "table build").set(stats["shm_bytes"])
         return tables
 
     def _build_tables_inner(self, graph: CompGraph, space: ConfigSpace,
@@ -567,7 +449,6 @@ class CostModel:
                     "cells": float(work_cells),
                     "result_bytes": float(work_cells * 8),
                     "backend": BACKEND_CODES["serial"],
-                    "shm_bytes": 0.0,
                     "degraded": 0.0,
                     "parallel_retries": 0.0,
                 }
@@ -576,14 +457,9 @@ class CostModel:
         backend, workers = self._resolve_backend(jobs, work_cells, n_tasks)
         retries = 0
         degraded_reason = None
-        shm_bytes = 0
-        if backend == "processes":
-            from .shm import plan_nbytes
-
-            shm_bytes = plan_nbytes(self._arena_plan(graph, space, memory))
         if backend != "serial":
             lc, edge_mats, mem, retries, degraded_reason = \
-                self._build_arrays_hardened(graph, space, backend, workers,
+                self._build_arrays_hardened(graph, space, workers,
                                             checkpoint, memory)
         else:
             lc, edge_mats, mem = self._build_arrays_serial(
@@ -601,7 +477,7 @@ class CostModel:
         tables = CostTables(graph=graph, space=space, machine=self.machine,
                             lc=lc, pair_tx=pair_tx, mem=mem)
         if degraded_reason is not None:
-            backend, workers, shm_bytes = "serial", 1, 0
+            backend, workers = "serial", 1
         tables.backend = backend
         tables.build_stats = {
             "build_seconds": time.perf_counter() - t0,
@@ -610,7 +486,6 @@ class CostModel:
             "cells": float(work_cells),
             "result_bytes": float(work_cells * 8),
             "backend": BACKEND_CODES[backend],
-            "shm_bytes": float(shm_bytes),
             "degraded": 0.0 if degraded_reason is None else 1.0,
             "parallel_retries": float(retries),
         }
@@ -631,7 +506,7 @@ class CostModel:
             memory: bool = False,
     ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
                dict[str, np.ndarray] | None]:
-        """The reference single-process build (also the degraded path)."""
+        """The reference single-thread build (also the degraded path)."""
         n_tasks = len(graph) + len(graph.edges)
         lc: dict[str, np.ndarray] = {}
         for k, op in enumerate(graph):
@@ -651,21 +526,19 @@ class CostModel:
         return lc, edge_mats, mem
 
     def _build_arrays_hardened(
-            self, graph: CompGraph, space: ConfigSpace, backend: str,
-            workers: int, checkpoint: Callable[..., None] | None = None,
+            self, graph: CompGraph, space: ConfigSpace, workers: int,
+            checkpoint: Callable[..., None] | None = None,
             memory: bool = False,
     ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
                dict[str, np.ndarray] | None, int, str | None]:
-        """Parallel build with retry-then-serial degradation.
+        """Thread-pool build with retry-then-serial degradation.
 
-        A dead worker (OOM-killed, segfaulted, SIGKILLed) surfaces as
-        `BrokenProcessPool`; pool setup itself can raise `OSError`
-        (fork/pipe/shm exhaustion).  Both are retried with backoff, then
-        the bit-identical serial path takes over.  Returns ``(lc,
-        edge_mats, mem, retries_used, degraded_reason)``.
+        Starting pool threads can fail when the process or the host is
+        out of threads or memory: ``RuntimeError("can't start new
+        thread")`` or `OSError`.  Both are retried with backoff, then the
+        bit-identical serial path takes over.  Returns ``(lc, edge_mats,
+        mem, retries_used, degraded_reason)``.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         last_error: BaseException | None = None
         for attempt in range(1 + PARALLEL_BUILD_RETRIES):
             if checkpoint is not None:
@@ -674,14 +547,10 @@ class CostModel:
                 _interruptible_sleep(
                     PARALLEL_RETRY_BACKOFF_SECONDS * attempt, checkpoint)
             try:
-                if backend == "threads":
-                    lc, edge_mats, mem = self._build_arrays_threads(
-                        graph, space, workers, memory)
-                else:
-                    lc, edge_mats, mem = self._build_arrays_parallel(
-                        graph, space, workers, memory)
+                lc, edge_mats, mem = self._build_arrays_threads(
+                    graph, space, workers, memory)
                 return lc, edge_mats, mem, attempt, None
-            except (BrokenProcessPool, OSError) as err:
+            except (RuntimeError, OSError) as err:
                 last_error = err
                 _log.warning(
                     "parallel table build attempt %d/%d failed (%s: %s)",
@@ -725,48 +594,6 @@ class CostModel:
         return ({op.name: arr for op, arr in zip(ops, lc_arrays)},
                 edge_mats, mem)
 
-    def _build_arrays_parallel(
-            self, graph: CompGraph, space: ConfigSpace, workers: int,
-            memory: bool = False,
-    ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
-               dict[str, np.ndarray] | None]:
-        """Fan the matrix builds over a process pool + shared-memory arena.
-
-        Workers write each matrix directly into its planned arena slot
-        and ship back only the key — no result pickling.  The parent
-        adopts every array (one memcpy each) and unlinks the arena in a
-        ``finally``, so the segment never outlives the build, whatever
-        the failure mode.  Returns the layer-cost dict plus the
-        *unscaled* edge matrices in ``graph.edges`` order, so the
-        caller's accumulation is identical to the serial path.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .shm import ShmArena
-
-        names = [op.name for op in graph]
-        n_edges = len(graph.edges)
-        # OSError here (shm exhausted) flows into the hardened retry ->
-        # serial degradation, like any other pool-setup failure.
-        arena = ShmArena.create(self._arena_plan(graph, space, memory))
-        mem = None
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(self, graph, space, arena.name,
-                              arena.manifest)) as pool:
-                list(pool.map(_node_task, names))
-                list(pool.map(_edge_task, range(n_edges)))
-                if memory:
-                    list(pool.map(_mem_task, names))
-            lc = {name: arena.adopt(("lc", name)) for name in names}
-            edge_mats = [arena.adopt(("tx", i)) for i in range(n_edges)]
-            if memory:
-                mem = {name: arena.adopt(("mem", name)) for name in names}
-        finally:
-            arena.destroy()
-        return lc, edge_mats, mem
-
 
 def _canonical(u: str, v: str) -> tuple[tuple[str, str], bool]:
     """Canonical unordered pair key; ``flip`` True if (v, u) is canonical."""
@@ -792,11 +619,11 @@ class CostTables:
     build_stats:
         Construction telemetry from :meth:`CostModel.build_tables`
         (``build_seconds``, ``cache_hit``, ``jobs``, ``cells``,
-        ``result_bytes``, ``backend`` code, ``shm_bytes``); empty for
-        tables assembled by hand.
+        ``result_bytes``, ``backend`` code, ``degraded``,
+        ``parallel_retries``); empty for tables assembled by hand.
     backend:
         Name of the build backend that produced the arrays
-        (``"serial"``/``"threads"``/``"processes"``; degraded builds
+        (``"serial"``/``"threads"``; degraded builds
         report ``"serial"`` — the path that actually ran).  The numeric
         twin lives in ``build_stats["backend"]`` (`BACKEND_CODES`).
     """

@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .._compat import UNSET, reject_ctx_conflict, warn_deprecated_kwargs
 from ..obs.profile import current_metrics, current_tracer
 from .configs import ConfigSpace
 from .costmodel import CostTables
@@ -40,7 +39,6 @@ from .exceptions import SearchResourceError
 from .graph import CompGraph
 from .sequencer import SequencedGraph, generate_seq
 from .strategy import SearchResult, Strategy
-from . import kernels
 from ._tensorops import chunked_min_argmin
 
 __all__ = ["find_best_strategy", "dp_table_profile", "DEFAULT_MEMORY_BUDGET"]
@@ -122,9 +120,7 @@ def find_best_strategy(
     reduce: "bool | str" = False,
     reduce_bypass_ratio: float | None = None,
     objective: str = "cost",
-    kernel: str | None = None,
     ctx: "object | None" = None,
-    checkpoint: Callable[..., None] | None = UNSET,
 ) -> SearchResult:
     """Find the minimum-cost strategy under the cost oracle ``tables``.
 
@@ -167,25 +163,17 @@ def find_best_strategy(
         ``.frontier`` carries every non-dominated (cost, peak-bytes)
         pair and ``strategy``/``cost`` its min-cost point, bit-identical
         to the scalar optimum.
-    kernel:
-        Compute backend for the hot kernels for the duration of this
-        search: ``"numpy"`` (default), ``"numba"`` (compiled; falls back
-        to numpy with a logged warning when numba is missing), or
-        ``"auto"``.  ``None`` inherits the process-wide selection
-        (`repro.core.kernels.set_backend` / ``PASE_KERNEL``).
     ctx:
         A `repro.runtime.RunContext` supplying the cooperative
         checkpoint (composed from its budget/cancellation/journal) and
         the observability pair, which is activated for the duration of
         the search so reduction rounds and per-vertex spans land in the
-        caller's trace.
-    checkpoint:
-        **Deprecated** spelling of the same cooperative hook: a callable
-        polled once per DP vertex (and per reduction round when
-        ``reduce`` is on) with ``phase``/``step``/``total`` keywords.
-        It aborts the search by raising — e.g. `DeadlineExceededError`
-        or `RunInterrupted` — always between vertices, never mid-table,
-        so no partial state escapes.  Pass ``ctx=`` instead.
+        caller's trace.  The checkpoint is polled once per DP vertex
+        (and per reduction round when ``reduce`` is on) with
+        ``phase``/``step``/``total`` keywords; it aborts the search by
+        raising — e.g. `DeadlineExceededError` or `RunInterrupted` —
+        always between vertices, never mid-table, so no partial state
+        escapes.
 
     Returns
     -------
@@ -193,19 +181,12 @@ def find_best_strategy(
         With ``stats`` containing ``cells`` (DP cells evaluated),
         ``peak_bytes``, ``max_dependent`` (M), and ``k_max`` (K).
     """
-    if checkpoint is not UNSET:
-        if ctx is not None:
-            reject_ctx_conflict("find_best_strategy", ["checkpoint"])
-        warn_deprecated_kwargs("find_best_strategy", ["checkpoint"])
-    else:
-        checkpoint = None
+    checkpoint = None
     observed = contextlib.nullcontext()
     if ctx is not None:
         checkpoint = ctx.make_checkpoint()
         observed = ctx.observe()
-        if kernel is None:
-            kernel = getattr(ctx, "kernel", None)
-    with observed, kernels.use(kernel):
+    with observed:
         if objective != "cost":
             from .frontier import find_frontier_strategy, parse_objective
 
@@ -239,8 +220,8 @@ def _find_best_strategy(
     checkpoint: Callable[..., None] | None = None,
     seq: SequencedGraph | None = None,
 ) -> SearchResult:
-    """The implementation behind the public shim: legacy kwargs already
-    resolved, the observability pair taken from the ambient context.
+    """The implementation behind `find_best_strategy`: the checkpoint
+    already taken from the context, the observability pair ambient.
     ``seq`` short-circuits sequencing when the caller already built it
     (the auto-bypass path predicts DP work from the sequenced graph and
     hands it down, so a bypassed search pays only the predictor)."""

@@ -1,4 +1,4 @@
-"""Pluggable compute backends for the two hot search kernels.
+"""The numpy kernels behind the two hot search loops.
 
 The wall-clock of the whole strategy search is dominated by two inner
 loops:
@@ -9,143 +9,25 @@ loops:
   ``min_k A[i, k] + B[k, j]`` with argmin records, plus the dominance
   keep-mask, in `repro.core.reduction`.
 
-This module is the single dispatch point for both.  Two backends:
-
-``numpy``
-    The default.  Pure-numpy implementations tuned so every reduction
-    runs over the **last, contiguous** axis (a transposed layout for the
-    min-plus fold) and the min is recovered from the argmin by a gather
-    instead of a second full scan.
-``numba``
-    Optional ``@njit``-compiled loops (fused add+min+argmin single pass;
-    early-exit dominance checks).  Selected with ``--kernel numba`` /
-    ``PASE_KERNEL=numba``; when numba is not importable the numpy
-    backend is used instead and a warning is logged once — never an
-    ImportError at search time.
-
-Both backends are **bit-identical by construction**: every scalar
-addition keeps the numpy path's association order and every min/argmin
-keeps numpy's first-minimum tie-break, pinned by the parity tests in
+This module is the single implementation of all three kernels, tuned so
+every reduction runs over the **last, contiguous** axis (a transposed
+layout for the min-plus fold) and the min is recovered from the argmin
+by a gather instead of a second full scan.  Every kernel keeps numpy's
+first-minimum tie-break, pinned against naive oracles by
 ``tests/core/test_kernels.py``.
-
-Backend selection (highest precedence first): an explicit
-:func:`use`/:func:`set_backend` call (the `RunContext.kernel` field and
-the CLI ``--kernel`` flag land here), the ``PASE_KERNEL`` environment
-variable, then the ``numpy`` default.  ``auto`` resolves to ``numba``
-when importable, else ``numpy``.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
-    "BACKENDS",
-    "KERNEL_ENV_VAR",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "resolve_backend",
-    "use",
-    "numba_available",
     "last_axis_min_argmin",
     "min_plus_fold",
     "dominance_mask",
 ]
-
-#: Accepted backend names (``auto`` resolves at call time).
-BACKENDS = ("numpy", "numba", "auto")
-
-#: Environment variable consulted when no explicit backend was set.
-KERNEL_ENV_VAR = "PASE_KERNEL"
-
-_log = logging.getLogger(__name__)
-
-#: Explicitly-selected backend (None = fall back to env var / default).
-_SELECTED: list[str | None] = [None]
-
-#: Lazily-built numba kernel table; False once the import failed.
-_NUMBA_KERNELS: dict | None | bool = None
-
-
-def numba_available() -> bool:
-    """True when the numba backend can actually compile kernels."""
-    return _numba_kernels() is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    """The concrete backends usable in this process."""
-    return ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-def get_backend() -> str:
-    """The concrete backend kernels will dispatch to right now."""
-    return resolve_backend(None)
-
-
-def set_backend(name: str | None) -> str:
-    """Select the process-wide backend; returns the concrete resolution.
-
-    ``None`` clears the explicit selection (env var / default applies
-    again).  An unknown name raises ``ValueError``; ``numba`` without
-    numba installed *resolves* to numpy with a logged warning rather
-    than raising, so a ``--kernel numba`` run degrades gracefully.
-    """
-    if name is not None and name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {BACKENDS}")
-    _SELECTED[0] = name
-    return resolve_backend(None)
-
-
-@contextmanager
-def use(name: str | None):
-    """Scoped :func:`set_backend` — restores the previous selection."""
-    if name is None:
-        yield get_backend()
-        return
-    prev = _SELECTED[0]
-    set_backend(name)
-    try:
-        yield get_backend()
-    finally:
-        _SELECTED[0] = prev
-
-
-def resolve_backend(name: str | None) -> str:
-    """Resolve a requested backend name to a concrete one.
-
-    Precedence when ``name`` is None: explicit :func:`set_backend` >
-    ``PASE_KERNEL`` env var > ``numpy``.
-    """
-    if name is None:
-        name = _SELECTED[0]
-    if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR) or "numpy"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {BACKENDS}")
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        _warn_numba_missing()
-        return "numpy"
-    return name
-
-
-_WARNED = [False]
-
-
-def _warn_numba_missing() -> None:
-    if not _WARNED[0]:
-        _WARNED[0] = True
-        _log.warning("kernel backend 'numba' requested but numba is not "
-                     "importable; falling back to the numpy backend")
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +69,15 @@ _WS = _Workspace()
 # Kernel: fused min/argmin over the last (contiguous) axis
 # ---------------------------------------------------------------------------
 
-def last_axis_min_argmin(a: np.ndarray, *, backend: str | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def last_axis_min_argmin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a.min(-1), a.argmin(-1))`` in one logical pass.
 
     Returns ``(vals float64[...], args int32[...])`` with numpy's
-    first-minimum tie-break.  The numpy path recovers the min from the
-    argmin by a gather (one scan + one gather instead of two scans); the
-    numba path fuses everything into a single loop.
+    first-minimum tie-break.  The min is recovered from the argmin by a
+    gather (one scan + one gather instead of two scans).
     """
     if a.shape[-1] == 0:
         raise ValueError("cannot reduce over an empty last axis")
-    if resolve_backend(backend) == "numba":
-        kern = _numba_kernels()
-        if kern is not None:
-            flat = np.ascontiguousarray(a.reshape(-1, a.shape[-1]))
-            vals, args = kern["last_axis"](flat)
-            return (vals.reshape(a.shape[:-1]),
-                    args.reshape(a.shape[:-1]))
     args64 = a.argmin(axis=-1)
     vals = np.take_along_axis(a, args64[..., None], axis=-1)[..., 0]
     return vals, args64.astype(np.int32)
@@ -215,16 +88,15 @@ def last_axis_min_argmin(a: np.ndarray, *, backend: str | None = None
 # ---------------------------------------------------------------------------
 
 def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
-                  chunk_cells: int, backend: str | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  chunk_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """``folded[i, j] = min_t a[i, t] + bt[j, t]`` with its argmin.
 
     The tropical matrix product behind chain contraction, with the
     second operand already **transposed** (``bt[j, t]``) so the inner
     reduction runs over the last, contiguous axis of both operands.
     Returns ``(folded float64[m, n], arg int32[m, n])``; ties resolve to
-    the smallest ``t`` (numpy argmin order).  The numpy path evaluates
-    the ``[rows, n, t]`` cube in row blocks so the transient stays
+    the smallest ``t`` (numpy argmin order).  The ``[rows, n, t]`` cube
+    is evaluated in row blocks so the transient stays
     within ``chunk_cells`` cells.
     """
     m, k = a.shape
@@ -235,11 +107,6 @@ def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
         # One middle configuration: the fold is a broadcast add.
         folded = a[:, 0][:, None] + bt[:, 0][None, :]
         return folded, np.zeros((m, n), dtype=np.int32)
-    if resolve_backend(backend) == "numba":
-        kern = _numba_kernels()
-        if kern is not None:
-            return kern["min_plus"](np.ascontiguousarray(a),
-                                    np.ascontiguousarray(bt))
     folded = np.empty((m, n), dtype=np.float64)
     arg = np.empty((m, n), dtype=np.int32)
     rows = max(1, min(m, chunk_cells // max(k * n, 1)))
@@ -258,14 +125,13 @@ def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
 # Kernel: dominance keep-mask over profile rows
 # ---------------------------------------------------------------------------
 
-#: First pair-pass column batch of the numpy dominance kernel; batches
+#: First pair-pass column batch of the dominance kernel; batches
 #: double from here so cheap early columns shrink the pair list before
 #: any wide gather runs.
 _DOMINANCE_SPAN0 = 32
 
 
-def dominance_mask(prof: np.ndarray, *, chunk_cells: int,
-                   backend: str | None = None) -> np.ndarray:
+def dominance_mask(prof: np.ndarray, *, chunk_cells: int) -> np.ndarray:
     """Keep-mask over the rows of a cost profile ``[K, C]``.
 
     Row ``j`` is dropped when some row ``i`` satisfies elementwise
@@ -275,7 +141,7 @@ def dominance_mask(prof: np.ndarray, *, chunk_cells: int,
     relation is a strict partial order, so every dropped row keeps a
     surviving witness.
 
-    The numpy path seeds candidate pairs from two cheap necessary
+    The kernel seeds candidate pairs from two cheap necessary
     conditions — the layer-cost column (column 0, checked exactly) and
     the profile **row sum** (elementwise ``<=`` implies ``<=`` row sums;
     float pairwise summation is monotone over a fixed tree shape, so the
@@ -288,10 +154,6 @@ def dominance_mask(prof: np.ndarray, *, chunk_cells: int,
     k, c = prof.shape
     if k <= 1 or c == 0:
         return np.ones(k, dtype=bool)
-    if resolve_backend(backend) == "numba":
-        kern = _numba_kernels()
-        if kern is not None:
-            return kern["dominance"](prof)
     # -- seed: row-sum filter (necessary) + column 0 (exact) ---------------
     s = prof.sum(axis=1)
     le = s[:, None] <= s[None, :]
@@ -316,85 +178,3 @@ def dominance_mask(prof: np.ndarray, *, chunk_cells: int,
     idx = np.arange(k)
     beats = le & (~le.T | (idx[:, None] < idx[None, :]))
     return ~beats.any(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# The numba backend (compiled lazily, cached per process)
-# ---------------------------------------------------------------------------
-
-def _numba_kernels() -> dict | None:
-    """Compile (once) and return the numba kernel table, or None."""
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is False:
-        return None
-    if isinstance(_NUMBA_KERNELS, dict):
-        return _NUMBA_KERNELS
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_KERNELS = False
-        return None
-
-    @numba.njit(cache=True)
-    def _last_axis(a):  # pragma: no cover - compiled
-        rows, n = a.shape
-        vals = np.empty(rows, dtype=np.float64)
-        args = np.empty(rows, dtype=np.int32)
-        for r in range(rows):
-            best = a[r, 0]
-            arg = 0
-            for t in range(1, n):
-                v = a[r, t]
-                if v < best:
-                    best = v
-                    arg = t
-            vals[r] = best
-            args[r] = arg
-        return vals, args
-
-    @numba.njit(cache=True)
-    def _min_plus(a, bt):  # pragma: no cover - compiled
-        m, k = a.shape
-        n = bt.shape[0]
-        folded = np.empty((m, n), dtype=np.float64)
-        arg = np.empty((m, n), dtype=np.int32)
-        for i in range(m):
-            for j in range(n):
-                best = a[i, 0] + bt[j, 0]
-                at = 0
-                for t in range(1, k):
-                    v = a[i, t] + bt[j, t]
-                    if v < best:
-                        best = v
-                        at = t
-                folded[i, j] = best
-                arg[i, j] = at
-        return folded, arg
-
-    @numba.njit(cache=True)
-    def _dominance(prof):  # pragma: no cover - compiled
-        k, c = prof.shape
-        keep = np.ones(k, dtype=np.bool_)
-        for j in range(k):
-            for i in range(k):
-                if i == j:
-                    continue
-                le = True
-                ge = True
-                for t in range(c):
-                    if prof[i, t] > prof[j, t]:
-                        le = False
-                        break
-                    if prof[i, t] < prof[j, t]:
-                        ge = False
-                if le and ((not ge) or i < j):
-                    keep[j] = False
-                    break
-        return keep
-
-    _NUMBA_KERNELS = {
-        "last_axis": _last_axis,
-        "min_plus": _min_plus,
-        "dominance": _dominance,
-    }
-    return _NUMBA_KERNELS

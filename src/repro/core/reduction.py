@@ -42,7 +42,7 @@ elimination order supplies exactly that index).
 Performance: the fixed point runs in **vectorized** form by default —
 the dominance keep-mask and the contraction fold dispatch through
 `repro.core.kernels` (last-axis contiguous reductions, candidate-pair
-gathers, optional numba backend), and a dirty-set worklist skips nodes
+gathers), and a dirty-set worklist skips nodes
 whose cost profile is untouched since their last prune (re-pruning an
 unchanged profile provably keeps every row, so skipping is exact).  The
 pre-vectorization per-vertex code is retained verbatim behind

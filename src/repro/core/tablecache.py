@@ -56,9 +56,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import logging
+import mmap
 import os
+import struct
 import tempfile
 import weakref
 import zipfile
@@ -95,10 +98,6 @@ DEFAULT_CACHE_BYTES = 1 << 30
 CACHE_DIR_ENV = "PASE_TABLE_CACHE_DIR"
 CACHE_BYTES_ENV = "PASE_TABLE_CACHE_BYTES"
 
-#: Kill-switch for mmap'd warm hits: set to ``0`` to force the eager
-#: (copying) loader everywhere.
-CACHE_MMAP_ENV = "PASE_TABLE_MMAP"
-
 #: Separator joining pair keys in the manifest (never appears in names).
 _PAIR_SEP = "\x1f"
 
@@ -124,6 +123,78 @@ _MMAP_MEMO_MAX = 16
 #: is not supported (they are build-once values everywhere in the repo).
 _DIGEST_MEMO: dict = {}
 _DIGEST_MEMO_MAX = 32
+
+#: The fixed portion of a zip *local* file header (signature through
+#: the extra-field length), per APPNOTE 4.3.7.
+_ZIP_LOCAL_HEADER = struct.Struct("<IHHHHHIIIHH")
+_ZIP_LOCAL_MAGIC = 0x04034B50
+
+
+def _member_data_span(raw, info: zipfile.ZipInfo) -> tuple[int, int]:
+    """(offset, size) of a stored member's payload inside the file.
+
+    The *local* header's name/extra lengths can differ from the central
+    directory's, so the span is computed from the local header itself.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{info.filename} is compressed; cannot mmap")
+    hdr = bytes(raw[info.header_offset:
+                    info.header_offset + _ZIP_LOCAL_HEADER.size])
+    if len(hdr) < _ZIP_LOCAL_HEADER.size:
+        raise ValueError("truncated zip local header")
+    fields = _ZIP_LOCAL_HEADER.unpack(hdr)
+    if fields[0] != _ZIP_LOCAL_MAGIC:
+        raise ValueError("bad zip local header signature")
+    name_len, extra_len = fields[9], fields[10]
+    start = info.header_offset + _ZIP_LOCAL_HEADER.size + name_len + extra_len
+    return start, info.file_size
+
+
+def _npy_view(raw: memoryview, start: int, size: int) -> np.ndarray:
+    """A read-only ndarray over one ``.npy`` payload inside ``raw``."""
+    head = bytes(raw[start:start + min(size, 4096)])
+    bio = io.BytesIO(head)
+    version = np.lib.format.read_magic(bio)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(bio)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(bio)
+    else:
+        raise ValueError(f"unsupported .npy version {version}")
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be mapped")
+    data_start = start + bio.tell()
+    count = int(np.prod(shape, dtype=np.int64))
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=data_start)
+    return arr.reshape(shape, order="F" if fortran else "C")
+
+
+def open_npz_mmap(path) -> dict[str, np.ndarray]:
+    """Read-only zero-copy array views over an uncompressed ``.npz``.
+
+    ``np.load`` ignores ``mmap_mode`` for zip archives, so this walks
+    the zip's local headers itself: each stored member's payload is a
+    contiguous ``.npy`` byte range inside the file, mapped once with
+    ``mmap.ACCESS_READ`` and wrapped by ``np.frombuffer``.  Returns
+    member name (without the ``.npy`` suffix) -> read-only ndarray; the
+    mapping stays alive as long as any view references it, and deleting
+    the file while views are alive is safe on POSIX (the inode persists
+    until the last mapping dies).  Raises ``ValueError`` / ``OSError`` /
+    ``zipfile.BadZipFile`` when the archive is compressed, torn, or
+    otherwise unmappable — callers fall back to an eager load.
+    """
+    with open(path, "rb") as fh:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    raw = memoryview(mapped)
+    views: dict[str, np.ndarray] = {}
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        for info in zf.infolist():
+            name = info.filename
+            if name.endswith(".npy"):
+                name = name[:-4]
+            start, size = _member_data_span(raw, info)
+            views[name] = _npy_view(raw, start, size)
+    return views
 
 
 def _payload_checksum(arrays) -> str:
@@ -224,6 +295,26 @@ def table_digest(graph: CompGraph, space: ConfigSpace,
     except TypeError:  # non-weakref-able objects: just skip the memo
         pass
     return digest
+
+
+def _unpack(data) -> tuple:
+    """``(manifest, lc, pair_tx, mem)`` from a stored entry's members.
+
+    ``data`` maps member names to arrays: the read-only views of
+    `open_npz_mmap` or an open ``np.load`` archive (whose members are
+    copied out as they are indexed).
+    """
+    manifest = json.loads(str(data["manifest"]))
+    lc = {name: data[f"lc_{i}"] for i, name in enumerate(manifest["nodes"])}
+    pair_tx = {}
+    for i, joined in enumerate(manifest["pairs"]):
+        u, v = joined.split(_PAIR_SEP)
+        pair_tx[(u, v)] = data[f"tx_{i}"]
+    mem = None
+    if "mem_nodes" in manifest:
+        mem = {name: data[f"mem_{i}"]
+               for i, name in enumerate(manifest["mem_nodes"])}
+    return manifest, lc, pair_tx, mem
 
 
 class TableCache:
@@ -348,8 +439,7 @@ class TableCache:
         return path
 
     def load(self, digest: str, graph: CompGraph, space: ConfigSpace,
-             machine: MachineSpec, *,
-             mmap: bool | None = None) -> "CostTables | None":
+             machine: MachineSpec) -> "CostTables | None":
         """Reconstruct `CostTables` for a digest, or None on a miss.
 
         The caller supplies the live graph/space/machine objects (the
@@ -358,12 +448,11 @@ class TableCache:
         to ``corrupt/`` and reported as a miss — the caller rebuilds; the
         run never crashes on a bad cache file.
 
-        Warm hits default to **mmap'd zero-copy views** (``mmap=None``
-        honors `CACHE_MMAP_ENV`): the entry's arrays are served read-only
-        straight off one shared mapping of the file, so a fleet of
-        workers hitting the same entry shares pages instead of each
-        copying multi-MB payloads — nothing in the pipeline writes table
-        arrays in place (writers copy first, e.g. the reduction's
+        Warm hits are served as **mmap'd zero-copy views**: the entry's
+        arrays are read-only views straight off one shared mapping of
+        the file (`open_npz_mmap`), so a fleet of workers hitting the
+        same entry shares pages instead of each copying multi-MB
+        payloads — nothing in the pipeline writes table arrays in place (writers copy first, e.g. the reduction's
         ``np.array(...)`` adoption).  Anything the mmap reader cannot
         serve falls back to the eager copying loader, whose verdict
         (including quarantine) is authoritative.
@@ -373,31 +462,25 @@ class TableCache:
         path = self.path_for(digest)
         if not path.is_file():
             return None
-        if mmap is None:
-            mmap = os.environ.get(CACHE_MMAP_ENV, "1") != "0"
-        memo_key = verified = None
-        if mmap:
-            try:
-                st = path.stat()
-                memo_key = (str(path), st.st_ino, st.st_size, digest)
-                verified = _MMAP_MEMO.get(memo_key)
-            except OSError:
-                return None  # raced an eviction: a plain miss
+        try:
+            st = path.stat()
+        except OSError:
+            return None  # raced an eviction: a plain miss
+        memo_key = (str(path), st.st_ino, st.st_size, digest)
+        verified = _MMAP_MEMO.get(memo_key)
         if verified is not None:
             manifest, lc, pair_tx, mem = verified
         else:
-            loaded = None
-            from_mmap = False
-            if mmap:
-                try:
-                    loaded = self._read_mmap(path)
-                    from_mmap = True
-                except (OSError, ValueError, KeyError, EOFError,
-                        zipfile.BadZipFile, json.JSONDecodeError):
-                    loaded = None  # let the eager loader classify the file
+            try:
+                loaded = _unpack(open_npz_mmap(path))
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile, json.JSONDecodeError):
+                loaded = None  # let the eager loader classify the file
+            from_mmap = loaded is not None
             try:
                 if loaded is None:
-                    loaded = self._read_eager(path)
+                    with np.load(path, allow_pickle=False) as data:
+                        loaded = _unpack(data)
                 manifest, lc, pair_tx, mem = loaded
                 if manifest.get("version") != _FORMAT_VERSION or \
                         manifest.get("digest") != digest:
@@ -412,7 +495,7 @@ class TableCache:
                     zipfile.BadZipFile, json.JSONDecodeError) as err:
                 self._quarantine(path, reason=str(err))
                 return None
-            if from_mmap and memo_key is not None:
+            if from_mmap:
                 while len(_MMAP_MEMO) >= _MMAP_MEMO_MAX:
                     _MMAP_MEMO.pop(next(iter(_MMAP_MEMO)))
                 _MMAP_MEMO[memo_key] = (manifest, lc, pair_tx, mem)
@@ -424,44 +507,6 @@ class TableCache:
         os.utime(path)  # LRU touch
         return CostTables(graph=graph, space=space, machine=machine,
                           lc=lc, pair_tx=pair_tx, mem=mem)
-
-    @staticmethod
-    def _read_mmap(path: Path):
-        """Zero-copy read: ``(manifest, lc, pair_tx, mem)`` as read-only
-        views over one shared mapping of the entry (POSIX keeps the
-        mapping valid even if the file is later evicted)."""
-        from .shm import open_npz_mmap
-
-        data = open_npz_mmap(path)
-        manifest = json.loads(str(data["manifest"]))
-        lc = {name: data[f"lc_{i}"]
-              for i, name in enumerate(manifest["nodes"])}
-        pair_tx = {}
-        for i, joined in enumerate(manifest["pairs"]):
-            u, v = joined.split(_PAIR_SEP)
-            pair_tx[(u, v)] = data[f"tx_{i}"]
-        mem = None
-        if "mem_nodes" in manifest:
-            mem = {name: data[f"mem_{i}"]
-                   for i, name in enumerate(manifest["mem_nodes"])}
-        return manifest, lc, pair_tx, mem
-
-    @staticmethod
-    def _read_eager(path: Path):
-        """Copying read: ``(manifest, lc, pair_tx, mem)`` as owned arrays."""
-        with np.load(path, allow_pickle=False) as data:
-            manifest = json.loads(str(data["manifest"]))
-            lc = {name: data[f"lc_{i}"]
-                  for i, name in enumerate(manifest["nodes"])}
-            pair_tx = {}
-            for i, joined in enumerate(manifest["pairs"]):
-                u, v = joined.split(_PAIR_SEP)
-                pair_tx[(u, v)] = data[f"tx_{i}"]
-            mem = None
-            if "mem_nodes" in manifest:
-                mem = {name: data[f"mem_{i}"]
-                       for i, name in enumerate(manifest["mem_nodes"])}
-        return manifest, lc, pair_tx, mem
 
     def _quarantine(self, path: Path, *, reason: str) -> None:
         """Move a bad entry to ``corrupt/`` (counted, never re-read).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ from ..baselines import (
     random_search,
 )
 from ..core.configs import ConfigSpace
-from ..core.costmodel import CostModel, CostTables
+from ..core.costmodel import CostModel, CostTables, _parse_jobs
 from ..core.dp import find_best_strategy
 from ..core.graph import CompGraph
 from ..core.machine import GTX1080TI, MachineSpec
@@ -23,7 +24,8 @@ from ..core.naive import naive_bf_strategy
 from ..core.strategy import SearchResult, Strategy
 from ..models import BENCHMARKS
 
-__all__ = ["BenchSetup", "build_setup", "search_with", "METHODS"]
+__all__ = ["BenchSetup", "add_jobs_arg", "build_setup", "search_with",
+           "METHODS"]
 
 #: Search/baseline method names accepted by :func:`search_with`.
 METHODS = ("ours", "bf", "mcmc", "data_parallel", "expert", "random")
@@ -41,9 +43,36 @@ class BenchSetup:
     tables: CostTables
 
 
+def _jobs_arg(value: str) -> int | str:
+    """argparse type for ``--jobs``: a worker count or a backend spelling.
+
+    Every value is validated by `repro.core.costmodel._parse_jobs`, so a
+    negative count or an unknown backend is a usage error (exit 2), not
+    a traceback once the tables are built.
+    """
+    try:
+        jobs: int | str = int(value)
+    except ValueError:
+        jobs = value
+    try:
+        _parse_jobs(jobs)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return jobs
+
+
+def add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+    """The one ``--jobs`` option of every table-building entry point."""
+    parser.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
+                        help="cost-table construction parallelism: a "
+                        "worker count (0 = all cores; threads once the "
+                        "tables are large enough) or one of 'serial', "
+                        "'auto[:N]', 'threads[:N]' (default: serial)")
+
+
 @lru_cache(maxsize=32)
 def _cached_setup(name: str, p: int, machine_name: str, mode: str,
-                  jobs: int | None, cache_dir: str | None) -> BenchSetup:
+                  jobs: int | str | None, cache_dir: str | None) -> BenchSetup:
     machine = {"1080Ti": GTX1080TI}.get(machine_name)
     if machine is None:
         from ..core.machine import RTX2080TI
@@ -62,7 +91,7 @@ def _cached_setup(name: str, p: int, machine_name: str, mode: str,
 
 
 def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
-                mode: str = "pow2", jobs: int | None = None,
+                mode: str = "pow2", jobs: int | str | None = None,
                 cache_dir: str | None = None) -> BenchSetup:
     """Build (and memoize) graph + config space + cost tables.
 

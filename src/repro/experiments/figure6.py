@@ -17,7 +17,7 @@ from ..analysis.reporting import format_speedup_table
 from ..cluster.simulator import simulate_step
 from ..core.machine import GTX1080TI, RTX2080TI, MachineSpec
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import build_setup, search_with
+from .common import add_jobs_arg, build_setup, search_with
 
 __all__ = ["Figure6Point", "run_figure6", "main", "DEFAULT_PS"]
 
@@ -43,7 +43,7 @@ def run_figure6(*, benchmarks: Sequence[str] = BENCH_ORDER,
                 ps: Sequence[int] = DEFAULT_PS,
                 machines: Sequence[MachineSpec] = (GTX1080TI, RTX2080TI),
                 methods: Sequence[str] = METHODS,
-                seed: int = 0, jobs: int | None = None,
+                seed: int = 0, jobs: int | str | None = None,
                 cache_dir: str | None = None,
                 reduce: bool = False,
                 budget: RunBudget | None = None) -> list[Figure6Point]:
@@ -94,9 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cost-table construction "
-                        "(0 = all cores; default: serial)")
+    add_jobs_arg(parser)
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR")
     parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,

@@ -25,7 +25,7 @@ from ..baselines import (
 )
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import build_setup, search_with
+from .common import add_jobs_arg, build_setup, search_with
 
 __all__ = ["run_mcmc_sensitivity", "SensitivityRow", "main"]
 
@@ -44,7 +44,7 @@ class SensitivityRow:
 
 def run_mcmc_sensitivity(*, benchmark: str = "transformer", p: int = 8,
                          seeds: Sequence[int] = (0, 1, 2),
-                         max_iters: int = 50_000, jobs: int | None = None,
+                         max_iters: int = 50_000, jobs: int | str | None = None,
                          cache_dir: str | None = None,
                          reduce: bool = False,
                          budget: RunBudget | None = None
@@ -90,9 +90,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--p", type=int, default=8)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="RNG seeds, one MCMC run per seed and init")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cost-table construction "
-                        "(0 = all cores; default: serial)")
+    add_jobs_arg(parser)
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR")
     parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,

@@ -19,7 +19,7 @@ from typing import Sequence
 from ..core.machine import GTX1080TI
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import build_setup, search_with
+from .common import add_jobs_arg, build_setup, search_with
 
 __all__ = ["run_table2", "strategy_structure_checks", "main"]
 
@@ -27,7 +27,7 @@ BENCH_ORDER = ("alexnet", "inception_v3", "rnnlm", "transformer")
 
 
 def run_table2(*, p: int = 32, benchmarks: Sequence[str] = BENCH_ORDER,
-               jobs: int | None = None, cache_dir: str | None = None,
+               jobs: int | str | None = None, cache_dir: str | None = None,
                reduce: bool = False,
                budget: RunBudget | None = None) -> dict[str, Strategy]:
     """Best strategy per benchmark at ``p`` devices (1080Ti balance).
@@ -110,9 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=32)
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cost-table construction "
-                        "(0 = all cores; default: serial)")
+    add_jobs_arg(parser)
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR")
     parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,

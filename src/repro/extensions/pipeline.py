@@ -93,7 +93,7 @@ class PipelineResult:
 
 def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
                   machine: MachineSpec = GTX1080TI,
-                  mode: str = "pow2", jobs: int | None = None,
+                  mode: str = "pow2", jobs: int | str | None = None,
                   cache: "object | None" = None,
                   reduce: bool = False) -> PipelineResult:
     """Partition into pipeline stages, then run PaSE within each stage.

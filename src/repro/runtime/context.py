@@ -1,12 +1,11 @@
 """`RunContext`: the one bundle replacing the loose runtime kwargs.
 
-Before PR 5 every layer of the pipeline threaded up to seven keywords —
-``jobs``, ``cache``, ``budget``, ``cancellation``, ``journal``,
-``checkpoint``, plus the observability pair — through its signature.
-`RunContext` bundles them: build one per run, hand it to
-`execute_search` (or directly to `CostModel.build_tables` /
-`find_best_strategy`), and every phase sees the same deadlines, journal,
-tracer, and metrics.
+`RunContext` bundles the run-scoped knobs — ``jobs``, ``cache``,
+``budget``, ``cancellation``, ``journal``, ``checkpoint``, plus the
+observability pair — so no layer threads them one by one.  Build one
+per run, hand it to `execute_search` (or directly to
+`CostModel.build_tables` / `find_best_strategy`), and every phase sees
+the same deadlines, journal, tracer, and metrics.
 
 The split between *explicit* and *ambient* is deliberate:
 
@@ -58,18 +57,12 @@ class RunContext:
         Table-construction parallelism and on-disk `TableCache`, as in
         `CostModel.build_tables`.  ``jobs`` accepts a worker count
         (``"auto"`` backend selection) or a backend spelling such as
-        ``"serial"``, ``"threads:4"``, ``"processes:2"``.
-    kernel:
-        Compute backend for the hot search kernels
-        (`repro.core.kernels`): ``"numpy"``, ``"numba"`` (graceful
-        numpy fallback when not installed), or ``"auto"``.  ``None``
-        inherits the process-wide selection (``--kernel`` /
-        ``PASE_KERNEL``).
+        ``"serial"`` or ``"threads:4"``.
     checkpoint:
         Explicit cooperative-poll callable overriding the one composed
         from ``budget``/``cancellation``/``journal`` — used by code that
         already holds a composed checkpoint (e.g. the resilient ladder's
-        legacy shim) and by tests injecting failures at exact steps.
+        ``checkpoint=`` keyword) and by tests injecting failures at exact steps.
     """
 
     budget: "RunBudget | None" = None
@@ -79,7 +72,6 @@ class RunContext:
     metrics: "Metrics | None" = None
     jobs: int | str | None = None
     cache: object | None = None
-    kernel: str | None = None
     checkpoint: Callable[..., None] | None = None
 
     # -- derived accessors ---------------------------------------------------

@@ -5,9 +5,9 @@ ladder / baseline** in a `RunBudget` with cooperative cancellation
 checkpoints, optional crash-safe journaling, and structured reporting.
 Every failure mode degrades instead of crashing:
 
-* a pool worker dying mid `CostModel.build_tables` retries with backoff,
-  then falls back bit-identically to the serial path (recorded, never
-  silent);
+* a thread pool that fails to start in `CostModel.build_tables` retries
+  with backoff, then falls back bit-identically to the serial path
+  (recorded, never silent);
 * corrupt table-cache entries are quarantined and rebuilt;
 * SIGINT/SIGTERM and deadline expiry unwind at the next checkpoint with
   the journal flushed, so ``--resume`` replays the run bit-identically —
@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .._compat import UNSET, reject_ctx_conflict, warn_deprecated_kwargs
 from ..core.configs import ConfigSpace
 from ..core.costmodel import CostModel, CostTables
 from ..core.dp import find_best_strategy
@@ -45,7 +44,6 @@ from ..core.exceptions import (
     RunInterrupted,
     SearchResourceError,
 )
-from ..core import kernels
 from ..core.graph import CompGraph
 from ..core.machine import MachineSpec
 from ..core.strategy import SearchResult
@@ -92,10 +90,9 @@ def run_fingerprint(graph: CompGraph, space: ConfigSpace, model: CostModel,
     model) plus the search parameters.  Two runs with equal fingerprints
     return bit-identical results, which is exactly the property that
     makes journal resume sound.  Deliberately excludes budgets' wall
-    clocks, jobs/cache knobs, and the kernel backend — those change how
-    fast the answer arrives, not what it is (backends are bit-identical
-    by construction, pinned by the kernel parity tests).  The
-    observability pair is excluded for the same reason: tracing a run
+    clocks and the jobs/cache knobs — those change how fast the answer
+    arrives, not what it is (the table-build backends are bit-identical
+    by construction).  The observability pair is excluded for the same reason: tracing a run
     must never change what it computes.  The reduce *mode* and the
     auto-bypass ratio are included: reduced and plain searches return
     equal costs but may pick different equal-cost strategies.
@@ -145,11 +142,6 @@ def execute_search(
     resilient: bool = False,
     ctx: RunContext | None = None,
     resume: bool = False,
-    jobs: int | None = UNSET,
-    cache: "object | None" = UNSET,
-    budget: RunBudget | None = UNSET,
-    cancellation: Cancellation | None = UNSET,
-    journal: SearchJournal | None = UNSET,
 ) -> RunOutcome:
     """Run the full search pipeline under the hardened runtime.
 
@@ -167,7 +159,7 @@ def execute_search(
         before — same code path, v2 fingerprint, bit-identical results.
         ``"frontier"`` / ``"frontier:eps=<float>"`` runs the
         multi-objective DP: the tables phase also builds per-node memory
-        tables (same jobs/cache/shm data plane) and the result's
+        tables (same jobs/cache data plane) and the result's
         ``.frontier`` carries the full (cost, peak-bytes) Pareto set.
         Either way ``RunOutcome.result.frontier`` is non-empty — scalar
         runs get a synthesized length-1 frontier holding their optimum.
@@ -183,30 +175,12 @@ def execute_search(
         holding a finished search replays it without recomputing
         anything (zero-duration ``tables``/``search`` spans are still
         emitted so traces always cover every reported phase).
-    jobs, cache, budget, cancellation, journal:
-        **Deprecated** loose spellings of the same `RunContext` fields
-        (bit-identical behaviour, `DeprecationWarning`); mixing them
-        with ``ctx=`` is an error.
 
     Returns a `RunOutcome`; on failure raises the underlying error
     (`DeadlineExceededError`, `RunInterrupted`, `SearchResourceError`)
     with the structured `RunReport` attached as ``err.run_report`` and
     the journal flushed.
     """
-    legacy = [name for name, val in
-              (("jobs", jobs), ("cache", cache), ("budget", budget),
-               ("cancellation", cancellation), ("journal", journal))
-              if val is not UNSET]
-    if legacy:
-        if ctx is not None:
-            reject_ctx_conflict("execute_search", legacy)
-        warn_deprecated_kwargs("execute_search", legacy)
-        ctx = RunContext(
-            budget=None if budget is UNSET else budget,
-            cancellation=None if cancellation is UNSET else cancellation,
-            journal=None if journal is UNSET else journal,
-            jobs=None if jobs is UNSET else jobs,
-            cache=None if cache is UNSET else cache)
     if ctx is None:
         ctx = RunContext()
     from ..core.frontier import parse_objective
@@ -234,7 +208,7 @@ def execute_search(
         resilient=resilient, memory_budget=run_budget.memory_budget,
         order=order, objective=obj)
 
-    with ctx.observe(), kernels.use(ctx.kernel), tracer.span(
+    with ctx.observe(), tracer.span(
             "run", method=method, p=space.p, reduce=str(reduce),
             resilient=resilient, resume=resume) as run_span:
         if journal_obj is None:

@@ -69,7 +69,7 @@ class TestReporting:
         assert format_table_build_stats(serial) == \
             "cost tables: 0.500s (serial, 2.00M cells)"
         par = dict(serial, jobs=4.0)
-        assert "parallel x4" in format_table_build_stats(par)
+        assert "threads x4" in format_table_build_stats(par)
         hit = dict(serial, cache_hit=1.0)
         assert "cache hit" in format_table_build_stats(hit)
 

@@ -9,6 +9,7 @@ from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel, allreduce_bytes
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE, MachineSpec
 from repro.core.tensors import DTYPE_BYTES
+from repro.runtime import RunContext
 from tests.conftest import build_dag, make_test_op
 from tests.core.test_tensors import gemm_op
 
@@ -216,17 +217,17 @@ class TestParallelBuild:
         return g, space, CostModel(GTX1080TI)
 
     def test_parallel_bit_identical(self, monkeypatch):
-        """The pooled build must produce exactly the serial arrays —
-        not merely allclose (float op order is preserved)."""
+        """The auto-selected pooled build must produce exactly the
+        serial arrays — not merely allclose (float op order is
+        preserved)."""
         import repro.core.costmodel as costmodel
         monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
+        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 2)
         g, space, cm = self.setup_instance()
         serial = cm.build_tables(g, space)
-        # Forced spelling: `jobs=2` auto-selects from measured work and
-        # core count, so it may legitimately resolve to serial/threads.
-        par = cm.build_tables(g, space, jobs="processes:2")
+        par = cm.build_tables(g, space, ctx=RunContext(jobs=2))
         assert par.build_stats["jobs"] == 2.0
-        assert par.backend == "processes"
+        assert par.backend == "threads"
         assert set(serial.lc) == set(par.lc)
         assert set(serial.pair_tx) == set(par.pair_tx)
         for n in serial.lc:
@@ -237,7 +238,7 @@ class TestParallelBuild:
     def test_threads_bit_identical(self):
         g, space, cm = self.setup_instance()
         serial = cm.build_tables(g, space)
-        thr = cm.build_tables(g, space, jobs="threads:2")
+        thr = cm.build_tables(g, space, ctx=RunContext(jobs="threads:2"))
         assert thr.build_stats["jobs"] == 2.0
         assert thr.backend == "threads"
         for n in serial.lc:
@@ -250,13 +251,18 @@ class TestParallelBuild:
         g, space, cm = self.setup_instance()
         assert CostModel.table_work_cells(g, space) < \
             PARALLEL_THRESHOLD_CELLS
-        tables = cm.build_tables(g, space, jobs=4)
+        tables = cm.build_tables(g, space, ctx=RunContext(jobs=4))
         assert tables.build_stats["jobs"] == 1.0
 
     def test_negative_jobs_rejected(self):
         g, space, cm = self.setup_instance()
         with pytest.raises(ValueError):
-            cm.build_tables(g, space, jobs=-1)
+            cm.build_tables(g, space, ctx=RunContext(jobs=-1))
+
+    def test_processes_spelling_rejected(self):
+        g, space, cm = self.setup_instance()
+        with pytest.raises(ValueError, match="'serial'.*'auto'/'threads'"):
+            cm.build_tables(g, space, ctx=RunContext(jobs="processes:2"))
 
     def test_jobs_none_is_serial(self):
         g, space, cm = self.setup_instance()
@@ -270,7 +276,7 @@ class TestParallelBuild:
 
 class TestMemoryTables:
     """`build_tables(memory=True)`: the frontier's second objective axis
-    rides the same jobs/arena data plane as the cost tables."""
+    rides the same jobs/cache data plane as the cost tables."""
 
     def setup_instance(self):
         g = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
@@ -301,12 +307,11 @@ class TestMemoryTables:
         monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
         g, space, cm = self.setup_instance()
         serial = cm.build_tables(g, space, memory=True)
-        thr = cm.build_tables(g, space, memory=True, jobs="threads:2")
-        par = cm.build_tables(g, space, memory=True, jobs="processes:2")
-        for other in (thr, par):
-            assert set(other.mem) == set(serial.mem)
-            for n in serial.mem:
-                assert np.array_equal(serial.mem[n], other.mem[n])
+        thr = cm.build_tables(g, space, memory=True,
+                              ctx=RunContext(jobs="threads:2"))
+        assert set(thr.mem) == set(serial.mem)
+        for n in serial.mem:
+            assert np.array_equal(serial.mem[n], thr.mem[n])
         # The cost tables are unchanged by the memory flag.
         plain = cm.build_tables(g, space)
         for n in plain.lc:

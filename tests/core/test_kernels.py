@@ -1,99 +1,19 @@
-"""Tests for the pluggable kernel backends (`repro.core.kernels`).
+"""Kernel correctness for `repro.core.kernels`.
 
-Two families:
-
-* registry semantics — selection precedence (explicit > ``PASE_KERNEL``
-  > numpy default), scoped overrides, unknown names, and the graceful
-  numba-missing fallback;
-* kernel correctness — the numpy implementations against naive numpy
-  oracles (including numpy's first-minimum argmin tie-break), plus
-  numpy-vs-numba bit-parity when numba is importable.
+Each numpy kernel is checked against a naive numpy oracle, including
+numpy's first-minimum argmin tie-break.
 """
-
-import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
 from repro.core.kernels import (
     dominance_mask,
     last_axis_min_argmin,
     min_plus_fold,
-    numba_available,
 )
-
-needs_numba = pytest.mark.skipif(not numba_available(),
-                                 reason="numba not installed")
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate each test from process-wide backend state."""
-    monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_SELECTED", [None])
-    yield
-
-
-class TestBackendRegistry:
-    def test_default_is_numpy(self):
-        assert kernels.get_backend() == "numpy"
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        assert kernels.get_backend() == "numpy"
-
-    def test_explicit_selection_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numba")
-        kernels.set_backend("numpy")
-        assert kernels.get_backend() == "numpy"
-
-    def test_use_scopes_and_restores(self):
-        kernels.set_backend("numpy")
-        with kernels.use("auto"):
-            assert kernels.get_backend() in ("numpy", "numba")
-        assert kernels.get_backend() == "numpy"
-
-    def test_use_none_is_inert(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        with kernels.use(None) as resolved:
-            assert resolved == "numpy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_backend("tpu")
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.get_backend()
-
-    def test_available_backends_always_has_numpy(self):
-        avail = kernels.available_backends()
-        assert "numpy" in avail
-        assert set(avail) <= {"numpy", "numba"}
-
-    def test_auto_resolves_to_something_concrete(self):
-        assert kernels.resolve_backend("auto") in ("numpy", "numba")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_numba_missing_falls_back_with_warning(self, monkeypatch, caplog):
-        monkeypatch.setattr(kernels, "_WARNED", [False])
-        with caplog.at_level(logging.WARNING, logger="repro.core.kernels"):
-            assert kernels.set_backend("numba") == "numpy"
-            a = np.array([[3.0, 1.0, 2.0]])
-            vals, args = last_axis_min_argmin(a)
-        assert vals.tolist() == [1.0] and args.tolist() == [1]
-        assert any("falling back" in rec.message for rec in caplog.records)
-        # ... and the warning fires once, not per kernel call.
-        n_warnings = len(caplog.records)
-        with caplog.at_level(logging.WARNING, logger="repro.core.kernels"):
-            last_axis_min_argmin(a)
-        assert len(caplog.records) == n_warnings
 
 
 class TestLastAxisMinArgmin:
@@ -198,33 +118,3 @@ class TestDominanceMaskKernel:
         prof = rng.integers(0, 2, size=(64, 200)).astype(float)
         assert np.array_equal(dominance_mask(prof, chunk_cells=512),
                               self._naive(prof))
-
-
-@needs_numba
-class TestNumbaParity:
-    """Bit-parity of the compiled kernels against numpy, on tie-dense
-    integer data (runs only where numba is importable)."""
-
-    def test_last_axis_parity(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 4, size=(40, 17)).astype(float)
-        v_np, a_np = last_axis_min_argmin(a, backend="numpy")
-        v_nb, a_nb = last_axis_min_argmin(a, backend="numba")
-        assert np.array_equal(v_np, v_nb)
-        assert np.array_equal(a_np, a_nb)
-
-    def test_min_plus_parity(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 4, size=(19, 8)).astype(float)
-        bt = rng.integers(0, 4, size=(13, 8)).astype(float)
-        f_np, g_np = min_plus_fold(a, bt, chunk_cells=64, backend="numpy")
-        f_nb, g_nb = min_plus_fold(a, bt, chunk_cells=64, backend="numba")
-        assert np.array_equal(f_np, f_nb)
-        assert np.array_equal(g_np, g_nb)
-
-    def test_dominance_parity(self):
-        rng = np.random.default_rng(2)
-        prof = rng.integers(0, 3, size=(50, 6)).astype(float)
-        k_np = dominance_mask(prof, chunk_cells=10**9, backend="numpy")
-        k_nb = dominance_mask(prof, chunk_cells=10**9, backend="numba")
-        assert np.array_equal(k_np, k_nb)

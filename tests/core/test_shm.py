@@ -1,194 +1,17 @@
-"""Shared-memory data plane: arena lifecycle and mmap'd npz reads.
+"""Table-build backend selection: ``jobs=`` parsing and resolution.
 
-The arena's contract is *no leaked segments, ever*: unlinked on a clean
-build, on a worker dying mid-write, and on the retry-then-serial
-degradation path.  The mmap'd cache reads must be read-only views that
-are bit-identical to an eager ``np.load``.
+Every spelling resolves to the serial reference path or the thread
+backend; removed spellings (``processes[:N]``) are rejected with the
+list of accepted ones.
 """
 
-import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro.core import costmodel
-from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel, _parse_jobs
 from repro.core.machine import GTX1080TI
-from repro.core.shm import ShmArena, open_npz_mmap, plan_nbytes
-from tests.conftest import build_dag
-
-IS_FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
-
-
-def _die_mid_write(name):
-    # Module-level so the pool can pickle it by reference.
-    os._exit(1)
-
-
-def make_problem(p: int = 4):
-    graph = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
-                      reduction_mask=0b0100)
-    return graph, ConfigSpace.build(graph, p)
-
-
-def assert_unlinked(name: str, manifest) -> None:
-    with pytest.raises(FileNotFoundError):
-        ShmArena.attach(name, manifest)
-
-
-class TestArenaLifecycle:
-    PLAN = {("lc", "a"): ((5,), np.float64),
-            ("tx", 0): ((3, 4), np.float64)}
-
-    def test_roundtrip_and_unlink_on_success(self):
-        arena = ShmArena.create(self.PLAN)
-        name, manifest = arena.name, arena.manifest
-        a = np.arange(5, dtype=np.float64)
-        b = np.arange(12, dtype=np.float64).reshape(3, 4)
-
-        writer = ShmArena.attach(name, manifest)
-        writer.write(("lc", "a"), a)
-        writer.write(("tx", 0), b)
-        writer.close()
-
-        out_a = arena.adopt(("lc", "a"))
-        out_b = arena.adopt(("tx", 0))
-        assert np.array_equal(out_a, a)
-        assert np.array_equal(out_b, b)
-        arena.destroy()
-        # Adopted copies survive the unlink; the segment itself is gone.
-        assert np.array_equal(out_a, a)
-        assert_unlinked(name, manifest)
-
-    def test_destroy_is_idempotent(self):
-        arena = ShmArena.create(self.PLAN)
-        arena.destroy()
-        arena.destroy()  # must not raise
-
-    def test_shape_mismatch_rejected(self):
-        arena = ShmArena.create(self.PLAN)
-        try:
-            with pytest.raises(ValueError):
-                arena.write(("lc", "a"), np.zeros((7,)))
-        finally:
-            arena.destroy()
-
-    def test_plan_nbytes_matches_allocation(self):
-        arena = ShmArena.create(self.PLAN)
-        try:
-            assert arena.nbytes >= plan_nbytes(self.PLAN)
-        finally:
-            arena.destroy()
-
-    @pytest.mark.skipif(not IS_FORK, reason="fork start method required")
-    def test_unlinked_after_child_crash_mid_write(self):
-        """A worker dying mid-write must not leak the segment: the
-        parent's finally-path destroy() still unlinks it."""
-        arena = ShmArena.create(self.PLAN)
-        name, manifest = arena.name, arena.manifest
-
-        def crash():
-            child = ShmArena.attach(name, manifest)
-            child.write(("lc", "a"), np.ones(5))
-            os._exit(1)  # dies before the second write
-
-        proc = multiprocessing.get_context("fork").Process(target=crash)
-        proc.start()
-        proc.join()
-        assert proc.exitcode == 1
-        arena.destroy()
-        assert_unlinked(name, manifest)
-
-
-@pytest.mark.skipif(not IS_FORK, reason="needs fork start method so the "
-                    "monkeypatched task reaches pool workers")
-class TestArenaUnlinkOnDegradation:
-    def test_pool_retry_serial_fallback_unlinks_every_arena(
-            self, monkeypatch):
-        """Every retry allocates a fresh arena; all of them must be
-        unlinked once the build degrades to serial."""
-        monkeypatch.setattr(costmodel, "PARALLEL_RETRY_BACKOFF_SECONDS", 0.0)
-        created: list[tuple[str, dict]] = []
-        real_create = ShmArena.create.__func__
-
-        def recording_create(cls, plan):
-            arena = real_create(cls, plan)
-            created.append((arena.name, arena.manifest))
-            return arena
-
-        monkeypatch.setattr(ShmArena, "create",
-                            classmethod(recording_create))
-        monkeypatch.setattr(costmodel, "_node_task", _die_mid_write)
-        graph, space = make_problem()
-        tables = CostModel(GTX1080TI).build_tables(graph, space,
-                                                   jobs="processes:2")
-        assert tables.build_stats["degraded"] == 1.0
-        assert len(created) == 1 + costmodel.PARALLEL_BUILD_RETRIES
-        for name, manifest in created:
-            assert_unlinked(name, manifest)
-
-    def test_successful_parallel_build_unlinks(self, monkeypatch):
-        created: list[tuple[str, dict]] = []
-        real_create = ShmArena.create.__func__
-
-        def recording_create(cls, plan):
-            arena = real_create(cls, plan)
-            created.append((arena.name, arena.manifest))
-            return arena
-
-        monkeypatch.setattr(ShmArena, "create",
-                            classmethod(recording_create))
-        graph, space = make_problem()
-        tables = CostModel(GTX1080TI).build_tables(graph, space,
-                                                   jobs="processes:2")
-        assert tables.build_stats["degraded"] == 0.0
-        assert created, "processes backend never allocated an arena"
-        for name, manifest in created:
-            assert_unlinked(name, manifest)
-
-
-class TestNpzMmap:
-    def write_npz(self, path):
-        rng = np.random.default_rng(7)
-        arrays = {"alpha": rng.random((13, 5)),
-                  "beta": np.arange(9, dtype=np.float64),
-                  "gamma": rng.random((2, 3, 4))}
-        np.savez(path, **arrays)
-        return arrays
-
-    def test_views_match_eager_load(self, tmp_path):
-        path = tmp_path / "tables.npz"
-        arrays = self.write_npz(path)
-        views = open_npz_mmap(path)
-        eager = np.load(path)
-        assert set(views) == set(arrays)
-        for key, ref in arrays.items():
-            assert np.array_equal(views[key], ref)
-            assert np.array_equal(views[key], eager[key])
-
-    def test_views_are_read_only(self, tmp_path):
-        path = tmp_path / "tables.npz"
-        self.write_npz(path)
-        views = open_npz_mmap(path)
-        for arr in views.values():
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            views["alpha"][0, 0] = 42.0
-
-    def test_compressed_archive_rejected(self, tmp_path):
-        path = tmp_path / "z.npz"
-        np.savez_compressed(path, x=np.arange(4.0))
-        with pytest.raises(ValueError):
-            open_npz_mmap(path)
-
-    def test_views_survive_file_deletion(self, tmp_path):
-        path = tmp_path / "tables.npz"
-        arrays = self.write_npz(path)
-        views = open_npz_mmap(path)
-        path.unlink()
-        assert np.array_equal(views["alpha"], arrays["alpha"])
 
 
 class TestJobsParsing:
@@ -198,8 +21,6 @@ class TestJobsParsing:
         (3, ("auto", 3)),
         ("auto:5", ("auto", 5)),
         ("threads:4", ("threads", 4)),
-        ("processes:2", ("processes", 2)),
-        ("PROCESSES:2", ("processes", 2)),
     ])
     def test_spellings(self, spec, expected):
         assert _parse_jobs(spec) == expected
@@ -212,6 +33,7 @@ class TestJobsParsing:
 
     @pytest.mark.parametrize("bad", [
         -1, "turbo", "serial:2", "threads:x", "processes:-3", 2.5, True,
+        "processes:2",
     ])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
@@ -222,30 +44,32 @@ class TestBackendResolution:
     def model(self):
         return CostModel(GTX1080TI)
 
-    def test_forced_backends_ignore_core_count(self):
+    def test_forced_backends_ignore_core_count(self, monkeypatch):
+        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 1)
         cm = self.model()
         assert cm._resolve_backend("threads:4", 10, 100) == ("threads", 4)
-        assert cm._resolve_backend("processes:2", 10, 100) == \
-            ("processes", 2)
 
     def test_forced_backend_capped_by_task_count(self):
         cm = self.model()
         assert cm._resolve_backend("threads:8", 10, 3) == ("threads", 3)
-        assert cm._resolve_backend("processes:8", 10, 1) == ("serial", 1)
+        assert cm._resolve_backend("threads:8", 10, 1) == ("serial", 1)
 
     def test_auto_small_work_stays_serial(self):
         cm = self.model()
         assert cm._resolve_backend(4, 10, 100) == ("serial", 1)
 
-    def test_auto_picks_threads_then_processes_by_result_bytes(
+    def test_auto_picks_threads_above_old_process_threshold(
             self, monkeypatch):
-        monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
+        """Large builds stay on threads: the former 64 MiB result-bytes
+        switch to a process pool is gone."""
         monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 8)
         cm = self.model()
-        small = costmodel.PROCESS_MIN_RESULT_BYTES // 8 - 1
-        large = costmodel.PROCESS_MIN_RESULT_BYTES // 8
-        assert cm._resolve_backend(4, small, 100) == ("threads", 4)
-        assert cm._resolve_backend(4, large, 100) == ("processes", 4)
+        old_threshold_cells = 64 * 1024 * 1024 // 8
+        for cells in (costmodel.PARALLEL_THRESHOLD_CELLS,
+                      old_threshold_cells, 10 * old_threshold_cells):
+            assert cm._resolve_backend(4, cells, 100) == ("threads", 4)
+        assert cm._resolve_backend(4, old_threshold_cells, 100) == \
+            cm._resolve_backend("auto:4", old_threshold_cells, 100)
 
     def test_auto_single_core_is_serial(self, monkeypatch):
         monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)

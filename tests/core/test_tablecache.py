@@ -8,7 +8,8 @@ import pytest
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE
-from repro.core.tablecache import TableCache, table_digest
+from repro.core.tablecache import TableCache, open_npz_mmap, table_digest
+from repro.runtime import RunContext
 from tests.conftest import build_dag
 
 
@@ -196,14 +197,15 @@ class TestMemoryEntries:
     def test_build_tables_memory_cache_hit(self, tmp_path):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cold = cm.build_tables(g, space, memory=True, cache=cache)
-        warm = cm.build_tables(g, space, memory=True, cache=cache)
+        ctx = RunContext(cache=cache)
+        cold = cm.build_tables(g, space, memory=True, ctx=ctx)
+        warm = cm.build_tables(g, space, memory=True, ctx=ctx)
         assert warm.build_stats["cache_hit"] == 1.0
         assert warm.mem is not None
         for n in cold.mem:
             assert np.array_equal(cold.mem[n], warm.mem[n])
         # A scalar build keys a *different* entry — no false sharing.
-        scalar = cm.build_tables(g, space, cache=cache)
+        scalar = cm.build_tables(g, space, ctx=ctx)
         assert scalar.build_stats["cache_hit"] == 0.0
         assert scalar.mem is None
 
@@ -212,21 +214,21 @@ class TestBuildTablesIntegration:
     def test_cold_build_populates(self, tmp_path):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        tables = cm.build_tables(g, space, cache=cache)
+        tables = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert tables.build_stats["cache_hit"] == 0.0
         assert len(list(cache.entries())) == 1
 
     def test_warm_hit_skips_all_construction(self, tmp_path, monkeypatch):
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cold = cm.build_tables(g, space, cache=cache)
+        cold = cm.build_tables(g, space, ctx=RunContext(cache=cache))
 
         def boom(*args, **kwargs):
             raise AssertionError("matrix construction ran on a cache hit")
 
         monkeypatch.setattr(CostModel, "layer_cost", boom)
         monkeypatch.setattr(CostModel, "edge_bytes_matrix", boom)
-        warm = cm.build_tables(g, space, cache=cache)
+        warm = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert warm.build_stats["cache_hit"] == 1.0
         assert tables_equal(cold, warm)
 
@@ -234,8 +236,8 @@ class TestBuildTablesIntegration:
         from repro.core.dp import find_best_strategy
         g, space, cm = setup_instance()
         cache = TableCache(tmp_path)
-        cm.build_tables(g, space, cache=cache)
-        warm = cm.build_tables(g, space, cache=cache)
+        cm.build_tables(g, space, ctx=RunContext(cache=cache))
+        warm = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         res = find_best_strategy(g, space, warm)
         assert res.stats["table_cache_hit"] == 1.0
         assert res.stats["table_build_seconds"] >= 0.0
@@ -243,8 +245,9 @@ class TestBuildTablesIntegration:
     def test_different_machines_get_distinct_entries(self, tmp_path):
         g, space, _ = setup_instance()
         cache = TableCache(tmp_path)
-        CostModel(GTX1080TI).build_tables(g, space, cache=cache)
-        CostModel(UNIT_BALANCE).build_tables(g, space, cache=cache)
+        ctx = RunContext(cache=cache)
+        CostModel(GTX1080TI).build_tables(g, space, ctx=ctx)
+        CostModel(UNIT_BALANCE).build_tables(g, space, ctx=ctx)
         assert len(list(cache.entries())) == 2
 
 
@@ -392,14 +395,56 @@ class TestQuarantine:
         g, space, cm, cache, digest = self._stored(tmp_path)
         cache.path_for(digest).write_bytes(b"garbage")
         reference = cm.build_tables(g, space)
-        rebuilt = cm.build_tables(g, space, cache=cache)
+        rebuilt = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert rebuilt.build_stats["cache_hit"] == 0.0
         assert cache.quarantined == 1
         assert tables_equal(rebuilt, reference)
         # The rebuild re-populated the cache; next build is a clean hit.
-        again = cm.build_tables(g, space, cache=cache)
+        again = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert again.build_stats["cache_hit"] == 1.0
         assert tables_equal(again, reference)
+
+
+class TestNpzMmap:
+    def write_npz(self, path):
+        rng = np.random.default_rng(7)
+        arrays = {"alpha": rng.random((13, 5)),
+                  "beta": np.arange(9, dtype=np.float64),
+                  "gamma": rng.random((2, 3, 4))}
+        np.savez(path, **arrays)
+        return arrays
+
+    def test_views_match_eager_load(self, tmp_path):
+        path = tmp_path / "tables.npz"
+        arrays = self.write_npz(path)
+        views = open_npz_mmap(path)
+        eager = np.load(path)
+        assert set(views) == set(arrays)
+        for key, ref in arrays.items():
+            assert np.array_equal(views[key], ref)
+            assert np.array_equal(views[key], eager[key])
+
+    def test_views_are_read_only(self, tmp_path):
+        path = tmp_path / "tables.npz"
+        self.write_npz(path)
+        views = open_npz_mmap(path)
+        for arr in views.values():
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            views["alpha"][0, 0] = 42.0
+
+    def test_compressed_archive_rejected(self, tmp_path):
+        path = tmp_path / "z.npz"
+        np.savez_compressed(path, x=np.arange(4.0))
+        with pytest.raises(ValueError):
+            open_npz_mmap(path)
+
+    def test_views_survive_file_deletion(self, tmp_path):
+        path = tmp_path / "tables.npz"
+        arrays = self.write_npz(path)
+        views = open_npz_mmap(path)
+        path.unlink()
+        assert np.array_equal(views["alpha"], arrays["alpha"])
 
 
 def _hammer_cache(root: str, seed: int, rounds: int) -> None:

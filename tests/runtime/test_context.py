@@ -1,10 +1,7 @@
-"""RunContext bundling, deprecation shims, and trace/phase coverage."""
+"""RunContext bundling and trace/phase coverage."""
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.configs import ConfigSpace
@@ -20,10 +17,7 @@ from ..conftest import build_dag, small_dags
 def _setup(graph, p=4):
     space = ConfigSpace.build(graph, p)
     model = CostModel(GTX1080TI)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        tables = model.build_tables(graph, space)
-    return space, model, tables
+    return space, model, model.build_tables(graph, space)
 
 
 # -- composition ---------------------------------------------------------------
@@ -85,60 +79,6 @@ def test_memory_budget_default_and_explicit():
     assert ctx.memory_budget == 123
 
 
-# -- deprecation shims ---------------------------------------------------------
-
-def test_execute_search_legacy_kwargs_warn_but_match(chain3):
-    space, model, _ = _setup(chain3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        clean = execute_search(chain3, space, GTX1080TI,
-                               ctx=RunContext(budget=RunBudget()))
-    with pytest.warns(DeprecationWarning, match="RunContext"):
-        legacy = execute_search(chain3, space, GTX1080TI, budget=RunBudget())
-    assert legacy.result.cost == clean.result.cost
-    assert legacy.result.strategy.assignment == clean.result.strategy.assignment
-
-
-def test_execute_search_rejects_ctx_plus_legacy(chain3):
-    space, _, _ = _setup(chain3)
-    with pytest.raises(TypeError, match="not both"):
-        execute_search(chain3, space, GTX1080TI, ctx=RunContext(),
-                       budget=RunBudget())
-
-
-def test_build_tables_legacy_kwargs_warn_but_match(chain3):
-    space = ConfigSpace.build(chain3, 4)
-    model = CostModel(GTX1080TI)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        clean = model.build_tables(chain3, space, ctx=RunContext(jobs=1))
-    with pytest.warns(DeprecationWarning, match="RunContext"):
-        legacy = model.build_tables(chain3, space, jobs=1)
-    for name in clean.lc:
-        assert (legacy.lc[name] == clean.lc[name]).all()
-    with pytest.raises(TypeError, match="not both"):
-        model.build_tables(chain3, space, ctx=RunContext(), jobs=1)
-
-
-def test_find_best_strategy_legacy_checkpoint_warns(chain3):
-    space, model, tables = _setup(chain3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        clean = find_best_strategy(chain3, space, tables)
-        via_ctx = find_best_strategy(chain3, space, tables,
-                                     ctx=RunContext(budget=RunBudget()))
-
-    def ckpt(**kwargs):
-        pass
-
-    with pytest.warns(DeprecationWarning, match="RunContext"):
-        legacy = find_best_strategy(chain3, space, tables, checkpoint=ckpt)
-    assert legacy.cost == clean.cost == via_ctx.cost
-    with pytest.raises(TypeError, match="not both"):
-        find_best_strategy(chain3, space, tables, ctx=RunContext(),
-                           checkpoint=ckpt)
-
-
 def test_ctx_checkpoint_is_polled(chain3):
     space, model, tables = _setup(chain3)
     calls = []
@@ -155,12 +95,10 @@ def test_ctx_checkpoint_is_polled(chain3):
 
 def test_traced_run_is_bit_identical_and_covers_phases(diamond):
     space, _, _ = _setup(diamond)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        plain = execute_search(diamond, space, GTX1080TI)
-        tr, mx = Tracer(), Metrics()
-        traced = execute_search(diamond, space, GTX1080TI,
-                                ctx=RunContext(tracer=tr, metrics=mx))
+    plain = execute_search(diamond, space, GTX1080TI)
+    tr, mx = Tracer(), Metrics()
+    traced = execute_search(diamond, space, GTX1080TI,
+                            ctx=RunContext(tracer=tr, metrics=mx))
     assert traced.result.cost == plain.result.cost
     assert traced.result.strategy.assignment == plain.result.strategy.assignment
     roots = span_tree(tr.records)

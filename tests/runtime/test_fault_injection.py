@@ -1,12 +1,9 @@
-"""Fault injection: dead pool workers and corrupt cache entries.
+"""Fault injection: thread pools that fail to start.
 
 The hardened build must *degrade* — retry, then fall back bit-identically
 to the serial path — never crash, never poison the cache, and never hide
 that it happened.
 """
-
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -16,15 +13,16 @@ from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
 from repro.core.machine import GTX1080TI
 from repro.core.tablecache import TableCache
+from repro.runtime import RunContext
 from tests.conftest import build_dag
 
-IS_FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
+#: Forces the thread backend whatever the core count.
+THREADS = RunContext(jobs="threads:2")
 
 
-def _die_in_worker(name):
-    # Module-level so pool.map can pickle it by reference; the moral
-    # equivalent of an OOM kill landing on a pool child mid-task.
-    os._exit(1)
+def no_thread(*args, **kwargs):
+    """What ``Thread.start`` raises when the process is out of threads."""
+    raise RuntimeError("can't start new thread")
 
 
 def make_problem(p: int = 4):
@@ -50,8 +48,6 @@ def fast_faults(monkeypatch):
 
 class TestBrokenPool:
     def test_serial_fallback_is_bit_identical(self, monkeypatch, fast_faults):
-        from concurrent.futures.process import BrokenProcessPool
-
         graph, space = make_problem()
         reference = CostModel(GTX1080TI).build_tables(graph, space)
 
@@ -59,82 +55,74 @@ class TestBrokenPool:
 
         def explode(self, graph, space, workers, memory):
             calls["n"] += 1
-            raise BrokenProcessPool("worker killed by test")
+            no_thread()
 
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", explode)
+        tables = CostModel(GTX1080TI).build_tables(graph, space, ctx=THREADS)
 
         assert calls["n"] == 1 + costmodel.PARALLEL_BUILD_RETRIES
         assert tables.build_stats["degraded"] == 1.0
         assert tables.build_stats["parallel_retries"] == \
             float(costmodel.PARALLEL_BUILD_RETRIES)
         assert tables.build_stats["jobs"] == 1.0
-        assert "BrokenProcessPool" in tables.degraded_reason
+        assert tables.backend == "serial"
+        assert "RuntimeError" in tables.degraded_reason
         assert tables_equal(tables, reference)
 
     def test_transient_failure_recovers_without_degrading(
             self, monkeypatch, fast_faults):
-        from concurrent.futures.process import BrokenProcessPool
-
         graph, space = make_problem()
-        original = CostModel._build_arrays_parallel
+        original = CostModel._build_arrays_threads
         calls = {"n": 0}
 
         def flaky(self, graph, space, workers, memory):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise BrokenProcessPool("transient")
+                no_thread()
             return original(self, graph, space, workers, memory)
 
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", flaky)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", flaky)
+        tables = CostModel(GTX1080TI).build_tables(graph, space, ctx=THREADS)
         assert tables.build_stats["degraded"] == 0.0
         assert tables.build_stats["parallel_retries"] == 1.0
+        assert tables.backend == "threads"
         assert tables_equal(
             tables, CostModel(GTX1080TI).build_tables(graph, space))
 
     def test_degraded_build_never_populates_cache(
             self, monkeypatch, fast_faults, tmp_path, caplog):
-        from concurrent.futures.process import BrokenProcessPool
-
-        def explode(self, graph, space, workers, memory):
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", no_thread)
         graph, space = make_problem()
         cache = TableCache(tmp_path / "cache")
         with caplog.at_level("WARNING", logger="repro.core.costmodel"):
             tables = CostModel(GTX1080TI).build_tables(
-                graph, space, jobs="processes:2", cache=cache)
+                graph, space, ctx=THREADS.with_overrides(cache=cache))
         assert tables.build_stats["degraded"] == 1.0
         assert list(cache.entries()) == []
         assert any("not caching" in rec.message for rec in caplog.records)
 
     def test_oserror_also_degrades(self, monkeypatch, fast_faults):
         def explode(self, graph, space, workers, memory):
-            raise OSError("fork: retry: resource temporarily unavailable")
+            raise OSError("resource temporarily unavailable")
 
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", explode)
         graph, space = make_problem()
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
+        tables = CostModel(GTX1080TI).build_tables(graph, space, ctx=THREADS)
         assert tables.build_stats["degraded"] == 1.0
         assert "OSError" in tables.degraded_reason
 
+    def test_real_thread_start_failure_degrades(self, monkeypatch,
+                                                fast_faults):
+        """The real `ThreadPoolExecutor` path: ``Thread.start`` itself
+        refusing (as it does when the process is out of threads)."""
+        import threading
 
-@pytest.mark.skipif(not IS_FORK, reason="needs fork start method so the "
-                    "monkeypatched task reaches pool workers")
-class TestRealWorkerDeath:
-    def test_killed_worker_degrades_to_identical_serial(
-            self, monkeypatch, fast_faults):
-        """An actual pool child dying mid-task (os._exit, the moral
-        equivalent of an OOM kill) must surface as BrokenProcessPool and
-        degrade to a bit-identical serial build."""
         graph, space = make_problem()
         reference = CostModel(GTX1080TI).build_tables(graph, space)
-
-        monkeypatch.setattr(costmodel, "_node_task", _die_in_worker)
-        tables = CostModel(GTX1080TI).build_tables(graph, space, jobs="processes:2")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        tables = CostModel(GTX1080TI).build_tables(graph, space, ctx=THREADS)
         assert tables.build_stats["degraded"] == 1.0
+        assert "can't start new thread" in tables.degraded_reason
         assert tables_equal(tables, reference)
 
 
@@ -179,10 +167,8 @@ class TestInterruptibleBackoff:
         RunInterrupted instead of finishing the sleep and degrading."""
         import time as _time
 
-        from concurrent.futures.process import BrokenProcessPool
-
         from repro.core.exceptions import RunInterrupted
-        from repro.runtime import Cancellation, RunContext
+        from repro.runtime import Cancellation
 
         monkeypatch.setattr(costmodel, "PARALLEL_RETRY_BACKOFF_SECONDS",
                             60.0)
@@ -193,11 +179,11 @@ class TestInterruptibleBackoff:
             # Fail the first attempt, then request cancellation so the
             # backoff before the retry is where the poll must fire.
             cancel.set("SIGINT")
-            raise BrokenProcessPool("worker killed by test")
+            no_thread()
 
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", explode)
         graph, space = make_problem()
-        ctx = RunContext(cancellation=cancel, jobs="processes:2")
+        ctx = THREADS.with_overrides(cancellation=cancel)
         t0 = _time.perf_counter()
         with pytest.raises(RunInterrupted):
             CostModel(GTX1080TI).build_tables(graph, space, ctx=ctx)
@@ -207,19 +193,14 @@ class TestInterruptibleBackoff:
 class TestRuntimeSurfacesDegradation:
     def test_execute_search_reports_degraded_build(
             self, monkeypatch, fast_faults, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
-
         from repro.runtime import SearchJournal, execute_search
 
-        def explode(self, graph, space, workers, memory):
-            raise BrokenProcessPool("worker killed by test")
-
-        monkeypatch.setattr(CostModel, "_build_arrays_parallel", explode)
+        monkeypatch.setattr(CostModel, "_build_arrays_threads", no_thread)
         graph, space = make_problem()
         fresh = execute_search(graph, space, GTX1080TI).result
         journal = SearchJournal(tmp_path / "journal")
-        out = execute_search(graph, space, GTX1080TI, jobs="processes:2",
-                             journal=journal)
+        out = execute_search(graph, space, GTX1080TI,
+                             ctx=THREADS.with_overrides(journal=journal))
         assert not out.report.clean
         assert any("serial" in d for d in out.report.degradations)
         assert any(ev["kind"] == "table-build-degraded"

@@ -21,6 +21,7 @@ from repro.runtime import (
     EXIT_OK,
     EXIT_RESOURCE,
     RunBudget,
+    RunContext,
     SearchJournal,
     execute_search,
     run_fingerprint,
@@ -32,6 +33,11 @@ def make_problem(p: int = 4):
     graph = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
                       reduction_mask=0b0100)
     return graph, ConfigSpace.build(graph, p)
+
+
+def journal_ctx(path) -> RunContext:
+    """A run context journalling under ``path``."""
+    return RunContext(journal=SearchJournal(path))
 
 
 class TripAfter(Cancellation):
@@ -102,7 +108,7 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(DeadlineExceededError) as exc:
             execute_search(graph, space, GTX1080TI,
-                           budget=RunBudget(deadline=0.0))
+                           ctx=RunContext(budget=RunBudget(deadline=0.0)))
         report = exc.value.run_report
         assert report.outcome == "deadline"
         assert report.exit_code == EXIT_DEADLINE
@@ -112,14 +118,15 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(SearchResourceError) as exc:
             execute_search(graph, space, GTX1080TI,
-                           budget=RunBudget(memory_budget=64))
+                           ctx=RunContext(budget=RunBudget(memory_budget=64)))
         assert exc.value.run_report.outcome == "resource-error"
         assert exc.value.run_report.exit_code == EXIT_RESOURCE
 
     def test_resilient_survives_tiny_memory_budget(self):
         graph, space = make_problem()
-        out = execute_search(graph, space, GTX1080TI, resilient=True,
-                             budget=RunBudget(memory_budget=4096))
+        out = execute_search(
+            graph, space, GTX1080TI, resilient=True,
+            ctx=RunContext(budget=RunBudget(memory_budget=4096)))
         assert out.resilience is not None
         if out.resilience.retries:
             assert out.report.degradations
@@ -129,7 +136,7 @@ class TestFailureModes:
         graph, space = make_problem()
         with pytest.raises(RunInterrupted) as exc:
             execute_search(graph, space, GTX1080TI,
-                           cancellation=TripAfter(0))
+                           ctx=RunContext(cancellation=TripAfter(0)))
         assert exc.value.run_report.outcome == "interrupted"
         assert exc.value.run_report.exit_code == EXIT_INTERRUPTED
 
@@ -146,11 +153,12 @@ class TestJournalledRuns:
 
         journal = SearchJournal(tmp_path / "journal")
         with pytest.raises(RunInterrupted):
-            execute_search(graph, space, GTX1080TI, journal=journal,
-                           cancellation=TripAfter(5))
+            execute_search(graph, space, GTX1080TI,
+                           ctx=RunContext(journal=journal,
+                                          cancellation=TripAfter(5)))
 
         resumed = execute_search(graph, space, GTX1080TI,
-                                 journal=SearchJournal(tmp_path / "journal"),
+                                 ctx=journal_ctx(tmp_path / "journal"),
                                  resume=True)
         assert resumed.result.cost == fresh.cost
         assert resumed.result.strategy.assignment == \
@@ -164,19 +172,20 @@ class TestJournalledRuns:
         # Trip late enough that the tables phase completed and journalled.
         n_tasks = len(graph) + len(graph.edges)
         with pytest.raises(RunInterrupted):
-            execute_search(graph, space, GTX1080TI, journal=journal,
-                           cancellation=TripAfter(n_tasks + 1))
+            execute_search(graph, space, GTX1080TI,
+                           ctx=RunContext(journal=journal,
+                                          cancellation=TripAfter(n_tasks + 1)))
         resumed = execute_search(graph, space, GTX1080TI,
-                                 journal=SearchJournal(tmp_path / "journal"),
+                                 ctx=journal_ctx(tmp_path / "journal"),
                                  resume=True)
         assert resumed.result.stats["table_cache_hit"] == 1.0
 
     def test_finished_journal_replays_without_recompute(self, tmp_path):
         graph, space = make_problem()
-        journal = SearchJournal(tmp_path / "journal")
-        first = execute_search(graph, space, GTX1080TI, journal=journal)
+        first = execute_search(graph, space, GTX1080TI,
+                               ctx=journal_ctx(tmp_path / "journal"))
         replay = execute_search(graph, space, GTX1080TI,
-                                journal=SearchJournal(tmp_path / "journal"),
+                                ctx=journal_ctx(tmp_path / "journal"),
                                 resume=True)
         assert replay.result.cost == first.result.cost
         assert replay.result.strategy.assignment == \
@@ -185,12 +194,12 @@ class TestJournalledRuns:
 
     def test_resume_different_problem_rejected(self, tmp_path):
         graph, space = make_problem()
-        journal = SearchJournal(tmp_path / "journal")
-        execute_search(graph, space, GTX1080TI, journal=journal)
+        execute_search(graph, space, GTX1080TI,
+                       ctx=journal_ctx(tmp_path / "journal"))
         _, other_space = make_problem(p=8)
         with pytest.raises(JournalError, match="different problem"):
             execute_search(graph, other_space, GTX1080TI,
-                           journal=SearchJournal(tmp_path / "journal"),
+                           ctx=journal_ctx(tmp_path / "journal"),
                            resume=True)
 
     def test_fingerprint_excludes_perf_knobs(self):
@@ -282,10 +291,10 @@ class TestObjectiveThreading:
         graph, space = make_problem()
         first = execute_search(graph, space, GTX1080TI,
                                objective="frontier",
-                               journal=SearchJournal(tmp_path / "j"))
+                               ctx=journal_ctx(tmp_path / "j"))
         replay = execute_search(graph, space, GTX1080TI,
                                 objective="frontier",
-                                journal=SearchJournal(tmp_path / "j"),
+                                ctx=journal_ctx(tmp_path / "j"),
                                 resume=True)
         assert all(ph.status == "journal" for ph in replay.report.phases)
         assert len(replay.result.frontier) == len(first.result.frontier)
@@ -298,10 +307,10 @@ class TestObjectiveThreading:
             self, tmp_path):
         graph, space = make_problem()
         execute_search(graph, space, GTX1080TI,
-                       journal=SearchJournal(tmp_path / "j"))
+                       ctx=journal_ctx(tmp_path / "j"))
         with pytest.raises(JournalError, match="different problem"):
             execute_search(graph, space, GTX1080TI, objective="frontier",
-                           journal=SearchJournal(tmp_path / "j"),
+                           ctx=journal_ctx(tmp_path / "j"),
                            resume=True)
 
     def test_frontier_with_reduce_and_resilient(self):
@@ -333,9 +342,10 @@ class TestResumeProperty:
         fresh = execute_search(graph, space, GTX1080TI).result
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                out = execute_search(graph, space, GTX1080TI,
-                                     journal=SearchJournal(tmp),
-                                     cancellation=TripAfter(trip_at))
+                out = execute_search(
+                    graph, space, GTX1080TI,
+                    ctx=RunContext(journal=SearchJournal(tmp),
+                                   cancellation=TripAfter(trip_at)))
                 # Run finished before the trip point: nothing to resume,
                 # but the journalled result must already match.
                 assert out.result.cost == fresh.cost
@@ -343,8 +353,7 @@ class TestResumeProperty:
             except RunInterrupted:
                 pass
             resumed = execute_search(graph, space, GTX1080TI,
-                                     journal=SearchJournal(tmp),
-                                     resume=True)
+                                     ctx=journal_ctx(tmp), resume=True)
             assert resumed.result.cost == fresh.cost
             assert resumed.result.strategy.assignment == \
                 fresh.strategy.assignment

@@ -49,6 +49,29 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--model", "rnnlm", "--p", "4"],
+        ["simulate", "--model", "rnnlm", "--p", "4"],
+        ["table1", "--benchmarks", "rnnlm"],
+        ["table2", "--benchmarks", "rnnlm"],
+        ["figure6", "--benchmarks", "rnnlm"],
+    ])
+    @pytest.mark.parametrize("jobs", ["-1", "processes:2"])
+    def test_bad_jobs_is_usage_error(self, argv, jobs, capsys):
+        """Every ``--jobs`` goes through the same validation: a usage
+        error (exit 2), never a traceback once tables are built."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_mcmc_sensitivity_rejects_bad_jobs(self, capsys):
+        from repro.experiments import mcmc_sensitivity
+
+        with pytest.raises(SystemExit) as exc:
+            mcmc_sensitivity.main(["--jobs", "-1"])
+        assert exc.value.code == 2
+
 
 class TestCLIExtensions:
     def test_export(self, tmp_path, capsys):
