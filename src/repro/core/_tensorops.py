@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 
-__all__ = ["aligned_term", "chunked_min_argmin"]
+__all__ = ["aligned_term", "sum_terms", "chunked_min_argmin"]
 
 
 def aligned_term(arr: np.ndarray, axes: Sequence[int],
@@ -55,6 +55,33 @@ def aligned_term(arr: np.ndarray, axes: Sequence[int],
     for t, ax in enumerate(sorted(axes, key=rank.get)):
         shape[rank[ax]] = arr.shape[t]
     return arr.reshape(shape)
+
+
+def sum_terms(terms: Iterable[tuple[np.ndarray, tuple[int, ...]]],
+              full_axes: tuple[int, ...], out: np.ndarray,
+              cfg_range: slice | None = None) -> None:
+    """``out = Σ aligned(term)``, accumulated ``((t0 + t1) + t2)...``.
+
+    Both DP state formats sum their terms through this one loop, so a
+    cell's float association is the same in either.  With ``cfg_range``,
+    terms over the candidate axis (the last of ``full_axes``) are
+    sliced to it first.  No terms leaves ``out`` all zeros.
+    """
+    cfg_axis = full_axes[-1]
+    first = True
+    for arr, axes in terms:
+        if cfg_range is not None and cfg_axis in axes:
+            sl = [slice(None)] * arr.ndim
+            sl[axes.index(cfg_axis)] = cfg_range
+            arr = arr[tuple(sl)]
+        view = aligned_term(arr, axes, full_axes)
+        if first:
+            np.copyto(out, view)
+            first = False
+        else:
+            np.add(out, view, out=out)
+    if first:
+        out.fill(0.0)
 
 
 def chunked_min_argmin(
@@ -114,22 +141,7 @@ def chunked_min_argmin(
             raise TimeoutError("chunked DP evaluation passed its deadline")
         c1 = min(cfg_count, c0 + chunk)
         acc = buf[..., :c1 - c0]
-        first = True
-        for arr, axes in terms:
-            if cfg_axis in axes:
-                sl = [slice(None)] * arr.ndim
-                sl[axes.index(cfg_axis)] = slice(c0, c1)
-                piece = arr[tuple(sl)]
-            else:
-                piece = arr
-            view = aligned_term(piece, axes, full_axes)
-            if first:
-                np.copyto(acc, view)
-                first = False
-            else:
-                np.add(acc, view, out=acc)
-        if first:
-            acc.fill(0.0)
+        sum_terms(terms, full_axes, acc, slice(c0, c1))
         # Fused min/argmin: one argmin scan + a gather recovers the min
         # (bit-identical to separate min + argmin, numpy tie-break).
         cand, arg32 = kernels.last_axis_min_argmin(acc)

@@ -9,12 +9,20 @@ neighbors later in the sequence, ``S(i)`` are the connected subsets of
 ``v_i``, and tables are keyed by substrategies of the dependent set
 ``D(i)``.
 
-Representation: the DP table of vertex ``i`` is a numpy array with one
-axis per vertex of ``D(i)`` (axis length = that vertex's configuration
-count).  All ``Φ_|D(i)`` substrategies are processed per candidate
-configuration as one broadcast expression (chunked along the candidate
-axis), which keeps the exponential inner loop out of the Python
-interpreter entirely.
+One driver serves both objectives.  `find_best_strategy` resolves the
+reduction mode, walks the sequenced vertices, builds each vertex's
+``H(i, ·)`` terms, accounts bytes on one ledger, combines the root
+tables and back-substitutes.  Only the *state format* — what a DP table
+cell holds — depends on the objective:
+
+* ``"cost"`` — `MinTable`: the table of vertex ``i`` is a numpy array
+  with one axis per vertex of ``D(i)`` (axis length = that vertex's
+  configuration count) holding the min cost, plus its argmin.  All
+  ``Φ_|D(i)|`` substrategies are processed per candidate configuration
+  as one broadcast expression (chunked along the candidate axis), which
+  keeps the exponential inner loop out of the Python interpreter.
+* ``"frontier"`` — `repro.core.frontier.PointTable`: a CSR table of the
+  non-dominated (cost, peak-bytes) points of each cell.
 
 The memory the paper's Table I reports as "OOM" for the breadth-first
 ordering is modelled by a byte budget: before materializing a table the
@@ -25,6 +33,8 @@ would be exceeded.
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -36,9 +46,10 @@ from ..obs.profile import current_metrics, current_tracer
 from .configs import ConfigSpace
 from .costmodel import CostTables
 from .exceptions import SearchResourceError
+from .frontier import Objective, PointTable, parse_objective
 from .graph import CompGraph
 from .sequencer import SequencedGraph, generate_seq
-from .strategy import SearchResult, Strategy
+from .strategy import FrontierPoint, SearchResult, Strategy
 from ._tensorops import chunked_min_argmin
 
 __all__ = ["find_best_strategy", "dp_table_profile", "DEFAULT_MEMORY_BUDGET"]
@@ -84,28 +95,114 @@ def _resolve_reduce_mode(reduce: "bool | str") -> str:
 
 
 def _bypass_ratio(override: float | None) -> float:
-    """Effective auto-bypass ratio: explicit kwarg > env var > default."""
+    """Effective auto-bypass ratio: explicit kwarg > env var > default.
+
+    NaN and negative ratios are rejected: every bypass comparison with
+    them is false, which would silently turn ``reduce=True`` into
+    ``"always"``, and a NaN in a run fingerprint never compares equal
+    to itself on resume.  ``inf`` is legal and always bypasses.
+    """
+    source = "reduce_bypass_ratio"
     if override is not None:
-        return float(override)
-    raw = os.environ.get(REDUCE_BYPASS_ENV_VAR)
-    if raw:
+        ratio = float(override)
+    else:
+        raw = os.environ.get(REDUCE_BYPASS_ENV_VAR)
+        if not raw:
+            return DEFAULT_REDUCE_BYPASS_RATIO
+        source = REDUCE_BYPASS_ENV_VAR
         try:
-            return float(raw)
+            ratio = float(raw)
         except ValueError:
             raise ValueError(
                 f"{REDUCE_BYPASS_ENV_VAR} must be a float, got {raw!r}"
             ) from None
-    return DEFAULT_REDUCE_BYPASS_RATIO
+    if math.isnan(ratio) or ratio < 0.0:
+        raise ValueError(
+            f"{source} must be >= 0 (inf always bypasses), got {ratio!r}")
+    return ratio
+
+
+class _Ledger:
+    """Live and peak DP-state bytes against the memory budget (Table I's
+    OOM), shared by both state formats."""
+
+    def __init__(self, budget: int) -> None:
+        self.live = 0
+        self.peak = 0
+        self.budget = budget
+
+    def check(self, extra: int, what: str, note: str = "") -> None:
+        """Raise unless ``extra`` transient bytes fit; else record them in
+        the high-water mark."""
+        if self.live + extra > self.budget:
+            raise SearchResourceError(
+                f"{what} needs {extra} bytes ({self.live} live, "
+                f"budget {self.budget}){note}",
+                requested_bytes=self.live + extra, budget_bytes=self.budget)
+        self.peak = max(self.peak, self.live + extra)
+
+    def add(self, nbytes: int) -> None:
+        self.live += nbytes
+        self.peak = max(self.peak, self.live)
+
+    def sub(self, nbytes: int) -> None:
+        self.live -= nbytes
 
 
 @dataclass
-class _VertexRecord:
-    """Stored DP state for one sequenced vertex."""
+class _MinRecord:
+    """Scalar DP state of one sequenced vertex."""
 
-    axes: tuple[int, ...]          # D(i) positions labelling table axes
     table: np.ndarray | None       # min-cost over substrategies of D(i)
     argmin: np.ndarray             # best config index of v_i per cell
-    children: tuple[int, ...]      # max position j of each component in S(i)
+
+
+class MinTable:
+    """The scalar objective's state format: per vertex a dense min-cost
+    table over the substrategies of ``D(i)`` and its argmin."""
+
+    span = "dp"          # span name and checkpoint phase
+    frontier = False
+    memory = None        # no memory columns for the reduction
+
+    def __init__(self, ledger: _Ledger, chunk_cells: int) -> None:
+        self.ledger = ledger
+        self.chunk_cells = chunk_cells
+
+    def vertex(self, i: int, name: str, dep: tuple[int, ...],
+               table_shape: tuple[int, ...], k: int, terms: list,
+               kids: list) -> _MinRecord:
+        """Minimize ``H + Σ children`` over ``v_i``'s configurations."""
+        table_cells = math.prod(table_shape)
+        # The transient high-water mark: everything live, plus the new
+        # table/argmin (float64 + int32) and the chunked cost array.
+        self.ledger.check(
+            table_cells * 12 + min(table_cells * k, self.chunk_cells) * 8,
+            f"DP table for vertex {name!r}", f"; |D(i)|={len(dep)}")
+        for axes, rec in kids:
+            assert rec.table is not None, "child table consumed twice"
+            terms.append((rec.table, axes))
+        table, argmin = chunked_min_argmin(
+            terms, dep + (i,), i, k, table_shape, self.chunk_cells)
+        # Child tables are consulted exactly once; free them.
+        for _, rec in kids:
+            self.ledger.sub(rec.table.nbytes)
+            rec.table = None
+        self.ledger.add(table.nbytes + argmin.nbytes)
+        return _MinRecord(table, argmin)
+
+    def combine(self, roots: list) -> list:
+        """The one solution: the sum of the (scalar) root tables."""
+        total = 0.0
+        for rec in roots:
+            assert rec.table is not None and rec.table.shape == ()
+            total += float(rec.table)
+        return [(total, None, [0] * len(roots))]
+
+    def pick(self, rec: _MinRecord, cell: int, local: int):
+        """``v_i``'s config in ``cell``; one state per cell, so every
+        child is read at local index 0."""
+        return int(rec.argmin.flat[cell]), itertools.repeat(0)
 
 
 def find_best_strategy(
@@ -149,20 +246,23 @@ def find_best_strategy(
         add wall-clock) and the plain DP runs, with
         ``stats["reduction_bypassed"] == 1.0``.  ``"always"`` disables
         the bypass (tests pin reduction behavior with it); ``"never"``/
-        ``"off"`` are spellings of ``False``.
+        ``"off"`` are spellings of ``False``.  Under the frontier
+        objective the reduction is memory-aware (dominance on both axes,
+        no chain contraction).
     reduce_bypass_ratio:
         Auto-bypass threshold override (see
         `DEFAULT_REDUCE_BYPASS_RATIO`); falls back to the
         ``PASE_REDUCE_BYPASS_RATIO`` environment variable, then the
-        default.  ``0`` makes ``"auto"`` behave like ``"always"``.
+        default.  ``0`` makes ``"auto"`` behave like ``"always"`` and
+        ``inf`` always bypasses; NaN and negative values raise
+        `ValueError`.
     objective:
-        ``"cost"`` (default) runs the scalar DP exactly as before —
-        same code path, bit-identical results.  ``"frontier"`` (or
-        ``"frontier:eps=<float>"``) dispatches to the Pareto-frontier
-        DP (`repro.core.frontier.find_frontier_strategy`): the result's
-        ``.frontier`` carries every non-dominated (cost, peak-bytes)
-        pair and ``strategy``/``cost`` its min-cost point, bit-identical
-        to the scalar optimum.
+        ``"cost"`` (default) runs the scalar DP.  ``"frontier"`` (or
+        ``"frontier:eps=<float>"``) runs the same DP over Pareto point
+        tables (`repro.core.frontier`): the result's ``.frontier``
+        carries every non-dominated (cost, peak-bytes) pair, its method
+        gains ``+frontier``, and ``strategy``/``cost`` are its min-cost
+        point, with a cost bit-identical to the scalar optimum.
     ctx:
         A `repro.runtime.RunContext` supplying the cooperative
         checkpoint (composed from its budget/cancellation/journal) and
@@ -181,52 +281,42 @@ def find_best_strategy(
         With ``stats`` containing ``cells`` (DP cells evaluated),
         ``peak_bytes``, ``max_dependent`` (M), and ``k_max`` (K).
     """
+    obj = parse_objective(objective)
     checkpoint = None
     observed = contextlib.nullcontext()
     if ctx is not None:
         checkpoint = ctx.make_checkpoint()
         observed = ctx.observe()
     with observed:
-        if objective != "cost":
-            from .frontier import find_frontier_strategy, parse_objective
-
-            obj = parse_objective(objective)
-            if not obj.is_frontier:  # "cost" spelled oddly, e.g. " cost "
-                obj = None
-            if obj is not None:
-                return find_frontier_strategy(
-                    graph, space, tables, eps=obj.eps, order=order,
-                    memory_budget=memory_budget, chunk_cells=chunk_cells,
-                    method_name=method_name, reduce=reduce,
-                    reduce_bypass_ratio=reduce_bypass_ratio,
-                    checkpoint=checkpoint)
-        return _find_best_strategy(
-            graph, space, tables, order=order, memory_budget=memory_budget,
-            chunk_cells=chunk_cells, method_name=method_name, reduce=reduce,
+        return _solve(
+            graph, space, tables, obj, order=order,
+            memory_budget=memory_budget, chunk_cells=chunk_cells,
+            method_name=method_name, reduce=reduce,
             reduce_bypass_ratio=reduce_bypass_ratio, checkpoint=checkpoint)
 
 
-def _find_best_strategy(
+def _solve(
     graph: CompGraph,
     space: ConfigSpace,
     tables: CostTables,
+    obj: Objective,
     *,
     order: Sequence[str] | None,
     memory_budget: int,
     chunk_cells: int,
     method_name: str,
-    reduce: "bool | str" = False,
-    reduce_bypass_ratio: float | None = None,
-    checkpoint: Callable[..., None] | None = None,
-    seq: SequencedGraph | None = None,
+    reduce: "bool | str",
+    reduce_bypass_ratio: float | None,
+    checkpoint: Callable[..., None] | None,
 ) -> SearchResult:
-    """The implementation behind `find_best_strategy`: the checkpoint
-    already taken from the context, the observability pair ambient.
-    ``seq`` short-circuits sequencing when the caller already built it
-    (the auto-bypass path predicts DP work from the sequenced graph and
-    hands it down, so a bypassed search pays only the predictor)."""
+    """The driver behind `find_best_strategy`: the checkpoint already
+    taken from the context, the observability pair ambient."""
     t0 = time.perf_counter()
+    ledger = _Ledger(memory_budget)
+    fmt = (PointTable(graph, space, tables, obj.eps, ledger, chunk_cells)
+           if obj.is_frontier else MinTable(ledger, chunk_cells))
     mode = _resolve_reduce_mode(reduce)
+    seq: SequencedGraph | None = None
     bypassed = False
     if mode == "auto":
         # Predict the plain DP's work from the sequenced graph.  Both
@@ -243,126 +333,70 @@ def _find_best_strategy(
     if mode != "off" and not bypassed:
         from .reduction import reduce_problem
 
-        red = reduce_problem(graph, space, tables, checkpoint=checkpoint)
+        red = reduce_problem(graph, space, tables, memory=fmt.memory,
+                             checkpoint=checkpoint)
         sub_order = order
         if order is not None:
             live = set(red.survivors)
             sub_order = tuple(n for n in order if n in live)
-        inner = _find_best_strategy(
-            red.reduced_graph, red.reduced_space, red.reduced_tables,
+        inner = _solve(
+            red.reduced_graph, red.reduced_space, red.reduced_tables, obj,
             order=sub_order, memory_budget=memory_budget,
-            chunk_cells=chunk_cells, method_name=method_name,
-            checkpoint=checkpoint)
+            chunk_cells=chunk_cells, method_name=method_name, reduce=False,
+            reduce_bypass_ratio=None, checkpoint=checkpoint)
         return red.expand_result(inner, elapsed=time.perf_counter() - t0)
     if seq is None:
-        if order is None:
-            order = generate_seq(graph)
-        seq = SequencedGraph.build(graph, order)
+        seq = SequencedGraph.build(
+            graph, generate_seq(graph) if order is None else order)
+
     n = len(seq)
+    ksize = [space.size(name) for name in seq.order]
+    records: list = [None] * n
+    kids: list[tuple[int, ...]] = [()] * n
+    roots = seq.roots()
+    cells = 0
     if n == 0:
         # Fully-contracted problems legitimately reach the DP with zero
-        # vertices; report real (all-zero) counters so downstream stats
-        # processing never special-cases the empty problem.
-        stats = {"cells": 0.0, "peak_bytes": 0.0, "max_dependent": 0.0,
-                 "k_max": 0.0, "vertices": 0.0}
-        if bypassed:
-            stats["reduction_bypassed"] = 1.0
-        for key, val in tables.build_stats.items():
-            stats[f"table_{key}"] = float(val)
-        return SearchResult(Strategy({}), 0.0, time.perf_counter() - t0,
-                            method_name, stats=stats)
+        # vertices: the root-less combine is their one zero-cost
+        # solution, reported with real (all-zero) counters.
+        points = _back_substitute(fmt, seq, space, ksize, records, kids,
+                                  roots)
+    else:
+        tracer = current_tracer()
+        with tracer.span(fmt.span, vertices=n, method=method_name) as span:
+            for i in range(n):
+                if checkpoint is not None:
+                    checkpoint(phase=fmt.span, step=i, total=n)
+                name = seq.name(i)
+                with tracer.span(f"{fmt.span}.vertex",
+                                 name=name if tracer.enabled else ""):
+                    dep = seq.dep[i]
+                    kids[i] = tuple(max(c) for c in seq.connected_subsets(i))
+                    table_shape = tuple(ksize[d] for d in dep)
+                    terms = [(tables.lc[name], (i,))]
+                    terms += [(tables.tx(name, seq.name(u)), (i, u))
+                              for u in seq.later_neighbors(i)]
+                    records[i] = fmt.vertex(
+                        i, name, dep, table_shape, ksize[i], terms,
+                        [(seq.dep[j], records[j]) for j in kids[i]])
+                    cells += math.prod(table_shape) * ksize[i]
+            points = _back_substitute(fmt, seq, space, ksize, records, kids,
+                                      roots)
+            span.set(cells=cells, peak_bytes=ledger.peak, points=len(points))
 
-    ksize = np.array([space.size(name) for name in seq.order], dtype=np.int64)
-    records: list[_VertexRecord | None] = [None] * n
-    live_bytes = 0
-    peak_bytes = 0
-    cells_evaluated = 0
-    tracer = current_tracer()
-
-    with tracer.span("dp", vertices=n, method=method_name) as dp_span:
-        for i in range(n):
-            if checkpoint is not None:
-                checkpoint(phase="dp", step=i, total=n)
-            with tracer.span("dp.vertex",
-                             name=seq.name(i) if tracer.enabled else ""):
-                dep = seq.dep[i]
-                comps = seq.connected_subsets(i)
-                children = tuple(max(c) for c in comps)
-                full_axes = dep + (i,)
-                table_shape = tuple(int(ksize[d]) for d in dep)
-                table_cells = int(np.prod(table_shape, dtype=np.int64)) if dep else 1
-
-                # -- memory accounting (tables are float64 + int32 argmin) --------
-                needed = table_cells * 12 + min(table_cells * int(ksize[i]), chunk_cells) * 8
-                if live_bytes + needed > memory_budget:
-                    raise SearchResourceError(
-                        f"DP table for vertex {seq.name(i)!r} needs {needed} bytes "
-                        f"({live_bytes} live, budget {memory_budget}); |D(i)|={len(dep)}",
-                        requested_bytes=live_bytes + needed, budget_bytes=memory_budget)
-                # The transient high-water mark for this vertex: everything live
-                # before it, plus the new table/argmin and the chunked cost array
-                # (both inside `needed` — counting them again after the
-                # ``live_bytes`` update below would double-charge the table).
-                peak_bytes = max(peak_bytes, live_bytes + needed)
-
-                terms: list[tuple[np.ndarray, tuple[int, ...]]] = []
-                terms.append((tables.lc[seq.name(i)], (i,)))
-                for u in seq.later_neighbors(i):
-                    mat = tables.tx(seq.name(i), seq.name(u))  # [K_i, K_u]
-                    terms.append((mat, (i, u)))
-                for j in children:
-                    rec = records[j]
-                    assert rec is not None and rec.table is not None, \
-                        f"child table {j} consumed twice"
-                    terms.append((rec.table, rec.axes))
-
-                table, argmin = chunked_min_argmin(
-                    terms, full_axes, i, int(ksize[i]), table_shape, chunk_cells)
-                cells_evaluated += table_cells * int(ksize[i])
-
-                # Child tables are consulted exactly once; free them.
-                for j in children:
-                    rec = records[j]
-                    assert rec is not None and rec.table is not None
-                    live_bytes -= rec.table.nbytes
-                    rec.table = None
-
-                records[i] = _VertexRecord(axes=dep, table=table, argmin=argmin,
-                                           children=children)
-                live_bytes += table.nbytes + argmin.nbytes
-
-        # -- total cost: sum of the (scalar) root tables -----------------------
-        roots = seq.roots()
-        total = 0.0
-        for rt in roots:
-            rec = records[rt]
-            assert rec is not None and rec.table is not None and rec.table.shape == ()
-            total += float(rec.table)
-
-        # -- back-substitution (Fig. 4's v.cfg extraction), iterative ----------
-        chosen: dict[int, int] = {}
-        stack = list(roots)
-        while stack:
-            i = stack.pop()
-            rec = records[i]
-            assert rec is not None
-            idx = tuple(chosen[d] for d in rec.axes)
-            chosen[i] = int(rec.argmin[idx])
-            stack.extend(rec.children)
-        assert len(chosen) == n, "extraction did not reach every vertex"
-
-        dp_span.set(cells=cells_evaluated, peak_bytes=peak_bytes)
-
-    indices = {seq.name(i): k for i, k in chosen.items()}
-    strategy = Strategy.from_indices(space, indices)
     elapsed = time.perf_counter() - t0
     stats = {
-        "cells": float(cells_evaluated),
-        "peak_bytes": float(peak_bytes),
+        "cells": float(cells),
+        "peak_bytes": float(ledger.peak),
         "max_dependent": float(seq.max_dependent_size),
         "k_max": float(space.max_size),
         "vertices": float(n),
     }
+    if fmt.frontier:
+        stats["frontier_points"] = float(len(points))
+        stats["frontier_max_state_points"] = float(fmt.max_state_points)
+        stats["frontier_eps"] = float(fmt.eps)
+        stats["frontier_cells"] = float(cells)
     if bypassed:
         # reduce="auto" decided the reduction could not pay for itself
         # on this problem; the plain DP ran instead.
@@ -371,19 +405,52 @@ def _find_best_strategy(
     # worker count) alongside the DP's own counters.
     for key, val in tables.build_stats.items():
         stats[f"table_{key}"] = float(val)
-    metrics = current_metrics()
-    metrics.counter("dp_cells_total", "DP cells evaluated").inc(cells_evaluated)
-    metrics.counter("dp_vertices_total", "DP vertices solved").inc(n)
-    if elapsed > 0:
-        metrics.gauge("dp_cells_per_second",
-                      "DP cell throughput").set(cells_evaluated / elapsed)
+    if n:
+        metrics = current_metrics()
+        metrics.counter("dp_cells_total", "DP cells evaluated").inc(cells)
+        metrics.counter("dp_vertices_total", "DP vertices solved").inc(n)
+        if elapsed > 0:
+            metrics.gauge("dp_cells_per_second",
+                          "DP cell throughput").set(cells / elapsed)
+        if fmt.frontier:
+            metrics.counter("frontier_points_total",
+                            "Pareto-frontier points returned").inc(len(points))
+    cost, _, strategy = points[0]
     return SearchResult(
         strategy=strategy,
-        cost=total,
+        cost=cost,
         elapsed=elapsed,
-        method=method_name,
+        method=f"{method_name}+frontier" if fmt.frontier else method_name,
         stats=stats,
+        frontier=(tuple(FrontierPoint(c, m, s) for c, m, s in points)
+                  if fmt.frontier else ()),
     )
+
+
+def _back_substitute(fmt, seq: SequencedGraph, space: ConfigSpace,
+                     ksize: list[int], records: list, kids: list,
+                     roots: list[int]) -> list:
+    """Fig. 4's v.cfg extraction, once per root-combined solution.
+
+    Walks from the roots down the children; each vertex's choice is read
+    from the cell its dependent set's choices select.  Returns
+    ``(cost, peak_bytes, Strategy)`` per solution, min-cost first.
+    """
+    out = []
+    for cost, peak, root_locals in fmt.combine([records[r] for r in roots]):
+        chosen: dict[int, int] = {}
+        stack = list(zip(roots, root_locals))
+        while stack:
+            v, local = stack.pop()
+            cell = 0
+            for d in seq.dep[v]:
+                cell = cell * ksize[d] + chosen[d]
+            chosen[v], child_locals = fmt.pick(records[v], cell, local)
+            stack.extend(zip(kids[v], child_locals))
+        assert len(chosen) == len(seq), "extraction did not reach every vertex"
+        indices = {seq.name(v): k for v, k in chosen.items()}
+        out.append((cost, peak, Strategy.from_indices(space, indices)))
+    return out
 
 
 def dp_table_profile(seq: SequencedGraph, space: ConfigSpace) -> list[int]:

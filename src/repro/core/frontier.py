@@ -1,12 +1,13 @@
-"""Pareto-frontier dynamic program: cost × per-device memory (TensorOpt).
+"""Pareto-frontier objective: cost × per-device memory (TensorOpt).
 
-The scalar DP (`repro.core.dp`) answers "the one fastest strategy"; the
-production question (PAPERS.md, TensorOpt) is the *frontier* of
-(step time, per-device memory) tradeoffs — you pick a point after you
-know the cluster's memory headroom.  This module runs the same
-recurrence (4) over the same sequenced orderings, but each DP state
-carries a pruned set of non-dominated ``(cost, peak_bytes)`` pairs
-instead of a scalar min.
+The scalar objective answers "the one fastest strategy"; the production
+question (PAPERS.md, TensorOpt) is the *frontier* of (step time,
+per-device memory) tradeoffs — you pick a point after you know the
+cluster's memory headroom.  ``find_best_strategy(objective="frontier")``
+runs the one DP driver (`repro.core.dp`) over the same recurrence (4)
+and the same sequenced orderings with `PointTable` as its state format:
+each DP state carries a pruned set of non-dominated ``(cost,
+peak_bytes)`` pairs instead of a scalar min.
 
 Exactness and bit-identity contracts
 ------------------------------------
@@ -33,33 +34,26 @@ per-cell Minkowski sum followed by a grouped Pareto prune, all
 vectorized (`pareto_prune` is a lexsort plus one segmented running-min
 — no Python-level per-cell loop).
 
-Memory is accounted against the same byte budget as the scalar DP and
+Memory is accounted on the scalar DP's byte ledger and budget, and
 exceeded budgets raise `SearchResourceError` (Table I's "OOM").
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from ..obs.profile import current_metrics, current_tracer
 from .configs import ConfigSpace
 from .costmodel import CostTables
-from .dp import (DEFAULT_CHUNK_CELLS, DEFAULT_MEMORY_BUDGET, _bypass_ratio,
-                 _resolve_reduce_mode, dp_table_profile)
-from .exceptions import SearchResourceError, StrategyError
 from .graph import CompGraph
-from .sequencer import SequencedGraph, generate_seq
-from .strategy import FrontierPoint, SearchResult, Strategy
-from ._tensorops import aligned_term
+from .strategy import FrontierPoint, Strategy
+from ._tensorops import sum_terms
 
-__all__ = ["Objective", "parse_objective", "find_frontier_strategy",
-           "pareto_prune", "brute_force_frontier", "memory_tables",
-           "strategy_peak_bytes"]
+__all__ = ["Objective", "parse_objective", "pareto_prune",
+           "brute_force_frontier", "memory_tables", "strategy_peak_bytes"]
 
 
 @dataclass(frozen=True)
@@ -267,13 +261,11 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
 class _PointRecord:
     """Stored frontier state for one sequenced vertex (CSR point table)."""
 
-    axes: tuple[int, ...]        # D(i) positions labelling the cells
     offsets: np.ndarray          # int64 [cells + 1]
     cost: np.ndarray | None      # float64 [P]; freed once consumed
     mem: np.ndarray | None       # float64 [P]; freed once consumed
     k: np.ndarray                # int32 [P] — v_i's config per point
     childpt: np.ndarray          # int32 [P, n_children] — child point index
-    children: tuple[int, ...]
 
     def value_bytes(self) -> int:
         cost = self.cost.nbytes if self.cost is not None else 0
@@ -284,29 +276,12 @@ class _PointRecord:
         return (self.offsets.nbytes + self.value_bytes()
                 + self.k.nbytes + self.childpt.nbytes)
 
-
-class _Ledger:
-    """Byte accounting against the DP memory budget (Table I's OOM)."""
-
-    def __init__(self, budget: int) -> None:
-        self.live = 0
-        self.peak = 0
-        self.budget = int(budget)
-
-    def check(self, extra: int, what: str) -> None:
-        if self.live + extra > self.budget:
-            raise SearchResourceError(
-                f"frontier DP needs {extra} bytes for {what} "
-                f"({self.live} live, budget {self.budget})",
-                requested_bytes=self.live + extra, budget_bytes=self.budget)
-        self.peak = max(self.peak, self.live + extra)
-
-    def add(self, nbytes: int) -> None:
-        self.live += nbytes
-        self.peak = max(self.peak, self.live)
-
-    def sub(self, nbytes: int) -> None:
-        self.live -= nbytes
+    def free_values(self, ledger) -> None:
+        """Values are consulted exactly once; free them (the
+        ``k``/``childpt`` arrays stay for back-substitution)."""
+        ledger.sub(self.value_bytes())
+        self.cost = None
+        self.mem = None
 
 
 def _projection(child_axes: tuple[int, ...], full_axes: tuple[int, ...],
@@ -324,24 +299,9 @@ def _projection(child_axes: tuple[int, ...], full_axes: tuple[int, ...],
     return out.reshape(-1)
 
 
-def _accumulate_terms(terms, full_axes: tuple[int, ...],
-                      out: np.ndarray) -> None:
-    """``out = Σ aligned(term)`` with the scalar DP's exact association."""
-    first = True
-    for arr, axes in terms:
-        view = aligned_term(arr, axes, full_axes)
-        if first:
-            np.copyto(out, view)
-            first = False
-        else:
-            np.add(out, view, out=out)
-    if first:
-        out.fill(0.0)
-
-
 def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                  child_mem: np.ndarray, proj: np.ndarray, *, eps: float,
-                 pair_chunk: int, ledger: _Ledger,
+                 pair_chunk: int, ledger,
                  group_of_cell: np.ndarray | None = None,
                  group_size: int = 1,
                  n_groups: int = 0,
@@ -396,7 +356,7 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                                    (end // group_size) * group_size))
         total = int(pair_off[end] - pair_off[start])
         # Transient per candidate: cost+mem (16) + index arrays (~56).
-        ledger.check(total * 72, "a frontier merge chunk")
+        ledger.check(total * 72, "frontier DP merge chunk")
         # Candidate construction by repeats (no integer div/mod): each
         # accumulated point of the chunk expands to its cell's
         # child-point count, child points in ascending local order.
@@ -452,322 +412,147 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# The frontier DP
+# The frontier state format
 # ---------------------------------------------------------------------------
 
-def find_frontier_strategy(
-    graph: CompGraph,
-    space: ConfigSpace,
-    tables: CostTables,
-    *,
-    eps: float = 0.0,
-    order: Sequence[str] | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
-    method_name: str = "pase-dp",
-    reduce: "bool | str" = False,
-    reduce_bypass_ratio: float | None = None,
-    checkpoint: Callable[..., None] | None = None,
-    mem_tables: "Mapping[str, np.ndarray] | None" = None,
-) -> SearchResult:
-    """Compute the exact (cost, peak-bytes) Pareto frontier of a problem.
+class PointTable:
+    """The frontier objective's state format for the DP driver
+    (`repro.core.dp`): per vertex a CSR table of the non-dominated
+    (cost, peak-bytes) points of each cell of ``D(i)``."""
 
-    Same contract as `repro.core.dp.find_best_strategy` (ordering,
-    budgets, checkpoints, reduction modes), but the returned
-    `SearchResult` carries the full non-dominated frontier in
-    ``.frontier`` (ascending cost) with ``strategy``/``cost`` set to its
-    min-cost point — bit-identical to the scalar DP optimum.
+    span = "frontier"    # span name and checkpoint phase
+    frontier = True
 
-    ``reduce`` runs the memory-aware reduction first: dominance pruning
-    gains the memory column (exact for both axes) and chain contraction
-    is auto-disabled (its min-fold is scalar-objective), with
-    ``reduction_*`` stats recording which rules ran.  ``mem_tables``
-    overrides the per-node memory tables (``tables.mem`` or
-    `memory_tables` otherwise).
-    """
-    t0 = time.perf_counter()
-    if not math.isfinite(eps) or eps < 0.0:
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
-    mode = _resolve_reduce_mode(reduce)
-    if mem_tables is None:
-        mem_tables = getattr(tables, "mem", None)
-        if mem_tables is None:
-            mem_tables = memory_tables(graph, space)
+    def __init__(self, graph: CompGraph, space: ConfigSpace,
+                 tables: CostTables, eps: float, ledger,
+                 chunk_cells: int) -> None:
+        mem = tables.mem
+        if mem is None:
+            mem = memory_tables(graph, space)
+        #: Per-node per-config bytes; also the reduction's memory columns.
+        self.memory = {n: np.ascontiguousarray(m, dtype=np.float64)
+                       for n, m in mem.items()}
+        self.eps = eps
+        self.ledger = ledger
+        self.chunk_cells = chunk_cells
+        self.max_state_points = 0
 
-    bypassed = False
-    seq: SequencedGraph | None = None
-    if mode == "auto":
-        seq = SequencedGraph.build(
-            graph, generate_seq(graph) if order is None else order)
-        ratio = _bypass_ratio(reduce_bypass_ratio)
-        predicted_dp_cells = sum(dp_table_profile(seq, space))
-        bypassed = predicted_dp_cells < ratio * tables.work_cells()
-    if mode != "off" and not bypassed:
-        from .reduction import reduce_problem
+    def vertex(self, i: int, name: str, dep: tuple[int, ...],
+               table_shape: tuple[int, ...], k: int, terms: list,
+               kids: list) -> _PointRecord:
+        """Seed one point per full cell, merge the children, and reduce
+        over ``v_i``'s configuration axis."""
+        ledger = self.ledger
+        eps = self.eps
+        table_cells = math.prod(table_shape)
+        full_axes = dep + (i,)
+        full_shape = table_shape + (k,)
+        n_full = table_cells * k
 
-        red = reduce_problem(graph, space, tables, memory=mem_tables,
-                             checkpoint=checkpoint)
-        sub_order = order
-        if order is not None:
-            live = set(red.survivors)
-            sub_order = tuple(n for n in order if n in live)
-        reduced_mem = {
-            n: np.ascontiguousarray(
-                np.asarray(mem_tables[n], dtype=np.float64)[
-                    red.config_maps[n]])
-            for n in red.survivors}
-        inner = find_frontier_strategy(
-            red.reduced_graph, red.reduced_space, red.reduced_tables,
-            eps=eps, order=sub_order, memory_budget=memory_budget,
-            chunk_cells=chunk_cells, method_name=method_name,
-            checkpoint=checkpoint, mem_tables=reduced_mem)
-        return _expand_frontier_result(red, inner,
-                                       elapsed=time.perf_counter() - t0)
+        # H(i, ·): per full cell the vertex's layer cost plus transfers
+        # to later neighbors, scalar association.
+        ledger.check(n_full * 28, f"frontier DP H table of vertex {name!r}")
+        H = np.empty(full_shape, dtype=np.float64)
+        sum_terms(terms, full_axes, H)
 
-    if seq is None:
-        if order is None:
-            order = generate_seq(graph)
-        seq = SequencedGraph.build(graph, order)
-    n = len(seq)
-    method = f"{method_name}+frontier"
-    if n == 0:
-        stats = {"cells": 0.0, "peak_bytes": 0.0, "max_dependent": 0.0,
-                 "k_max": 0.0, "vertices": 0.0, "frontier_points": 1.0,
-                 "frontier_max_state_points": 0.0,
-                 "frontier_eps": float(eps), "frontier_cells": 0.0}
-        if bypassed:
-            stats["reduction_bypassed"] = 1.0
-        for key, val in tables.build_stats.items():
-            stats[f"table_{key}"] = float(val)
-        strat = Strategy({})
-        return SearchResult(strat, 0.0, time.perf_counter() - t0, method,
-                            stats=stats,
-                            frontier=(FrontierPoint(0.0, 0.0, strat),))
+        # One seed point per full cell: (H, own memory).
+        acc = (np.arange(n_full + 1, dtype=np.int64),
+               H.reshape(-1),
+               np.ascontiguousarray(np.broadcast_to(
+                   self.memory[name], (table_cells, k)).reshape(-1)),
+               np.empty((n_full, 0), dtype=np.int32))
+        ledger.add(n_full * 24 + acc[0].nbytes)
 
-    ksize = np.array([space.size(name) for name in seq.order], dtype=np.int64)
-    mem_by_pos = [np.ascontiguousarray(
-        np.asarray(mem_tables[seq.name(i)], dtype=np.float64))
-        for i in range(n)]
-    records: list[_PointRecord | None] = [None] * n
-    ledger = _Ledger(memory_budget)
-    cells_evaluated = 0
-    max_state_points = 0
-    tracer = current_tracer()
+        # Merge children in the scalar DP's term order; the last merge's
+        # prune is fused with the reduction over the vertex's own
+        # configuration axis (grouped by dependent-set cell), so the
+        # union of the K per-cell candidate sets is never re-pruned in a
+        # second pass.
+        k_arr = None
+        for t, (axes, rec) in enumerate(kids):
+            assert rec.cost is not None, "child point table consumed twice"
+            proj = _projection(axes, full_axes, full_shape)
+            old_bytes = (acc[0].nbytes + acc[1].nbytes
+                         + acc[2].nbytes + acc[3].nbytes)
+            if t == len(kids) - 1:
+                merged = _merge_child(
+                    acc, rec.offsets, rec.cost, rec.mem, proj,
+                    eps=eps, pair_chunk=self.chunk_cells, ledger=ledger,
+                    group_of_cell=np.repeat(
+                        np.arange(table_cells, dtype=np.int64), k),
+                    group_size=k, n_groups=table_cells,
+                    k_of_cell=np.tile(
+                        np.arange(k, dtype=np.int32), table_cells))
+                acc = merged[:4]
+                k_arr = merged[4]
+            else:
+                acc = _merge_child(acc, rec.offsets, rec.cost, rec.mem,
+                                   proj, eps=eps,
+                                   pair_chunk=self.chunk_cells, ledger=ledger)
+            ledger.sub(old_bytes)
+            ledger.add(acc[0].nbytes + acc[1].nbytes
+                       + acc[2].nbytes + acc[3].nbytes)
+            rec.free_values(ledger)
 
-    with tracer.span("frontier", vertices=n, method=method_name) as f_span:
-        for i in range(n):
-            if checkpoint is not None:
-                checkpoint(phase="frontier", step=i, total=n)
-            with tracer.span("frontier.vertex",
-                             name=seq.name(i) if tracer.enabled else ""):
-                dep = seq.dep[i]
-                comps = seq.connected_subsets(i)
-                children = tuple(max(c) for c in comps)
-                full_axes = dep + (i,)
-                K = int(ksize[i])
-                table_shape = tuple(int(ksize[d]) for d in dep)
-                table_cells = (int(np.prod(table_shape, dtype=np.int64))
-                               if dep else 1)
-                full_shape = table_shape + (K,)
-                n_full = table_cells * K
+        if k_arr is None:
+            # No children: reduce the seed directly — union the K
+            # per-cell singletons of each dependent-set cell.
+            offsets, cost_a, mem_a, childpt = acc
+            counts = np.diff(offsets)
+            k_of = np.repeat(
+                np.tile(np.arange(k, dtype=np.int32), table_cells), counts)
+            gid = np.repeat(np.arange(table_cells, dtype=np.int64),
+                            counts.reshape(table_cells, k).sum(axis=1))
+            kept = pareto_prune(gid, cost_a, mem_a, eps=eps)
+            rec_off = np.zeros(table_cells + 1, dtype=np.int64)
+            np.cumsum(np.bincount(gid[kept], minlength=table_cells),
+                      out=rec_off[1:])
+            rec = _PointRecord(
+                offsets=rec_off,
+                cost=np.ascontiguousarray(cost_a[kept]),
+                mem=np.ascontiguousarray(mem_a[kept]),
+                k=np.ascontiguousarray(k_of[kept]),
+                childpt=np.ascontiguousarray(childpt[kept]))
+        else:
+            rec_off, cost_a, mem_a, childpt = acc
+            offsets = rec_off
+            rec = _PointRecord(
+                offsets=rec_off,
+                cost=np.ascontiguousarray(cost_a),
+                mem=np.ascontiguousarray(mem_a),
+                k=np.ascontiguousarray(k_arr),
+                childpt=np.ascontiguousarray(childpt))
+        ledger.sub(offsets.nbytes + cost_a.nbytes + mem_a.nbytes
+                   + childpt.nbytes)
+        ledger.add(rec.nbytes())
+        if rec.cost.size:
+            self.max_state_points = max(self.max_state_points,
+                                        int(np.diff(rec.offsets).max()))
+        return rec
 
-                # H(i, ·): per full cell the vertex's layer cost plus
-                # transfers to later neighbors, scalar association.
-                ledger.check(n_full * 28, f"vertex {seq.name(i)!r} H table")
-                H = np.empty(full_shape, dtype=np.float64)
-                terms: list[tuple[np.ndarray, tuple[int, ...]]] = []
-                terms.append((tables.lc[seq.name(i)], (i,)))
-                for u in seq.later_neighbors(i):
-                    terms.append((tables.tx(seq.name(i), seq.name(u)),
-                                  (i, u)))
-                _accumulate_terms(terms, full_axes, H)
-                cells_evaluated += n_full
-
-                # One seed point per full cell: (H, own memory).
-                acc = (np.arange(n_full + 1, dtype=np.int64),
-                       H.reshape(-1),
-                       np.ascontiguousarray(np.broadcast_to(
-                           mem_by_pos[i], (table_cells, K)).reshape(-1)),
-                       np.empty((n_full, 0), dtype=np.int32))
-                ledger.add(n_full * 24 + acc[0].nbytes)
-
-                # Merge children in the scalar DP's term order; the last
-                # merge's prune is fused with the reduction over the
-                # vertex's own configuration axis (grouped by
-                # dependent-set cell), so the union of the K per-cell
-                # candidate sets is never re-pruned in a second pass.
-                k_arr = None
-                for t, j in enumerate(children):
-                    rec = records[j]
-                    assert rec is not None and rec.cost is not None, \
-                        f"child point table {j} consumed twice"
-                    proj = _projection(rec.axes, full_axes, full_shape)
-                    old_bytes = (acc[0].nbytes + acc[1].nbytes
-                                 + acc[2].nbytes + acc[3].nbytes)
-                    if t == len(children) - 1:
-                        merged = _merge_child(
-                            acc, rec.offsets, rec.cost, rec.mem, proj,
-                            eps=eps, pair_chunk=chunk_cells, ledger=ledger,
-                            group_of_cell=np.repeat(
-                                np.arange(table_cells, dtype=np.int64), K),
-                            group_size=K, n_groups=table_cells,
-                            k_of_cell=np.tile(
-                                np.arange(K, dtype=np.int32), table_cells))
-                        acc = merged[:4]
-                        k_arr = merged[4]
-                    else:
-                        acc = _merge_child(acc, rec.offsets, rec.cost,
-                                           rec.mem, proj, eps=eps,
-                                           pair_chunk=chunk_cells,
-                                           ledger=ledger)
-                    ledger.sub(old_bytes)
-                    ledger.add(acc[0].nbytes + acc[1].nbytes
-                               + acc[2].nbytes + acc[3].nbytes)
-                    # Values are consulted exactly once; free them (the
-                    # k/childpt arrays stay for back-substitution).
-                    ledger.sub(rec.value_bytes())
-                    rec.cost = None
-                    rec.mem = None
-
-                if k_arr is None:
-                    # No children: reduce the seed directly — union the K
-                    # per-cell singletons of each dependent-set cell.
-                    offsets, cost_a, mem_a, childpt = acc
-                    counts = np.diff(offsets)
-                    k_of = np.repeat(
-                        np.tile(np.arange(K, dtype=np.int32), table_cells),
-                        counts)
-                    gid = np.repeat(
-                        np.arange(table_cells, dtype=np.int64),
-                        counts.reshape(table_cells, K).sum(axis=1))
-                    kept = pareto_prune(gid, cost_a, mem_a, eps=eps)
-                    rec_off = np.zeros(table_cells + 1, dtype=np.int64)
-                    np.cumsum(np.bincount(gid[kept], minlength=table_cells),
-                              out=rec_off[1:])
-                    rec = _PointRecord(
-                        axes=dep, offsets=rec_off,
-                        cost=np.ascontiguousarray(cost_a[kept]),
-                        mem=np.ascontiguousarray(mem_a[kept]),
-                        k=np.ascontiguousarray(k_of[kept]),
-                        childpt=np.ascontiguousarray(childpt[kept]),
-                        children=children)
-                else:
-                    rec_off, cost_a, mem_a, childpt = acc
-                    offsets = rec_off
-                    rec = _PointRecord(
-                        axes=dep, offsets=rec_off,
-                        cost=np.ascontiguousarray(cost_a),
-                        mem=np.ascontiguousarray(mem_a),
-                        k=np.ascontiguousarray(k_arr),
-                        childpt=np.ascontiguousarray(childpt),
-                        children=children)
-                ledger.sub(offsets.nbytes + cost_a.nbytes + mem_a.nbytes
-                           + childpt.nbytes)
-                ledger.add(rec.nbytes())
-                records[i] = rec
-                if rec.cost is not None and rec.cost.size:
-                    max_state_points = max(
-                        max_state_points,
-                        int(np.diff(rec.offsets).max()))
-
-        # -- total frontier: Minkowski sum of the root tables -------------
-        roots = seq.roots()
+    def combine(self, roots: list) -> list:
+        """The total frontier: the Minkowski sum of the root tables, one
+        ``(cost, peak_bytes, root point indices)`` per point."""
         facc = (np.array([0, 1], dtype=np.int64),
                 np.zeros(1, dtype=np.float64),
                 np.zeros(1, dtype=np.float64),
                 np.empty((1, 0), dtype=np.int32))
         proj1 = np.zeros(1, dtype=np.int64)
-        for rt in roots:
-            rec = records[rt]
-            assert rec is not None and rec.cost is not None \
-                and rec.offsets.shape[0] == 2
+        for rec in roots:
+            assert rec.cost is not None and rec.offsets.shape[0] == 2
             facc = _merge_child(facc, rec.offsets, rec.cost, rec.mem, proj1,
-                                eps=eps, pair_chunk=chunk_cells,
-                                ledger=ledger)
-            ledger.sub(rec.value_bytes())
-            rec.cost = None
-            rec.mem = None
-
-        # -- back-substitution: one full strategy per frontier point ------
+                                eps=self.eps, pair_chunk=self.chunk_cells,
+                                ledger=self.ledger)
+            rec.free_values(self.ledger)
         _, fcost, fmem, rootpt = facc
-        n_points = int(fcost.shape[0])
-        points: list[FrontierPoint] = []
-        for pidx in range(n_points):
-            chosen: dict[int, int] = {}
-            stack = [(rt, int(rootpt[pidx, t]))
-                     for t, rt in enumerate(roots)]
-            while stack:
-                v, local = stack.pop()
-                rec = records[v]
-                assert rec is not None
-                flat = 0
-                for ax in rec.axes:
-                    flat = flat * int(ksize[ax]) + chosen[ax]
-                g = int(rec.offsets[flat]) + local
-                chosen[v] = int(rec.k[g])
-                for t, j in enumerate(rec.children):
-                    stack.append((j, int(rec.childpt[g, t])))
-            assert len(chosen) == n, "extraction did not reach every vertex"
-            indices = {seq.name(v): k for v, k in chosen.items()}
-            points.append(FrontierPoint(
-                cost=float(fcost[pidx]), peak_bytes=float(fmem[pidx]),
-                strategy=Strategy.from_indices(space, indices)))
+        return [(float(fcost[p]), float(fmem[p]), rootpt[p].tolist())
+                for p in range(fcost.shape[0])]
 
-        f_span.set(cells=cells_evaluated, peak_bytes=ledger.peak,
-                   points=n_points)
-
-    elapsed = time.perf_counter() - t0
-    stats = {
-        "cells": float(cells_evaluated),
-        "peak_bytes": float(ledger.peak),
-        "max_dependent": float(seq.max_dependent_size),
-        "k_max": float(space.max_size),
-        "vertices": float(n),
-        "frontier_points": float(n_points),
-        "frontier_max_state_points": float(max_state_points),
-        "frontier_eps": float(eps),
-        "frontier_cells": float(cells_evaluated),
-    }
-    if bypassed:
-        stats["reduction_bypassed"] = 1.0
-    for key, val in tables.build_stats.items():
-        stats[f"table_{key}"] = float(val)
-    metrics = current_metrics()
-    metrics.counter("dp_cells_total", "DP cells evaluated").inc(
-        cells_evaluated)
-    metrics.counter("frontier_points_total",
-                    "Pareto-frontier points returned").inc(n_points)
-    best = points[0]
-    return SearchResult(strategy=best.strategy, cost=best.cost,
-                        elapsed=elapsed, method=method, stats=stats,
-                        frontier=tuple(points))
-
-
-def _expand_frontier_result(red, inner: SearchResult, *,
-                            elapsed: float) -> SearchResult:
-    """Lift every frontier point of a reduced-space result back to the
-    original space (memory-aware reduction never contracts, so only the
-    per-node config back-maps apply; memory values are unchanged)."""
-    points = []
-    for pt in inner.frontier:
-        reduced_idx = pt.strategy.to_indices(red.reduced_space)
-        full_idx = red.expand_indices(reduced_idx)
-        cost = red.tables.strategy_cost(full_idx)
-        predicted = pt.cost + red.base_cost
-        if not math.isclose(cost, predicted, rel_tol=1e-6, abs_tol=1e-6):
-            raise StrategyError(
-                f"frontier reduction exactness violated: expanded cost "
-                f"{cost!r} != reduced cost {pt.cost!r} + base "
-                f"{red.base_cost!r}")
-        points.append(FrontierPoint(
-            cost=cost, peak_bytes=pt.peak_bytes,
-            strategy=Strategy.from_indices(red.space, full_idx)))
-    best = points[0]
-    lifted = SearchResult(
-        strategy=best.strategy, cost=best.cost, elapsed=elapsed,
-        method=f"{inner.method}+reduce", stats=dict(inner.stats),
-        frontier=tuple(points))
-    return lifted.with_stats(**red.stats)
+    def pick(self, rec: _PointRecord, cell: int, local: int):
+        """``v_i``'s config at point ``local`` of ``cell``, and the point
+        index of that point inside each child's cell."""
+        g = int(rec.offsets[cell]) + local
+        return int(rec.k[g]), rec.childpt[g].tolist()
 
 
 def brute_force_frontier(graph: CompGraph, space: ConfigSpace,

@@ -64,7 +64,7 @@ from .configs import ConfigSpace
 from .costmodel import CostTables, _canonical
 from .exceptions import StrategyError
 from .graph import CompGraph
-from .strategy import SearchResult, Strategy
+from .strategy import FrontierPoint, SearchResult, Strategy
 
 __all__ = ["ReducedProblem", "ReducedGraphView", "reduce_problem",
            "dominance_keep_mask", "dominance_keep_mask_reference"]
@@ -185,24 +185,42 @@ class ReducedProblem:
                       elapsed: float | None = None) -> SearchResult:
         """Lift a reduced-space `SearchResult` back to the original space.
 
-        The returned cost is re-evaluated on the *original* tables (one
-        exact pass), and checked against the reduced optimum plus the
+        Each returned cost is re-evaluated on the *original* tables (one
+        exact pass), and checked against the reduced cost plus the
         folded constant — the exactness invariant of the whole engine.
+        Every point of ``inner.frontier`` is lifted the same way (a
+        frontier reduction never contracts, so peak bytes carry over);
+        a scalar result keeps ``frontier=()``.
         """
-        reduced_idx = inner.strategy.to_indices(self.reduced_space)
-        full_idx = self.expand_indices(reduced_idx)
-        cost = self.tables.strategy_cost(full_idx)
-        predicted = inner.cost + self.base_cost
-        if not math.isclose(cost, predicted, rel_tol=1e-6, abs_tol=1e-6):
-            raise StrategyError(
-                f"reduction exactness violated: expanded cost {cost!r} != "
-                f"reduced cost {inner.cost!r} + base {self.base_cost!r}")
+        def lift(strategy: Strategy, reduced_cost: float
+                 ) -> tuple[Strategy, float]:
+            full_idx = self.expand_indices(
+                strategy.to_indices(self.reduced_space))
+            cost = self.tables.strategy_cost(full_idx)
+            predicted = reduced_cost + self.base_cost
+            if not math.isclose(cost, predicted, rel_tol=1e-6, abs_tol=1e-6):
+                raise StrategyError(
+                    f"reduction exactness violated: expanded cost {cost!r} "
+                    f"!= reduced cost {reduced_cost!r} + base "
+                    f"{self.base_cost!r}")
+            return Strategy.from_indices(self.space, full_idx), cost
+
+        frontier = []
+        for pt in inner.frontier:
+            strategy, cost = lift(pt.strategy, pt.cost)
+            frontier.append(FrontierPoint(cost=cost, peak_bytes=pt.peak_bytes,
+                                          strategy=strategy))
+        if frontier:
+            strategy, cost = frontier[0].strategy, frontier[0].cost
+        else:
+            strategy, cost = lift(inner.strategy, inner.cost)
         lifted = SearchResult(
-            strategy=Strategy.from_indices(self.space, full_idx),
+            strategy=strategy,
             cost=cost,
             elapsed=inner.elapsed if elapsed is None else elapsed,
             method=f"{inner.method}+reduce",
             stats=dict(inner.stats),
+            frontier=tuple(frontier),
         )
         return lifted.with_stats(**self.stats)
 
@@ -465,7 +483,8 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     dominance profile so pruning respects *both* axes, and chain
     contraction — whose min-fold is scalar-objective and would collapse
     the memory axis — is auto-disabled; the stats record both decisions
-    (``reduction_memory_aware`` / ``reduction_contraction_disabled``).
+    (``reduction_memory_aware`` / ``reduction_contraction_disabled``),
+    and the pruned columns become ``reduced_tables.mem``.
     ``checkpoint`` (`repro.runtime.make_checkpoint`) is polled once per
     fixed-point round; it aborts by raising, always between rounds.  A
     `repro.runtime.RunContext` passed as ``ctx`` supplies the checkpoint
@@ -515,7 +534,8 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     reduced_tables = CostTables(
         graph=graph, space=reduced_space, machine=tables.machine,
         lc={n: red.lc[n] for n in survivors},
-        pair_tx=dict(red.tx), derived=True)
+        pair_tx=dict(red.tx), derived=True,
+        mem=None if red.mem is None else {n: red.mem[n] for n in survivors})
     reduced_tables.build_stats = dict(tables.build_stats)
     reduced_graph = ReducedGraphView(
         survivors, {n: sorted(red.adj[n]) for n in survivors})

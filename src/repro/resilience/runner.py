@@ -158,21 +158,18 @@ def _frontier_select_attempt(
     raise `SearchResourceError` and fall through to coarsening.
     """
     from ..api import select_point
-    from ..core.frontier import find_frontier_strategy
 
     stage = "frontier-select"
     detail = (f"exact frontier @ default budget, "
               f"select peak_bytes<={memory_budget}")
-    checkpoint = None if ctx is None else ctx.make_checkpoint()
     t0 = time.perf_counter()
     try:
         with tracer.span("resilience.attempt", stage=stage, detail=detail):
-            fres = find_frontier_strategy(
+            fres = find_best_strategy(
                 graph, space, tables, order=order,
                 memory_budget=DEFAULT_MEMORY_BUDGET,
-                chunk_cells=chunk_cells,
-                method_name=f"{method_name}+frontier",
-                checkpoint=checkpoint)
+                chunk_cells=chunk_cells, method_name=method_name,
+                objective="frontier", ctx=ctx)
             point = select_point(fres.frontier, memory_budget)
     except SearchResourceError as err:
         report.attempts.append(AttemptRecord(

@@ -173,6 +173,16 @@ class TestPeakBytes:
             live += cells * 12
         assert res.stats["peak_bytes"] == peak
 
+    def test_diamond_pinned(self, diamond):
+        """Literal counters of the scalar DP on the diamond; both
+        objectives share one byte ledger, so a change to either
+        objective's accounting that leaks into the scalar one shows
+        here."""
+        space, tables = setup(diamond)
+        res = find_best_strategy(diamond, space, tables)
+        assert res.stats["cells"] == 1096.0
+        assert res.stats["peak_bytes"] == 5632.0
+
 
 class TestAgainstBaselines:
     """The DP optimum can never lose to any heuristic strategy."""
@@ -247,6 +257,47 @@ class TestReduceAutoBypass:
         monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "not-a-float")
         with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
             find_best_strategy(diamond, space, tables, reduce=True)
+
+    @pytest.mark.parametrize("raw", ["nan", "-1", "-inf"])
+    def test_nan_or_negative_env_ratio_raises(self, diamond, monkeypatch,
+                                              raw):
+        """Every bypass comparison with NaN is false, so it used to turn
+        ``reduce=True`` into ``"always"`` silently."""
+        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
+
+        space, tables = setup(diamond)
+        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
+            find_best_strategy(diamond, space, tables, reduce=True)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), -0.5])
+    def test_nan_or_negative_kwarg_ratio_raises(self, diamond, ratio):
+        space, tables = setup(diamond)
+        with pytest.raises(ValueError, match="reduce_bypass_ratio"):
+            find_best_strategy(diamond, space, tables, reduce=True,
+                               reduce_bypass_ratio=ratio)
+
+    def test_inf_ratio_always_bypasses(self, diamond, monkeypatch):
+        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
+
+        space, tables = setup(diamond)
+        res = find_best_strategy(diamond, space, tables, reduce=True,
+                                 reduce_bypass_ratio=float("inf"))
+        assert res.stats["reduction_bypassed"] == 1.0
+        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "inf")
+        res = find_best_strategy(diamond, space, tables, reduce=True)
+        assert res.stats["reduction_bypassed"] == 1.0
+
+    def test_nan_env_ratio_rejected_before_fingerprinting(
+            self, diamond, monkeypatch):
+        """A NaN in the run fingerprint would never equal itself after a
+        JSON round trip, so a journal could not resume its own run."""
+        from repro.api import Problem
+        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
+
+        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "nan")
+        with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
+            Problem.from_graph(diamond, 4).fingerprint(reduce=True)
 
     def test_unknown_reduce_mode_rejected(self, diamond):
         space, tables = setup(diamond)

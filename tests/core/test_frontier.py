@@ -25,7 +25,6 @@ from repro.core.dp import find_best_strategy
 from repro.core.frontier import (
     Objective,
     brute_force_frontier,
-    find_frontier_strategy,
     memory_tables,
     parse_objective,
     pareto_prune,
@@ -33,6 +32,7 @@ from repro.core.frontier import (
 )
 from repro.core.machine import GTX1080TI
 from repro.core.strategy import FrontierPoint
+from repro.runtime import RunContext
 from tests.conftest import build_dag, small_dags
 
 
@@ -206,7 +206,7 @@ class TestFrontierExactness:
     @given(small_dags(max_nodes=5), st.sampled_from([2, 3, 4]))
     def test_matches_brute_force(self, graph, p):
         space, tables = setup(graph, p=p)
-        res = find_frontier_strategy(graph, space, tables)
+        res = find_best_strategy(graph, space, tables, objective="frontier")
         bf = brute_force_frontier(graph, space, tables)
         assert_frontiers_match(res.frontier, bf)
 
@@ -215,7 +215,7 @@ class TestFrontierExactness:
     def test_min_cost_point_bit_identical_to_scalar_dp(self, graph, p):
         space, tables = setup(graph, p=p)
         scalar = find_best_strategy(graph, space, tables)
-        res = find_frontier_strategy(graph, space, tables)
+        res = find_best_strategy(graph, space, tables, objective="frontier")
         assert res.frontier[0].cost == scalar.cost
         assert res.cost == scalar.cost
         assert res.strategy.assignment == res.frontier[0].strategy.assignment
@@ -227,7 +227,7 @@ class TestFrontierExactness:
         (cost, peak_bytes) pair."""
         space, tables = setup(graph)
         mem = memory_tables(graph, space)
-        res = find_frontier_strategy(graph, space, tables)
+        res = find_best_strategy(graph, space, tables, objective="frontier")
         for pt in res.frontier:
             pt.strategy.validate(graph, space.p)
             assert pt.strategy.cost(tables) == \
@@ -239,22 +239,23 @@ class TestFrontierExactness:
     @given(small_dags(max_nodes=5), st.randoms(use_true_random=False))
     def test_any_ordering_same_frontier(self, graph, rnd):
         space, tables = setup(graph)
-        ref = find_frontier_strategy(graph, space, tables)
+        ref = find_best_strategy(graph, space, tables, objective="frontier")
         order = list(graph.node_names)
         rnd.shuffle(order)
-        alt = find_frontier_strategy(graph, space, tables,
-                                     order=tuple(order))
+        alt = find_best_strategy(graph, space, tables, objective="frontier",
+                                 order=tuple(order))
         assert_frontiers_match(alt.frontier, ref.frontier)
 
     def test_chunked_merge_matches(self, diamond):
         space, tables = setup(diamond)
-        ref = find_frontier_strategy(diamond, space, tables)
-        tiny = find_frontier_strategy(diamond, space, tables, chunk_cells=7)
+        ref = find_best_strategy(diamond, space, tables, objective="frontier")
+        tiny = find_best_strategy(diamond, space, tables, objective="frontier",
+                                  chunk_cells=7)
         assert_frontiers_match(tiny.frontier, ref.frontier)
 
     def test_frontier_sorted_and_nondominated(self, diamond):
         space, tables = setup(diamond)
-        res = find_frontier_strategy(diamond, space, tables)
+        res = find_best_strategy(diamond, space, tables, objective="frontier")
         pts = res.frontier
         assert len(pts) >= 1
         for a, b in zip(pts, pts[1:]):
@@ -265,7 +266,7 @@ class TestFrontierExactness:
         from repro.core.graph import CompGraph
         g = CompGraph()
         space, tables = setup(g)
-        res = find_frontier_strategy(g, space, tables)
+        res = find_best_strategy(g, space, tables, objective="frontier")
         assert res.cost == 0.0
         assert len(res.frontier) == 1
         assert res.frontier[0].peak_bytes == 0.0
@@ -273,7 +274,8 @@ class TestFrontierExactness:
     def test_rejects_bad_eps(self, diamond):
         space, tables = setup(diamond)
         with pytest.raises(ValueError, match="eps"):
-            find_frontier_strategy(diamond, space, tables, eps=-1.0)
+            find_best_strategy(diamond, space, tables,
+                               objective="frontier:eps=-1.0")
 
 
 class TestEpsCoarsening:
@@ -283,8 +285,9 @@ class TestEpsCoarsening:
         """Coarsening can only shrink the frontier; the min-cost point
         stays bit-identical to the scalar optimum."""
         space, tables = setup(graph)
-        exact = find_frontier_strategy(graph, space, tables)
-        coarse = find_frontier_strategy(graph, space, tables, eps=eps)
+        exact = find_best_strategy(graph, space, tables, objective="frontier")
+        coarse = find_best_strategy(graph, space, tables,
+                                    objective=f"frontier:eps={eps}")
         assert len(coarse.frontier) <= len(exact.frontier)
         assert coarse.frontier[0].cost == exact.frontier[0].cost
         scalar = find_best_strategy(graph, space, tables)
@@ -299,8 +302,9 @@ class TestReduceCompat:
         """The memory-aware reduction must not lose frontier points; the
         lifted costs re-price through `strategy_cost`, so isclose."""
         space, tables = setup(graph)
-        plain = find_frontier_strategy(graph, space, tables)
-        red = find_frontier_strategy(graph, space, tables, reduce="always")
+        plain = find_best_strategy(graph, space, tables, objective="frontier")
+        red = find_best_strategy(graph, space, tables, objective="frontier",
+                                 reduce="always")
         assert red.method.endswith("+reduce")
         assert "reduction_seconds" in red.stats
         assert len(red.frontier) == len(plain.frontier)
@@ -309,16 +313,33 @@ class TestReduceCompat:
                                 abs_tol=1e-12)
             assert a.peak_bytes == b.peak_bytes
 
+    @settings(max_examples=10, deadline=None)
+    @given(small_dags(max_nodes=5))
+    def test_reduced_tables_carry_pruned_memory(self, graph):
+        """The memory-aware reduction publishes its pruned memory columns
+        on the reduced tables, aligned with the config back-maps."""
+        from repro.core.reduction import reduce_problem
+
+        space, tables = setup(graph)
+        mem = memory_tables(graph, space)
+        red = reduce_problem(graph, space, tables, memory=mem)
+        assert set(red.reduced_tables.mem) == set(red.survivors)
+        for n in red.survivors:
+            assert np.array_equal(red.reduced_tables.mem[n],
+                                  mem[n][red.config_maps[n]])
+        assert reduce_problem(graph, space, tables).reduced_tables.mem is None
+
     def test_auto_bypass_on_small_problem(self, diamond):
         space, tables = setup(diamond)
-        res = find_frontier_strategy(diamond, space, tables, reduce=True)
+        res = find_best_strategy(diamond, space, tables, objective="frontier",
+                                 reduce=True)
         assert res.stats.get("reduction_bypassed") == 1.0
 
 
 class TestStatsAndDispatch:
     def test_stats_populated(self, diamond):
         space, tables = setup(diamond)
-        res = find_frontier_strategy(diamond, space, tables)
+        res = find_best_strategy(diamond, space, tables, objective="frontier")
         assert res.method == "pase-dp+frontier"
         assert res.stats["frontier_points"] == float(len(res.frontier))
         assert res.stats["frontier_max_state_points"] >= 1.0
@@ -348,16 +369,16 @@ class TestStatsAndDispatch:
         from repro.core.exceptions import SearchResourceError
         space, tables = setup(diamond)
         with pytest.raises(SearchResourceError) as exc:
-            find_frontier_strategy(diamond, space, tables,
-                                   memory_budget=64)
+            find_best_strategy(diamond, space, tables, objective="frontier",
+                               memory_budget=64)
         assert exc.value.budget_bytes == 64
 
     def test_checkpoint_called(self, diamond):
         space, tables = setup(diamond)
         seen = []
-        find_frontier_strategy(
-            diamond, space, tables,
-            checkpoint=lambda **kw: seen.append(kw))
+        find_best_strategy(
+            diamond, space, tables, objective="frontier",
+            ctx=RunContext(checkpoint=lambda **kw: seen.append(kw)))
         assert any(kw.get("phase") == "frontier" for kw in seen)
 
 
@@ -394,7 +415,8 @@ class TestBundledModels:
         space = ConfigSpace.build(graph, 8)
         tables = CostModel(GTX1080TI).build_tables(graph, space)
         scalar = find_best_strategy(graph, space, tables)
-        res = find_frontier_strategy(graph, space, tables, eps=eps)
+        res = find_best_strategy(graph, space, tables,
+                                    objective=f"frontier:eps={eps}")
         assert res.frontier[0].cost == scalar.cost
         assert res.cost == scalar.cost
         for a, b in zip(res.frontier, res.frontier[1:]):

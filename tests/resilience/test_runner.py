@@ -97,6 +97,7 @@ class TestResilientSearch:
         assert rep.succeeded
         assert "frontier-select" in rep.degradations
         assert not any(s.startswith("coarsen") for s in rep.degradations)
+        assert res.method == "pase-dp-resilient+frontier"
         res.strategy.validate(g, space.p)
         # The selection is exact and self-describing: a length-1 frontier
         # whose point is the result, with its footprint in the stats.
@@ -109,10 +110,9 @@ class TestResilientSearch:
     def test_coarsening_rescues_when_no_frontier_point_fits(self, problem):
         """A budget below every frontier footprint exhausts rung 4 and
         falls through to configuration-space coarsening."""
-        from repro.core.frontier import find_frontier_strategy
-
         g, space, tables = problem
-        frontier = find_frontier_strategy(g, space, tables).frontier
+        frontier = find_best_strategy(g, space, tables,
+                                      objective="frontier").frontier
         budget = int(min(pt.peak_bytes for pt in frontier)) - 1
         res, rep = resilient_find_best_strategy(
             g, space, tables, memory_budget=budget)
