@@ -41,13 +41,14 @@ elimination order supplies exactly that index).
 
 Performance: the fixed point runs in **vectorized** form by default —
 the dominance keep-mask and the contraction fold dispatch through
-`repro.core.kernels` (last-axis contiguous reductions, candidate-pair
-gathers), and a dirty-set worklist skips nodes
-whose cost profile is untouched since their last prune (re-pruning an
-unchanged profile provably keeps every row, so skipping is exact).  The
-pre-vectorization per-vertex code is retained verbatim behind
-``vectorized=False`` / :func:`dominance_keep_mask_reference` as the
-bit-identity oracle for the property tests.
+`repro.core.kernels` (a witness-first candidate-pair sieve, a min-plus
+fold in L2-sized blocks reduced over the last, contiguous axis), and a
+dirty-set worklist skips nodes whose cost profile is untouched since
+their last prune (re-pruning an unchanged profile provably keeps every
+row, so skipping is exact).  The pre-vectorization per-vertex code is
+retained verbatim behind ``vectorized=False`` /
+:func:`dominance_keep_mask_reference` as the bit-identity oracle for
+the property tests.
 """
 
 from __future__ import annotations
@@ -240,11 +241,13 @@ def dominance_keep_mask(profile: np.ndarray, *,
     a surviving dominator and at least one optimum survives; the
     lexicographic tie-break makes row 0 survive any all-equal class.
 
-    Dispatches to `repro.core.kernels.dominance_mask`: one ``<=`` cube
-    over a seed block of columns (``>=`` is its transpose, never
-    materialized), then the surviving candidate pairs alone are checked
-    against the remaining columns via fancy-indexed gathers — with every
-    transient bounded by ``chunk_cells`` cells, including the ``K*C >
+    Dispatches to `repro.core.kernels.dominance_mask`: a ``[K, K]``
+    candidate relation from the row sums and the first few columns
+    (``>=`` is its transpose, never materialized); then each row's
+    witness, its smallest-sum candidate, is verified on the remaining
+    columns, and a row whose witness passes is dropped; the
+    candidate-pair sieve runs only among the rows left.  Every gather
+    transient is bounded by ``chunk_cells`` cells, including the ``K*C >
     chunk_cells`` regime the pre-vectorization implementation silently
     exceeded.  Bit-identical to :func:`dominance_keep_mask_reference`.
     """

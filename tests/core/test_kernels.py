@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.kernels import (
     dominance_mask,
     last_axis_min_argmin,
@@ -63,6 +64,21 @@ class TestMinPlusFold:
         nf, na = self._naive(a, bt)
         assert np.array_equal(folded, nf)
         assert np.array_equal(arg, na)
+
+    @pytest.mark.parametrize("m, n, k", [
+        (40, 30, 200),   # 6000-cell rows: several rows per block, 4 blocks
+        (3, 300, 250),   # 75000-cell rows: each row exceeds a block
+    ])
+    def test_cache_blocks_match_naive(self, m, n, k):
+        assert n * k * m > kernels._FOLD_BLOCK_CELLS
+        rng = np.random.default_rng(m * n * k)
+        a = rng.integers(0, 4, size=(m, k)).astype(float)
+        bt = rng.integers(0, 4, size=(n, k)).astype(float)
+        folded, arg = min_plus_fold(a, bt, chunk_cells=10**9)
+        nf, na = self._naive(a, bt)
+        assert np.array_equal(folded, nf)
+        assert np.array_equal(arg, na)
+        assert arg.dtype == np.int32
 
     def test_k1_fast_path(self):
         a = np.array([[1.0], [2.0]])

@@ -212,6 +212,26 @@ class TestDominanceMaskParity:
             dominance_keep_mask(prof, chunk_cells=chunk),
             dominance_keep_mask_reference(prof))
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12),
+           st.integers(1, 4))
+    def test_many_dominators_match_reference(self, seed, k, c, bases):
+        """Rows built from a few base rows plus sparse non-negative
+        perturbations and exact duplicates: most rows have many
+        dominators and ties are common, the regime of the bundled
+        models at p >= 32."""
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 5, size=(bases, c)).astype(float)
+        prof = base[rng.integers(0, bases, size=k)]
+        bump = rng.integers(0, 3, size=(k, c)) * (rng.random((k, c)) < 0.3)
+        prof = prof + bump
+        dup = rng.random(k) < 0.2
+        prof[dup] = prof[rng.integers(0, k, size=int(dup.sum()))]
+        ref = dominance_keep_mask_reference(prof)
+        for chunk in (1, 7, None):
+            kwargs = {} if chunk is None else {"chunk_cells": chunk}
+            assert np.array_equal(dominance_keep_mask(prof, **kwargs), ref)
+
 
 def _assert_reductions_identical(fast, ref):
     """Bit-identity between a vectorized and a reference reduction."""
@@ -261,13 +281,19 @@ class TestVectorizedParity:
                                  **kwargs)
             _assert_reductions_identical(fast, ref)
 
-    @pytest.mark.parametrize(
-        "net", ["alexnet", "inception_v3", "rnnlm", "transformer"])
-    def test_bundled_models(self, net):
+    @pytest.mark.parametrize("net, p", [
+        pytest.param("alexnet", 8, id="alexnet"),
+        pytest.param("inception_v3", 8, id="inception_v3"),
+        pytest.param("rnnlm", 8, id="rnnlm"),
+        pytest.param("transformer", 8, id="transformer"),
+        # K=251 with 5,009 dominated configs: many dominators per row.
+        pytest.param("transformer", 32, id="transformer-32"),
+    ])
+    def test_bundled_models(self, net, p):
         from repro.models import BENCHMARKS
 
         graph = BENCHMARKS[net]()
-        space = ConfigSpace.build(graph, 8, mode="pow2")
+        space = ConfigSpace.build(graph, p, mode="pow2")
         tables = CostModel(GTX1080TI).build_tables(graph, space)
         fast = reduce_problem(graph, space, tables, vectorized=True)
         ref = reduce_problem(graph, space, tables, vectorized=False)
