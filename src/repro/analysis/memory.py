@@ -13,11 +13,16 @@ large models, Section I).
 The estimate per node and device:
 
 * parameters: largest parameter shard (+ the same again for gradients and
-  ``optimizer_state_factor`` x for momentum/Adam state);
+  `DEFAULT_OPTIMIZER_STATE_FACTOR` x for momentum/Adam state);
 * activations: input + output shards (training keeps activations for the
   backward pass);
 * communication buffers: the layer's internal communication bytes plus its
   edge-transfer bytes under the strategy.
+
+One formula prices every path: `MemoryModel.node_bytes` vectorized over
+a node's configuration rows.  The frontier's memory tables, the table
+builds, the memory prune and `strategy_memory`'s per-part breakdown
+(`MemoryModel.node_memory`, the same code on one row) all call it.
 """
 
 from __future__ import annotations
@@ -57,56 +62,49 @@ class NodeMemory:
 class MemoryModel:
     """Estimates worst-device memory per node, vectorized over configs."""
 
-    def __init__(self, *, optimizer_state_factor: float =
-                 DEFAULT_OPTIMIZER_STATE_FACTOR) -> None:
-        self.optimizer_state_factor = optimizer_state_factor
+    def __init__(self) -> None:
         # Communication volumes reuse the cost model's byte accounting;
         # the machine balance is irrelevant for bytes, so unit balance.
         self._cm = CostModel(UNIT_BALANCE)
 
-    def node_bytes(self, op: OpSpec, configs: np.ndarray) -> np.ndarray:
-        """Worst-device bytes for each configuration ``[K, d] -> [K]``."""
+    def _parts(self, op: OpSpec, configs: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Params, activations and comm-buffer bytes per configuration."""
         configs = np.asarray(configs, dtype=np.int64)
         params = np.zeros(configs.shape[:-1], dtype=np.float64)
         acts = np.zeros(configs.shape[:-1], dtype=np.float64)
         for spec in op.inputs.values():
             shard = spec.shard_volume(op, configs) * DTYPE_BYTES
             if spec.is_param:
-                params += shard * (1.0 + self.optimizer_state_factor)
+                params += shard * (1.0 + DEFAULT_OPTIMIZER_STATE_FACTOR)
             else:
                 acts += shard
         for spec in op.outputs.values():
             acts += spec.shard_volume(op, configs) * DTYPE_BYTES
-        comm = self._cm.layer_comm_bytes(op, configs)
+        return params, acts, self._cm.layer_comm_bytes(op, configs)
+
+    def node_bytes(self, op: OpSpec, configs: np.ndarray) -> np.ndarray:
+        """Worst-device bytes for each configuration ``[K, d] -> [K]``."""
+        params, acts, comm = self._parts(op, configs)
         return params + acts + comm
 
     def node_memory(self, graph: CompGraph, strategy: Strategy,
                     node: str) -> NodeMemory:
-        op = graph.node(node)
-        cfg = np.asarray(strategy[node], dtype=np.int64).reshape(1, -1)
-        params = 0.0
-        acts = 0.0
-        for spec in op.inputs.values():
-            shard = float(spec.shard_volume(op, cfg)[0]) * DTYPE_BYTES
-            if spec.is_param:
-                params += shard * (1.0 + self.optimizer_state_factor)
-            else:
-                acts += shard
-        for spec in op.outputs.values():
-            acts += float(spec.shard_volume(op, cfg)[0]) * DTYPE_BYTES
-        comm = float(self._cm.layer_comm_bytes(op, cfg)[0])
-        return NodeMemory(node=node, params=params, activations=acts,
-                          comm_buffers=comm)
+        """`node_bytes`' three parts for the strategy's config of ``node``."""
+        params, acts, comm = self._parts(
+            graph.node(node), np.reshape(strategy[node], (1, -1)))
+        return NodeMemory(node=node, params=float(params[0]),
+                          activations=float(acts[0]),
+                          comm_buffers=float(comm[0]))
 
 
-def strategy_memory(graph: CompGraph, strategy: Strategy, *,
-                    optimizer_state_factor: float =
-                    DEFAULT_OPTIMIZER_STATE_FACTOR) -> dict[str, NodeMemory]:
+def strategy_memory(graph: CompGraph,
+                    strategy: Strategy) -> dict[str, NodeMemory]:
     """Per-node worst-device memory of a complete strategy.
 
     The per-device total is (approximately) the sum over nodes, since a
     training step keeps every layer's activations live until its backward
     pass.
     """
-    mm = MemoryModel(optimizer_state_factor=optimizer_state_factor)
+    mm = MemoryModel()
     return {n: mm.node_memory(graph, strategy, n) for n in graph.node_names}

@@ -22,7 +22,7 @@ from .analysis import section_3c_report
 from .cluster import simulate_step
 from .core.machine import MACHINES as _MACHINES
 from .experiments import figure6, table1, table2
-from .experiments.common import (METHODS, add_jobs_arg, build_setup,
+from .experiments.common import (METHODS, add_table_args, build_setup,
                                  search_with)
 from .models import BENCHMARKS
 
@@ -35,19 +35,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--machine", choices=sorted(_MACHINES), default="1080ti")
     sub.add_argument("--mode", choices=("pow2", "divisors", "all"),
                      default="pow2", help="configuration enumeration mode")
-
-
-def _add_table_opts(sub: argparse.ArgumentParser) -> None:
-    add_jobs_arg(sub)
-    sub.add_argument("--table-cache", metavar="DIR", default=None,
-                     help="cache precomputed cost tables under DIR "
-                     "(content-addressed; reused across runs)")
-    sub.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                     default=False,
-                     help="run the exactness-preserving search-space "
-                     "reduction (dominance pruning + chain contraction) "
-                     "before the DP (auto-bypassed when the plain DP is "
-                     "predicted to be cheap; see PASE_REDUCE_BYPASS_RATIO)")
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -373,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_search = subs.add_parser("search", help="find the best strategy")
     _add_common(p_search)
-    _add_table_opts(p_search)
+    add_table_args(p_search)
     p_search.add_argument("--method", choices=METHODS, default="ours")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--frontier", action="store_true",
@@ -510,7 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_sim = subs.add_parser("simulate", help="simulate strategies on a cluster")
     _add_common(p_sim)
-    _add_table_opts(p_sim)
+    add_table_args(p_sim)
     p_sim.add_argument("--methods", nargs="+", choices=METHODS,
                        default=["data_parallel", "expert", "ours"])
     p_sim.add_argument("--seed", type=int, default=0)
@@ -543,7 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_pipe = subs.add_parser("pipeline", help="PipeDream-style stages + "
                              "PaSE per stage (Section VI composition)")
     _add_common(p_pipe)
-    _add_table_opts(p_pipe)
+    add_table_args(p_pipe)
     p_pipe.add_argument("--stages", type=int, default=2)
     p_pipe.set_defaults(fn=_cmd_pipeline)
 

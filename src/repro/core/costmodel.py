@@ -90,17 +90,6 @@ def _interruptible_sleep(seconds: float,
             return
         time.sleep(min(BACKOFF_POLL_SECONDS, remaining))
 
-def _node_memory_table(op, configs: np.ndarray) -> np.ndarray:
-    """One node's per-config worst-device memory bytes ``[K]``.
-
-    The frontier DP's second objective axis (`repro.analysis.memory`),
-    built through the same jobs/cache data plane as the cost tables.
-    """
-    from ..analysis.memory import MemoryModel
-
-    return np.ascontiguousarray(
-        MemoryModel().node_bytes(op, configs), dtype=np.float64)
-
 
 def _parse_jobs(jobs: int | str | None) -> tuple[str, int]:
     """Normalize every ``jobs=`` spelling to ``(mode, requested_workers)``.
@@ -521,7 +510,10 @@ class CostModel:
                 graph, e, space.configs(e.src), space.configs(e.dst)))
         mem = None
         if memory:
-            mem = {op.name: _node_memory_table(op, space.configs(op.name))
+            from ..analysis.memory import MemoryModel
+
+            mm = MemoryModel()
+            mem = {op.name: mm.node_bytes(op, space.configs(op.name))
                    for op in graph}
         return lc, edge_mats, mem
 
@@ -587,9 +579,12 @@ class CostModel:
                     graph, e, space.configs(e.src), space.configs(e.dst)),
                 graph.edges))
             if memory:
+                from ..analysis.memory import MemoryModel
+
+                mm = MemoryModel()
                 mem_arrays = list(pool.map(
-                    lambda op: _node_memory_table(
-                        op, space.configs(op.name)), ops))
+                    lambda op: mm.node_bytes(op, space.configs(op.name)),
+                    ops))
                 mem = {op.name: arr for op, arr in zip(ops, mem_arrays)}
         return ({op.name: arr for op, arr in zip(ops, lc_arrays)},
                 edge_mats, mem)

@@ -10,10 +10,12 @@ neighbors later in the sequence, ``S(i)`` are the connected subsets of
 ``D(i)``.
 
 One driver serves both objectives.  `find_best_strategy` resolves the
-reduction mode, walks the sequenced vertices, builds each vertex's
-``H(i, ·)`` terms, accounts bytes on one ledger, combines the root
-tables and back-substitutes.  Only the *state format* — what a DP table
-cell holds — depends on the objective:
+reduction mode (``reduce=True`` bypasses the reduction when the plain
+DP's predicted cells stay below `DEFAULT_REDUCE_BYPASS_RATIO` times the
+tables' own; ``"always"`` never bypasses), walks the sequenced vertices,
+builds each vertex's ``H(i, ·)`` terms, accounts bytes on one ledger,
+combines the root tables and back-substitutes.  Only the *state
+format* — what a DP table cell holds — depends on the objective:
 
 * ``"cost"`` — `MinTable`: the table of vertex ``i`` is a numpy array
   with one axis per vertex of ``D(i)`` (axis length = that vertex's
@@ -35,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -76,10 +77,6 @@ DEFAULT_CHUNK_CELLS = 8_000_000
 #: problem, never a wall-clock race.
 DEFAULT_REDUCE_BYPASS_RATIO = 64.0
 
-#: Environment override for the auto-bypass ratio (a float; ``0``
-#: disables bypassing, i.e. ``reduce=True`` behaves like ``"always"``).
-REDUCE_BYPASS_ENV_VAR = "PASE_REDUCE_BYPASS_RATIO"
-
 
 def _resolve_reduce_mode(reduce: "bool | str") -> str:
     """Normalize the ``reduce`` flag to ``"off"``/``"auto"``/``"always"``."""
@@ -92,34 +89,6 @@ def _resolve_reduce_mode(reduce: "bool | str") -> str:
     raise ValueError(
         f"reduce must be a bool, 'auto', 'always', 'never' or 'off'; "
         f"got {reduce!r}")
-
-
-def _bypass_ratio(override: float | None) -> float:
-    """Effective auto-bypass ratio: explicit kwarg > env var > default.
-
-    NaN and negative ratios are rejected: every bypass comparison with
-    them is false, which would silently turn ``reduce=True`` into
-    ``"always"``, and a NaN in a run fingerprint never compares equal
-    to itself on resume.  ``inf`` is legal and always bypasses.
-    """
-    source = "reduce_bypass_ratio"
-    if override is not None:
-        ratio = float(override)
-    else:
-        raw = os.environ.get(REDUCE_BYPASS_ENV_VAR)
-        if not raw:
-            return DEFAULT_REDUCE_BYPASS_RATIO
-        source = REDUCE_BYPASS_ENV_VAR
-        try:
-            ratio = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{REDUCE_BYPASS_ENV_VAR} must be a float, got {raw!r}"
-            ) from None
-    if math.isnan(ratio) or ratio < 0.0:
-        raise ValueError(
-            f"{source} must be >= 0 (inf always bypasses), got {ratio!r}")
-    return ratio
 
 
 class _Ledger:
@@ -215,7 +184,6 @@ def find_best_strategy(
     chunk_cells: int = DEFAULT_CHUNK_CELLS,
     method_name: str = "pase-dp",
     reduce: "bool | str" = False,
-    reduce_bypass_ratio: float | None = None,
     objective: str = "cost",
     ctx: "object | None" = None,
 ) -> SearchResult:
@@ -241,21 +209,14 @@ def find_best_strategy(
         space.  The returned cost is re-evaluated on the original tables;
         ``stats`` gains the ``reduction_*`` counters.  ``True`` (or
         ``"auto"``) applies the work-ratio auto-bypass: when the
-        predicted plain-DP cells are below ``reduce_bypass_ratio`` times
-        `CostTables.work_cells` the reduction is skipped (it could only
-        add wall-clock) and the plain DP runs, with
+        predicted plain-DP cells are below `DEFAULT_REDUCE_BYPASS_RATIO`
+        times `CostTables.work_cells` the reduction is skipped (it could
+        only add wall-clock) and the plain DP runs, with
         ``stats["reduction_bypassed"] == 1.0``.  ``"always"`` disables
         the bypass (tests pin reduction behavior with it); ``"never"``/
         ``"off"`` are spellings of ``False``.  Under the frontier
         objective the reduction is memory-aware (dominance on both axes,
         no chain contraction).
-    reduce_bypass_ratio:
-        Auto-bypass threshold override (see
-        `DEFAULT_REDUCE_BYPASS_RATIO`); falls back to the
-        ``PASE_REDUCE_BYPASS_RATIO`` environment variable, then the
-        default.  ``0`` makes ``"auto"`` behave like ``"always"`` and
-        ``inf`` always bypasses; NaN and negative values raise
-        `ValueError`.
     objective:
         ``"cost"`` (default) runs the scalar DP.  ``"frontier"`` (or
         ``"frontier:eps=<float>"``) runs the same DP over Pareto point
@@ -291,8 +252,7 @@ def find_best_strategy(
         return _solve(
             graph, space, tables, obj, order=order,
             memory_budget=memory_budget, chunk_cells=chunk_cells,
-            method_name=method_name, reduce=reduce,
-            reduce_bypass_ratio=reduce_bypass_ratio, checkpoint=checkpoint)
+            method_name=method_name, reduce=reduce, checkpoint=checkpoint)
 
 
 def _solve(
@@ -306,7 +266,6 @@ def _solve(
     chunk_cells: int,
     method_name: str,
     reduce: "bool | str",
-    reduce_bypass_ratio: float | None,
     checkpoint: Callable[..., None] | None,
 ) -> SearchResult:
     """The driver behind `find_best_strategy`: the checkpoint already
@@ -324,12 +283,12 @@ def _solve(
         # deterministic for a given problem — never a wall-clock race.
         seq = SequencedGraph.build(
             graph, generate_seq(graph) if order is None else order)
-        ratio = _bypass_ratio(reduce_bypass_ratio)
         predicted_dp_cells = sum(dp_table_profile(seq, space))
         # When the DP is already near the tables' own size, reduction —
         # which reads at least that many cells — can only add
         # wall-clock.  Fall through to the plain DP, reusing ``seq``.
-        bypassed = predicted_dp_cells < ratio * tables.work_cells()
+        bypassed = (predicted_dp_cells
+                    < DEFAULT_REDUCE_BYPASS_RATIO * tables.work_cells())
     if mode != "off" and not bypassed:
         from .reduction import reduce_problem
 
@@ -343,7 +302,7 @@ def _solve(
             red.reduced_graph, red.reduced_space, red.reduced_tables, obj,
             order=sub_order, memory_budget=memory_budget,
             chunk_cells=chunk_cells, method_name=method_name, reduce=False,
-            reduce_bypass_ratio=None, checkpoint=checkpoint)
+            checkpoint=checkpoint)
         return red.expand_result(inner, elapsed=time.perf_counter() - t0)
     if seq is None:
         seq = SequencedGraph.build(

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -123,22 +122,23 @@ def memory_tables(graph: CompGraph, space: ConfigSpace,
     from ..analysis.memory import MemoryModel
 
     mm = MemoryModel()
-    return {name: np.ascontiguousarray(
-                mm.node_bytes(graph.node(name), tab), dtype=np.float64)
+    return {name: mm.node_bytes(graph.node(name), tab)
             for name, tab in space.tables.items()}
 
 
 def strategy_peak_bytes(graph: CompGraph, space: ConfigSpace,
-                        strategy: Strategy, *,
-                        mem_tables: "Mapping[str, np.ndarray] | None" = None,
-                        ) -> float:
+                        strategy: Strategy) -> float:
     """One strategy's peak bytes — the frontier's second axis, priced the
-    way the frontier DP prices it (``Σ_v mem[v][k_v]``), so a scalar
-    run's synthesized length-1 frontier is comparable to a real one."""
-    if mem_tables is None:
-        mem_tables = memory_tables(graph, space)
-    idx = strategy.to_indices(space)
-    return float(sum(float(mem_tables[n][k]) for n, k in idx.items()))
+    way the frontier DP prices it (``Σ_v mem[v][k_v]``, summed in the
+    strategy's assignment order), so a scalar run's synthesized length-1
+    frontier is comparable to a real one.  Only each node's chosen
+    configuration row goes through `MemoryModel.node_bytes`."""
+    from ..analysis.memory import MemoryModel
+
+    mm = MemoryModel()
+    return float(sum(
+        float(mm.node_bytes(graph.node(n), space.tables[n][k:k + 1])[0])
+        for n, k in strategy.to_indices(space).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +556,7 @@ class PointTable:
 
 
 def brute_force_frontier(graph: CompGraph, space: ConfigSpace,
-                         tables: CostTables, *,
-                         mem_tables: "Mapping[str, np.ndarray] | None" = None,
-                         ) -> tuple[FrontierPoint, ...]:
+                         tables: CostTables) -> tuple[FrontierPoint, ...]:
     """Exhaustive (cost, peak-bytes) frontier — the test oracle.
 
     Enumerates every strategy of the space (exponential: small graphs
@@ -567,8 +565,7 @@ def brute_force_frontier(graph: CompGraph, space: ConfigSpace,
     """
     import itertools
 
-    if mem_tables is None:
-        mem_tables = memory_tables(graph, space)
+    mem_tables = memory_tables(graph, space)
     names = list(space.tables)
     sizes = [space.size(nm) for nm in names]
     combos = list(itertools.product(*[range(s) for s in sizes]))

@@ -446,7 +446,9 @@ class TableCache:
         digest guarantees they describe the stored arrays).  A corrupt,
         truncated, checksum-failing, or incompatible entry is quarantined
         to ``corrupt/`` and reported as a miss — the caller rebuilds; the
-        run never crashes on a bad cache file.
+        run never crashes on a bad cache file.  Reads do not take the
+        cache lock: an entry a concurrent `evict` deletes before the read
+        is a plain miss, and one deleted after a verified read is a hit.
 
         Warm hits are served as **mmap'd zero-copy views**: the entry's
         arrays are read-only views straight off one shared mapping of
@@ -491,6 +493,8 @@ class TableCache:
                 if _payload_checksum(payload) != \
                         manifest.get("payload_checksum"):
                     raise ValueError("payload checksum mismatch")
+            except FileNotFoundError:
+                return None  # evicted before the read: a plain miss
             except (OSError, ValueError, KeyError, EOFError,
                     zipfile.BadZipFile, json.JSONDecodeError) as err:
                 self._quarantine(path, reason=str(err))
@@ -504,7 +508,10 @@ class TableCache:
             self._quarantine(path, reason="stored shapes do not match the "
                              "live configuration space")
             return None
-        os.utime(path)  # LRU touch
+        # LRU touch.  Eviction does not wait for readers, so the entry
+        # may be gone by now: the verified arrays are still a hit.
+        with contextlib.suppress(FileNotFoundError):
+            os.utime(path)
         return CostTables(graph=graph, space=space, machine=machine,
                           lc=lc, pair_tx=pair_tx, mem=mem)
 

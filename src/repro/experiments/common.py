@@ -24,7 +24,7 @@ from ..core.naive import naive_bf_strategy
 from ..core.strategy import SearchResult, Strategy
 from ..models import BENCHMARKS
 
-__all__ = ["BenchSetup", "add_jobs_arg", "build_setup", "search_with",
+__all__ = ["BenchSetup", "add_table_args", "build_setup", "search_with",
            "METHODS"]
 
 #: Search/baseline method names accepted by :func:`search_with`.
@@ -61,13 +61,23 @@ def _jobs_arg(value: str) -> int | str:
     return jobs
 
 
-def add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    """The one ``--jobs`` option of every table-building entry point."""
+def add_table_args(parser: argparse.ArgumentParser) -> None:
+    """The ``--jobs``/``--table-cache``/``--reduce`` options of every
+    table-building entry point."""
     parser.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
                         help="cost-table construction parallelism: a "
                         "worker count (0 = all cores; threads once the "
                         "tables are large enough) or one of 'serial', "
                         "'auto[:N]', 'threads[:N]' (default: serial)")
+    parser.add_argument("--table-cache", metavar="DIR", default=None,
+                        help="cache precomputed cost tables under DIR "
+                        "(content-addressed; reused across runs)")
+    parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,
+                        default=False,
+                        help="run the exactness-preserving search-space "
+                        "reduction (dominance pruning + chain contraction) "
+                        "before the DP (auto-bypassed when the plain DP is "
+                        "predicted to be cheap)")
 
 
 @lru_cache(maxsize=32)

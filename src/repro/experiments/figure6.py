@@ -17,7 +17,7 @@ from ..analysis.reporting import format_speedup_table
 from ..cluster.simulator import simulate_step
 from ..core.machine import GTX1080TI, RTX2080TI, MachineSpec
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_jobs_arg, build_setup, search_with
+from .common import add_table_args, build_setup, search_with
 
 __all__ = ["Figure6Point", "run_figure6", "main", "DEFAULT_PS"]
 
@@ -94,12 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
-    add_jobs_arg(parser)
-    parser.add_argument("--table-cache", metavar="DIR", default=None,
-                        help="cache precomputed cost tables under DIR")
-    parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="exact search-space reduction before the DP")
+    add_table_args(parser)
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (machine, "

@@ -25,7 +25,7 @@ from ..baselines import (
 )
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_jobs_arg, build_setup, search_with
+from .common import add_table_args, build_setup, search_with
 
 __all__ = ["run_mcmc_sensitivity", "SensitivityRow", "main"]
 
@@ -90,12 +90,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--p", type=int, default=8)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="RNG seeds, one MCMC run per seed and init")
-    add_jobs_arg(parser)
-    parser.add_argument("--table-cache", metavar="DIR", default=None,
-                        help="cache precomputed cost tables under DIR")
-    parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="exact search-space reduction before the DP")
+    add_table_args(parser)
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (init, seed) run "

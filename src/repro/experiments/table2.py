@@ -19,7 +19,7 @@ from typing import Sequence
 from ..core.machine import GTX1080TI
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_jobs_arg, build_setup, search_with
+from .common import add_table_args, build_setup, search_with
 
 __all__ = ["run_table2", "strategy_structure_checks", "main"]
 
@@ -110,12 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=32)
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
-    add_jobs_arg(parser)
-    parser.add_argument("--table-cache", metavar="DIR", default=None,
-                        help="cache precomputed cost tables under DIR")
-    parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="exact search-space reduction before the DP")
+    add_table_args(parser)
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next benchmark boundary "

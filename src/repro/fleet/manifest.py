@@ -2,9 +2,10 @@
 
 The `FleetManifest` is to a sweep what `SearchJournal` is to one search:
 a single JSON snapshot (``manifest.json`` under the fleet directory)
-written atomically via temp + ``os.replace``, so a supervisor killed at
-any instant — including ``kill -9`` — leaves either the old snapshot or
-the new one, never a torn file.
+written by `repro.obs.metrics.atomic_write_text` (temp file, fsync,
+``os.replace``), so a supervisor killed at any instant — including
+``kill -9`` — leaves either the old snapshot or the new one, never a
+torn file.
 
 It records the spec fingerprint (resume against an edited spec fails
 loudly), one state machine per task, and fleet-level counters.  Task
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 from ..core.exceptions import JournalError
+from ..obs.metrics import atomic_write_text
 
 __all__ = ["FleetManifest", "MANIFEST_VERSION", "TASK_STATES"]
 
@@ -146,7 +147,7 @@ class FleetManifest:
         return state
 
     def flush(self, *, force: bool = True) -> None:
-        """Atomically persist the snapshot (temp + ``os.replace``).
+        """Atomically persist the snapshot (`atomic_write_text`).
 
         ``force=False`` throttles to `FLUSH_INTERVAL_SECONDS` — used for
         the supervisor's periodic loop writes; every state transition
@@ -161,16 +162,8 @@ class FleetManifest:
         if not force and now - self._last_flush < FLUSH_INTERVAL_SECONDS:
             return
         self._last_flush = now
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.state, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write_text(self.path,
+                          json.dumps(self.state, indent=2, sort_keys=True))
 
     # -- task state machine --------------------------------------------------
 

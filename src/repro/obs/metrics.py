@@ -11,8 +11,8 @@ the resilient ladder, `execute_search`) bump as they run:
 Exports land either as JSON (``to_json``) or Prometheus text exposition
 format (``to_prometheus``, ``pase_`` prefix); ``dump(path)`` picks the
 format from the extension (``.prom``/``.txt`` → Prometheus, anything
-else → JSON) and writes through the journal's atomic temp-file +
-``os.replace`` pattern so a crash never leaves a half-written export.
+else → JSON) and writes through `atomic_write_text` (temp file, fsync,
+``os.replace``) so a crash never leaves a half-written export.
 
 Counters and gauges optionally carry **labels** (Prometheus dimension
 sets): ``metrics.counter("serve_requests_total", labels={"code": "200"})``
@@ -74,15 +74,17 @@ def _label_key(labels: "dict[str, str] | None") -> str:
 
 
 def atomic_write_text(path: "str | os.PathLike", text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+    """Write ``text`` to ``path`` atomically (temp file, fsync,
+    ``os.replace``).
 
-    Same crash-safety contract as `repro.runtime.journal.SearchJournal`'s
-    flush: readers see either the old file or the complete new one.
+    Readers see either the old file or the complete new one.  The one
+    text-snapshot writer: run journals, the fleet manifest, worker
+    reports, fleet reports, the serve stores and metric exports.
     """
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".metrics-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".atomic-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,12 +14,12 @@ lexical scope::
 Spans are recorded on *close* (children before parents) both in memory
 and, when a path is given, as one JSON line per span in a trace file.
 The writer is crash-safe in the same spirit as the run journal's
-temp-file + ``os.replace`` snapshots (`repro.runtime.journal`): every
-record is a complete line flushed before the next span starts, so a
-crash at any instant leaves a valid prefix plus at most one torn final
-line, which :func:`read_trace` detects and drops.  Whole-file artifacts
-derived from a trace (metric exports) go through the journal's atomic
-pattern itself, see `repro.obs.metrics.atomic_write_text`.
+atomic snapshots (`repro.runtime.journal`): every record is a complete
+line flushed before the next span starts, so a crash at any instant
+leaves a valid prefix plus at most one torn final line, which
+:func:`read_trace` detects and drops.  Whole-file artifacts derived
+from a trace (metric exports) go through the journal's atomic writer
+itself, `repro.obs.metrics.atomic_write_text`.
 
 The default tracer everywhere is the module-level `NULL_TRACER`, whose
 ``span`` returns one shared no-op context manager — the instrumented hot

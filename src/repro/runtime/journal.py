@@ -11,9 +11,10 @@ A `SearchJournal` makes an interrupted run resumable *bit-identically*:
   tables, so a run killed mid-DP resumes straight into the (fully
   deterministic) search without rebuilding a single matrix.
 
-Every write goes through a temp file + ``os.replace`` in the journal
-directory, so a crash at any instant leaves either the old snapshot or
-the new one — never a torn file.  Resuming validates the fingerprint and
+Every write goes through `repro.obs.metrics.atomic_write_text` (temp
+file in the journal directory, fsync, ``os.replace``), so a crash at any
+instant leaves either the old snapshot or the new one — never a torn
+file.  Resuming validates the fingerprint and
 raises `JournalError` on any mismatch rather than silently answering a
 different question.
 """
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..core.exceptions import JournalError
 from ..core.strategy import FrontierPoint, SearchResult, Strategy
+from ..obs.metrics import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.tablecache import TableCache
@@ -110,19 +111,11 @@ class SearchJournal:
         return state
 
     def flush(self) -> None:
-        """Atomically persist the current snapshot (temp + ``os.replace``)."""
+        """Atomically persist the current snapshot (`atomic_write_text`)."""
         if self.state is None:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.state, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write_text(self.path,
+                          json.dumps(self.state, indent=2, sort_keys=True))
 
     # -- tables --------------------------------------------------------------
 

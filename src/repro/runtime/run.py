@@ -60,7 +60,9 @@ __all__ = ["RunOutcome", "execute_search", "run_fingerprint"]
 #: v2: ``reduce`` became the resolved mode string ("off"/"auto"/
 #: "always") and ``reduce_bypass_ratio`` records the auto-bypass
 #: threshold — both can change which (equal-cost) strategy is returned,
-#: so resuming across them must not silently mix paths.
+#: so resuming across them must not silently mix paths.  The threshold
+#: is the constant `DEFAULT_REDUCE_BYPASS_RATIO`; the key stays so v2
+#: fingerprints keep their bytes.
 #: v3: frontier runs add an ``objective`` key (and their table digest
 #: covers the memory tables).  Scalar runs **stay on v2** and emit the
 #: exact pre-frontier dict — cached journals and serve coalesce keys
@@ -101,7 +103,7 @@ def run_fingerprint(graph: CompGraph, space: ConfigSpace, model: CostModel,
     dict this function always produced; frontier objectives emit v3 with
     the canonical objective string and a memory-covering table digest.
     """
-    from ..core.dp import _bypass_ratio, _resolve_reduce_mode
+    from ..core.dp import DEFAULT_REDUCE_BYPASS_RATIO, _resolve_reduce_mode
     from ..core.frontier import parse_objective
     from ..core.tablecache import table_digest
 
@@ -115,7 +117,8 @@ def run_fingerprint(graph: CompGraph, space: ConfigSpace, model: CostModel,
         "method": method,
         "seed": int(seed),
         "reduce": mode,
-        "reduce_bypass_ratio": _bypass_ratio(None) if mode == "auto" else None,
+        "reduce_bypass_ratio": (DEFAULT_REDUCE_BYPASS_RATIO if mode == "auto"
+                                else None),
         "resilient": bool(resilient),
         "memory_budget": int(memory_budget),
         "order": None if order is None else list(order),
@@ -318,7 +321,7 @@ def execute_search(
                 # pre-frontier schema (their length-1 frontier is
                 # synthesized, not stored).
                 journal_obj.record_result(result)
-            result = _ensure_frontier(result, graph, space, tables=tables)
+            result = _ensure_frontier(result, graph, space)
             return RunOutcome(result=result, report=report, tables=tables,
                               resilience=resilience)
 
@@ -353,8 +356,7 @@ def _reducing_search(reduce: "bool | str", obj=None):
 
 
 def _ensure_frontier(result: SearchResult, graph: CompGraph,
-                     space: ConfigSpace,
-                     tables: CostTables | None = None) -> SearchResult:
+                     space: ConfigSpace) -> SearchResult:
     """Uniform ``.frontier`` access: scalar results gain a synthesized
     length-1 frontier holding their optimum (frontier runs already carry
     the full set — returned unchanged)."""
@@ -365,11 +367,10 @@ def _ensure_frontier(result: SearchResult, graph: CompGraph,
     from ..core.frontier import strategy_peak_bytes
     from ..core.strategy import FrontierPoint
 
-    mem_tables = getattr(tables, "mem", None) if tables is not None else None
-    peak = strategy_peak_bytes(graph, space, result.strategy,
-                               mem_tables=mem_tables)
-    point = FrontierPoint(cost=result.cost, peak_bytes=peak,
-                          strategy=result.strategy)
+    point = FrontierPoint(
+        cost=result.cost,
+        peak_bytes=strategy_peak_bytes(graph, space, result.strategy),
+        strategy=result.strategy)
     return replace(result, frontier=(point,))
 
 

@@ -228,77 +228,6 @@ class TestReduceAutoBypass:
         assert "reduction_seconds" in res.stats
         assert res.method.endswith("+reduce")
 
-    def test_ratio_zero_disables_bypass(self, diamond):
-        space, tables = setup(diamond)
-        res = find_best_strategy(diamond, space, tables, reduce=True,
-                                 reduce_bypass_ratio=0.0)
-        assert res.stats["reduction_bypassed"] == 0.0
-        assert res.method.endswith("+reduce")
-
-    def test_env_ratio_override(self, diamond, monkeypatch):
-        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
-
-        space, tables = setup(diamond)
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "0")
-        forced = find_best_strategy(diamond, space, tables, reduce=True)
-        assert forced.stats["reduction_bypassed"] == 0.0
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "1e30")
-        skipped = find_best_strategy(diamond, space, tables, reduce=True)
-        assert skipped.stats["reduction_bypassed"] == 1.0
-        # The explicit kwarg wins over the env var.
-        forced = find_best_strategy(diamond, space, tables, reduce=True,
-                                    reduce_bypass_ratio=0.0)
-        assert forced.stats["reduction_bypassed"] == 0.0
-
-    def test_bad_env_ratio_raises(self, diamond, monkeypatch):
-        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
-
-        space, tables = setup(diamond)
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "not-a-float")
-        with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
-            find_best_strategy(diamond, space, tables, reduce=True)
-
-    @pytest.mark.parametrize("raw", ["nan", "-1", "-inf"])
-    def test_nan_or_negative_env_ratio_raises(self, diamond, monkeypatch,
-                                              raw):
-        """Every bypass comparison with NaN is false, so it used to turn
-        ``reduce=True`` into ``"always"`` silently."""
-        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
-
-        space, tables = setup(diamond)
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
-            find_best_strategy(diamond, space, tables, reduce=True)
-
-    @pytest.mark.parametrize("ratio", [float("nan"), -0.5])
-    def test_nan_or_negative_kwarg_ratio_raises(self, diamond, ratio):
-        space, tables = setup(diamond)
-        with pytest.raises(ValueError, match="reduce_bypass_ratio"):
-            find_best_strategy(diamond, space, tables, reduce=True,
-                               reduce_bypass_ratio=ratio)
-
-    def test_inf_ratio_always_bypasses(self, diamond, monkeypatch):
-        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
-
-        space, tables = setup(diamond)
-        res = find_best_strategy(diamond, space, tables, reduce=True,
-                                 reduce_bypass_ratio=float("inf"))
-        assert res.stats["reduction_bypassed"] == 1.0
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "inf")
-        res = find_best_strategy(diamond, space, tables, reduce=True)
-        assert res.stats["reduction_bypassed"] == 1.0
-
-    def test_nan_env_ratio_rejected_before_fingerprinting(
-            self, diamond, monkeypatch):
-        """A NaN in the run fingerprint would never equal itself after a
-        JSON round trip, so a journal could not resume its own run."""
-        from repro.api import Problem
-        from repro.core.dp import REDUCE_BYPASS_ENV_VAR
-
-        monkeypatch.setenv(REDUCE_BYPASS_ENV_VAR, "nan")
-        with pytest.raises(ValueError, match=REDUCE_BYPASS_ENV_VAR):
-            Problem.from_graph(diamond, 4).fingerprint(reduce=True)
-
     def test_unknown_reduce_mode_rejected(self, diamond):
         space, tables = setup(diamond)
         with pytest.raises(ValueError, match="reduce"):

@@ -226,14 +226,13 @@ class TestFrontierExactness:
         """Every frontier point's strategy reprices to its recorded
         (cost, peak_bytes) pair."""
         space, tables = setup(graph)
-        mem = memory_tables(graph, space)
         res = find_best_strategy(graph, space, tables, objective="frontier")
         for pt in res.frontier:
             pt.strategy.validate(graph, space.p)
             assert pt.strategy.cost(tables) == \
                 pytest.approx(pt.cost, rel=1e-9)
-            assert strategy_peak_bytes(graph, space, pt.strategy,
-                                       mem_tables=mem) == pt.peak_bytes
+            assert strategy_peak_bytes(graph, space, pt.strategy) == \
+                pt.peak_bytes
 
     @settings(max_examples=12, deadline=None)
     @given(small_dags(max_nodes=5), st.randoms(use_true_random=False))
@@ -390,8 +389,29 @@ class TestStrategyPeakBytes:
         idx = res.strategy.to_indices(space)
         want = sum(float(mem[n][k]) for n, k in idx.items())
         assert strategy_peak_bytes(diamond, space, res.strategy) == want
-        assert strategy_peak_bytes(diamond, space, res.strategy,
-                                   mem_tables=mem) == want
+
+    @pytest.mark.parametrize(
+        "name", ["alexnet", "rnnlm", "inception_v3", "transformer"])
+    def test_bundled_models_match_memory_tables_sum(self, name):
+        """Pricing only each node's chosen row equals Σ of the full
+        memory tables over ``to_indices``, bit for bit, for the DP's
+        strategy and a seeded random one at p=16."""
+        from repro.core.strategy import Strategy
+        from repro.models import BENCHMARKS
+
+        graph = BENCHMARKS[name]()
+        space = ConfigSpace.build(graph, 16)
+        tables = CostModel(GTX1080TI).build_tables(graph, space)
+        mem = memory_tables(graph, space)
+        rng = np.random.default_rng(0)
+        strategies = [
+            find_best_strategy(graph, space, tables, reduce=True).strategy,
+            Strategy.from_indices(space, {
+                n: int(rng.integers(space.size(n))) for n in space.tables})]
+        for strategy in strategies:
+            idx = strategy.to_indices(space)
+            want = sum(float(mem[n][k]) for n, k in idx.items())
+            assert strategy_peak_bytes(graph, space, strategy) == want
 
 
 class TestBundledModels:

@@ -474,6 +474,52 @@ def _hammer_cache(root: str, seed: int, rounds: int) -> None:
     os._exit(0)
 
 
+class TestReadersRaceEviction:
+    """`load` does not take the cache lock, so a concurrent `evict` can
+    delete the entry while a reader is inside it."""
+
+    def stored(self, tmp_path):
+        g, space, cm = setup_instance()
+        cache = TableCache(tmp_path)
+        digest = table_digest(g, space, cm)
+        cache.store(digest, cm.build_tables(g, space))
+        return g, space, cm, cache, digest
+
+    def test_evicted_before_read_is_plain_miss(self, tmp_path, monkeypatch,
+                                               caplog):
+        import repro.core.tablecache as tablecache
+
+        g, space, cm, cache, digest = self.stored(tmp_path)
+        real = tablecache.open_npz_mmap
+
+        def evict_then_read(path):
+            cache.path_for(digest).unlink()
+            return real(path)
+
+        monkeypatch.setattr(tablecache, "open_npz_mmap", evict_then_read)
+        assert cache.load(digest, g, space, cm.machine) is None
+        assert cache.quarantined == 0
+        assert not cache.corrupt_dir.exists()
+        assert "quarantining" not in caplog.text
+
+    def test_evicted_after_verified_read_is_hit(self, tmp_path,
+                                                monkeypatch):
+        import os
+
+        g, space, cm, cache, digest = self.stored(tmp_path)
+        real = os.utime
+
+        def evict_then_touch(path, *args, **kwargs):
+            cache.path_for(digest).unlink()
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", evict_then_touch)
+        loaded = cache.load(digest, g, space, cm.machine)
+        assert loaded is not None
+        assert tables_equal(cm.build_tables(g, space), loaded)
+        assert cache.quarantined == 0
+
+
 class TestConcurrentWriters:
     def test_two_processes_hammering_one_cache(self, tmp_path):
         """Two writers storing and evicting against one directory must

@@ -99,6 +99,19 @@ class TestFingerprint:
         assert fp == alexnet8.fingerprint()
         assert len(fp) == 64 and int(fp, 16) >= 0
 
+    @pytest.mark.parametrize("kwargs,digest", [
+        ({}, "cbc8c1c1e6706de354e44a7f42f6f34e"
+             "5391fcdd9345bf5c7f9f447170a1a5a1"),
+        ({"reduce": True}, "2a3e64de0ee3d2e26b6abcf9bf68cd3b"
+                           "c8291306c5f89fd6f076b10bb83c6d99"),
+        ({"objective": "frontier"}, "2d45c0959729c31010220a1c31d22c66"
+                                    "0cb10c9137e53c5b4cca0cbab942c630"),
+    ], ids=["cost", "reduce", "frontier"])
+    def test_golden_digest(self, alexnet8, kwargs, digest):
+        """Journals, fleet task ids and the serve cache key on these
+        digests: a change here orphans every stored run."""
+        assert alexnet8.fingerprint(**kwargs) == digest
+
     def test_equal_problems_have_equal_fingerprints(self, alexnet8):
         rebuilt = Problem.from_benchmark("alexnet", p=8)
         assert rebuilt.fingerprint() == alexnet8.fingerprint()
