@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .analysis import section_3c_report
 from .cluster import simulate_step
+from .core.configs import MODES
 from .core.machine import MACHINES as _MACHINES
 from .experiments import figure6, table1, table2
 from .experiments.common import (METHODS, add_table_args, build_setup,
@@ -33,7 +34,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", choices=sorted(BENCHMARKS), required=True)
     sub.add_argument("--p", type=int, default=8, help="device count")
     sub.add_argument("--machine", choices=sorted(_MACHINES), default="1080ti")
-    sub.add_argument("--mode", choices=("pow2", "divisors", "all"),
+    sub.add_argument("--mode", choices=MODES,
                      default="pow2", help="configuration enumeration mode")
 
 

@@ -87,7 +87,6 @@ class ListScheduler:
                 dependents[dep].append(t.tid)
 
         resource_free: dict[tuple[str, int], float] = {}
-        finish = [0.0] * n
         ready_at = [0.0] * n
         trace: list[TraceRecord] = []
         # Heap of (ready_time, tid) for tasks whose deps are all done.
@@ -109,7 +108,6 @@ class ListScheduler:
             end = start + duration
             for r in task.resources:
                 resource_free[r] = end
-            finish[tid] = end
             makespan = max(makespan, end)
             trace.append(TraceRecord(tid=tid, kind=task.kind, label=task.label,
                                      resources=task.resources, start=start, end=end))

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..assignment.blocks import block_overlap, tensor_blocks
 from ..assignment.greedy import Placement, greedy_placement
+from ..core.costmodel import CostModel
 from ..core.exceptions import SimulationError
 from ..core.graph import CompGraph
 from ..core.machine import MachineSpec
@@ -41,9 +42,6 @@ __all__ = ["SimulationReport", "simulate_step"]
 
 #: Fraction of peak FLOPS a training kernel typically achieves.
 DEFAULT_COMPUTE_EFFICIENCY = 0.35
-
-#: Optimizer FLOPs per parameter (matches `repro.core.costmodel.CostModel`).
-UPDATE_FLOPS_PER_PARAM = 4.0
 
 
 @dataclass
@@ -358,7 +356,8 @@ class _StepBuilder:
             # Update phase: each device applies the optimizer to the
             # parameter shards it holds, once its gradients are combined.
             if param_shard_volume > 0:
-                upd_time = param_shard_volume * UPDATE_FLOPS_PER_PARAM \
+                upd_time = param_shard_volume \
+                    * CostModel.UPDATE_FLOPS_PER_PARAM \
                     / self.flops_rate
                 for s in range(n):
                     d = tuple(sorted(sync_of_shard[s])) if sync_of_shard[s] \

@@ -27,10 +27,10 @@ from ..ops.base import OpSpec
 from .exceptions import ConfigError
 from .graph import CompGraph
 
-__all__ = ["enumerate_configs", "ConfigSpace", "serial_config",
+__all__ = ["MODES", "enumerate_configs", "ConfigSpace", "serial_config",
            "batch_split_config", "prune_configs_by_memory"]
 
-_MODES = ("pow2", "divisors", "all")
+MODES = ("pow2", "divisors", "all")
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +47,7 @@ def _candidate_factors(limit: int, p: int, mode: str) -> tuple[int, ...]:
         return tuple(f for f in range(1, cap + 1) if p % f == 0)
     if mode == "all":
         return tuple(range(1, cap + 1))
-    raise ConfigError(f"unknown config mode {mode!r}; expected one of {_MODES}")
+    raise ConfigError(f"unknown config mode {mode!r}; expected one of {MODES}")
 
 
 def enumerate_configs(op: OpSpec, p: int, *, mode: str = "pow2") -> np.ndarray:

@@ -470,7 +470,6 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
                    max_rounds: int = 64, vectorized: bool = True,
                    memory: "Mapping[str, np.ndarray] | None" = None,
                    checkpoint: "Callable[..., None] | None" = None,
-                   ctx: "object | None" = None,
                    ) -> ReducedProblem:
     """Shrink a search problem by dominance pruning and chain contraction.
 
@@ -489,15 +488,12 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     (``reduction_memory_aware`` / ``reduction_contraction_disabled``),
     and the pruned columns become ``reduced_tables.mem``.
     ``checkpoint`` (`repro.runtime.make_checkpoint`) is polled once per
-    fixed-point round; it aborts by raising, always between rounds.  A
-    `repro.runtime.RunContext` passed as ``ctx`` supplies the checkpoint
-    (and its observability pair) instead.
+    fixed-point round; it aborts by raising, always between rounds.
+    Spans and counters go to the ambient observability pair.
     """
     from ..obs.profile import metrics_of, tracer_of
 
-    if ctx is not None:
-        checkpoint = ctx.make_checkpoint()
-    tracer = tracer_of(ctx)
+    tracer = tracer_of()
     t0 = time.perf_counter()
     contraction_disabled = bool(contraction and memory is not None)
     if memory is not None:
@@ -529,7 +525,7 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
                         if len(red.adj[name]) <= 2:
                             changed |= red.eliminate_node(name)
         red_span.set(rounds=rounds, cells_after=red.work_cells())
-    metrics_of(ctx).counter(
+    metrics_of().counter(
         "reduction_rounds_total", "search-space reduction rounds").inc(rounds)
 
     survivors = tuple(n for n in red.order if n in red.lc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.configs import ConfigSpace
+from ..core.configs import MODES, ConfigSpace
 from ..core.costmodel import CostModel
 from ..core.dp import find_best_strategy
 from ..core.exceptions import SearchResourceError
@@ -61,7 +61,7 @@ def run_config_mode_ablation(graph: CompGraph, p: int, *,
                              machine: MachineSpec = GTX1080TI) -> dict[str, dict]:
     """Best-strategy cost and search effort per enumeration mode."""
     out: dict[str, dict] = {}
-    for mode in ("pow2", "divisors", "all"):
+    for mode in MODES:
         space = ConfigSpace.build(graph, p, mode=mode)
         tables = CostModel(machine).build_tables(graph, space)
         res = find_best_strategy(graph, space, tables)

@@ -81,12 +81,8 @@ def add_table_args(parser: argparse.ArgumentParser) -> None:
 
 
 @lru_cache(maxsize=32)
-def _cached_setup(name: str, p: int, machine_name: str, mode: str,
+def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
                   jobs: int | str | None, cache_dir: str | None) -> BenchSetup:
-    machine = {"1080Ti": GTX1080TI}.get(machine_name)
-    if machine is None:
-        from ..core.machine import RTX2080TI
-        machine = RTX2080TI if machine_name == "2080Ti" else GTX1080TI
     graph = BENCHMARKS[name]()
     space = ConfigSpace.build(graph, p, mode=mode)
     cache = None
@@ -108,7 +104,7 @@ def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
     ``jobs`` parallelizes the cost-table construction (0 = all cores);
     ``cache_dir`` enables the on-disk table cache rooted there.
     """
-    return _cached_setup(name, p, machine.name, mode, jobs,
+    return _cached_setup(name, p, machine, mode, jobs,
                          None if cache_dir is None else str(cache_dir))
 
 

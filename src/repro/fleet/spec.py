@@ -8,6 +8,13 @@ file (or dict) that expands deterministically into a list of
 `SweepTask`\\ s, each of which is one journalled `execute_search` (plus
 an optional fault-injected simulation of the found strategy).
 
+This module is the one schema of a search task.  :func:`task_problems`
+checks a task document — names and JSON types first, with no coercion
+(``"4"``, ``4.0`` and ``true`` are not a ``p``), then values — and
+returns every problem it finds; `SweepTask.from_dict` raises them all
+at once, for grid cells and explicit ``tasks`` alike.  ``pase serve``
+checks its requests with the same functions (`repro.serve.wire`).
+
 Determinism is the load-bearing property:
 
 * :meth:`SweepSpec.expand` always yields tasks in the same order for the
@@ -34,18 +41,28 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from typing import Any, Iterator, Mapping
 
 from ..core.exceptions import PaseError
 
-__all__ = ["SweepSpec", "SweepTask", "SweepSpecError", "SPEC_VERSION"]
+__all__ = ["SweepSpec", "SweepTask", "SweepSpecError", "SPEC_VERSION",
+           "task_problems", "task_type_problems"]
 
 #: Spec schema version; bump when the expansion rule or task fields change
 #: (a resume across versions must fail loudly).
 SPEC_VERSION = 1
 
-_MODES = ("pow2", "divisors", "all")
+#: The JSON types each `SweepTask` field accepts (the first one names it
+#: in messages).  ``bool`` never passes as ``int``, ``null`` passes only
+#: where the field's default is None, and a string ``reduce`` must be a
+#: spelling `repro.core.dp` accepts.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "model": (str,), "machine": (str,), "p": (int,), "mode": (str,),
+    "method": (str,), "seed": (int,), "reduce": (bool, str),
+    "objective": (str,), "resilient": (bool,), "memory_budget": (int,),
+    "faults": (dict,), "faults_name": (str,), "chaos": (dict,),
+}
 
 
 class SweepSpecError(PaseError):
@@ -116,59 +133,103 @@ class SweepTask:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepTask":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise SweepSpecError(
-                f"task has unknown field(s) {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as err:
-            raise SweepSpecError(f"malformed task: {err}") from None
+        """The task a JSON document describes.
 
-    def validate(self) -> None:
-        from ..core.machine import MACHINES
-        from ..experiments.common import METHODS
-        from ..models import BENCHMARKS
-
-        if self.model not in BENCHMARKS:
-            raise SweepSpecError(
-                f"unknown model {self.model!r}; expected one of "
-                f"{sorted(BENCHMARKS)}")
-        if self.machine not in MACHINES:
-            raise SweepSpecError(
-                f"unknown machine {self.machine!r}; expected one of "
-                f"{sorted(MACHINES)}")
-        if self.p < 1:
-            raise SweepSpecError(f"p={self.p} must be >= 1")
-        if self.mode not in _MODES:
-            raise SweepSpecError(
-                f"unknown mode {self.mode!r}; expected one of {_MODES}")
-        if self.method not in METHODS:
-            raise SweepSpecError(
-                f"unknown method {self.method!r}; expected one of "
-                f"{sorted(METHODS)}")
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise SweepSpecError(
-                f"memory_budget={self.memory_budget} must be positive")
-        try:
-            from ..core.frontier import parse_objective
-
-            obj = parse_objective(self.objective)
-        except ValueError as err:
-            raise SweepSpecError(str(err)) from None
-        if obj.is_frontier and self.method != "ours":
-            raise SweepSpecError(
-                f"objective {self.objective!r} requires method 'ours', "
-                f"got {self.method!r}")
-        if self.faults is not None:
+        Raises `SweepSpecError` listing every `task_problems` entry, and
+        `FaultPlanError` for a fault plan the task's ``p`` cannot run.
+        """
+        if not isinstance(data, Mapping):
+            raise SweepSpecError(f"a task must be an object, got {data!r}")
+        problems = task_problems(data)
+        if problems:
+            raise SweepSpecError("invalid task: " + "; ".join(
+                f"{q['field']}: {q['message']}" for q in problems))
+        task = cls(**data)
+        if task.faults is not None:
             from ..resilience import FaultPlan
 
-            FaultPlan.from_dict(dict(self.faults)).validate(self.p)
-        if self.chaos is not None:
-            kind = self.chaos.get("kind")
-            if kind not in ("exit", "raise", "hang"):
-                raise SweepSpecError(
-                    f"chaos kind {kind!r} must be exit/raise/hang")
+            FaultPlan.from_dict(dict(task.faults)).validate(task.p)
+        return task
+
+
+def task_type_problems(doc: Mapping[str, Any]) -> list[dict[str, str]]:
+    """The problems with a task document's field names and JSON types."""
+    from ..core.dp import _resolve_reduce_mode
+
+    fields = SweepTask.__dataclass_fields__
+    out = [{"field": name, "message": "unknown field"}
+           for name in sorted(set(doc) - set(_FIELD_TYPES))]
+    for name, types in _FIELD_TYPES.items():
+        default = fields[name].default
+        if name not in doc:
+            if default is MISSING:
+                out.append({"field": name, "message": "required"})
+            continue
+        val = doc[name]
+        if val is None and default is None:
+            continue
+        if (isinstance(val, bool) and bool not in types) \
+                or not isinstance(val, types):
+            out.append({"field": name,
+                        "message": f"expected {types[0].__name__}"})
+        elif name == "reduce":
+            try:
+                _resolve_reduce_mode(val)
+            except ValueError:
+                out.append({"field": name, "message": "expected a bool or "
+                            "one of off/never/auto/always"})
+    return out
+
+
+def task_problems(doc: Mapping[str, Any]) -> list[dict[str, str]]:
+    """Every problem with a task document, each ``{"field", "message"}``.
+
+    The value checks compare and look values up, so they run only once
+    `task_type_problems` finds nothing: a non-empty result holds either
+    type problems or value problems, never both.
+    """
+    out = task_type_problems(doc)
+    if out:
+        return out
+    from ..core.configs import MODES
+    from ..core.frontier import parse_objective
+    from ..core.machine import MACHINES
+    from ..experiments.common import METHODS
+    from ..models import BENCHMARKS
+
+    task = SweepTask(**doc)
+
+    def bad(name: str, message: str) -> None:
+        out.append({"field": name, "message": message})
+
+    if task.model not in BENCHMARKS:
+        bad("model", f"unknown model {task.model!r}; expected one of "
+            f"{sorted(BENCHMARKS)}")
+    if task.machine not in MACHINES:
+        bad("machine", f"unknown machine {task.machine!r}; expected one of "
+            f"{sorted(MACHINES)}")
+    if task.p < 1:
+        bad("p", f"p={task.p} must be >= 1")
+    if task.mode not in MODES:
+        bad("mode", f"unknown mode {task.mode!r}; expected one of {MODES}")
+    if task.method not in METHODS:
+        bad("method", f"unknown method {task.method!r}; expected one of "
+            f"{sorted(METHODS)}")
+    if task.memory_budget is not None and task.memory_budget <= 0:
+        bad("memory_budget",
+            f"memory_budget={task.memory_budget} must be positive")
+    try:
+        if parse_objective(task.objective).is_frontier \
+                and task.method != "ours":
+            bad("objective", f"objective {task.objective!r} requires "
+                f"method 'ours', got {task.method!r}")
+    except ValueError as err:
+        bad("objective", str(err))
+    if task.chaos is not None \
+            and task.chaos.get("kind") not in ("exit", "raise", "hang"):
+        bad("chaos", f"chaos kind {task.chaos.get('kind')!r} must be "
+            "exit/raise/hang")
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,7 +248,7 @@ class SweepSpec:
     modes: tuple[str, ...] = ("pow2",)
     methods: tuple[str, ...] = ("ours",)
     seeds: tuple[int, ...] = (0,)
-    reduce: tuple[bool, ...] = (False,)
+    reduce: tuple[bool | str, ...] = (False,)
     objectives: tuple[str, ...] = ("cost",)
     resilient: tuple[bool, ...] = (False,)
     memory_budget: int | None = None
@@ -258,20 +319,18 @@ class SweepSpec:
                 self.models, self.machines, self.ps, self.modes,
                 self.methods, self.seeds, self.reduce, self.objectives,
                 self.resilient, self.fault_plans):
-            faults = faults_name = None
+            doc = {"model": model, "machine": machine, "p": p, "mode": mode,
+                   "method": method, "seed": seed, "reduce": red,
+                   "objective": obj, "resilient": res,
+                   "memory_budget": self.memory_budget}
             if plan is not None:
                 if not isinstance(plan, Mapping) or "plan" not in plan:
                     raise SweepSpecError(
                         "fault_plans entries must be null or "
                         '{"name": ..., "plan": {...}} objects')
-                faults = plan["plan"]
-                faults_name = str(plan.get("name", "faults"))
-            yield SweepTask(
-                model=model, machine=machine, p=int(p), mode=mode,
-                method=method, seed=int(seed), reduce=bool(red),
-                objective=str(obj), resilient=bool(res),
-                memory_budget=self.memory_budget,
-                faults=faults, faults_name=faults_name)
+                doc["faults"] = plan["plan"]
+                doc["faults_name"] = plan.get("name", "faults")
+            yield SweepTask.from_dict(doc)
 
     def expand(self) -> list[SweepTask]:
         """The sweep's tasks, validated, in deterministic order.
@@ -287,7 +346,6 @@ class SweepSpec:
             raise SweepSpecError("sweep spec expands to zero tasks")
         seen: dict[str, str] = {}
         for t in out:
-            t.validate()
             if t.task_id in seen:
                 raise SweepSpecError(
                     f"duplicate task {t.label} (id {t.task_id}); every "

@@ -28,7 +28,10 @@ the journal's table store pointed at the fleet-wide shared `TableCache`
 (multi-process safe), so identical (graph, machine, p, mode) cells
 across the sweep build their cost tables exactly once.  A retried task
 resumes its own journal when the previous attempt got far enough to
-leave one.
+leave one.  The graph and configuration space come from
+`benchmark_problem`, a process-wide memo that the serve engine's
+fingerprints read too, so a worker forked from the fleet supervisor or
+the serve daemon inherits every problem its parent already built.
 
 Chaos hooks (``task.chaos``, see `repro.fleet.spec`) let the tests and
 CI make a worker ``os._exit`` mid-task, raise, or wedge with heartbeats
@@ -41,6 +44,7 @@ import json
 import os
 import threading
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -53,7 +57,7 @@ from ..obs.metrics import atomic_write_text
 from .spec import SweepTask
 
 __all__ = ["run_task_attempt", "prewarm_fork_template",
-           "task_dir", "read_json", "read_result",
+           "benchmark_problem", "task_dir", "read_json", "read_result",
            "HEARTBEAT_INTERVAL_SECONDS", "RESULT_VERSION"]
 
 #: Seconds between heartbeat re-writes.
@@ -155,29 +159,25 @@ def _apply_chaos(task: SweepTask, attempt: int,
         time.sleep(float(chaos.get("seconds", 3600.0)))
 
 
-#: Process-wide memo of built ``(graph, space)`` problems keyed by
-#: ``(model, p, mode)``.  A persistent pool worker serves many tasks
-#: that differ only in seed/method; rebuilding the identical benchmark
-#: graph and configuration space per task is pure overhead.  Both
-#: objects are treated as immutable by the search, so sharing them
-#: across sequential tasks in one process is safe.
-_PROBLEM_MEMO: dict = {}
-_PROBLEM_MEMO_MAX = 8
+@lru_cache(maxsize=8)
+def benchmark_problem(model: str, p: int, mode: str):
+    """The ``(graph, space)`` of one benchmark problem, memoized.
 
-
-def _problem(model: str, p: int, mode: str):
+    The one place a benchmark problem is built, for fleet workers and
+    serve fingerprints alike.  A persistent pool worker serves many
+    tasks that differ only in seed/method; rebuilding the identical
+    graph and configuration space per task is pure overhead.  Both
+    objects are treated as immutable by the search, so sharing them
+    across tasks and threads is safe.  `lru_cache` keeps its own state
+    coherent under concurrent calls from serve handler threads, and
+    holds no Python lock that a pool worker forking mid-call could
+    inherit held.
+    """
     from ..core.configs import ConfigSpace
     from ..models import BENCHMARKS
 
-    key = (model, p, mode)
-    hit = _PROBLEM_MEMO.get(key)
-    if hit is None:
-        graph = BENCHMARKS[model]()
-        hit = (graph, ConfigSpace.build(graph, p, mode=mode))
-        while len(_PROBLEM_MEMO) >= _PROBLEM_MEMO_MAX:
-            _PROBLEM_MEMO.pop(next(iter(_PROBLEM_MEMO)))
-        _PROBLEM_MEMO[key] = hit
-    return hit
+    graph = BENCHMARKS[model]()
+    return graph, ConfigSpace.build(graph, p, mode=mode)
 
 
 def prewarm_fork_template(tasks, fleet_dir: str | os.PathLike) -> int:
@@ -188,8 +188,8 @@ def prewarm_fork_template(tasks, fleet_dir: str | os.PathLike) -> int:
     instead of each of N workers paying its own first-touch cost per
     distinct problem.  Builds each distinct ``(model, machine, p,
     mode)`` cell's problem and cost tables through the fleet-wide
-    shared `TableCache`, leaving `_PROBLEM_MEMO` and the cache's mmap
-    memo hot.  Returns the number of cells warmed.  Failures are
+    shared `TableCache`, leaving `benchmark_problem` and the cache's
+    mmap memo hot.  Returns the number of cells warmed.  Failures are
     swallowed: prewarming is a pure optimisation and workers rebuild
     anything missing themselves.
     """
@@ -207,7 +207,7 @@ def prewarm_fork_template(tasks, fleet_dir: str | os.PathLike) -> int:
             continue
         seen.add(key)
         try:
-            graph, space = _problem(task.model, task.p, task.mode)
+            graph, space = benchmark_problem(task.model, task.p, task.mode)
             ctx = RunContext(cache=cache)
             model = CostModel(MACHINES[task.machine])
             model.build_tables(graph, space, ctx=ctx)  # build + store
@@ -228,7 +228,7 @@ def _run_task(task: SweepTask, attempt: int, fleet: Path,
     from ..runtime.run import execute_search
 
     machine = MACHINES[task.machine]
-    graph, space = _problem(task.model, task.p, task.mode)
+    graph, space = benchmark_problem(task.model, task.p, task.mode)
     shared_cache = TableCache(fleet / "table-cache")
     tdir = task_dir(fleet, task.task_id)
     journal = SearchJournal(tdir / "journal", table_store=shared_cache)
@@ -276,10 +276,9 @@ def _run_task(task: SweepTask, attempt: int, fleet: Path,
         from ..cluster import simulate_step
         from ..resilience import FaultPlan
 
-        plan = FaultPlan.from_dict(dict(task.faults))
-        plan.validate(task.p)
+        # `SweepTask.from_dict` already validated the plan against p.
         rep = simulate_step(graph, result.strategy, machine, task.p,
-                            faults=plan)
+                            faults=FaultPlan.from_dict(dict(task.faults)))
         record["sim"] = {
             "step_time": rep.step_time,
             "throughput": rep.throughput,

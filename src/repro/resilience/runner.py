@@ -56,6 +56,12 @@ __all__ = ["AttemptRecord", "ResilienceReport", "coarsen_config_space",
 #: Smallest transient chunk the ladder will try (cells).
 MIN_CHUNK_CELLS = 4_096
 
+#: Halvings of the configuration space the last rung tries.
+COARSEN_ROUNDS = 3
+
+#: ``SearchResult.method`` of every answer the ladder returns.
+METHOD_NAME = "pase-dp-resilient"
+
 
 @dataclass(frozen=True)
 class AttemptRecord:
@@ -144,7 +150,6 @@ def _frontier_select_attempt(
     order: Sequence[str] | None,
     chunk_cells: int,
     memory_budget: int,
-    method_name: str,
     ctx: "object | None",
     on_error,
 ) -> SearchResult | None:
@@ -168,7 +173,7 @@ def _frontier_select_attempt(
             fres = find_best_strategy(
                 graph, space, tables, order=order,
                 memory_budget=DEFAULT_MEMORY_BUDGET,
-                chunk_cells=chunk_cells, method_name=method_name,
+                chunk_cells=chunk_cells, method_name=METHOD_NAME,
                 objective="frontier", ctx=ctx)
             point = select_point(fres.frontier, memory_budget)
     except SearchResourceError as err:
@@ -198,10 +203,7 @@ def resilient_find_best_strategy(
     order: Sequence[str] | None = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     chunk_cells: int = DEFAULT_CHUNK_CELLS,
-    coarsen_rounds: int = 3,
-    method_name: str = "pase-dp-resilient",
     search_fn: Callable[..., SearchResult] = find_best_strategy,
-    checkpoint: Callable[..., None] | None = None,
     ctx: "object | None" = None,
 ) -> tuple[SearchResult, ResilienceReport]:
     """Run the DP with graceful degradation instead of a hard failure.
@@ -209,15 +211,10 @@ def resilient_find_best_strategy(
     Returns the first successful `SearchResult` together with the
     `ResilienceReport` of every attempt.  When all rungs fail, the last
     `SearchResourceError` is re-raised with the report attached as
-    ``err.report``.  ``ctx`` (a `repro.runtime.RunContext`) — or a bare
-    ``checkpoint`` callable, which is wrapped into one — is forwarded
+    ``err.report``.  ``ctx`` (a `repro.runtime.RunContext`) is forwarded
     into every rung's search, so a deadline or SIGINT stops the ladder
     mid-rung instead of grinding through the remaining ones.
     """
-    if ctx is None and checkpoint is not None:
-        from ..runtime.context import RunContext
-
-        ctx = RunContext(checkpoint=checkpoint)
     tracer = tracer_of(ctx)
     report = ResilienceReport()
 
@@ -231,7 +228,7 @@ def resilient_find_best_strategy(
                 result = search_fn(graph, a_space, a_tables, order=a_order,
                                    memory_budget=memory_budget,
                                    chunk_cells=a_chunk,
-                                   method_name=method_name, **extra)
+                                   method_name=METHOD_NAME, **extra)
         except SearchResourceError as err:
             report.attempts.append(AttemptRecord(
                 stage=stage, detail=detail,
@@ -291,13 +288,12 @@ def resilient_find_best_strategy(
             res = _frontier_select_attempt(
                 graph, cur_space, cur_tables, report, tracer,
                 order=cur_order, chunk_cells=cur_chunk,
-                memory_budget=memory_budget, method_name=method_name,
-                ctx=ctx, on_error=attempt)
+                memory_budget=memory_budget, ctx=ctx, on_error=attempt)
             if res is not None:
                 return res
 
         # Rung 5: configuration-space coarsening, halving K each round.
-        for rnd in range(1, coarsen_rounds + 1):
+        for rnd in range(1, COARSEN_ROUNDS + 1):
             if cur_space.max_size <= 1:
                 break
             cur_space, cur_tables = coarsen_config_space(cur_space, cur_tables)

@@ -12,13 +12,16 @@ that segfaults, OOMs, or wedges never takes down the server.
 Request flow (handler thread side):
 
 1. ``fingerprint_of(task)`` — the public `Problem.fingerprint` digest,
-   computed against a process-local memo of built problems so a warm
-   lookup costs microseconds, not a graph build.
+   computed over the fleet worker's problem memo
+   (`repro.fleet.worker.benchmark_problem`, the one place a benchmark
+   problem is built), so a warm lookup costs microseconds, not a graph
+   build, and pool workers forked later inherit the built problem.
 2. `ResultCache` hit → answered immediately, no admission slot, no
    worker.
 3. `Quarantine` hit → structured 503 — or, when the request opted in
-   with ``degrade``, a **degraded** search: ``resilient=True`` with a
-   coarsened enumeration mode, under its own fingerprint.
+   with ``degrade``, one more pass of steps 2–4 with the **degraded**
+   task: ``resilient=True`` with a coarsened enumeration mode, under
+   its own fingerprint.
 4. Otherwise the request joins the in-flight **flight** for its
    fingerprint (request coalescing: N identical requests, one search)
    or creates a new one, then waits on the flight's event with its own
@@ -42,13 +45,13 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from ..fleet.scheduler import AttemptScheduler, Job
 from ..fleet.spec import SweepTask
-from ..fleet.worker import read_result
+from ..fleet.worker import benchmark_problem, read_result
 from ..obs.metrics import NULL_METRICS
 from .coalesce import Quarantine, ResultCache
 from .wire import ServeError, ServeRequest
@@ -78,10 +81,6 @@ BACKOFF_CAP_SECONDS = 1.0
 DEGRADE_LADDER = {"all": "divisors", "divisors": "pow2", "pow2": "pow2"}
 
 _log = logging.getLogger(__name__)
-
-#: Bound on the process-local problem memo (distinct (model, machine,
-#: p, mode) cells kept hot for fast fingerprints).
-_PROBLEM_MEMO_MAX = 8
 
 
 def quarantined_error(fingerprint: str, entry: Mapping[str, Any],
@@ -169,7 +168,6 @@ class SearchEngine:
         self._lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._inbox: "queue.Queue[_Flight]" = queue.Queue()
-        self._problems: dict = {}
         self._stop = threading.Event()
         #: The 503 every new flight gets once the dispatcher has exited.
         self._down: ServeError | None = None
@@ -218,28 +216,16 @@ class SearchEngine:
         if self.memory_budget is not None and (
                 task.memory_budget is None
                 or task.memory_budget > self.memory_budget):
-            return SweepTask(**{**task.to_dict(),
-                                "memory_budget": self.memory_budget,
-                                "chaos": task.chaos})
+            return replace(task, memory_budget=self.memory_budget)
         return task
 
     def fingerprint_of(self, task: SweepTask) -> str:
-        """`Problem.fingerprint` of one task, via a hot problem memo."""
+        """`Problem.fingerprint` of one task, over the problem memo."""
         from ..api import Problem
         from ..core.machine import MACHINES
 
-        key = (task.model, task.machine, task.p, task.mode)
-        with self._lock:
-            prob = self._problems.get(key)
-        if prob is None:
-            prob = Problem.from_benchmark(
-                task.model, task.p, machine=MACHINES[task.machine],
-                mode=task.mode)
-            with self._lock:
-                while len(self._problems) >= _PROBLEM_MEMO_MAX:
-                    self._problems.pop(next(iter(self._problems)))
-                self._problems[key] = prob
-        return prob.fingerprint(
+        graph, space = benchmark_problem(task.model, task.p, task.mode)
+        return Problem(graph, space, MACHINES[task.machine]).fingerprint(
             method=task.method, seed=task.seed, reduce=task.reduce,
             resilient=task.resilient, memory_budget=task.memory_budget)
 
@@ -257,56 +243,39 @@ class SearchEngine:
 
         ``fingerprint`` lets the server reuse the digest it computed for
         the cache fast path; the task must already be normalized then.
+        A quarantined problem gets a second pass with its degraded task
+        when the request opted in (resilient, coarsened mode, no chaos);
+        that pass's answers carry ``degraded=True``.
         """
         task = request.task if fingerprint is not None \
             else self.normalize(request.task)
         fp = fingerprint if fingerprint is not None \
             else self.fingerprint_of(task)
-        rec = self.cached(fp)
-        if rec is not None:
-            return EngineResult(fingerprint=fp, record=rec, cached=True)
-        entry = self.quarantine.get(fp)
-        if entry is not None:
-            if request.degrade:
-                return self._execute_degraded(task, request.deadline)
-            raise quarantined_error(fp, entry, degradable=True)
+        for degraded in (False, True):
+            rec = self.cached(fp)
+            if rec is not None:
+                return EngineResult(fingerprint=fp, record=rec, cached=True,
+                                    degraded=degraded)
+            entry = self.quarantine.get(fp)
+            if entry is None:
+                break
+            if degraded or not request.degrade:
+                raise quarantined_error(fp, entry, degradable=not degraded)
+            # Never degrade *into* an injected fault.
+            task = replace(task, mode=DEGRADE_LADDER.get(task.mode, "pow2"),
+                           resilient=True, chaos=None)
+            fp = self.fingerprint_of(task)
         flight, coalesced = self._join(fp, task, request.deadline)
         try:
-            return self._await(flight, coalesced, request.deadline)
+            result = self._await(flight, coalesced, request.deadline)
         finally:
             with self._lock:
                 flight.waiters -= 1
+        result.degraded = degraded
+        return result
 
     def quarantine_snapshot(self) -> dict[str, dict]:
         return self.quarantine.snapshot()
-
-    # -- degradation ladder --------------------------------------------------
-
-    def _execute_degraded(self, task: SweepTask,
-                          deadline: float | None) -> EngineResult:
-        """Quarantined-problem fallback: resilient + coarsened mode."""
-        degraded_task = SweepTask(**{
-            **task.to_dict(),
-            "mode": DEGRADE_LADDER.get(task.mode, "pow2"),
-            "resilient": True,
-            "chaos": None,  # never degrade *into* an injected fault
-        })
-        fp = self.fingerprint_of(degraded_task)
-        rec = self.cached(fp)
-        if rec is not None:
-            return EngineResult(fingerprint=fp, record=rec, cached=True,
-                                degraded=True)
-        entry = self.quarantine.get(fp)
-        if entry is not None:
-            raise quarantined_error(fp, entry, degradable=False)
-        flight, coalesced = self._join(fp, degraded_task, deadline)
-        try:
-            result = self._await(flight, coalesced, deadline)
-        finally:
-            with self._lock:
-                flight.waiters -= 1
-        result.degraded = True
-        return result
 
     # -- coalescing ----------------------------------------------------------
 
@@ -346,7 +315,7 @@ class SearchEngine:
         return EngineResult(
             fingerprint=outcome.fingerprint, record=outcome.record,
             cached=outcome.cached, coalesced=coalesced,
-            attempts=outcome.attempts, degraded=outcome.degraded)
+            attempts=outcome.attempts)
 
     # -- dispatcher thread (all scheduling happens here) ----------------------
 

@@ -255,8 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
             with tracer.span("serve.search") as work_span:
                 result = engine.execute(
                     ServeRequest(task=task, deadline=request.deadline,
-                                 degrade=request.degrade, raw=request.raw),
-                    fingerprint)
+                                 degrade=request.degrade), fingerprint)
                 if tracer.enabled:
                     # Rename to what actually happened; _NullSpan has no
                     # name slot, hence the enabled guard.

@@ -6,7 +6,9 @@ handler and engine never guess at shapes:
 * :func:`validate_request` turns a decoded JSON body into a
   `ServeRequest` or raises a `ServeError` carrying a structured 400 —
   every problem found, each with the offending ``field`` — *before* any
-  search work starts.
+  search work starts.  The task fields are checked by the fleet's one
+  task schema (`repro.fleet.spec.task_problems`), so a request and a
+  sweep task accept exactly the same types and values.
 * `ServeError` is the one exception the HTTP layer translates: it
   carries the status code, a machine-readable ``kind``, optional
   per-field detail, and an optional ``Retry-After`` hint.
@@ -23,11 +25,11 @@ equal request fingerprints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core.exceptions import PaseError
-from ..fleet.spec import SweepSpecError, SweepTask
+from ..fleet.spec import SweepTask, task_problems, task_type_problems
 
 __all__ = ["WIRE_VERSION", "MAX_BODY_BYTES", "MAX_P", "ServeError",
            "ServeRequest", "validate_request", "success_body",
@@ -109,26 +111,12 @@ class ServeRequest:
     task: SweepTask
     deadline: float | None = None
     degrade: bool = False
-    raw: Mapping[str, Any] = field(default_factory=dict)
 
 
-#: Request fields: name -> (accepted types, default).  ``p`` and
-#: ``model`` are required (default is the REQUIRED sentinel).
-_REQUIRED = object()
-_FIELDS: dict[str, tuple[tuple[type, ...], Any]] = {
-    "model": ((str,), _REQUIRED),
-    "p": ((int,), _REQUIRED),
-    "machine": ((str,), "1080ti"),
-    "mode": ((str,), "pow2"),
-    "method": ((str,), "ours"),
-    "seed": ((int,), 0),
-    "reduce": ((bool, str), False),
-    "resilient": ((bool,), False),
-    "memory_budget": ((int,), None),
-    "deadline": ((int, float), None),
-    "degrade": ((bool,), False),
-    "chaos": ((dict,), None),
-}
+#: Request fields that are not task fields, and task fields a request
+#: may not set (a served search runs no fault plan and no frontier).
+_REQUEST_ONLY = frozenset({"deadline", "degrade"})
+_SWEEP_ONLY = frozenset({"objective", "faults", "faults_name"})
 
 
 def validate_request(doc: Any, *, allow_chaos: bool = False,
@@ -136,76 +124,56 @@ def validate_request(doc: Any, *, allow_chaos: bool = False,
     """Schema-check one decoded request body; raises `ServeError` (400).
 
     Collects *every* problem before failing, so a client fixing its
-    request sees the full list at once.  ``chaos`` (the fleet's
-    test-only worker-misbehaviour hook) is rejected unless the server
-    was started with ``--allow-chaos`` — production servers never run
-    client-injected faults.
+    request sees the full list at once.  The task fields go through the
+    fleet's task schema; the rules kept here belong to a request: ``p``
+    is required and at most `MAX_P`, ``deadline`` and ``degrade`` are
+    checked, and ``chaos`` (the fleet's test-only worker-misbehaviour
+    hook) is rejected unless the server was started with
+    ``--allow-chaos`` — production servers never run client-injected
+    faults.  A well-formed request naming a task no worker can run gets
+    the schema's message instead of a field list.
     """
     if not isinstance(doc, dict):
         raise ServeError(400, "invalid-request",
                          "request body must be a JSON object")
-    errors: list[dict[str, str]] = []
-    unknown = set(doc) - set(_FIELDS)
-    for name in sorted(unknown):
-        errors.append({"field": name, "message": "unknown field"})
-    values: dict[str, Any] = {}
-    for name, (types, default) in _FIELDS.items():
-        if name not in doc:
-            if default is _REQUIRED:
-                errors.append({"field": name, "message": "required"})
-            else:
-                values[name] = default
-            continue
-        val = doc[name]
-        # bool is an int subclass; don't let `true` pass as a p.
-        if isinstance(val, bool) and bool not in types:
-            errors.append({"field": name,
-                           "message": f"expected {types[0].__name__}"})
-            continue
-        if val is not None and not isinstance(val, types):
-            errors.append({"field": name,
-                           "message": f"expected {types[0].__name__}"})
-            continue
-        values[name] = val
-
-    if errors:
-        raise ServeError(400, "invalid-request", "request failed validation",
-                         errors=errors)
-
-    if values["p"] > MAX_P:
-        errors.append({"field": "p",
-                       "message": f"p={values['p']} exceeds the service "
-                       f"limit of {MAX_P}"})
-    if isinstance(values["reduce"], str) and \
-            values["reduce"] not in ("off", "never", "auto", "always"):
-        errors.append({"field": "reduce",
-                       "message": "expected a bool or one of "
-                       "off/never/auto/always"})
-    deadline = values.pop("deadline")
-    if deadline is not None and deadline <= 0:
+    fields = {k: v for k, v in doc.items()
+              if k in SweepTask.__dataclass_fields__ and k not in _SWEEP_ONLY}
+    errors = [{"field": name, "message": "unknown field"}
+              for name in sorted(set(doc) - set(fields) - _REQUEST_ONLY)]
+    errors += task_type_problems(fields)
+    p = doc.get("p")
+    if "p" not in doc:
+        errors.append({"field": "p", "message": "required"})
+    elif type(p) is int and p > MAX_P:
+        errors.append({"field": "p", "message": f"p={p} exceeds the "
+                       f"service limit of {MAX_P}"})
+    deadline = doc.get("deadline")
+    if isinstance(deadline, bool) or not isinstance(
+            deadline, (int, float, type(None))):
+        errors.append({"field": "deadline", "message": "expected int"})
+    elif deadline is not None and deadline <= 0:
         errors.append({"field": "deadline", "message": "must be positive"})
-    if max_deadline is not None:
-        deadline = (max_deadline if deadline is None
-                    else min(float(deadline), max_deadline))
-    degrade = values.pop("degrade")
-    chaos = values.pop("chaos")
-    if chaos is not None and not allow_chaos:
+    degrade = doc.get("degrade", False)
+    if not isinstance(degrade, bool):
+        errors.append({"field": "degrade", "message": "expected bool"})
+    if fields.get("chaos") is not None and not allow_chaos:
         errors.append({"field": "chaos",
                        "message": "chaos injection is disabled on this "
                        "server (start with --allow-chaos)"})
     if errors:
         raise ServeError(400, "invalid-request", "request failed validation",
                          errors=errors)
-
-    try:
-        task = SweepTask(chaos=chaos, **values)
-        task.validate()
-    except SweepSpecError as err:
-        raise ServeError(400, "invalid-request", str(err)) from None
-    return ServeRequest(task=task,
+    problems = task_problems(fields)
+    if problems:
+        raise ServeError(400, "invalid-request",
+                         "; ".join(q["message"] for q in problems))
+    if max_deadline is not None:
+        deadline = (max_deadline if deadline is None
+                    else min(float(deadline), max_deadline))
+    return ServeRequest(task=SweepTask(**fields),
                         deadline=None if deadline is None
                         else float(deadline),
-                        degrade=degrade, raw=doc)
+                        degrade=degrade)
 
 
 def success_body(fingerprint: str, record: Mapping[str, Any], *,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.machine import GTX1080TI
+from repro.core.machine import GTX1080TI, UNIT_BALANCE, from_heterogeneous
 from repro.experiments import (
     build_setup,
     run_config_mode_ablation,
@@ -22,6 +22,14 @@ class TestCommon:
         a = build_setup("alexnet", 4)
         b = build_setup("alexnet", 4)
         assert a is b
+
+    def test_build_setup_prices_the_given_machine(self):
+        hetero = from_heterogeneous("mixed", [10e12, 12e12], [8e9],
+                                    [5e9, 9e9])
+        for machine in (UNIT_BALANCE, hetero, GTX1080TI):
+            setup = build_setup("alexnet", 4, machine=machine)
+            assert setup.machine == machine
+            assert setup.tables.machine == machine
 
     def test_search_with_all_methods(self):
         setup = build_setup("rnnlm", 4)

@@ -68,10 +68,36 @@ class TestValidation:
         ("ps", [0], "must be >= 1"),
         ("modes", ["weird"], "unknown mode"),
         ("methods", ["magic"], "unknown method"),
+        ("ps", ["x"], "expected int"),
+        ("ps", [8.7], "expected int"),
+        ("ps", [True], "expected int"),
     ])
     def test_bad_axis_values_rejected(self, field, value, match):
         with pytest.raises(SweepSpecError, match=match):
             small_spec(**{field: value}).expand()
+
+    def test_reduce_axis_keeps_its_spelling(self):
+        tasks = small_spec(methods=["ours"], reduce=["off", "always"]).expand()
+        assert [t.reduce for t in tasks] == ["off", "always"] * 2
+
+    @pytest.mark.parametrize("extra,match", [
+        ({"p": "4"}, "p: expected int"),
+        ({"memory_budget": "big"}, "memory_budget: expected int"),
+        ({"reduce": "bogus"}, "reduce: expected a bool or one of"),
+        ({"seed": "0"}, "seed: expected int"),
+        ({"seed": None}, "seed: expected int"),
+    ])
+    def test_explicit_task_types_rejected(self, extra, match):
+        spec = small_spec(tasks=[{"model": "rnnlm", **extra}])
+        with pytest.raises(SweepSpecError, match=match):
+            spec.expand()
+
+    def test_every_task_problem_listed_at_once(self):
+        with pytest.raises(SweepSpecError) as exc:
+            SweepTask.from_dict({"p": True, "seed": "0", "gpu": 9})
+        for part in ("gpu: unknown field", "model: required",
+                     "p: expected int", "seed: expected int"):
+            assert part in str(exc.value)
 
     def test_bad_chaos_kind_rejected(self):
         spec = small_spec(
@@ -87,6 +113,10 @@ class TestValidation:
         with pytest.raises(SweepSpecError, match="unknown field"):
             SweepTask.from_dict({"model": "alexnet", "gpu": 9})
 
+    def test_non_object_task_rejected(self):
+        with pytest.raises(SweepSpecError, match="must be an object"):
+            small_spec(tasks=[5]).expand()
+
     def test_future_version_rejected(self):
         with pytest.raises(SweepSpecError, match="version"):
             SweepSpec.from_dict({"version": SPEC_VERSION + 1,
@@ -100,6 +130,19 @@ class TestIdentity:
         c = SweepTask(model="alexnet", p=8)
         assert a.task_id == b.task_id
         assert a.task_id != c.task_id
+
+    def test_task_ids_are_pinned(self):
+        """Result records, manifest slots and task directories are keyed
+        on these ids, so they must never drift."""
+        assert SweepTask(model="alexnet", p=4).task_id == "3c168db218b675a6"
+        assert SweepTask(model="alexnet", p=4, objective="frontier") \
+            .task_id == "7485b08421006ba8"
+        assert SweepTask(model="rnnlm", p=8, reduce=True,
+                         chaos={"kind": "exit", "attempts": 1}) \
+            .task_id == "3d07bf616975d590"
+        assert small_spec().fingerprint() == (
+            "91cd35fea249b89cd2e5ae47f0b0c109"
+            "4f4cff9003bd25e06de6ba8172b257c7")
 
     def test_chaos_participates_in_the_task_id(self):
         plain = SweepTask(model="alexnet")

@@ -180,6 +180,28 @@ class TestQuarantine:
             assert result.record["task"]["resilient"] is True
             assert result.record["cost"] > 0
 
+    def test_quarantined_degraded_fallback_gets_503(self, tmp_path):
+        """When the degraded task's own fingerprint is quarantined too,
+        the second pass refuses with the non-degradable hint."""
+        from repro.fleet.spec import SweepTask
+
+        with make_engine(tmp_path) as engine:
+            req = request({"model": "alexnet", "p": 4, "seed": 21,
+                           "mode": "divisors", "degrade": True})
+            degraded = SweepTask(model="alexnet", p=4, seed=21,
+                                 resilient=True)
+            fps = [engine.fingerprint_of(req.task),
+                   engine.fingerprint_of(degraded)]
+            for fp in fps:
+                engine.quarantine.add(fp, attempts=3, kind="crash",
+                                      detail="poison")
+            with pytest.raises(ServeError) as exc:
+                engine.execute(req)
+            assert exc.value.status == 503
+            assert exc.value.kind == "quarantined"
+            assert "the degraded fallback failed too" in exc.value.message
+            assert exc.value.detail["fingerprint"] == fps[1]
+
 
 class TestDeadline:
     def test_waiter_deadline_maps_to_504(self, tmp_path):

@@ -95,6 +95,11 @@ class TestEndpoints:
             assert fields == {"p", "bogus"}
             status, body, _ = client.post(None, raw=b"{not json")
             assert status == 400
+            for doc in ({"model": "alexnet", "p": None},
+                        {"model": "alexnet", "p": 4, "seed": None}):
+                status, body, _ = client.post(doc)
+                assert status == 400, body
+                assert body["error"]["kind"] == "invalid-request"
         finally:
             server.close()
 

@@ -51,6 +51,27 @@ class TestValidateRequest:
             validate_request({"model": "alexnet", "p": True})
         assert any(e["field"] == "p" for e in exc.value.errors)
 
+    def test_null_passes_only_where_the_default_is_none(self):
+        for field in ("p", "seed"):
+            with pytest.raises(ServeError) as exc:
+                validate_request({"model": "alexnet", "p": 8, field: None})
+            assert exc.value.status == 400
+            assert exc.value.errors == [{"field": field,
+                                         "message": "expected int"}]
+        req = validate_request({"model": "alexnet", "p": 8,
+                                "memory_budget": None, "deadline": None,
+                                "chaos": None})
+        assert req.task.memory_budget is None and req.deadline is None
+
+    def test_sweep_only_fields_stay_unknown(self):
+        with pytest.raises(ServeError) as exc:
+            validate_request({"model": "alexnet", "p": 8,
+                              "objective": "frontier", "faults": {},
+                              "faults_name": "x"})
+        assert {e["field"] for e in exc.value.errors} == \
+            {"objective", "faults", "faults_name"}
+        assert all(e["message"] == "unknown field" for e in exc.value.errors)
+
     def test_unknown_model_rejected_by_task_validation(self):
         with pytest.raises(ServeError) as exc:
             validate_request({"model": "resnet9000", "p": 8})

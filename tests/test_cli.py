@@ -45,6 +45,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["search", "--model", "lenet", "--p", "4"])
 
+    def test_sweep_with_malformed_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"models": ["alexnet"], "ps": ["x"]}))
+        assert main(["sweep", "--spec", str(spec),
+                     "--fleet-dir", str(tmp_path / "fleet")]) == 2
+        err = capsys.readouterr().err
+        assert "bad sweep spec" in err and "p: expected int" in err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
