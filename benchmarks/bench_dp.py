@@ -26,8 +26,8 @@ Timings land in ``BENCH_dp.json`` (override the path with
 reduced path.  The device grid comes from ``PASE_BENCH_DP_PS``
 (comma-separated, default ``16,64``); CI runs ``16,32``.
 
-Like ``bench_tables.py`` this needs no pytest-benchmark plugin, so CI can
-smoke it with the base test toolchain:
+This needs no pytest-benchmark plugin, so CI can smoke it with the base
+test toolchain:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_dp.py
 """

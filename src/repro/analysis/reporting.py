@@ -100,8 +100,8 @@ def format_table_build_stats(stats: Mapping[str, float]) -> str:
     """One-line summary of the cost-table construction phase.
 
     Accepts ``CostTables.build_stats`` (keys ``build_seconds``,
-    ``cache_hit``, ``jobs``, ``cells``) or ``SearchResult.stats`` using
-    the same keys under a ``table_`` prefix.
+    ``cache_hit``, ``cells``) or ``SearchResult.stats`` using the same
+    keys under a ``table_`` prefix.
     """
     get = lambda k: stats.get(k, stats.get(f"table_{k}"))  # noqa: E731
     seconds = get("build_seconds")
@@ -109,13 +109,8 @@ def format_table_build_stats(stats: Mapping[str, float]) -> str:
         return "cost tables: no build statistics"
     cells = get("cells")
     size = f", {cells / 1e6:.2f}M cells" if cells else ""
-    if get("cache_hit"):
-        return f"cost tables: {seconds:.3f}s (cache hit{size})"
-    jobs = int(get("jobs") or 1)
-    how = f"threads x{jobs}" if jobs > 1 else "serial"
-    note = " [DEGRADED: pool failed, serial fallback]" if get("degraded") \
-        else ""
-    return f"cost tables: {seconds:.3f}s ({how}{size}){note}"
+    how = "cache hit" if get("cache_hit") else "built"
+    return f"cost tables: {seconds:.3f}s ({how}{size})"
 
 
 def format_reduction_stats(stats: Mapping[str, float]) -> str:

@@ -136,9 +136,9 @@ class Problem:
           dict this method always hashed, so every pre-existing journal
           resume key and serve coalesce/cache key stays valid.
 
-        Deliberately excluded: wall-clock deadlines, jobs/cache
-        knobs, and the observability pair — those change how fast the
-        answer arrives, not what it is.  Two problems with equal
+        Deliberately excluded: wall-clock deadlines, the table cache,
+        and the observability pair — those change how fast the answer
+        arrives, not what it is.  Two problems with equal
         fingerprints return bit-identical `SearchResult`\\ s, which is
         exactly what makes request coalescing and cross-request result
         caching sound.
@@ -175,7 +175,7 @@ def search(problem: Problem, *,
     `RunInterrupted`, ...), same journal/resume behavior — the
     `Problem` supplies the instance and the optional `RunContext`
     supplies every execution knob (budget, cancellation, journal,
-    tracer, metrics, jobs, cache).
+    tracer, metrics, cache).
 
     ``objective="frontier"`` (or ``"frontier:eps=<float>"``) returns the
     full (cost, peak-bytes) Pareto frontier in ``outcome.result

@@ -93,7 +93,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             memory_budget=args.memory_budget if args.memory_budget is not None
             else DEFAULT_MEMORY_BUDGET),
         cancellation=Cancellation(),
-        journal=journal, jobs=args.jobs, cache=cache,
+        journal=journal, cache=cache,
         tracer=tracer, metrics=metrics)
     try:
         with trap_signals(ctx.cancellation):
@@ -208,7 +208,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]
     setup = build_setup(args.model, args.p, machine=machine, mode=args.mode,
-                        jobs=args.jobs, cache_dir=args.table_cache)
+                        cache_dir=args.table_cache)
     plan = None
     if args.faults:
         from .resilience import FaultPlan
@@ -304,7 +304,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
         cache = TableCache(args.table_cache)
     res = pipeline_pase(graph, args.p, args.stages, machine=machine,
-                        mode=args.mode, jobs=args.jobs, cache=cache,
+                        mode=args.mode, cache=cache,
                         reduce=args.reduce)
     print(f"# {args.model} p={args.p} stages={args.stages} "
           f"({res.devices_per_stage} devices/stage)")

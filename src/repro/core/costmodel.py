@@ -23,12 +23,13 @@ makes it edge-direction symmetric as required by the paper (footnote 2).
 All per-node and per-edge costs are precomputed **vectorized over entire
 configuration tables** into `CostTables`; the dynamic program, brute force,
 MCMC comparator, and reports all rank strategies with these shared arrays.
+`CostModel.build_tables` fills them in one serial pass, nodes then edges,
+and a content-addressed `repro.core.tablecache.TableCache` makes a
+repeated build a load.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,100 +45,7 @@ from .graph import CompGraph, Edge
 from .machine import MachineSpec
 from .tensors import DTYPE_BYTES, TensorSpec
 
-__all__ = ["CostModel", "CostTables", "allreduce_bytes",
-           "PARALLEL_THRESHOLD_CELLS", "BACKEND_CODES"]
-
-#: Minimum total table cells (Σ_v K_v + Σ_e K_u·K_v) before ``jobs=``
-#: auto-selection fans out to threads; below it task-dispatch overhead
-#: dominates and construction stays serial.  Measured with two threads
-#: on a 2-vCPU host: threads lose 7-20% up to inception_v3 p=8 (356k
-#: cells) and win from transformer p=32 (1.01M cells, 11%) upwards.
-PARALLEL_THRESHOLD_CELLS = 1_000_000
-
-#: Backend names -> the numeric code recorded in ``build_stats``
-#: (every stats value must be a float; the string name lives on
-#: ``CostTables.backend``).
-BACKEND_CODES = {"serial": 0.0, "threads": 1.0}
-
-#: Extra parallel attempts after a thread-pool failure before the serial
-#: fallback, and the backoff slept before each retry.
-PARALLEL_BUILD_RETRIES = 1
-PARALLEL_RETRY_BACKOFF_SECONDS = 0.25
-
-#: Longest uninterrupted slice of a retry-backoff sleep; the run's
-#: checkpoint (deadline / cancellation) is polled between slices.
-BACKOFF_POLL_SECONDS = 0.05
-
-_log = logging.getLogger(__name__)
-
-
-def _interruptible_sleep(seconds: float,
-                         checkpoint: Callable[..., None] | None) -> None:
-    """Sleep in short slices, polling the run checkpoint between them.
-
-    A retry backoff must not outlive the run: a SIGINT or a blown
-    deadline during the sleep surfaces at the next poll (within
-    `BACKOFF_POLL_SECONDS`) instead of after the full backoff.
-    """
-    if checkpoint is None:
-        time.sleep(seconds)
-        return
-    deadline = time.perf_counter() + seconds
-    while True:
-        checkpoint(phase="tables")
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(min(BACKOFF_POLL_SECONDS, remaining))
-
-
-def _parse_jobs(jobs: int | str | None) -> tuple[str, int]:
-    """Normalize every ``jobs=`` spelling to ``(mode, requested_workers)``.
-
-    Accepted spellings:
-
-    * ``None`` — serial (the default);
-    * ``int n`` — auto-select a backend with at most ``n`` workers
-      (``0`` = all cores; negative is an error);
-    * ``"serial"`` — force the single-thread reference path;
-    * ``"auto"`` / ``"auto:N"`` — explicit auto-selection;
-    * ``"threads"`` / ``"threads:N"`` — force the thread backend (used
-      by tests/benchmarks to exercise the pool even where
-      auto-selection would stay serial).
-
-    An omitted or zero count means "all cores".
-    """
-    if jobs is None:
-        return "serial", 1
-    if isinstance(jobs, int) and not isinstance(jobs, bool):
-        if jobs < 0:
-            raise ValueError(f"jobs={jobs} must be >= 0 (0 = all cores)")
-        return "auto", (jobs or (os.cpu_count() or 1))
-    if isinstance(jobs, str):
-        spec = jobs.strip().lower()
-        mode, _, count = spec.partition(":")
-        if mode not in ("serial", "auto", "threads"):
-            raise ValueError(
-                f"jobs={jobs!r}: expected an int, 'serial', or "
-                "'auto'/'threads' with an optional ':N' count")
-        if mode == "serial":
-            if count:
-                raise ValueError(f"jobs={jobs!r}: 'serial' takes no count")
-            return "serial", 1
-        if count:
-            try:
-                n = int(count)
-            except ValueError:
-                raise ValueError(
-                    f"jobs={jobs!r}: worker count must be an integer") \
-                    from None
-            if n < 0:
-                raise ValueError(f"jobs={jobs!r}: worker count must be >= 0")
-        else:
-            n = 0
-        return mode, (n or (os.cpu_count() or 1))
-    raise ValueError(f"jobs={jobs!r}: expected None, an int, or a "
-                     "'serial'/'auto[:N]'/'threads[:N]' string")
+__all__ = ["CostModel", "CostTables", "allreduce_bytes"]
 
 
 def allreduce_bytes(volume_bytes, group_size):
@@ -296,38 +204,11 @@ class CostModel:
     def table_work_cells(graph: CompGraph, space: ConfigSpace) -> int:
         """Total cells the tables will hold: ``Σ_v K_v + Σ_e K_u · K_v``.
 
-        Used both as the parallelization threshold and as a size proxy in
-        build statistics.
+        Used as a size proxy in build statistics and metrics.
         """
         cells = sum(space.size(op.name) for op in graph)
         cells += sum(space.size(e.src) * space.size(e.dst) for e in graph.edges)
         return int(cells)
-
-    def _resolve_backend(self, jobs: int | str | None, work_cells: int,
-                         n_tasks: int) -> tuple[str, int]:
-        """Pick ``(backend, workers)`` for one build.
-
-        The forced ``"threads[:N]"`` spelling is honored as long as there
-        is more than one task to fan out — regardless of core count, so
-        tests can exercise the pool path on single-core machines.
-        ``"auto"`` (and plain integers) stay serial when there are fewer
-        than `PARALLEL_THRESHOLD_CELLS` table cells or fewer than two
-        usable workers (``min(requested, cores, tasks)``) — dispatch
-        overhead dominates — and use threads otherwise: the vectorized
-        kernels release the GIL, and threads pay neither fork nor any
-        result copy.
-        """
-        mode, requested = _parse_jobs(jobs)
-        cap = max(n_tasks, 1)
-        if mode == "serial":
-            return "serial", 1
-        if mode == "threads":
-            workers = min(requested, cap)
-        else:
-            workers = min(requested, os.cpu_count() or 1, cap)
-            if work_cells < PARALLEL_THRESHOLD_CELLS:
-                return "serial", 1
-        return ("threads", workers) if workers > 1 else ("serial", 1)
 
     def build_tables(self, graph: CompGraph, space: ConfigSpace, *,
                      ctx: "object | None" = None,
@@ -339,50 +220,32 @@ class CostModel:
         ----------
         ctx:
             A `repro.runtime.RunContext` supplying the build knobs below
-            and the observability pair; ``None`` builds serially,
-            uncached and unpolled.
-
-            ``ctx.jobs`` — parallelism for the per-node / per-edge matrix
-            construction.  ``None`` (default) stays serial; an int ``n``
-            auto-selects a backend with at most ``n`` workers (``0`` =
-            all cores); the string spellings ``"serial"``,
-            ``"auto[:N]"`` and ``"threads[:N]"`` force a backend (see
-            `_resolve_backend` for the auto rule).  The thread backend
-            is bit-identical to the serial path: workers compute exactly
-            the arrays the serial loop would, and the parent accumulates
-            them in the serial iteration order.  A pool that fails to
-            start threads is retried `PARALLEL_BUILD_RETRIES` times with
-            backoff and then *degrades* to the serial path — still
-            bit-identical, recorded in ``build_stats["degraded"]`` —
-            instead of crashing the run.
+            and the observability pair; ``None`` builds uncached and
+            unpolled.
 
             ``ctx.cache`` — optional `repro.core.tablecache.TableCache`.
             On a digest hit the stored arrays are loaded and no matrix is
-            constructed; on a miss the freshly built tables are stored —
-            unless the build degraded, in which case the store is
-            skipped (and logged): a build that needed a fallback should
-            never be the one that populates a long-lived cache.
+            constructed; on a miss the freshly built tables are stored.
 
             ``ctx.make_checkpoint()`` — optional cooperative cancellation
-            hook, polled between per-node / per-edge tasks and around
-            pool attempts; it aborts the build by raising.  An aborted
-            build never reaches the cache store.
+            hook, polled between per-node / per-edge tasks; it aborts the
+            build by raising.  An aborted build never reaches the cache
+            store.
         memory:
             Also build per-node per-config memory tables
             (``CostTables.mem``, worst-device peak bytes from
-            `repro.analysis.memory.MemoryModel.node_bytes`) on the same
-            jobs / cache data plane as the LC/TX tables.  The frontier
-            search requires them; scalar searches never pay for them.
-            Flipping this changes the cache digest, so scalar and
-            memory-carrying table sets never alias in a `TableCache`.
+            `repro.core.frontier.memory_tables`), cached together with
+            the LC/TX tables.  The frontier search requires them; scalar
+            searches never pay for them.  Flipping this changes the cache
+            digest, so scalar and memory-carrying table sets never alias
+            in a `TableCache`.
 
-        The returned tables carry ``build_stats`` (seconds, cache hit,
-        worker count, table cells, degradation flags) which the searchers
-        surface in ``SearchResult.stats``.
+        The returned tables carry ``build_stats`` (``build_seconds``,
+        ``cache_hit``, ``cells``), which the searchers surface in
+        ``SearchResult.stats``.
         """
-        jobs = cache = checkpoint = None
+        cache = checkpoint = None
         if ctx is not None:
-            jobs = ctx.jobs
             cache = ctx.cache
             checkpoint = ctx.make_checkpoint()
         tracer = tracer_of(ctx)
@@ -392,13 +255,9 @@ class CostModel:
         work_cells = self.table_work_cells(graph, space)
         with tracer.span("tables.build", cells=work_cells) as span:
             tables = self._build_tables_inner(
-                graph, space, jobs, cache, checkpoint, work_cells, t0,
-                memory)
+                graph, space, cache, checkpoint, work_cells, t0, memory)
             stats = tables.build_stats
             span.set(cache_hit=bool(stats["cache_hit"]),
-                     jobs=int(stats["jobs"]),
-                     backend=tables.backend,
-                     degraded=bool(stats["degraded"]),
                      seconds_build=stats["build_seconds"])
         if stats["cache_hit"]:
             metrics.counter("table_cache_hits_total",
@@ -414,16 +273,14 @@ class CostModel:
                     "table_build_cells_per_second",
                     "cost-table construction throughput").set(
                         work_cells / stats["build_seconds"])
-            metrics.counter("table_pool_retries_total",
-                            "parallel table-build pool retries").inc(
-                                stats["parallel_retries"])
         return tables
 
     def _build_tables_inner(self, graph: CompGraph, space: ConfigSpace,
-                            jobs: int | str | None, cache: "object | None",
+                            cache: "object | None",
                             checkpoint: Callable[..., None] | None,
                             work_cells: int, t0: float,
-                            memory: bool = False) -> "CostTables":
+                            memory: bool) -> "CostTables":
+        """Cache lookup, the per-node then per-edge loop, cache store."""
         digest = None
         if cache is not None:
             from .tablecache import table_digest
@@ -434,68 +291,9 @@ class CostModel:
                 hit.build_stats = {
                     "build_seconds": time.perf_counter() - t0,
                     "cache_hit": 1.0,
-                    "jobs": 1.0,
                     "cells": float(work_cells),
-                    "result_bytes": float(work_cells * 8),
-                    "backend": BACKEND_CODES["serial"],
-                    "degraded": 0.0,
-                    "parallel_retries": 0.0,
                 }
                 return hit
-        n_tasks = len(graph) + len(graph.edges)
-        backend, workers = self._resolve_backend(jobs, work_cells, n_tasks)
-        retries = 0
-        degraded_reason = None
-        if backend != "serial":
-            lc, edge_mats, mem, retries, degraded_reason = \
-                self._build_arrays_hardened(graph, space, workers,
-                                            checkpoint, memory)
-        else:
-            lc, edge_mats, mem = self._build_arrays_serial(
-                graph, space, checkpoint, memory)
-        pair_tx: dict[tuple[str, str], np.ndarray] = {}
-        for e, raw in zip(graph.edges, edge_mats):
-            mat = raw * self.r
-            key, flip = _canonical(e.src, e.dst)
-            if flip:
-                mat = mat.T
-            if key in pair_tx:
-                pair_tx[key] = pair_tx[key] + mat
-            else:
-                pair_tx[key] = mat
-        tables = CostTables(graph=graph, space=space, machine=self.machine,
-                            lc=lc, pair_tx=pair_tx, mem=mem)
-        if degraded_reason is not None:
-            backend, workers = "serial", 1
-        tables.backend = backend
-        tables.build_stats = {
-            "build_seconds": time.perf_counter() - t0,
-            "cache_hit": 0.0,
-            "jobs": float(workers),
-            "cells": float(work_cells),
-            "result_bytes": float(work_cells * 8),
-            "backend": BACKEND_CODES[backend],
-            "degraded": 0.0 if degraded_reason is None else 1.0,
-            "parallel_retries": float(retries),
-        }
-        if degraded_reason is not None:
-            tables.degraded_reason = degraded_reason
-        if cache is not None and digest is not None:
-            if degraded_reason is not None:
-                _log.warning(
-                    "not caching tables %s: build degraded to serial after "
-                    "pool failure (%s)", digest[:12], degraded_reason)
-            else:
-                cache.store(digest, tables)
-        return tables
-
-    def _build_arrays_serial(
-            self, graph: CompGraph, space: ConfigSpace,
-            checkpoint: Callable[..., None] | None = None,
-            memory: bool = False,
-    ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
-               dict[str, np.ndarray] | None]:
-        """The reference single-thread build (also the degraded path)."""
         n_tasks = len(graph) + len(graph.edges)
         lc: dict[str, np.ndarray] = {}
         for k, op in enumerate(graph):
@@ -510,84 +308,34 @@ class CostModel:
                 graph, e, space.configs(e.src), space.configs(e.dst)))
         mem = None
         if memory:
-            from ..analysis.memory import MemoryModel
+            from .frontier import memory_tables
 
-            mm = MemoryModel()
-            mem = {op.name: mm.node_bytes(op, space.configs(op.name))
-                   for op in graph}
-        return lc, edge_mats, mem
-
-    def _build_arrays_hardened(
-            self, graph: CompGraph, space: ConfigSpace, workers: int,
-            checkpoint: Callable[..., None] | None = None,
-            memory: bool = False,
-    ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
-               dict[str, np.ndarray] | None, int, str | None]:
-        """Thread-pool build with retry-then-serial degradation.
-
-        Starting pool threads can fail when the process or the host is
-        out of threads or memory: ``RuntimeError("can't start new
-        thread")`` or `OSError`.  Both are retried with backoff, then the
-        bit-identical serial path takes over.  Returns ``(lc, edge_mats,
-        mem, retries_used, degraded_reason)``.
-        """
-        last_error: BaseException | None = None
-        for attempt in range(1 + PARALLEL_BUILD_RETRIES):
-            if checkpoint is not None:
-                checkpoint(phase="tables")
-            if attempt:
-                _interruptible_sleep(
-                    PARALLEL_RETRY_BACKOFF_SECONDS * attempt, checkpoint)
-            try:
-                lc, edge_mats, mem = self._build_arrays_threads(
-                    graph, space, workers, memory)
-                return lc, edge_mats, mem, attempt, None
-            except (RuntimeError, OSError) as err:
-                last_error = err
-                _log.warning(
-                    "parallel table build attempt %d/%d failed (%s: %s)",
-                    attempt + 1, 1 + PARALLEL_BUILD_RETRIES,
-                    type(err).__name__, err)
-        reason = f"{type(last_error).__name__}: {last_error}"
-        _log.warning("parallel table build degraded to serial after "
-                     "%d attempts (%s)", 1 + PARALLEL_BUILD_RETRIES, reason)
-        lc, edge_mats, mem = self._build_arrays_serial(
-            graph, space, checkpoint, memory)
-        return lc, edge_mats, mem, PARALLEL_BUILD_RETRIES, reason
-
-    def _build_arrays_threads(
-            self, graph: CompGraph, space: ConfigSpace, workers: int,
-            memory: bool = False,
-    ) -> tuple[dict[str, np.ndarray], list[np.ndarray],
-               dict[str, np.ndarray] | None]:
-        """Fan the matrix builds over a thread pool (zero-copy, no fork).
-
-        The heavy lifting is vectorized numpy, which releases the GIL
-        inside its kernels; results are ordinary in-process arrays, so
-        nothing is shipped at all.  ``Executor.map`` preserves input
-        order, keeping the caller's accumulation identical to serial.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        ops = list(graph)
-        mem = None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lc_arrays = list(pool.map(
-                lambda op: self.layer_cost(op, space.configs(op.name)), ops))
-            edge_mats = list(pool.map(
-                lambda e: self.edge_bytes_matrix(
-                    graph, e, space.configs(e.src), space.configs(e.dst)),
-                graph.edges))
-            if memory:
-                from ..analysis.memory import MemoryModel
-
-                mm = MemoryModel()
-                mem_arrays = list(pool.map(
-                    lambda op: mm.node_bytes(op, space.configs(op.name)),
-                    ops))
-                mem = {op.name: arr for op, arr in zip(ops, mem_arrays)}
-        return ({op.name: arr for op, arr in zip(ops, lc_arrays)},
-                edge_mats, mem)
+            mem = memory_tables(graph, space)
+        # The raw matrices stay alive until the store and are scaled only
+        # after the loop, because allocation order moves peak RSS:
+        # scaling each matrix as it is built measured +6% on the
+        # search-reduce workload and -8% on search-p16 (benchmarks/e2e,
+        # 2-vCPU host).
+        pair_tx: dict[tuple[str, str], np.ndarray] = {}
+        for e, raw in zip(graph.edges, edge_mats):
+            mat = raw * self.r
+            key, flip = _canonical(e.src, e.dst)
+            if flip:
+                mat = mat.T
+            if key in pair_tx:
+                pair_tx[key] = pair_tx[key] + mat
+            else:
+                pair_tx[key] = mat
+        tables = CostTables(graph=graph, space=space, machine=self.machine,
+                            lc=lc, pair_tx=pair_tx, mem=mem)
+        tables.build_stats = {
+            "build_seconds": time.perf_counter() - t0,
+            "cache_hit": 0.0,
+            "cells": float(work_cells),
+        }
+        if digest is not None:
+            cache.store(digest, tables)
+        return tables
 
 
 def _canonical(u: str, v: str) -> tuple[tuple[str, str], bool]:
@@ -613,14 +361,8 @@ class CostTables:
         digest would describe the *original* space, poisoning later hits.
     build_stats:
         Construction telemetry from :meth:`CostModel.build_tables`
-        (``build_seconds``, ``cache_hit``, ``jobs``, ``cells``,
-        ``result_bytes``, ``backend`` code, ``degraded``,
-        ``parallel_retries``); empty for tables assembled by hand.
-    backend:
-        Name of the build backend that produced the arrays
-        (``"serial"``/``"threads"``; degraded builds
-        report ``"serial"`` — the path that actually ran).  The numeric
-        twin lives in ``build_stats["backend"]`` (`BACKEND_CODES`).
+        (``build_seconds``, ``cache_hit``, ``cells``); empty for tables
+        assembled by hand.
     """
 
     graph: CompGraph
@@ -633,11 +375,7 @@ class CostTables:
     #: with ``memory=True`` — the frontier search's second objective.
     mem: dict[str, np.ndarray] | None = None
     derived: bool = False
-    backend: str = field(default="serial", repr=False)
     build_stats: dict[str, float] = field(default_factory=dict, repr=False)
-    #: Human-readable reason when the parallel build fell back to serial
-    #: (None for clean builds); surfaced in the hardened runtime's report.
-    degraded_reason: str | None = field(default=None, repr=False)
     _nbr_cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     def tx(self, u: str, v: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from ..baselines import (
     random_search,
 )
 from ..core.configs import ConfigSpace
-from ..core.costmodel import CostModel, CostTables, _parse_jobs
+from ..core.costmodel import CostModel, CostTables
 from ..core.dp import find_best_strategy
 from ..core.graph import CompGraph
 from ..core.machine import GTX1080TI, MachineSpec
@@ -43,32 +43,9 @@ class BenchSetup:
     tables: CostTables
 
 
-def _jobs_arg(value: str) -> int | str:
-    """argparse type for ``--jobs``: a worker count or a backend spelling.
-
-    Every value is validated by `repro.core.costmodel._parse_jobs`, so a
-    negative count or an unknown backend is a usage error (exit 2), not
-    a traceback once the tables are built.
-    """
-    try:
-        jobs: int | str = int(value)
-    except ValueError:
-        jobs = value
-    try:
-        _parse_jobs(jobs)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return jobs
-
-
 def add_table_args(parser: argparse.ArgumentParser) -> None:
-    """The ``--jobs``/``--table-cache``/``--reduce`` options of every
-    table-building entry point."""
-    parser.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
-                        help="cost-table construction parallelism: a "
-                        "worker count (0 = all cores; threads once the "
-                        "tables are large enough) or one of 'serial', "
-                        "'auto[:N]', 'threads[:N]' (default: serial)")
+    """The ``--table-cache``/``--reduce`` options of every table-building
+    entry point."""
     parser.add_argument("--table-cache", metavar="DIR", default=None,
                         help="cache precomputed cost tables under DIR "
                         "(content-addressed; reused across runs)")
@@ -82,7 +59,7 @@ def add_table_args(parser: argparse.ArgumentParser) -> None:
 
 @lru_cache(maxsize=32)
 def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
-                  jobs: int | str | None, cache_dir: str | None) -> BenchSetup:
+                  cache_dir: str | None) -> BenchSetup:
     graph = BENCHMARKS[name]()
     space = ConfigSpace.build(graph, p, mode=mode)
     cache = None
@@ -91,20 +68,19 @@ def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
         cache = TableCache(cache_dir)
     from ..runtime.context import RunContext
     tables = CostModel(machine).build_tables(
-        graph, space, ctx=RunContext(jobs=jobs, cache=cache))
+        graph, space, ctx=RunContext(cache=cache))
     return BenchSetup(name=name, graph=graph, p=p, machine=machine,
                       space=space, tables=tables)
 
 
 def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
-                mode: str = "pow2", jobs: int | str | None = None,
+                mode: str = "pow2",
                 cache_dir: str | None = None) -> BenchSetup:
     """Build (and memoize) graph + config space + cost tables.
 
-    ``jobs`` parallelizes the cost-table construction (0 = all cores);
     ``cache_dir`` enables the on-disk table cache rooted there.
     """
-    return _cached_setup(name, p, machine, mode, jobs,
+    return _cached_setup(name, p, machine, mode,
                          None if cache_dir is None else str(cache_dir))
 
 

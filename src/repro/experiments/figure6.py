@@ -43,8 +43,7 @@ def run_figure6(*, benchmarks: Sequence[str] = BENCH_ORDER,
                 ps: Sequence[int] = DEFAULT_PS,
                 machines: Sequence[MachineSpec] = (GTX1080TI, RTX2080TI),
                 methods: Sequence[str] = METHODS,
-                seed: int = 0, jobs: int | str | None = None,
-                cache_dir: str | None = None,
+                seed: int = 0, cache_dir: str | None = None,
                 reduce: bool = False,
                 budget: RunBudget | None = None) -> list[Figure6Point]:
     """An expired ``budget`` deadline stops the sweep at the next
@@ -57,7 +56,7 @@ def run_figure6(*, benchmarks: Sequence[str] = BENCH_ORDER,
             for p in ps:
                 if budget.expired:
                     return points
-                setup = build_setup(bench, p, machine=machine, jobs=jobs,
+                setup = build_setup(bench, p, machine=machine,
                                     cache_dir=cache_dir)
                 dp = search_with(setup, "data_parallel").strategy
                 base = simulate_step(setup.graph, dp, machine, p)
@@ -104,9 +103,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     budget = RunBudget(deadline=args.deadline).start()
     points = run_figure6(benchmarks=args.benchmarks,
                          ps=FULL_PS if args.full else DEFAULT_PS,
-                         seed=args.seed, jobs=args.jobs,
-                         cache_dir=args.table_cache, reduce=args.reduce,
-                         budget=budget)
+                         seed=args.seed, cache_dir=args.table_cache,
+                         reduce=args.reduce, budget=budget)
     for machine in ("1080Ti", "2080Ti"):
         fig = "6a" if machine == "1080Ti" else "6b"
         print(f"== Figure {fig}: speedup over data parallelism ({machine}) ==")

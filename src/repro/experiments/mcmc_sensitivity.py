@@ -44,7 +44,7 @@ class SensitivityRow:
 
 def run_mcmc_sensitivity(*, benchmark: str = "transformer", p: int = 8,
                          seeds: Sequence[int] = (0, 1, 2),
-                         max_iters: int = 50_000, jobs: int | str | None = None,
+                         max_iters: int = 50_000,
                          cache_dir: str | None = None,
                          reduce: bool = False,
                          budget: RunBudget | None = None
@@ -53,7 +53,7 @@ def run_mcmc_sensitivity(*, benchmark: str = "transformer", p: int = 8,
     (init, seed) MCMC run and returns the rows measured so far.
     """
     budget = (budget or RunBudget()).start()
-    setup = build_setup(benchmark, p, jobs=jobs, cache_dir=cache_dir)
+    setup = build_setup(benchmark, p, cache_dir=cache_dir)
     optimum = search_with(setup, "ours", reduce=reduce).cost
     inits: dict[str, Strategy | None] = {
         "serial": None,
@@ -99,7 +99,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     budget = RunBudget(deadline=args.deadline).start()
     rows = run_mcmc_sensitivity(benchmark=args.benchmark, p=args.p,
-                                seeds=tuple(args.seeds), jobs=args.jobs,
+                                seeds=tuple(args.seeds),
                                 cache_dir=args.table_cache,
                                 reduce=args.reduce, budget=budget)
     print(format_sensitivity(rows))

@@ -46,16 +46,15 @@ class Table1Cell:
 def run_table1(*, benchmarks: Sequence[str] = BENCH_ORDER,
                ps: Sequence[int] = DEFAULT_PS,
                methods: Sequence[str] = METHOD_ORDER,
-               seed: int = 0, jobs: int | str | None = None,
-               cache_dir: str | None = None,
+               seed: int = 0, cache_dir: str | None = None,
                reduce: bool = False,
                budget: RunBudget | None = None) -> list[Table1Cell]:
     """Time every (benchmark, p, method) combination.
 
     BF's state-space blow-ups surface as `SearchResourceError` and are
-    recorded as OOM cells, matching the paper's entries.  ``jobs`` and
-    ``cache_dir`` speed up cost-table construction only — the timed
-    search phase is unaffected.  ``reduce`` runs the exact search-space
+    recorded as OOM cells, matching the paper's entries.  ``cache_dir``
+    speeds up cost-table construction only — the timed search phase is
+    unaffected.  ``reduce`` runs the exact search-space
     reduction ahead of the "ours" DP (its seconds are part of the timed
     search, so the column stays honest).  An expired ``budget`` deadline
     stops the sweep at the next cell boundary and returns the cells
@@ -67,7 +66,7 @@ def run_table1(*, benchmarks: Sequence[str] = BENCH_ORDER,
         for p in ps:
             if budget.expired:
                 return cells
-            setup = build_setup(bench, p, machine=GTX1080TI, jobs=jobs,
+            setup = build_setup(bench, p, machine=GTX1080TI,
                                 cache_dir=cache_dir)
             for method in methods:
                 if budget.expired:
@@ -117,9 +116,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     budget = RunBudget(deadline=args.deadline).start()
     cells = run_table1(benchmarks=args.benchmarks,
                        ps=FULL_PS if args.full else DEFAULT_PS,
-                       seed=args.seed, jobs=args.jobs,
-                       cache_dir=args.table_cache, reduce=args.reduce,
-                       budget=budget)
+                       seed=args.seed, cache_dir=args.table_cache,
+                       reduce=args.reduce, budget=budget)
     print(format_table1(cells))
     if budget.expired:
         print(f"deadline of {args.deadline:.1f}s exceeded after "

@@ -27,7 +27,7 @@ BENCH_ORDER = ("alexnet", "inception_v3", "rnnlm", "transformer")
 
 
 def run_table2(*, p: int = 32, benchmarks: Sequence[str] = BENCH_ORDER,
-               jobs: int | str | None = None, cache_dir: str | None = None,
+               cache_dir: str | None = None,
                reduce: bool = False,
                budget: RunBudget | None = None) -> dict[str, Strategy]:
     """Best strategy per benchmark at ``p`` devices (1080Ti balance).
@@ -40,7 +40,7 @@ def run_table2(*, p: int = 32, benchmarks: Sequence[str] = BENCH_ORDER,
     for bench in benchmarks:
         if budget.expired:
             return out
-        setup = build_setup(bench, p, machine=GTX1080TI, jobs=jobs,
+        setup = build_setup(bench, p, machine=GTX1080TI,
                             cache_dir=cache_dir)
         out[bench] = search_with(setup, "ours", reduce=reduce).strategy
     return out
@@ -119,7 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     budget = RunBudget(deadline=args.deadline).start()
     strategies = run_table2(p=args.p, benchmarks=args.benchmarks,
-                            jobs=args.jobs, cache_dir=args.table_cache,
+                            cache_dir=args.table_cache,
                             reduce=args.reduce, budget=budget)
     for bench, strategy in strategies.items():
         setup = build_setup(bench, args.p, machine=GTX1080TI)

@@ -93,8 +93,7 @@ class PipelineResult:
 
 def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
                   machine: MachineSpec = GTX1080TI,
-                  mode: str = "pow2", jobs: int | str | None = None,
-                  cache: "object | None" = None,
+                  mode: str = "pow2", cache: "object | None" = None,
                   reduce: bool = False) -> PipelineResult:
     """Partition into pipeline stages, then run PaSE within each stage.
 
@@ -102,7 +101,7 @@ def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
     is searched independently — exactly the composition Section VI
     proposes.  The returned ``combined`` strategy concatenates the
     per-stage assignments and is valid for the whole graph at the
-    per-stage device count.  ``jobs``/``cache`` are forwarded to each
+    per-stage device count.  ``cache`` is forwarded to each
     stage's `CostModel.build_tables` (every stage subgraph gets its own
     cache entry — the digest covers the induced structure); ``reduce``
     runs the search-space reduction ahead of each per-stage DP — stage
@@ -115,7 +114,7 @@ def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
     cm = CostModel(machine)
     from ..runtime.context import RunContext
 
-    ctx = RunContext(jobs=jobs, cache=cache)
+    ctx = RunContext(cache=cache)
     strategies: list[Strategy] = []
     costs: list[float] = []
     merged: dict[str, tuple[int, ...]] = {}

@@ -232,6 +232,12 @@ def task_problems(doc: Mapping[str, Any]) -> list[dict[str, str]]:
     return out
 
 
+#: `SweepSpec` fields that hold a JSON array: the grid axes, then the
+#: fault plans and the explicit tasks.
+_LIST_FIELDS = ("models", "machines", "ps", "modes", "methods", "seeds",
+                "reduce", "objectives", "resilient", "fault_plans", "tasks")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of `SweepTask`\\ s plus explicit extras.
@@ -256,9 +262,7 @@ class SweepSpec:
     tasks: tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for name in ("models", "machines", "ps", "modes", "methods",
-                     "seeds", "reduce", "objectives", "resilient",
-                     "fault_plans", "tasks"):
+        for name in _LIST_FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # -- construction --------------------------------------------------------
@@ -275,10 +279,13 @@ class SweepSpec:
         if unknown:
             raise SweepSpecError(
                 f"sweep spec has unknown field(s) {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as err:
-            raise SweepSpecError(f"malformed sweep spec: {err}") from None
+        # A string axis would expand one task per character.
+        not_lists = [name for name in _LIST_FIELDS
+                     if name in data and not isinstance(data[name], list)]
+        if not_lists:
+            raise SweepSpecError("invalid sweep spec: " + "; ".join(
+                f"{name}: expected a list" for name in not_lists))
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "SweepSpec":

@@ -236,7 +236,7 @@ def _run_task(task: SweepTask, attempt: int, fleet: Path,
         budget=RunBudget(
             deadline=options.get("task_deadline"),
             memory_budget=task.memory_budget or DEFAULT_MEMORY_BUDGET),
-        journal=journal, jobs=None)
+        journal=journal)
     # A previous attempt that reached the journal gets replayed/resumed
     # bit-identically; a fresh or fingerprint-mismatched journal starts
     # over (the journal overwrites itself on a fresh open).

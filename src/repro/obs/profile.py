@@ -1,6 +1,6 @@
 """Ambient observability context: `activate`, `current_*`, `@profiled`.
 
-The budget/journal/jobs knobs change *behaviour* and therefore travel
+The budget/journal/cache knobs change *behaviour* and therefore travel
 explicitly through `RunContext` — but a tracer changes nothing, so
 forcing every helper (baselines, experiment drivers) to grow a
 ``tracer=`` parameter would be pure plumbing.  Instead the active

@@ -47,7 +47,7 @@ class RunBudget:
     started: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline < 0:
+        if self.deadline is not None and not self.deadline >= 0:
             raise ValueError(f"deadline={self.deadline} must be >= 0")
         if self.memory_budget <= 0:
             raise ValueError(

@@ -1,15 +1,15 @@
 """`RunContext`: the one bundle replacing the loose runtime kwargs.
 
-`RunContext` bundles the run-scoped knobs — ``jobs``, ``cache``,
-``budget``, ``cancellation``, ``journal``, ``checkpoint``, plus the
-observability pair — so no layer threads them one by one.  Build one
-per run, hand it to `execute_search` (or directly to
-`CostModel.build_tables` / `find_best_strategy`), and every phase sees
-the same deadlines, journal, tracer, and metrics.
+`RunContext` bundles the run-scoped knobs — ``cache``, ``budget``,
+``cancellation``, ``journal``, ``checkpoint``, plus the observability
+pair — so no layer threads them one by one.  Build one per run, hand it
+to `execute_search` (or directly to `CostModel.build_tables` /
+`find_best_strategy`), and every phase sees the same deadlines,
+journal, tracer, and metrics.
 
 The split between *explicit* and *ambient* is deliberate:
 
-* knobs that change **behaviour** (budget, cancellation, journal, jobs,
+* knobs that change **behaviour** (budget, cancellation, journal,
   cache, checkpoint) travel only inside the context — nothing consults
   a global to decide how to compute;
 * the observability pair changes **nothing**, so ``tracer``/``metrics``
@@ -53,16 +53,12 @@ class RunContext:
         installed by `repro.obs.activate` (no-ops by default); pass
         `repro.obs.NULL_TRACER` / `NULL_METRICS` to explicitly silence
         an ambient pair.
-    jobs, cache:
-        Table-construction parallelism and on-disk `TableCache`, as in
-        `CostModel.build_tables`.  ``jobs`` accepts a worker count
-        (``"auto"`` backend selection) or a backend spelling such as
-        ``"serial"`` or ``"threads:4"``.
+    cache:
+        On-disk `TableCache` for `CostModel.build_tables`.
     checkpoint:
         Explicit cooperative-poll callable overriding the one composed
-        from ``budget``/``cancellation``/``journal`` — used by code that
-        already holds a composed checkpoint (e.g. the resilient ladder's
-        ``checkpoint=`` keyword) and by tests injecting failures at exact steps.
+        from ``budget``/``cancellation``/``journal`` — used by tests
+        injecting failures at exact steps.
     """
 
     budget: "RunBudget | None" = None
@@ -70,7 +66,6 @@ class RunContext:
     journal: "SearchJournal | None" = None
     tracer: "Tracer | None" = None
     metrics: "Metrics | None" = None
-    jobs: int | str | None = None
     cache: object | None = None
     checkpoint: Callable[..., None] | None = None
 

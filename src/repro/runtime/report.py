@@ -58,7 +58,7 @@ class PhaseRecord:
 
     name: str                      # "tables", "reduction", "search"
     seconds: float
-    status: str                    # "ok", "journal", "degraded", ...
+    status: str                    # "ok", "cache-hit", "journal", ...
 
 
 @dataclass

@@ -5,10 +5,8 @@ ladder / baseline** in a `RunBudget` with cooperative cancellation
 checkpoints, optional crash-safe journaling, and structured reporting.
 Every failure mode degrades instead of crashing:
 
-* a thread pool that fails to start in `CostModel.build_tables` retries
-  with backoff, then falls back bit-identically to the serial path
-  (recorded, never silent);
-* corrupt table-cache entries are quarantined and rebuilt;
+* corrupt table-cache entries are quarantined and rebuilt (recorded,
+  never silent);
 * SIGINT/SIGTERM and deadline expiry unwind at the next checkpoint with
   the journal flushed, so ``--resume`` replays the run bit-identically —
   tables come back from the journal's content-addressed store and the DP
@@ -16,7 +14,7 @@ Every failure mode degrades instead of crashing:
   the strategy and cost an uninterrupted run would.
 
 All run-scoped knobs travel in one `RunContext` (``ctx=``): budget,
-cancellation, journal, jobs, cache, and the observability pair.  The
+cancellation, journal, cache, and the observability pair.  The
 context's tracer/metrics are activated for the whole pipeline, so every
 phase — including baselines dispatched through the experiment machinery
 — lands in the same trace; the span names mirror the `RunReport` phase
@@ -92,12 +90,12 @@ def run_fingerprint(graph: CompGraph, space: ConfigSpace, model: CostModel,
     model) plus the search parameters.  Two runs with equal fingerprints
     return bit-identical results, which is exactly the property that
     makes journal resume sound.  Deliberately excludes budgets' wall
-    clocks and the jobs/cache knobs — those change how fast the answer
-    arrives, not what it is (the table-build backends are bit-identical
-    by construction).  The observability pair is excluded for the same reason: tracing a run
-    must never change what it computes.  The reduce *mode* and the
-    auto-bypass ratio are included: reduced and plain searches return
-    equal costs but may pick different equal-cost strategies.
+    clocks and the table cache — those change how fast the answer
+    arrives, not what it is.  The observability pair is excluded for the
+    same reason: tracing a run must never change what it computes.  The
+    reduce *mode* and the auto-bypass ratio are included: reduced and
+    plain searches return equal costs but may pick different equal-cost
+    strategies.
 
     ``objective="cost"`` (however spelled) emits the byte-identical v2
     dict this function always produced; frontier objectives emit v3 with
@@ -162,14 +160,14 @@ def execute_search(
         before — same code path, v2 fingerprint, bit-identical results.
         ``"frontier"`` / ``"frontier:eps=<float>"`` runs the
         multi-objective DP: the tables phase also builds per-node memory
-        tables (same jobs/cache data plane) and the result's
+        tables (cached with the cost tables) and the result's
         ``.frontier`` carries the full (cost, peak-bytes) Pareto set.
         Either way ``RunOutcome.result.frontier`` is non-empty — scalar
         runs get a synthesized length-1 frontier holding their optimum.
     ctx:
         The run's `RunContext`: budget (deadline + DP memory),
         cancellation token (pair with `trap_signals`), crash-safe
-        journal, table-build ``jobs``/``cache``, and the tracer/metrics
+        journal, table ``cache``, and the tracer/metrics
         pair activated around the whole pipeline.  When the context
         carries a journal its embedded table store is used instead of
         ``ctx.cache``, so resumes find the interrupted build's tables.
@@ -257,13 +255,6 @@ def execute_search(
                                             memory=obj.is_frontier)
                 status = ("cache-hit"
                           if tables.build_stats.get("cache_hit") else "ok")
-                if tables.build_stats.get("degraded"):
-                    status = "degraded"
-                    msg = ("table build fell back to the serial path after "
-                           f"pool failure ({tables.degraded_reason})")
-                    report.degrade(msg)
-                    if journal_obj is not None:
-                        journal_obj.event("table-build-degraded", msg)
                 quarantined = getattr(tables_ctx.cache, "quarantined", 0)
                 if quarantined:
                     msg = (f"quarantined {quarantined} corrupt table-cache "
@@ -279,8 +270,7 @@ def execute_search(
             report.add_phase("tables", time.perf_counter() - phase[1], status)
             if journal_obj is not None:
                 journal_obj.phase_done(
-                    "tables", digest=fingerprint["tables_digest"],
-                    degraded=bool(tables.build_stats.get("degraded")))
+                    "tables", digest=fingerprint["tables_digest"])
 
             # -- phase 2: the search itself -------------------------------
             _enter("search")

@@ -25,6 +25,7 @@ equal request fingerprints.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -151,8 +152,12 @@ def validate_request(doc: Any, *, allow_chaos: bool = False,
     if isinstance(deadline, bool) or not isinstance(
             deadline, (int, float, type(None))):
         errors.append({"field": "deadline", "message": "expected int"})
-    elif deadline is not None and deadline <= 0:
-        errors.append({"field": "deadline", "message": "must be positive"})
+    elif deadline is not None and not 0 < deadline <= threading.TIMEOUT_MAX:
+        # NaN compares false both ways; a wait longer than TIMEOUT_MAX
+        # overflows inside `threading.Event.wait`.
+        errors.append({"field": "deadline", "message":
+                       "must be positive" if deadline <= 0 else
+                       f"must be at most {threading.TIMEOUT_MAX:g} seconds"})
     degrade = doc.get("degrade", False)
     if not isinstance(degrade, bool):
         errors.append({"field": "degrade", "message": "expected bool"})

@@ -64,19 +64,18 @@ class TestReporting:
     def test_format_table_build_stats(self):
         assert format_table_build_stats({}) == \
             "cost tables: no build statistics"
-        serial = {"build_seconds": 0.5, "cache_hit": 0.0, "jobs": 1.0,
-                  "cells": 2_000_000.0}
-        assert format_table_build_stats(serial) == \
-            "cost tables: 0.500s (serial, 2.00M cells)"
-        par = dict(serial, jobs=4.0)
-        assert "threads x4" in format_table_build_stats(par)
-        hit = dict(serial, cache_hit=1.0)
-        assert "cache hit" in format_table_build_stats(hit)
+        built = {"build_seconds": 0.5, "cache_hit": 0.0,
+                 "cells": 2_000_000.0}
+        assert format_table_build_stats(built) == \
+            "cost tables: 0.500s (built, 2.00M cells)"
+        hit = dict(built, cache_hit=1.0)
+        assert format_table_build_stats(hit) == \
+            "cost tables: 0.500s (cache hit, 2.00M cells)"
 
     def test_format_table_build_stats_prefixed(self):
         """Accepts SearchResult.stats' table_-prefixed keys too."""
         stats = {"table_build_seconds": 1.25, "table_cache_hit": 1.0,
-                 "table_jobs": 1.0, "table_cells": 500_000.0}
+                 "table_cells": 500_000.0}
         text = format_table_build_stats(stats)
         assert text == "cost tables: 1.250s (cache hit, 0.50M cells)"
 

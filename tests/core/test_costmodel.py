@@ -1,16 +1,13 @@
-"""Unit and property tests for the analytic cost model and its
-table-build backend selection."""
-
-import os
+"""Unit and property tests for the analytic cost model and its table
+build."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import costmodel
 from repro.core.configs import ConfigSpace
-from repro.core.costmodel import CostModel, _parse_jobs, allreduce_bytes
+from repro.core.costmodel import CostModel, allreduce_bytes
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE, MachineSpec
 from repro.core.tensors import DTYPE_BYTES
 from repro.runtime import RunContext
@@ -213,74 +210,9 @@ class TestCostTables:
         assert tables.nbytes() > 0
 
 
-class TestParallelBuild:
-    def setup_instance(self):
-        g = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
-                      reduction_mask=0b0100)
-        space = ConfigSpace.build(g, 8)
-        return g, space, CostModel(GTX1080TI)
-
-    def test_parallel_bit_identical(self, monkeypatch):
-        """The auto-selected pooled build must produce exactly the
-        serial arrays — not merely allclose (float op order is
-        preserved)."""
-        import repro.core.costmodel as costmodel
-        monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
-        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 2)
-        g, space, cm = self.setup_instance()
-        serial = cm.build_tables(g, space)
-        par = cm.build_tables(g, space, ctx=RunContext(jobs=2))
-        assert par.build_stats["jobs"] == 2.0
-        assert par.backend == "threads"
-        assert set(serial.lc) == set(par.lc)
-        assert set(serial.pair_tx) == set(par.pair_tx)
-        for n in serial.lc:
-            assert np.array_equal(serial.lc[n], par.lc[n])
-        for k in serial.pair_tx:
-            assert np.array_equal(serial.pair_tx[k], par.pair_tx[k])
-
-    def test_threads_bit_identical(self):
-        g, space, cm = self.setup_instance()
-        serial = cm.build_tables(g, space)
-        thr = cm.build_tables(g, space, ctx=RunContext(jobs="threads:2"))
-        assert thr.build_stats["jobs"] == 2.0
-        assert thr.backend == "threads"
-        for n in serial.lc:
-            assert np.array_equal(serial.lc[n], thr.lc[n])
-        for k in serial.pair_tx:
-            assert np.array_equal(serial.pair_tx[k], thr.pair_tx[k])
-
-    def test_small_problem_stays_serial(self):
-        from repro.core.costmodel import PARALLEL_THRESHOLD_CELLS
-        g, space, cm = self.setup_instance()
-        assert CostModel.table_work_cells(g, space) < \
-            PARALLEL_THRESHOLD_CELLS
-        tables = cm.build_tables(g, space, ctx=RunContext(jobs=4))
-        assert tables.build_stats["jobs"] == 1.0
-
-    def test_negative_jobs_rejected(self):
-        g, space, cm = self.setup_instance()
-        with pytest.raises(ValueError):
-            cm.build_tables(g, space, ctx=RunContext(jobs=-1))
-
-    def test_processes_spelling_rejected(self):
-        g, space, cm = self.setup_instance()
-        with pytest.raises(ValueError, match="'serial'.*'auto'/'threads'"):
-            cm.build_tables(g, space, ctx=RunContext(jobs="processes:2"))
-
-    def test_jobs_none_is_serial(self):
-        g, space, cm = self.setup_instance()
-        tables = cm.build_tables(g, space)
-        assert tables.build_stats["jobs"] == 1.0
-        assert tables.build_stats["cache_hit"] == 0.0
-        assert tables.build_stats["build_seconds"] >= 0.0
-        assert tables.build_stats["cells"] == \
-            float(CostModel.table_work_cells(g, space))
-
-
 class TestMemoryTables:
     """`build_tables(memory=True)`: the frontier's second objective axis
-    rides the same jobs/cache data plane as the cost tables."""
+    is built and cached with the cost tables."""
 
     def setup_instance(self):
         g = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
@@ -306,91 +238,33 @@ class TestMemoryTables:
             assert np.array_equal(
                 tables.mem[n], mm.node_bytes(g.node(n), space.configs(n)))
 
-    def test_all_backends_bit_identical(self, monkeypatch):
-        import repro.core.costmodel as costmodel
-        monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
-        g, space, cm = self.setup_instance()
-        serial = cm.build_tables(g, space, memory=True)
-        thr = cm.build_tables(g, space, memory=True,
-                              ctx=RunContext(jobs="threads:2"))
-        assert set(thr.mem) == set(serial.mem)
-        for n in serial.mem:
-            assert np.array_equal(serial.mem[n], thr.mem[n])
-        # The cost tables are unchanged by the memory flag.
-        plain = cm.build_tables(g, space)
-        for n in plain.lc:
-            assert np.array_equal(plain.lc[n], serial.lc[n])
-
     def test_mem_counts_into_nbytes(self):
         g, space, cm = self.setup_instance()
         plain = cm.build_tables(g, space)
         with_mem = cm.build_tables(g, space, memory=True)
         assert with_mem.nbytes() > plain.nbytes()
+        # The cost tables are unchanged by the memory flag.
+        for n in plain.lc:
+            assert np.array_equal(plain.lc[n], with_mem.lc[n])
 
 
-class TestJobsParsing:
-    """Every ``jobs=`` spelling resolves to the serial reference path or
-    the thread backend; removed spellings (``processes[:N]``) are
-    rejected with the list of accepted ones."""
+class TestBuildStats:
+    def test_cold_build_and_warm_hit_report_three_keys(self, tmp_path):
+        """Both outcomes of the one build path report the same stats:
+        seconds, cache outcome and table size."""
+        from repro.core.tablecache import TableCache
 
-    @pytest.mark.parametrize("spec,expected", [
-        (None, ("serial", 1)),
-        ("serial", ("serial", 1)),
-        (3, ("auto", 3)),
-        ("auto:5", ("auto", 5)),
-        ("threads:4", ("threads", 4)),
-    ])
-    def test_spellings(self, spec, expected):
-        assert _parse_jobs(spec) == expected
-
-    def test_zero_means_all_cores(self):
-        mode, n = _parse_jobs(0)
-        assert mode == "auto" and n == (os.cpu_count() or 1)
-        mode, n = _parse_jobs("threads")
-        assert mode == "threads" and n == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("bad", [
-        -1, "turbo", "serial:2", "threads:x", "processes:-3", 2.5, True,
-        "processes:2",
-    ])
-    def test_rejections(self, bad):
-        with pytest.raises(ValueError):
-            _parse_jobs(bad)
-
-
-class TestBackendResolution:
-    def model(self):
-        return CostModel(GTX1080TI)
-
-    def test_forced_backends_ignore_core_count(self, monkeypatch):
-        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 1)
-        cm = self.model()
-        assert cm._resolve_backend("threads:4", 10, 100) == ("threads", 4)
-
-    def test_forced_backend_capped_by_task_count(self):
-        cm = self.model()
-        assert cm._resolve_backend("threads:8", 10, 3) == ("threads", 3)
-        assert cm._resolve_backend("threads:8", 10, 1) == ("serial", 1)
-
-    def test_auto_small_work_stays_serial(self):
-        cm = self.model()
-        assert cm._resolve_backend(4, 10, 100) == ("serial", 1)
-
-    def test_auto_picks_threads_above_old_process_threshold(
-            self, monkeypatch):
-        """Large builds stay on threads: the former 64 MiB result-bytes
-        switch to a process pool is gone."""
-        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 8)
-        cm = self.model()
-        old_threshold_cells = 64 * 1024 * 1024 // 8
-        for cells in (costmodel.PARALLEL_THRESHOLD_CELLS,
-                      old_threshold_cells, 10 * old_threshold_cells):
-            assert cm._resolve_backend(4, cells, 100) == ("threads", 4)
-        assert cm._resolve_backend(4, old_threshold_cells, 100) == \
-            cm._resolve_backend("auto:4", old_threshold_cells, 100)
-
-    def test_auto_single_core_is_serial(self, monkeypatch):
-        monkeypatch.setattr(costmodel, "PARALLEL_THRESHOLD_CELLS", 0)
-        monkeypatch.setattr(costmodel.os, "cpu_count", lambda: 1)
-        cm = self.model()
-        assert cm._resolve_backend(4, 10**9, 100) == ("serial", 1)
+        g = build_dag(4, [(0, 2), (1, 3)], param_mask=0b1010,
+                      reduction_mask=0b0100)
+        space = ConfigSpace.build(g, 8)
+        cm = CostModel(GTX1080TI)
+        ctx = RunContext(cache=TableCache(tmp_path))
+        cold = cm.build_tables(g, space, ctx=ctx)
+        warm = cm.build_tables(g, space, ctx=ctx)
+        cells = float(CostModel.table_work_cells(g, space))
+        for tables, hit in ((cold, 0.0), (warm, 1.0)):
+            assert set(tables.build_stats) == {
+                "build_seconds", "cache_hit", "cells"}
+            assert tables.build_stats["cache_hit"] == hit
+            assert tables.build_stats["cells"] == cells
+            assert tables.build_stats["build_seconds"] >= 0.0

@@ -71,6 +71,9 @@ class TestValidation:
         ("ps", ["x"], "expected int"),
         ("ps", [8.7], "expected int"),
         ("ps", [True], "expected int"),
+        ("models", "alexnet", "models: expected a list"),
+        ("ps", 4, "ps: expected a list"),
+        ("seeds", "01", "seeds: expected a list"),
     ])
     def test_bad_axis_values_rejected(self, field, value, match):
         with pytest.raises(SweepSpecError, match=match):

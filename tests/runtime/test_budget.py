@@ -48,6 +48,12 @@ class TestRunBudget:
         with pytest.raises(ValueError):
             RunBudget(deadline=-1.0)
 
+    def test_nan_deadline_rejected(self):
+        """NaN fails every comparison, so a ``< 0`` check lets it through
+        as a deadline that never expires."""
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RunBudget(deadline=float("nan"))
+
     def test_nonpositive_memory_budget_rejected(self):
         with pytest.raises(ValueError):
             RunBudget(memory_budget=0)

@@ -65,9 +65,9 @@ def test_observe_installs_pair_and_default_is_noop():
 
 
 def test_with_overrides_returns_variant():
-    ctx = RunContext(jobs=2)
-    ctx2 = ctx.with_overrides(jobs=4)
-    assert ctx.jobs == 2 and ctx2.jobs == 4
+    ctx = RunContext(budget=RunBudget(deadline=5.0), cache="a")
+    ctx2 = ctx.with_overrides(cache="b")
+    assert ctx.cache == "a" and ctx2.cache == "b"
     assert ctx2.budget is ctx.budget
 
 

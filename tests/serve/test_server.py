@@ -95,6 +95,11 @@ class TestEndpoints:
             assert fields == {"p", "bogus"}
             status, body, _ = client.post(None, raw=b"{not json")
             assert status == 400
+            status, body, _ = client.post(None, raw=b'{"model": "alexnet", '
+                                          b'"p": 4, "deadline": Infinity}')
+            assert status == 400, body
+            assert [e["field"] for e in body["error"]["errors"]] == \
+                ["deadline"]
             for doc in ({"model": "alexnet", "p": None},
                         {"model": "alexnet", "p": 4, "seed": None}):
                 status, body, _ = client.post(doc)

@@ -1,6 +1,7 @@
 """Wire-schema tests: validation, error shapes, deterministic bodies."""
 
 import json
+import threading
 
 import pytest
 
@@ -99,6 +100,17 @@ class TestValidateRequest:
         with pytest.raises(ServeError) as exc:
             validate_request({"model": "alexnet", "p": 8, "deadline": 0})
         assert any(e["field"] == "deadline" for e in exc.value.errors)
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"),
+                                          1e300])
+    def test_unbounded_deadline_rejected(self, deadline):
+        """Python's JSON decoder yields NaN and Infinity; neither they nor
+        a deadline past `threading.TIMEOUT_MAX` may reach a waiter."""
+        with pytest.raises(ServeError) as exc:
+            validate_request({"model": "alexnet", "p": 8,
+                              "deadline": deadline})
+        limit = f"must be at most {threading.TIMEOUT_MAX:g} seconds"
+        assert exc.value.errors == [{"field": "deadline", "message": limit}]
 
     def test_max_deadline_caps_and_defaults(self):
         req = validate_request({"model": "alexnet", "p": 8,

@@ -66,8 +66,8 @@ class TestCLI:
     ])
     @pytest.mark.parametrize("jobs", ["-1", "processes:2"])
     def test_bad_jobs_is_usage_error(self, argv, jobs, capsys):
-        """Every ``--jobs`` goes through the same validation: a usage
-        error (exit 2), never a traceback once tables are built."""
+        """``--jobs`` is gone from every entry point that had it: any
+        value is an unknown option, a usage error (exit 2)."""
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--jobs", jobs])
         assert exc.value.code == 2
