@@ -23,8 +23,8 @@ from .cluster import simulate_step
 from .core.configs import MODES
 from .core.machine import MACHINES as _MACHINES
 from .experiments import figure6, table1, table2
-from .experiments.common import (METHODS, add_table_args, build_setup,
-                                 search_with)
+from .experiments.common import (METHODS, add_table_args, at_least,
+                                 build_setup, search_with)
 from .models import BENCHMARKS
 
 __all__ = ["main"]
@@ -32,7 +32,8 @@ __all__ = ["main"]
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", choices=sorted(BENCHMARKS), required=True)
-    sub.add_argument("--p", type=int, default=8, help="device count")
+    sub.add_argument("--p", type=at_least(int, 1), default=8,
+                     help="device count")
     sub.add_argument("--machine", choices=sorted(_MACHINES), default="1080ti")
     sub.add_argument("--mode", choices=MODES,
                      default="pow2", help="configuration enumeration mode")
@@ -80,6 +81,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
         method, order = "ours", breadth_first_seq(graph)
     objective = "cost"
+    if args.frontier_eps is not None and not args.frontier:
+        print("pase: --frontier-eps requires --frontier", file=sys.stderr)
+        return 2
     if args.frontier:
         if method != "ours":
             print("pase: --frontier requires --method ours",
@@ -241,6 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                    for method, _, strat in rows]
         print(f"\n# fault-injected step ({args.faults})")
         print(format_fault_table(faulted))
+        policy = None
         if args.ckpt_interval:
             from .resilience import CheckpointPolicy, effective_step_time
 
@@ -254,13 +259,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                           1.0 / args.mtbf_steps)
                 print(f"{method:16s} {eff * 1e3:9.2f} ms/step")
         if args.replan and plan.failed_devices():
-            from .resilience import CheckpointPolicy, elastic_replan
+            from .resilience import elastic_replan
 
-            policy = None
-            if args.ckpt_interval:
-                policy = CheckpointPolicy(interval_steps=args.ckpt_interval,
-                                          checkpoint_time=args.ckpt_time,
-                                          restore_time=args.ckpt_restore)
             method, _, strat = rows[0]
             print(f"\n# elastic re-plan after fail-stop (strategy: {method})")
             print(elastic_replan(setup.graph, strat, machine, args.p, plan,
@@ -368,7 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                           help="multi-objective search: return the exact "
                           "(cost, peak-bytes) Pareto frontier instead of "
                           "only the min-cost strategy (method 'ours')")
-    p_search.add_argument("--frontier-eps", type=float, default=0.0,
+    p_search.add_argument("--frontier-eps", type=at_least(float, 0),
+                          default=None,
                           metavar="EPS",
                           help="coarsen the frontier to one point per "
                           "geometric memory bucket of width (1+EPS); 0 "
@@ -378,9 +379,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                           help="degrade gracefully (chunk reduction, "
                           "GENERATESEQ fallback, config coarsening) instead "
                           "of failing on a blown memory budget")
-    p_search.add_argument("--memory-budget", type=int, default=None,
+    p_search.add_argument("--memory-budget", type=at_least(int, 1),
+                          default=None,
                           help="DP byte budget (default 2 GiB)")
-    p_search.add_argument("--deadline", type=float, default=None,
+    p_search.add_argument("--deadline", type=at_least(float, 0),
+                          default=None,
                           metavar="SECONDS",
                           help="wall-clock budget for the whole run; "
                           "checked at cooperative checkpoints, exceeding "
@@ -414,25 +417,30 @@ def main(argv: Sequence[str] | None = None) -> int:
                          help="fleet state root: crash-safe manifest, "
                          "per-task journals, shared table cache, merged "
                          "results.jsonl + summary.json")
-    p_sweep.add_argument("--workers", type=int, default=4, metavar="N",
+    p_sweep.add_argument("--workers", type=at_least(int, 1), default=4,
+                         metavar="N",
                          help="concurrent worker processes (default 4), "
                          "pre-forked and reused across tasks")
     p_sweep.add_argument("--resume", action="store_true",
                          help="resume an interrupted sweep from "
                          "--fleet-dir: completed tasks are replayed, "
                          "in-flight ones re-queued (fingerprint-checked)")
-    p_sweep.add_argument("--task-deadline", type=float, default=None,
+    p_sweep.add_argument("--task-deadline", type=at_least(float, 0),
+                         default=None,
                          metavar="SECONDS",
                          help="per-task wall-clock budget enforced inside "
                          "each worker")
-    p_sweep.add_argument("--deadline", type=float, default=None,
+    p_sweep.add_argument("--deadline", type=at_least(float, 0),
+                         default=None,
                          metavar="SECONDS",
                          help="fleet-wide wall-clock budget; exceeding it "
                          "exits with code 5 (resume later with --resume)")
-    p_sweep.add_argument("--max-retries", type=int, default=2, metavar="N",
+    p_sweep.add_argument("--max-retries", type=at_least(int, 0), default=2,
+                         metavar="N",
                          help="retries per task before quarantine "
                          "(default 2; exponential backoff with jitter)")
-    p_sweep.add_argument("--straggler-after", type=float, default=60.0,
+    p_sweep.add_argument("--straggler-after",
+                         type=at_least(float, 0, strict=True), default=60.0,
                          metavar="SECONDS",
                          help="SIGKILL + reassign a worker whose heartbeat "
                          "is older than this (default 60)")
@@ -451,22 +459,26 @@ def main(argv: Sequence[str] | None = None) -> int:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8421,
                          help="bind port; 0 lets the OS pick (default 8421)")
-    p_serve.add_argument("--workers", type=int, default=4, metavar="N",
+    p_serve.add_argument("--workers", type=at_least(int, 1), default=4,
+                         metavar="N",
                          help="search worker processes (default 4); "
                          "searches run crash-isolated in a persistent "
                          "pre-forked pool, so a crashing search never "
                          "takes down the server")
-    p_serve.add_argument("--max-queue", type=int, default=16, metavar="N",
+    p_serve.add_argument("--max-queue", type=at_least(int, 1), default=16,
+                         metavar="N",
                          help="admission window: concurrently admitted "
                          "requests (coalesced waiters included; cache "
                          "hits exempt) before new ones get 429 + "
                          "Retry-After (default 16)")
-    p_serve.add_argument("--request-deadline", type=float, default=None,
+    p_serve.add_argument("--request-deadline", type=at_least(float, 0),
+                         default=None,
                          metavar="SECONDS",
                          help="cap on any request's wall clock, enforced "
                          "both on the waiting client connection (504) and "
                          "inside the worker via its RunBudget")
-    p_serve.add_argument("--memory-budget", type=int, default=None,
+    p_serve.add_argument("--memory-budget", type=at_least(int, 1),
+                         default=None,
                          metavar="BYTES",
                          help="server-wide DP memory-budget ceiling; "
                          "requests asking for more are clamped before "
@@ -476,7 +488,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                          "quarantine, shared table cache, task dirs); a "
                          "SIGKILLed server restarts from it intact "
                          "(default ./pase-serve)")
-    p_serve.add_argument("--max-retries", type=int, default=2, metavar="N",
+    p_serve.add_argument("--max-retries", type=at_least(int, 0), default=2,
+                         metavar="N",
                          help="worker deaths a problem survives before "
                          "quarantine (default 2; quarantined problems "
                          "answer 503, or degrade=true for a resilient "
@@ -515,7 +528,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="seconds per checkpoint write")
     p_sim.add_argument("--ckpt-restore", type=float, default=2.0,
                        help="seconds to restore from a checkpoint")
-    p_sim.add_argument("--mtbf-steps", type=float, default=10_000.0,
+    p_sim.add_argument("--mtbf-steps", type=at_least(float, 0, strict=True),
+                       default=10_000.0,
                        help="mean steps between failures for the "
                        "effective-step-time model")
     p_sim.set_defaults(fn=_cmd_simulate)
@@ -532,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "PaSE per stage (Section VI composition)")
     _add_common(p_pipe)
     add_table_args(p_pipe)
-    p_pipe.add_argument("--stages", type=int, default=2)
+    p_pipe.add_argument("--stages", type=at_least(int, 1), default=2)
     p_pipe.set_defaults(fn=_cmd_pipeline)
 
     p_stats = subs.add_parser("stats", help="graph/ordering statistics")

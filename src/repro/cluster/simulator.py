@@ -167,20 +167,16 @@ class _StepBuilder:
 
     def _gather_transfers(self, ov: np.ndarray, src_blocks: np.ndarray,
                           src_devs: np.ndarray, dst_devs: np.ndarray,
-                          ready: list[int], kind: str, label: str,
-                          dedup_src: bool) -> list[list[int]]:
+                          ready: list[int], kind: str,
+                          label: str) -> list[list[int]]:
         """Create transfer tasks moving overlapped bytes to each dst shard.
 
         Returns, per destination shard, the dependency ids its compute
         task must wait for (transfer tasks plus local producers' ready
-        tasks).  ``dedup_src=True`` collapses replicated source blocks and
-        picks the best-placed copy (forward activations); ``False`` keeps
-        every source (backward gradients, which sum over consumers).
+        tasks).  Replicated source blocks are collapsed and the
+        best-placed copy is picked.
         """
-        if dedup_src:
-            src_groups = _distinct_blocks(src_blocks)
-        else:
-            src_groups = [(j, [j]) for j in range(src_blocks.shape[0])]
+        src_groups = _distinct_blocks(src_blocks)
         deps_per_dst: list[list[int]] = []
         for i in range(ov.shape[0]):
             dst_dev = int(dst_devs[i])
@@ -249,8 +245,7 @@ class _StepBuilder:
                 ov, src_blocks, _ = self._edge_overlaps(e)
                 edge_deps = self._gather_transfers(
                     ov, src_blocks, self.placement.devices[e.src], devs,
-                    self.fwd_ready[e.src], "xfer", f"fwd {e.src}->{name}",
-                    dedup_src=True)
+                    self.fwd_ready[e.src], "xfer", f"fwd {e.src}->{name}")
                 for i in range(n):
                     deps[i].extend(edge_deps[i])
 
@@ -306,8 +301,7 @@ class _StepBuilder:
                 ov, _, dst_blocks = self._edge_overlaps(e)
                 edge_deps = self._gather_transfers(
                     ov.T, dst_blocks, self.placement.devices[e.dst], devs,
-                    self.bwd_ready[e.dst], "xfer", f"bwd {e.dst}->{name}",
-                    dedup_src=True)
+                    self.bwd_ready[e.dst], "xfer", f"bwd {e.dst}->{name}")
                 for s in range(n):
                     deps[s].extend(edge_deps[s])
 

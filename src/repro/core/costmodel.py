@@ -384,9 +384,6 @@ class CostTables:
         mat = self.pair_tx[key]
         return mat.T if flip else mat
 
-    def has_pair(self, u: str, v: str) -> bool:
-        return _canonical(u, v)[0] in self.pair_tx
-
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self.pair_tx)
 
@@ -406,12 +403,6 @@ class CostTables:
         for (u, v), mat in self.pair_tx.items():
             total += float(mat[indices[u], indices[v]])
         return total
-
-    def node_cost(self, name: str, k: int) -> float:
-        return float(self.lc[name][k])
-
-    def pair_cost(self, u: str, v: str, ku: int, kv: int) -> float:
-        return float(self.tx(u, v)[ku, kv])
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         if name not in self._nbr_cache:

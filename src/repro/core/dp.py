@@ -6,8 +6,9 @@ Implements recurrence (4):
 
 where ``H(i, ·)`` is the layer cost of ``v_i`` plus its transfer costs to
 neighbors later in the sequence, ``S(i)`` are the connected subsets of
-``v_i``, and tables are keyed by substrategies of the dependent set
-``D(i)``.
+``v_i`` (the table of each is that of its last vertex, one of
+`SequencedGraph.children`), and tables are keyed by substrategies of the
+dependent set ``D(i)``.
 
 One driver serves both objectives.  `find_best_strategy` resolves the
 reduction mode (``reduce=True`` bypasses the reduction when the plain
@@ -49,7 +50,7 @@ from .costmodel import CostTables
 from .exceptions import SearchResourceError
 from .frontier import Objective, PointTable, parse_objective
 from .graph import CompGraph
-from .sequencer import SequencedGraph, generate_seq
+from .sequencer import SequencedGraph
 from .strategy import FrontierPoint, SearchResult, Strategy
 from ._tensorops import chunked_min_argmin
 
@@ -281,8 +282,7 @@ def _solve(
         # Predict the plain DP's work from the sequenced graph.  Both
         # sides of the comparison are exact integers, so the decision is
         # deterministic for a given problem — never a wall-clock race.
-        seq = SequencedGraph.build(
-            graph, generate_seq(graph) if order is None else order)
+        seq = SequencedGraph.build(graph, order)
         predicted_dp_cells = sum(dp_table_profile(seq, space))
         # When the DP is already near the tables' own size, reduction —
         # which reads at least that many cells — can only add
@@ -305,21 +305,17 @@ def _solve(
             checkpoint=checkpoint)
         return red.expand_result(inner, elapsed=time.perf_counter() - t0)
     if seq is None:
-        seq = SequencedGraph.build(
-            graph, generate_seq(graph) if order is None else order)
+        seq = SequencedGraph.build(graph, order)
 
     n = len(seq)
     ksize = [space.size(name) for name in seq.order]
     records: list = [None] * n
-    kids: list[tuple[int, ...]] = [()] * n
-    roots = seq.roots()
     cells = 0
     if n == 0:
         # Fully-contracted problems legitimately reach the DP with zero
         # vertices: the root-less combine is their one zero-cost
         # solution, reported with real (all-zero) counters.
-        points = _back_substitute(fmt, seq, space, ksize, records, kids,
-                                  roots)
+        points = _back_substitute(fmt, seq, space, ksize, records)
     else:
         tracer = current_tracer()
         with tracer.span(fmt.span, vertices=n, method=method_name) as span:
@@ -330,17 +326,15 @@ def _solve(
                 with tracer.span(f"{fmt.span}.vertex",
                                  name=name if tracer.enabled else ""):
                     dep = seq.dep[i]
-                    kids[i] = tuple(max(c) for c in seq.connected_subsets(i))
                     table_shape = tuple(ksize[d] for d in dep)
                     terms = [(tables.lc[name], (i,))]
                     terms += [(tables.tx(name, seq.name(u)), (i, u))
                               for u in seq.later_neighbors(i)]
                     records[i] = fmt.vertex(
                         i, name, dep, table_shape, ksize[i], terms,
-                        [(seq.dep[j], records[j]) for j in kids[i]])
+                        [(seq.dep[j], records[j]) for j in seq.children[i]])
                     cells += math.prod(table_shape) * ksize[i]
-            points = _back_substitute(fmt, seq, space, ksize, records, kids,
-                                      roots)
+            points = _back_substitute(fmt, seq, space, ksize, records)
             span.set(cells=cells, peak_bytes=ledger.peak, points=len(points))
 
     elapsed = time.perf_counter() - t0
@@ -387,8 +381,7 @@ def _solve(
 
 
 def _back_substitute(fmt, seq: SequencedGraph, space: ConfigSpace,
-                     ksize: list[int], records: list, kids: list,
-                     roots: list[int]) -> list:
+                     ksize: list[int], records: list) -> list:
     """Fig. 4's v.cfg extraction, once per root-combined solution.
 
     Walks from the roots down the children; each vertex's choice is read
@@ -396,16 +389,17 @@ def _back_substitute(fmt, seq: SequencedGraph, space: ConfigSpace,
     ``(cost, peak_bytes, Strategy)`` per solution, min-cost first.
     """
     out = []
-    for cost, peak, root_locals in fmt.combine([records[r] for r in roots]):
+    for cost, peak, root_locals in fmt.combine(
+            [records[r] for r in seq.roots]):
         chosen: dict[int, int] = {}
-        stack = list(zip(roots, root_locals))
+        stack = list(zip(seq.roots, root_locals))
         while stack:
             v, local = stack.pop()
             cell = 0
             for d in seq.dep[v]:
                 cell = cell * ksize[d] + chosen[d]
             chosen[v], child_locals = fmt.pick(records[v], cell, local)
-            stack.extend(zip(kids[v], child_locals))
+            stack.extend(zip(seq.children[v], child_locals))
         assert len(chosen) == len(seq), "extraction did not reach every vertex"
         indices = {seq.name(v): k for v, k in chosen.items()}
         out.append((cost, peak, Strategy.from_indices(space, indices)))

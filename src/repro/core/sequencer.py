@@ -10,14 +10,19 @@ and table sizes are exponential in ``|D(i)|``.  This module provides
 * :func:`breadth_first_seq` — the naive baseline ordering (Section III-A);
 * :func:`random_seq` — for ablations;
 * :class:`SequencedGraph` — a graph indexed by sequence position with
-  dependent sets ``D(i)``, connected sets ``X(i)`` and connected subsets
-  ``S(i)`` (Section III-B definitions), consumed by the DP;
+  dependent sets ``D(i)``, each vertex's children and the roots, consumed
+  by the DP;
 * definitional reference implementations of ``D/X/S`` used by the
   Theorem 2 property tests.
 
-The incremental dependent-set update (Fig. 3, line 8) is valid for *any*
-ordering — the correctness proof (Appendix B) never uses the greedy pick —
-so `SequencedGraph` uses it to annotate arbitrary orderings.
+Both `generate_seq` and `SequencedGraph.build` run the same single pass
+of Fig. 3 (`_eliminate`).  Its incremental dependent-set update (line 8)
+is valid for *any* ordering — the correctness proof (Appendix B) never
+uses the greedy pick — so the pass takes a given ordering as readily as
+it picks one.  The connected subsets ``S(i)`` of recurrence (4) are read
+off the dependent sets: the children of ``i`` are the ``j`` with
+``D(j)[0] == i``, and the roots the ``j`` with an empty ``D(j)``
+(DESIGN §5 has the proof).
 """
 
 from __future__ import annotations
@@ -50,41 +55,62 @@ __all__ = [
 def generate_seq(graph: CompGraph) -> tuple[str, ...]:
     """GENERATESEQ (paper Fig. 3): order vertices to keep ``|D(i)|`` small.
 
-    Maintains, for every unsequenced vertex ``v``, its prospective
-    dependent set ``v.d``; each iteration sequences the vertex with the
-    smallest ``|v.d|`` (ties broken by graph insertion order, which makes
-    the result deterministic) and merges its set into its dependents'.
+    Each iteration sequences the vertex with the smallest maintained
+    dependent set, ties broken by graph insertion order (see `_eliminate`).
+    """
+    return _eliminate(graph, None)[0]
 
-    The minimum is tracked with a size-keyed heap under lazy invalidation:
-    every dependent-set change pushes a fresh ``(size, insertion index,
-    name)`` entry, and popped entries whose size no longer matches the live
-    set are discarded.  Sizes both grow (merges) and shrink (each set drops
-    the vertex just sequenced), so staleness is detected by comparing
-    against the live size rather than assuming monotonicity.  The
-    ``(size, insertion index)`` key reproduces the linear scan's
-    first-minimal-in-insertion-order tie-break exactly.
+
+def _eliminate(graph: CompGraph, order: Sequence[str] | None
+               ) -> tuple[tuple[str, ...], list[set[str]]]:
+    """One pass of Fig. 3: sequence every vertex, merging its dependent
+    set into its dependents' sets.
+
+    Maintains, for every unsequenced vertex ``v``, its prospective
+    dependent set ``v.d``.  With ``order=None`` each step picks the vertex
+    with the smallest ``|v.d|`` (GENERATESEQ); otherwise the vertices are
+    taken in ``order``, for which the update is just as exact (Theorem 2).
+    Returns the ordering and each vertex's set at the moment it was
+    sequenced, which is its ``D(i)``.
+
+    The greedy minimum is tracked with a size-keyed heap under lazy
+    invalidation: every dependent-set change pushes a fresh ``(size,
+    insertion index, name)`` entry, and popped entries whose size no
+    longer matches the live set are discarded.  Sizes both grow (merges)
+    and shrink (each set drops the vertex just sequenced), so staleness is
+    detected by comparing against the live size rather than assuming
+    monotonicity.  The ``(size, insertion index)`` key reproduces the
+    linear scan's first-minimal-in-insertion-order tie-break exactly.
     """
     names = graph.node_names
     dep: dict[str, set[str]] = {n: set(graph.neighbors(n)) for n in names}
-    idx = {n: i for i, n in enumerate(names)}
-    heap = [(len(dep[n]), i, n) for i, n in enumerate(names)]
-    heapq.heapify(heap)
+    heap = None
+    if order is None:
+        idx = {n: i for i, n in enumerate(names)}
+        heap = [(len(dep[n]), i, n) for i, n in enumerate(names)]
+        heapq.heapify(heap)
     sequenced: set[str] = set()
-    order: list[str] = []
-    while len(order) < len(names):
-        size, _, pick = heapq.heappop(heap)
-        if pick in sequenced or size != len(dep[pick]):
-            continue
+    seq: list[str] = []
+    dsets: list[set[str]] = []
+    for step in range(len(names)):
+        if heap is None:
+            pick = order[step]
+        else:
+            size, _, pick = heapq.heappop(heap)
+            while pick in sequenced or size != len(dep[pick]):
+                size, _, pick = heapq.heappop(heap)
         sequenced.add(pick)
-        order.append(pick)
+        seq.append(pick)
         pick_set = dep[pick]
+        dsets.append(pick_set)
         for v in pick_set:
             merged = dep[v] | pick_set
             merged.discard(pick)
             merged.discard(v)
             dep[v] = merged
-            heapq.heappush(heap, (len(merged), idx[v], v))
-    return tuple(order)
+            if heap is not None:
+                heapq.heappush(heap, (len(merged), idx[v], v))
+    return tuple(seq), dsets
 
 
 def breadth_first_seq(graph: CompGraph, root: str | None = None) -> tuple[str, ...]:
@@ -127,7 +153,7 @@ def random_seq(graph: CompGraph, rng: np.random.Generator) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Sequenced graph: positions, D(i), X(i), S(i)
+# Sequenced graph: positions, D(i), children, roots
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -146,6 +172,15 @@ class SequencedGraph:
     dep:
         ``dep[i]`` — the dependent set ``D(i)`` as a sorted tuple of
         positions (all ``> i``), maintained incrementally per Fig. 3.
+    children:
+        ``children[i]`` — the last vertex of each connected subset in
+        ``S(i)``, i.e. the ``j`` whose DP table recurrence (4) adds at
+        ``i``: those with ``D(j)[0] == i``, ordered by the first position
+        of their connected set ``X(j)``.
+    roots:
+        The last vertex of each weakly connected component (the ``j``
+        with an empty ``D(j)``), ascending; the DP sums their tables, so
+        forests also work.
     """
 
     graph: CompGraph
@@ -153,30 +188,38 @@ class SequencedGraph:
     pos: dict[str, int]
     adj: tuple[tuple[int, ...], ...]
     dep: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
 
     @classmethod
-    def build(cls, graph: CompGraph, order: Sequence[str]) -> "SequencedGraph":
-        order = tuple(order)
-        if sorted(order) != sorted(graph.node_names):
-            raise GraphError("ordering is not a permutation of the graph's nodes")
+    def build(cls, graph: CompGraph,
+              order: Sequence[str] | None = None) -> "SequencedGraph":
+        """Sequence ``graph`` by ``order`` (GENERATESEQ when None) in one
+        pass of Fig. 3."""
+        if order is not None:
+            order = tuple(order)
+            if sorted(order) != sorted(graph.node_names):
+                raise GraphError(
+                    "ordering is not a permutation of the graph's nodes")
+        order, dsets = _eliminate(graph, order)
         pos = {n: i for i, n in enumerate(order)}
         adj = tuple(
             tuple(sorted(pos[m] for m in graph.neighbors(n))) for n in order
         )
-        # Incremental dependent-set maintenance (Fig. 3 lines 1, 7-9).
-        dsets: list[set[int]] = [set(a) for a in adj]
-        dep: list[tuple[int, ...]] = [()] * len(order)
-        for i in range(len(order)):
-            cur = dsets[i]
-            dep[i] = tuple(sorted(j for j in cur if j > i))
-            for v in cur:
-                if v <= i:
-                    continue
-                merged = dsets[v] | cur
-                merged.discard(i)
-                merged.discard(v)
-                dsets[v] = merged
-        return cls(graph=graph, order=order, pos=pos, adj=adj, dep=tuple(dep))
+        dep = tuple(tuple(sorted(pos[m] for m in d)) for d in dsets)
+        # X(j) is a whole component of X(i) - {i} exactly when D(j)[0] == i
+        # (DESIGN §5); first[i] is the first position of X(i).
+        children: list[list[int]] = [[] for _ in order]
+        first = list(range(len(order)))
+        roots: list[int] = []
+        for i, d in enumerate(dep):
+            kids = children[i]
+            if kids:
+                kids.sort(key=first.__getitem__)
+                first[i] = first[kids[0]]
+            (children[d[0]] if d else roots).append(i)
+        return cls(graph=graph, order=order, pos=pos, adj=adj, dep=dep,
+                   children=tuple(map(tuple, children)), roots=tuple(roots))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -192,65 +235,6 @@ class SequencedGraph:
     def later_neighbors(self, i: int) -> tuple[int, ...]:
         """N(v_i) ∩ V_>i — the neighbors whose transfer cost H(i, ·) owns."""
         return tuple(j for j in self.adj[i] if j > i)
-
-    def connected_set(self, i: int) -> list[int]:
-        """X(i): vertices in V_<=i reachable from i through V_<=i (incl. i)."""
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w <= i and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return sorted(seen)
-
-    def connected_subsets(self, i: int) -> list[list[int]]:
-        """S(i): connected components of the subgraph induced by X(i) - {i}.
-
-        Each component is returned as a sorted position list; its maximum
-        element is the ``j`` whose DP table the recurrence consults.
-        """
-        members = [u for u in self.connected_set(i) if u != i]
-        member_set = set(members)
-        comps: list[list[int]] = []
-        seen: set[int] = set()
-        for start in members:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if w in member_set and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
-
-    def roots(self) -> list[int]:
-        """Max-position vertex of each weakly connected component.
-
-        For a weakly connected graph this is ``[len(self) - 1]``; the DP
-        sums the root tables so forests also work.
-        """
-        comp_of: dict[int, int] = {}
-        roots: list[int] = []
-        for i in range(len(self.order) - 1, -1, -1):
-            if i in comp_of:
-                continue
-            stack = [i]
-            comp_of[i] = i
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if w not in comp_of:
-                        comp_of[w] = i
-                        stack.append(w)
-            roots.append(i)
-        return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,8 @@ _PAIR_SEP = "\x1f"
 #: views are kept until the file changes (any rewrite lands via
 #: ``os.replace``, whose temp file carries a fresh inode) or the memo
 #: fills up.  The inode — not mtime — identifies the bytes, because the
-#: cache's own LRU touch rewrites mtime on every hit.  Only mmap reads
-#: are memoized: their arrays are immutable views, safe to hand to any
-#: number of callers.
+#: cache's own LRU touch rewrites mtime on every hit.  The arrays are
+#: immutable views, safe to hand to any number of callers.
 _MMAP_MEMO: dict = {}
 _MMAP_MEMO_MAX = 16
 
@@ -181,7 +180,7 @@ def open_npz_mmap(path) -> dict[str, np.ndarray]:
     the file while views are alive is safe on POSIX (the inode persists
     until the last mapping dies).  Raises ``ValueError`` / ``OSError`` /
     ``zipfile.BadZipFile`` when the archive is compressed, torn, or
-    otherwise unmappable — callers fall back to an eager load.
+    otherwise unmappable — `TableCache.load` quarantines such an entry.
     """
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -300,9 +299,8 @@ def table_digest(graph: CompGraph, space: ConfigSpace,
 def _unpack(data) -> tuple:
     """``(manifest, lc, pair_tx, mem)`` from a stored entry's members.
 
-    ``data`` maps member names to arrays: the read-only views of
-    `open_npz_mmap` or an open ``np.load`` archive (whose members are
-    copied out as they are indexed).
+    ``data`` maps member names to arrays, e.g. the read-only views of
+    `open_npz_mmap`.
     """
     manifest = json.loads(str(data["manifest"]))
     lc = {name: data[f"lc_{i}"] for i, name in enumerate(manifest["nodes"])}
@@ -450,14 +448,16 @@ class TableCache:
         cache lock: an entry a concurrent `evict` deletes before the read
         is a plain miss, and one deleted after a verified read is a hit.
 
-        Warm hits are served as **mmap'd zero-copy views**: the entry's
+        Hits are served as **mmap'd zero-copy views**: the entry's
         arrays are read-only views straight off one shared mapping of
         the file (`open_npz_mmap`), so a fleet of workers hitting the
         same entry shares pages instead of each copying multi-MB
-        payloads — nothing in the pipeline writes table arrays in place (writers copy first, e.g. the reduction's
-        ``np.array(...)`` adoption).  Anything the mmap reader cannot
-        serve falls back to the eager copying loader, whose verdict
-        (including quarantine) is authoritative.
+        payloads — nothing in the pipeline writes table arrays in place
+        (writers copy first, e.g. the reduction's ``np.array(...)``
+        adoption).  The mmap reader is the only reader: `store` writes
+        uncompressed entries, which it always maps, so an entry it
+        cannot map (compressed, torn, foreign) is quarantined like any
+        other corrupt one.
         """
         from .costmodel import CostTables
 
@@ -470,20 +470,9 @@ class TableCache:
             return None  # raced an eviction: a plain miss
         memo_key = (str(path), st.st_ino, st.st_size, digest)
         verified = _MMAP_MEMO.get(memo_key)
-        if verified is not None:
-            manifest, lc, pair_tx, mem = verified
-        else:
+        if verified is None:
             try:
-                loaded = _unpack(open_npz_mmap(path))
-            except (OSError, ValueError, KeyError, EOFError,
-                    zipfile.BadZipFile, json.JSONDecodeError):
-                loaded = None  # let the eager loader classify the file
-            from_mmap = loaded is not None
-            try:
-                if loaded is None:
-                    with np.load(path, allow_pickle=False) as data:
-                        loaded = _unpack(data)
-                manifest, lc, pair_tx, mem = loaded
+                manifest, lc, pair_tx, mem = _unpack(open_npz_mmap(path))
                 if manifest.get("version") != _FORMAT_VERSION or \
                         manifest.get("digest") != digest:
                     raise ValueError("manifest mismatch")
@@ -499,10 +488,11 @@ class TableCache:
                     zipfile.BadZipFile, json.JSONDecodeError) as err:
                 self._quarantine(path, reason=str(err))
                 return None
-            if from_mmap:
-                while len(_MMAP_MEMO) >= _MMAP_MEMO_MAX:
-                    _MMAP_MEMO.pop(next(iter(_MMAP_MEMO)))
-                _MMAP_MEMO[memo_key] = (manifest, lc, pair_tx, mem)
+            verified = (manifest, lc, pair_tx, mem)
+            while len(_MMAP_MEMO) >= _MMAP_MEMO_MAX:
+                _MMAP_MEMO.pop(next(iter(_MMAP_MEMO)))
+            _MMAP_MEMO[memo_key] = verified
+        manifest, lc, pair_tx, mem = verified
         if set(lc) != set(space.tables) or \
                 any(lc[n].shape[0] != space.size(n) for n in lc):
             self._quarantine(path, reason="stored shapes do not match the "

@@ -24,8 +24,8 @@ from ..core.naive import naive_bf_strategy
 from ..core.strategy import SearchResult, Strategy
 from ..models import BENCHMARKS
 
-__all__ = ["BenchSetup", "add_table_args", "build_setup", "search_with",
-           "METHODS"]
+__all__ = ["BenchSetup", "add_table_args", "at_least", "build_setup",
+           "search_with", "METHODS"]
 
 #: Search/baseline method names accepted by :func:`search_with`.
 METHODS = ("ours", "bf", "mcmc", "data_parallel", "expert", "random")
@@ -55,6 +55,22 @@ def add_table_args(parser: argparse.ArgumentParser) -> None:
                         "reduction (dominance pruning + chain contraction) "
                         "before the DP (auto-bypassed when the plain DP is "
                         "predicted to be cheap)")
+
+
+def at_least(kind: type, low: float, *, strict: bool = False):
+    """An argparse ``type=`` parsing ``kind`` and refusing values below
+    ``low`` (with ``strict``, also ``low`` itself) and NaN, so a bad
+    number is a usage error (exit 2) naming its option, not a library
+    traceback."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
 
 
 @lru_cache(maxsize=32)

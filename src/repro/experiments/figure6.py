@@ -17,7 +17,7 @@ from ..analysis.reporting import format_speedup_table
 from ..cluster.simulator import simulate_step
 from ..core.machine import GTX1080TI, RTX2080TI, MachineSpec
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, build_setup, search_with
+from .common import add_table_args, at_least, build_setup, search_with
 
 __all__ = ["Figure6Point", "run_figure6", "main", "DEFAULT_PS"]
 
@@ -94,7 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
     add_table_args(parser)
-    parser.add_argument("--deadline", type=float, default=None,
+    parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (machine, "
                         "benchmark, p) cell once this wall-clock budget "

@@ -25,7 +25,7 @@ from ..baselines import (
 )
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, build_setup, search_with
+from .common import add_table_args, at_least, build_setup, search_with
 
 __all__ = ["run_mcmc_sensitivity", "SensitivityRow", "main"]
 
@@ -87,11 +87,11 @@ def format_sensitivity(rows: Sequence[SensitivityRow]) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--benchmark", default="transformer")
-    parser.add_argument("--p", type=int, default=8)
+    parser.add_argument("--p", type=at_least(int, 1), default=8)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="RNG seeds, one MCMC run per seed and init")
     add_table_args(parser)
-    parser.add_argument("--deadline", type=float, default=None,
+    parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (init, seed) run "
                         "once this wall-clock budget expires (partial "

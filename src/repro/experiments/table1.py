@@ -15,7 +15,7 @@ from ..analysis.reporting import format_grid, format_time
 from ..core.exceptions import SearchResourceError
 from ..core.machine import GTX1080TI
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, build_setup, search_with
+from .common import add_table_args, at_least, build_setup, search_with
 
 __all__ = ["Table1Cell", "run_table1", "main", "DEFAULT_PS", "FULL_PS"]
 
@@ -107,7 +107,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
     add_table_args(parser)
-    parser.add_argument("--deadline", type=float, default=None,
+    parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next cell boundary once "
                         "this wall-clock budget expires (partial table, "

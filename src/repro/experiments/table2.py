@@ -19,7 +19,7 @@ from typing import Sequence
 from ..core.machine import GTX1080TI
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, build_setup, search_with
+from .common import add_table_args, at_least, build_setup, search_with
 
 __all__ = ["run_table2", "strategy_structure_checks", "main"]
 
@@ -108,10 +108,10 @@ def strategy_structure_checks(strategies: dict[str, Strategy],
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p", type=int, default=32)
+    parser.add_argument("--p", type=at_least(int, 1), default=32)
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
     add_table_args(parser)
-    parser.add_argument("--deadline", type=float, default=None,
+    parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next benchmark boundary "
                         "once this wall-clock budget expires (partial "

@@ -297,13 +297,3 @@ class FaultInjector:
                     start = t1
                     moved = True
         return start, dur
-
-    def lost_work(self) -> float:
-        """Total seconds of task delay attributable to fail-stops."""
-        return sum(e.delay for e in self.events if e.fault == "failstop")
-
-    def delay_by_fault(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for e in self.events:
-            out[e.fault] = out.get(e.fault, 0.0) + e.delay
-        return dict(sorted(out.items()))

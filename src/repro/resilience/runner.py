@@ -29,15 +29,18 @@ degradation ladder and records every rung in a `ResilienceReport`:
    so each halving cuts them exponentially; the cost optimum is now over
    a pruned space (a documented approximation, reported as such).
 
-Only when every rung fails does the final `SearchResourceError`
-propagate, with the full retry chain attached as ``err.report``.
+Every rung is one attempt of `find_best_strategy`, timed, traced and
+recorded the same way; all but the frontier-select rung pass on the
+caller's ``reduce=`` and ``objective=``.  Only when every rung fails does
+the final `SearchResourceError` propagate, with the full retry chain
+attached as ``err.report``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,61 +143,6 @@ def coarsen_config_space(space: ConfigSpace, tables: CostTables,
     return new_space, new_tables
 
 
-def _frontier_select_attempt(
-    graph: CompGraph,
-    space: ConfigSpace,
-    tables: CostTables,
-    report: ResilienceReport,
-    tracer,
-    *,
-    order: Sequence[str] | None,
-    chunk_cells: int,
-    memory_budget: int,
-    ctx: "object | None",
-    on_error,
-) -> SearchResult | None:
-    """One frontier-select rung: exact frontier at the *default* DP
-    budget, then the min-cost point fitting the caller's budget.
-
-    Returns the selected point as a `SearchResult` (its length-1
-    ``frontier`` is the chosen point, so ``frontier[0].cost == cost``
-    holds like everywhere else), or None after recording the failed
-    attempt — both a too-big frontier DP and an unsatisfiable budget
-    raise `SearchResourceError` and fall through to coarsening.
-    """
-    from ..api import select_point
-
-    stage = "frontier-select"
-    detail = (f"exact frontier @ default budget, "
-              f"select peak_bytes<={memory_budget}")
-    t0 = time.perf_counter()
-    try:
-        with tracer.span("resilience.attempt", stage=stage, detail=detail):
-            fres = find_best_strategy(
-                graph, space, tables, order=order,
-                memory_budget=DEFAULT_MEMORY_BUDGET,
-                chunk_cells=chunk_cells, method_name=METHOD_NAME,
-                objective="frontier", ctx=ctx)
-            point = select_point(fres.frontier, memory_budget)
-    except SearchResourceError as err:
-        report.attempts.append(AttemptRecord(
-            stage=stage, detail=detail,
-            elapsed=time.perf_counter() - t0, error=str(err),
-            requested_bytes=err.requested_bytes,
-            budget_bytes=err.budget_bytes))
-        on_error.last_error = err
-        return None
-    report.attempts.append(AttemptRecord(
-        stage=stage, detail=detail, elapsed=time.perf_counter() - t0))
-    report.succeeded = True
-    stats = dict(fres.stats)
-    stats["resilience_retries"] = float(report.retries)
-    stats["frontier_selected_peak_bytes"] = float(point.peak_bytes)
-    return SearchResult(strategy=point.strategy, cost=point.cost,
-                        elapsed=fres.elapsed, method=fres.method,
-                        stats=stats, frontier=(point,))
-
-
 def resilient_find_best_strategy(
     graph: CompGraph,
     space: ConfigSpace,
@@ -203,7 +151,8 @@ def resilient_find_best_strategy(
     order: Sequence[str] | None = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     chunk_cells: int = DEFAULT_CHUNK_CELLS,
-    search_fn: Callable[..., SearchResult] = find_best_strategy,
+    reduce: "bool | str" = False,
+    objective: str = "cost",
     ctx: "object | None" = None,
 ) -> tuple[SearchResult, ResilienceReport]:
     """Run the DP with graceful degradation instead of a hard failure.
@@ -211,40 +160,68 @@ def resilient_find_best_strategy(
     Returns the first successful `SearchResult` together with the
     `ResilienceReport` of every attempt.  When all rungs fail, the last
     `SearchResourceError` is re-raised with the report attached as
-    ``err.report``.  ``ctx`` (a `repro.runtime.RunContext`) is forwarded
-    into every rung's search, so a deadline or SIGINT stops the ladder
-    mid-rung instead of grinding through the remaining ones.
+    ``err.report``.  ``reduce`` and ``objective`` are passed to every
+    rung's `find_best_strategy` except the frontier-select one, which
+    runs its own exact frontier.  ``ctx`` (a `repro.runtime.RunContext`)
+    is forwarded into every rung's search, so a deadline or SIGINT stops
+    the ladder mid-rung instead of grinding through the remaining ones.
     """
     tracer = tracer_of(ctx)
     report = ResilienceReport()
+    last_error: SearchResourceError | None = None
 
     def attempt(stage: str, detail: str, *, a_order, a_chunk,
-                a_space, a_tables) -> SearchResult | None:
+                a_space, a_tables,
+                select_under: int | None = None) -> SearchResult | None:
+        """One rung.  With ``select_under``, the exact frontier at the
+        *default* DP budget, then the min-cost point whose peak bytes fit
+        ``select_under`` (`repro.api.select_point`); a too-big frontier
+        DP and an unsatisfiable budget both fall through like any
+        `SearchResourceError`."""
+        nonlocal last_error
         t0 = time.perf_counter()
-        extra = {} if ctx is None else {"ctx": ctx}
+        point = None
         try:
             with tracer.span("resilience.attempt", stage=stage,
                              detail=detail):
-                result = search_fn(graph, a_space, a_tables, order=a_order,
-                                   memory_budget=memory_budget,
-                                   chunk_cells=a_chunk,
-                                   method_name=METHOD_NAME, **extra)
+                if select_under is None:
+                    result = find_best_strategy(
+                        graph, a_space, a_tables, order=a_order,
+                        memory_budget=memory_budget, chunk_cells=a_chunk,
+                        method_name=METHOD_NAME, reduce=reduce,
+                        objective=objective, ctx=ctx)
+                else:
+                    from ..api import select_point
+
+                    result = find_best_strategy(
+                        graph, a_space, a_tables, order=a_order,
+                        memory_budget=DEFAULT_MEMORY_BUDGET,
+                        chunk_cells=a_chunk, method_name=METHOD_NAME,
+                        objective="frontier", ctx=ctx)
+                    point = select_point(result.frontier, select_under)
         except SearchResourceError as err:
             report.attempts.append(AttemptRecord(
                 stage=stage, detail=detail,
                 elapsed=time.perf_counter() - t0, error=str(err),
                 requested_bytes=err.requested_bytes,
                 budget_bytes=err.budget_bytes))
-            attempt.last_error = err  # type: ignore[attr-defined]
+            last_error = err
             return None
         report.attempts.append(AttemptRecord(
             stage=stage, detail=detail,
             elapsed=time.perf_counter() - t0))
         report.succeeded = True
         result.stats["resilience_retries"] = float(report.retries)
-        return result
-
-    attempt.last_error = None  # type: ignore[attr-defined]
+        if point is None:
+            return result
+        # The selected point as a result: its length-1 ``frontier`` is
+        # the chosen point, so ``frontier[0].cost == cost`` holds like
+        # everywhere else.
+        result.stats["frontier_selected_peak_bytes"] = \
+            float(point.peak_bytes)
+        return SearchResult(strategy=point.strategy, cost=point.cost,
+                            elapsed=result.elapsed, method=result.method,
+                            stats=result.stats, frontier=(point,))
 
     def ladder() -> SearchResult:
         cur_chunk = chunk_cells
@@ -285,10 +262,12 @@ def resilient_find_best_strategy(
         # was tightened below the default — at the default the frontier
         # DP has no extra headroom to trade for exactness.
         if memory_budget < DEFAULT_MEMORY_BUDGET:
-            res = _frontier_select_attempt(
-                graph, cur_space, cur_tables, report, tracer,
-                order=cur_order, chunk_cells=cur_chunk,
-                memory_budget=memory_budget, ctx=ctx, on_error=attempt)
+            res = attempt("frontier-select",
+                          f"exact frontier @ default budget, "
+                          f"select peak_bytes<={memory_budget}",
+                          a_order=cur_order, a_chunk=cur_chunk,
+                          a_space=cur_space, a_tables=cur_tables,
+                          select_under=memory_budget)
             if res is not None:
                 return res
 
@@ -305,10 +284,9 @@ def resilient_find_best_strategy(
             if res is not None:
                 return res
 
-        err = attempt.last_error  # type: ignore[attr-defined]
-        assert isinstance(err, SearchResourceError)
-        err.report = report  # type: ignore[attr-defined]
-        raise err
+        assert last_error is not None
+        last_error.report = report  # type: ignore[attr-defined]
+        raise last_error
 
     with tracer.span("resilience") as ladder_span:
         try:

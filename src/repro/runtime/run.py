@@ -283,7 +283,7 @@ def execute_search(
                         result, resilience = resilient_find_best_strategy(
                             graph, space, tables, order=order,
                             memory_budget=run_budget.memory_budget,
-                            search_fn=_reducing_search(reduce, obj), ctx=ctx)
+                            reduce=reduce, objective=obj.canonical, ctx=ctx)
                         if resilience.retries:
                             msg = ("resilient ladder degraded "
                                    f"{resilience.retries}x: "
@@ -327,22 +327,6 @@ def execute_search(
             _finalize_failure(report, journal_obj, "resource-error", err,
                               phase[0], time.perf_counter() - phase[1])
             raise
-
-
-def _reducing_search(reduce: "bool | str", obj=None):
-    """`find_best_strategy` with ``reduce``/``objective`` pre-bound,
-    for the resilient ladder."""
-    frontier = obj is not None and obj.is_frontier
-    if not reduce and not frontier:
-        return find_best_strategy
-    from functools import partial
-
-    kwargs = {}
-    if reduce:
-        kwargs["reduce"] = reduce
-    if frontier:
-        kwargs["objective"] = obj.canonical
-    return partial(find_best_strategy, **kwargs)
 
 
 def _ensure_frontier(result: SearchResult, graph: CompGraph,

@@ -16,7 +16,8 @@ from repro.core.dp import dp_table_profile, find_best_strategy
 from repro.core.exceptions import SearchResourceError
 from repro.core.machine import GTX1080TI, UNIT_BALANCE
 from repro.core.naive import brute_force_strategy, naive_bf_strategy
-from repro.core.sequencer import SequencedGraph, generate_seq
+from repro.core.sequencer import (SequencedGraph, connected_subsets_reference,
+                                  generate_seq)
 from tests.conftest import build_dag, small_dags
 
 
@@ -152,8 +153,9 @@ class TestPeakBytes:
 
         # Independent mirror of the DP's accounting: live tables before
         # vertex i, plus i's transient (table + argmin + chunked cost
-        # array), children's tables freed after consumption, argmins
-        # kept live.
+        # array), the tables of S(i)'s components (each its last
+        # vertex's, from the definition) freed after consumption,
+        # argmins kept live.
         from repro.core.dp import DEFAULT_CHUNK_CELLS
         seq = SequencedGraph.build(graph, generate_seq(graph))
         ksize = [space.size(seq.name(i)) for i in range(len(seq))]
@@ -167,8 +169,8 @@ class TestPeakBytes:
             needed = cells * 12 + \
                 min(cells * ksize[i], DEFAULT_CHUNK_CELLS) * 8
             peak = max(peak, live + needed)
-            for comp in seq.connected_subsets(i):
-                live -= table_nbytes[max(comp)]
+            for comp in connected_subsets_reference(graph, seq.order, i):
+                live -= table_nbytes[max(seq.pos[n] for n in comp)]
             table_nbytes[i] = cells * 8
             live += cells * 12
         assert res.stats["peak_bytes"] == peak

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import GraphError
+from repro.core.reduction import ReducedGraphView
 from repro.core.sequencer import (
     SequencedGraph,
     breadth_first_seq,
@@ -16,6 +17,59 @@ from repro.core.sequencer import (
     random_seq,
 )
 from tests.conftest import build_dag, small_dags
+
+
+@st.composite
+def adjacency_graphs(draw, max_nodes: int = 8):
+    """Random undirected adjacency, often disconnected or empty — the
+    contracted forests the reduction hands the DP."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    names = [f"v{k}" for k in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    nbrs: dict[str, list[str]] = {v: [] for v in names}
+    for a, b in edges:
+        nbrs[names[a]].append(names[b])
+        nbrs[names[b]].append(names[a])
+    return ReducedGraphView(names, nbrs)
+
+
+@st.composite
+def sequenced_graphs(draw):
+    """A connected DAG or random adjacency, with GENERATESEQ or a random
+    ordering of it."""
+    graph = draw(st.one_of(small_dags(), adjacency_graphs()))
+    if draw(st.booleans()):
+        return graph, generate_seq(graph)
+    return graph, tuple(draw(st.permutations(graph.node_names)))
+
+
+def subtree(seq, i):
+    """``v_i`` plus the subtrees of its children, as node names."""
+    out = {seq.order[i]}
+    for j in seq.children[i]:
+        out |= subtree(seq, j)
+    return out
+
+
+def component_lasts(graph, order):
+    """The last position of each weakly connected component, ascending."""
+    pos = {n: i for i, n in enumerate(order)}
+    seen: set[str] = set()
+    lasts = []
+    for start in order:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for m in graph.neighbors(stack.pop()):
+                if m not in comp:
+                    comp.add(m)
+                    stack.append(m)
+        seen |= comp
+        lasts.append(max(pos[m] for m in comp))
+    return sorted(lasts)
 
 
 class TestOrderings:
@@ -125,22 +179,29 @@ class TestSequencedGraph:
         assert seq.max_dependent_size == 1
         assert seq.dep == ((1,), (2,), ())
 
+    def test_default_order_is_generate_seq(self, diamond):
+        seq = SequencedGraph.build(diamond)
+        assert seq == SequencedGraph.build(diamond, generate_seq(diamond))
+
     def test_connected_set_includes_self(self, diamond):
-        seq = SequencedGraph.build(diamond, generate_seq(diamond))
+        order = generate_seq(diamond)
+        seq = SequencedGraph.build(diamond, order)
         for i in range(len(seq)):
-            assert i in seq.connected_set(i)
+            assert subtree(seq, i) == \
+                connected_set_reference(diamond, order, i)
 
     def test_paper_example_structure(self):
         # Fig. 2-like: vertex 4 (0-based) connected to components {0,1},{2}.
         g = build_dag(6, [(0, 4), (2, 4)])
-        # order: n0 n1 n2 n3 n4 n5 (identity); X(4) spans everything <= 4.
+        # order: n0 n1 n2 n3 n4 n5 (identity); X(4) spans everything <= 4,
+        # so S(4) is the one component {0, 1, 2, 3}, whose table is 3's.
         seq = SequencedGraph.build(g, g.node_names)
-        comps = seq.connected_subsets(4)
-        assert sorted(map(tuple, comps)) == [(0, 1, 2, 3)]
+        assert seq.children[4] == (3,)
+        assert subtree(seq, 3) == {"n0", "n1", "n2", "n3"}
 
     def test_roots_weakly_connected(self, diamond):
         seq = SequencedGraph.build(diamond, generate_seq(diamond))
-        assert seq.roots() == [len(seq) - 1]
+        assert seq.roots == (len(seq) - 1,)
 
     def test_later_neighbors(self, chain3):
         seq = SequencedGraph.build(chain3, ("n0", "n1", "n2"))
@@ -179,42 +240,48 @@ class TestTheorem2:
 
 
 class TestConnectedSets:
-    @settings(max_examples=40, deadline=None)
-    @given(small_dags())
-    def test_connected_sets_match_reference(self, graph):
-        order = generate_seq(graph)
-        seq = SequencedGraph.build(graph, order)
-        for i in range(len(order)):
-            expect = connected_set_reference(graph, order, i)
-            got = {order[j] for j in seq.connected_set(i)}
-            assert got == expect
+    """The children and roots `SequencedGraph` reads off ``D(i)`` agree
+    with ``X(i)``/``S(i)`` straight from the definitions, on connected
+    and disconnected graphs and on any ordering."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(small_dags())
-    def test_connected_subsets_match_reference(self, graph):
-        order = generate_seq(graph)
+    @settings(max_examples=60, deadline=None)
+    @given(sequenced_graphs())
+    def test_connected_sets_match_reference(self, case):
+        graph, order = case
         seq = SequencedGraph.build(graph, order)
         for i in range(len(order)):
-            expect = {frozenset(c) for c in
-                      connected_subsets_reference(graph, order, i)}
-            got = {frozenset(order[j] for j in c)
-                   for c in seq.connected_subsets(i)}
-            assert got == expect
+            assert subtree(seq, i) == connected_set_reference(graph, order, i)
+        assert list(seq.roots) == component_lasts(graph, order)
 
-    @settings(max_examples=40, deadline=None)
-    @given(small_dags())
-    def test_subsets_partition_connected_set(self, graph):
-        """X(i) = union of S(i) plus v_i, pairwise disjoint (Theorem 1
-        proof's key fact)."""
-        order = generate_seq(graph)
+    @settings(max_examples=60, deadline=None)
+    @given(sequenced_graphs())
+    def test_connected_subsets_match_reference(self, case):
+        """The children of ``i`` are the last vertices of ``S(i)``'s
+        components, in the order of each component's first vertex."""
+        graph, order = case
+        seq = SequencedGraph.build(graph, order)
+        pos = {n: i for i, n in enumerate(order)}
+        for i in range(len(order)):
+            comps = connected_subsets_reference(graph, order, i)
+            assert seq.children[i] == \
+                tuple(max(pos[n] for n in c) for c in comps)
+            for j, c in zip(seq.children[i], comps):
+                assert subtree(seq, j) == c
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequenced_graphs())
+    def test_subsets_partition_connected_set(self, case):
+        """X(i) = v_i plus its children's subtrees, pairwise disjoint
+        (Theorem 1 proof's key fact)."""
+        graph, order = case
         seq = SequencedGraph.build(graph, order)
         for i in range(len(order)):
-            comps = seq.connected_subsets(i)
-            union: set[int] = set()
-            for c in comps:
-                assert union.isdisjoint(c)
-                union |= set(c)
-            assert union | {i} == set(seq.connected_set(i))
+            union = {order[i]}
+            for j in seq.children[i]:
+                sub = subtree(seq, j)
+                assert union.isdisjoint(sub)
+                union |= sub
+            assert union == connected_set_reference(graph, order, i)
 
 
 class TestOrderingQuality:

@@ -404,6 +404,21 @@ class TestQuarantine:
         assert again.build_stats["cache_hit"] == 1.0
         assert tables_equal(again, reference)
 
+    def test_compressed_entry_quarantined_and_rebuilt(self, tmp_path):
+        """`store` never writes a compressed entry and the mmap reader,
+        the only one, cannot map it: even under a valid digest and
+        checksum it is quarantined and rebuilt, never served."""
+        g, space, cm, cache, digest = self._stored(tmp_path)
+        path = cache.path_for(digest)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        np.savez_compressed(path, **arrays)
+        rebuilt = cm.build_tables(g, space, ctx=RunContext(cache=cache))
+        assert rebuilt.build_stats["cache_hit"] == 0.0
+        assert cache.quarantined == 1
+        assert (cache.corrupt_dir / path.name).is_file()
+        assert tables_equal(rebuilt, cm.build_tables(g, space))
+
 
 class TestNpzMmap:
     def write_npz(self, path):

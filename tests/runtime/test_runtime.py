@@ -132,6 +132,18 @@ class TestFailureModes:
             assert out.report.degradations
             assert not out.report.clean
 
+    def test_resilient_forwards_reduce(self):
+        """The ladder runs each rung's search with the caller's
+        ``reduce``: the result is the reduction's, counters included."""
+        graph, space = make_problem()
+        out = execute_search(graph, space, GTX1080TI, resilient=True,
+                             reduce="always")
+        assert out.result.method == "pase-dp-resilient+reduce"
+        assert out.result.stats["reduction_bypassed"] == 0.0
+        assert "reduction_cells_before" in out.result.stats
+        plain = execute_search(graph, space, GTX1080TI)
+        assert out.result.cost == pytest.approx(plain.result.cost)
+
     def test_cancellation_raises_with_report(self):
         graph, space = make_problem()
         with pytest.raises(RunInterrupted) as exc:

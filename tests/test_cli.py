@@ -73,12 +73,71 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(argv, opt,
+                     id=f"{argv[0]} {opt}={argv[argv.index(opt) + 1]}")
+        for argv, opt in [
+            (["search", "--model", "rnnlm", "--p", "0"], "--p"),
+            (["search", "--model", "rnnlm", "--memory-budget", "-5"],
+             "--memory-budget"),
+            (["search", "--model", "rnnlm", "--deadline", "-1"], "--deadline"),
+            (["search", "--model", "rnnlm", "--deadline", "nan"],
+             "--deadline"),
+            (["search", "--model", "rnnlm", "--frontier", "--frontier-eps",
+              "-1"], "--frontier-eps"),
+            # a valid eps, but without --frontier it would be ignored
+            (["search", "--model", "rnnlm", "--frontier-eps", "0.5"],
+             "--frontier-eps"),
+            (["simulate", "--model", "rnnlm", "--p", "0"], "--p"),
+            (["simulate", "--model", "rnnlm", "--mtbf-steps", "0"],
+             "--mtbf-steps"),
+            (["sweep", "--workers", "0"], "--workers"),
+            (["sweep", "--max-retries", "-1"], "--max-retries"),
+            (["sweep", "--straggler-after", "0"], "--straggler-after"),
+            (["sweep", "--deadline", "-3"], "--deadline"),
+            (["sweep", "--task-deadline", "-1"], "--task-deadline"),
+            (["serve", "--workers", "0"], "--workers"),
+            (["serve", "--max-queue", "0"], "--max-queue"),
+            (["serve", "--max-retries", "-1"], "--max-retries"),
+            (["table1", "--deadline", "-1"], "--deadline"),
+            (["table2", "--deadline", "-1"], "--deadline"),
+            (["table2", "--p", "0"], "--p"),
+            (["figure6", "--deadline", "-1"], "--deadline"),
+            (["pipeline", "--model", "alexnet", "--stages", "0"], "--stages"),
+        ]
+    ])
+    def test_bad_number_is_usage_error(self, argv, option, tmp_path,
+                                       capsys):
+        """A number the library would refuse is a usage error (exit 2)
+        naming its option, not an internal error with a traceback."""
+        if argv[0] == "sweep":
+            spec = tmp_path / "sweep.json"
+            spec.write_text(json.dumps({"models": ["rnnlm"], "ps": [2]}))
+            argv = argv[:1] + ["--spec", str(spec), "--fleet-dir",
+                               str(tmp_path / "fleet")] + argv[1:]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert option in capsys.readouterr().err
+
     def test_mcmc_sensitivity_rejects_bad_jobs(self, capsys):
         from repro.experiments import mcmc_sensitivity
 
         with pytest.raises(SystemExit) as exc:
             mcmc_sensitivity.main(["--jobs", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--p", "0"], ["--deadline", "-1"]],
+                             ids="=".join)
+    def test_mcmc_sensitivity_rejects_bad_numbers(self, argv, capsys):
+        from repro.experiments import mcmc_sensitivity
+
+        with pytest.raises(SystemExit) as exc:
+            mcmc_sensitivity.main(argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestCLIExtensions:
