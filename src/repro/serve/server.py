@@ -112,6 +112,9 @@ class _Handler(BaseHTTPRequestHandler):
     """One HTTP request; all state lives on ``self.server``."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a keep-alive client must not
+    # wait out its own delayed ACK before Nagle lets a response go.
+    disable_nagle_algorithm = True
     server: "StrategyServer"
 
     # -- plumbing ------------------------------------------------------------
@@ -120,35 +123,46 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # pragma: no cover - operator convenience
             super().log_message(format, *args)
 
-    def _send(self, status: int, body: dict, *,
+    def _send(self, status: int, body: dict | str, *,
               retry_after: float | None = None,
               content_type: str = "application/json") -> None:
-        payload = encode_body(body)
+        """Write one whole response in a single send; count it by status.
+
+        A dict goes out as JSON, a str as UTF-8 text.  The status line,
+        headers and body are joined before anything reaches the socket:
+        ``end_headers()`` would send the head by itself, and a body sent
+        after it waits under Nagle for the client's delayed ACK.  An
+        HTTP/0.9 request buffers no head and gets the bare body.
+        """
+        payload = (body.encode("utf-8") if isinstance(body, str)
+                   else encode_body(body))
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         if retry_after is not None:
             self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(payload)
+        head = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        # wfile is unbuffered (wbufsize 0): one write is one sendall.
+        self.wfile.write(b"".join([*head, payload]))
         with self.server.metrics_lock:
             self.server.metrics.counter(
                 "serve_requests_total", "serve requests by status code",
                 labels={"code": str(status)}).inc()
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
     def _read_body(self) -> Any:
-        length = self.headers.get("Content-Length")
+        length = self.headers.get("Content-Length", "")
         try:
-            length = int(length)
-        except (TypeError, ValueError):
+            # ASCII digits only: int() also takes "-1", "+5", " 5 " and
+            # "1_0", and read(-1) blocks until the client hangs up.
+            if not (length.isascii() and length.isdigit()):
+                raise ValueError(length)
+            length = int(length)  # over 4300 digits raises as well
+        except ValueError:
+            # Where this request ends is unknown: the connection is done.
+            self.close_connection = True
             raise ServeError(400, "invalid-request",
                              "missing or malformed Content-Length") from None
         if length > MAX_BODY_BYTES:
@@ -179,7 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/metrics":
             with self.server.metrics_lock:
                 text = self.server.metrics.to_prometheus()
-            self._send_text(200, text, "text/plain; version=0.0.4")
+            self._send(200, text, content_type="text/plain; version=0.0.4")
         elif self.path == "/v1/quarantine":
             self._send(200, {"quarantine":
                              self.server.engine.quarantine_snapshot()})

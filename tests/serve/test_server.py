@@ -1,6 +1,10 @@
-"""HTTP-level serve tests: endpoints, backpressure, lifecycle, traces."""
+"""HTTP-level serve tests: endpoints, framing, backpressure, lifecycle,
+traces."""
 
+import http.client
 import json
+import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -53,6 +57,44 @@ def start_server(tmp_path, *, max_queue=8, workers=2, trace=None,
         trace=None if trace is None else str(trace))
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, Client(server.server_port)
+
+
+def raw_exchange(port, request, timeout=10.0):
+    """Send raw request bytes; return all bytes until the server closes."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.fixture
+def server_sends(monkeypatch):
+    """Record every send on an accepted server socket.
+
+    Add a server's port to the returned set; each ``send``/``sendall``
+    on a socket bound to it appends ``(bytes, TCP_NODELAY)`` to the
+    returned list before the bytes leave, so once a client holds a whole
+    response, every send that carried it has been recorded.
+    """
+    ports, sends = set(), []
+
+    def spy(real):
+        def call(sock, data, *args):
+            if (sock.family == socket.AF_INET
+                    and sock.getsockname()[1] in ports):
+                nodelay = sock.getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+                sends.append((bytes(data), nodelay))
+            return real(sock, data, *args)
+        return call
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name,
+                            spy(getattr(socket.socket, name)))
+    return ports, sends
 
 
 class TestEndpoints:
@@ -115,6 +157,107 @@ class TestEndpoints:
             assert status == 413
             assert body["error"]["kind"] == "body-too-large"
         finally:
+            server.close()
+
+    @pytest.mark.parametrize("length", ["-1", "+5", " 5 ", "1_0", "5x", ""])
+    def test_malformed_content_length_400_before_reading(self, tmp_path,
+                                                          length):
+        # No body follows: a server that trusted int() would wait on
+        # read() until the client gave up instead of answering.
+        server, _ = start_server(tmp_path)
+        try:
+            reply = raw_exchange(
+                server.server_port,
+                b"POST /v1/search HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n",
+                timeout=5.0)
+        finally:
+            server.close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error["kind"] == "invalid-request"
+        assert "Content-Length" in error["message"]
+
+
+class TestOneSend:
+    """Each response leaves in one send on a TCP_NODELAY socket."""
+
+    def test_every_response_is_one_send(self, tmp_path, server_sends):
+        ports, sends = server_sends
+        server, _ = start_server(tmp_path, max_queue=1)
+        port = server.server_port
+        ports.add(port)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=90)
+
+        def exchange(method, path, doc=None, raw=None):
+            """One request on the keep-alive connection; one send back."""
+            before = len(sends)
+            body = raw if doc is None else json.dumps(doc).encode()
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            payload = resp.read()
+            assert len(sends) == before + 1, (method, path, sends[before:])
+            data, nodelay = sends[-1]
+            assert nodelay
+            assert data.startswith(b"HTTP/1.1 %d " % resp.status)
+            assert data.endswith(b"\r\n\r\n" + payload)
+            return resp, payload
+
+        def counts(text):
+            """``serve_requests_total`` by status code, off a scrape."""
+            return {code: float(value) for code, value in re.findall(
+                r'^pase_serve_requests_total\{code="(\d+)"\} (\S+)$',
+                text, re.M)}
+
+        try:
+            problem = {"model": "alexnet", "p": 4}
+            resp, miss = exchange("POST", "/v1/search", problem)
+            sock = conn.sock
+            miss = json.loads(miss)
+            assert resp.status == 200 and not miss["served"]["cached"]
+            assert miss["served"]["attempts"] == 1  # run by a worker
+            resp, hit = exchange("POST", "/v1/search", problem)
+            hit = json.loads(hit)
+            assert resp.status == 200 and hit["served"]["cached"]
+            assert hit["record"] == miss["record"]
+
+            resp, body = exchange("POST", "/v1/search", raw=b"{not json")
+            assert resp.status == 400
+            assert json.loads(body)["error"]["kind"] == "invalid-request"
+            resp, body = exchange("GET", "/nope")
+            assert resp.status == 404
+            assert json.loads(body)["error"]["kind"] == "not-found"
+            server.admission.admit()  # occupy the only slot
+            resp, body = exchange("POST", "/v1/search",
+                                  {"model": "alexnet", "p": 4, "seed": 30})
+            server.admission.release()
+            assert resp.status == 429
+            assert json.loads(body)["error"]["kind"] == "queue-full"
+            assert float(resp.getheader("Retry-After")) >= 1
+            resp, text = exchange("GET", "/metrics")
+            assert resp.status == 200
+            assert counts(text.decode()) == {
+                "200": 2.0, "400": 1.0, "404": 1.0, "429": 1.0}
+
+            # A 413 is not read past its headers and closes the connection.
+            before = len(sends)
+            reply = raw_exchange(
+                port, b"POST /v1/search HTTP/1.1\r\nHost: x\r\n"
+                      b"Content-Length: 70000\r\n\r\n")
+            (data, nodelay), = sends[before:]
+            assert data == reply and nodelay
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 413 ")
+            assert json.loads(body)["error"]["kind"] == "body-too-large"
+
+            # The first /metrics response is counted too.
+            resp, text = exchange("GET", "/metrics")
+            assert counts(text.decode()) == {
+                "200": 3.0, "400": 1.0, "404": 1.0, "413": 1.0, "429": 1.0}
+            assert conn.sock is sock, "the keep-alive connection was reset"
+        finally:
+            conn.close()
             server.close()
 
 
