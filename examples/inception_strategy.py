@@ -18,8 +18,8 @@ from repro.core import (
     CostModel,
     GTX1080TI,
     SearchResourceError,
+    breadth_first_seq,
     find_best_strategy,
-    naive_bf_strategy,
 )
 from repro.models import inception_v3
 
@@ -39,9 +39,11 @@ def main() -> None:
     space = ConfigSpace.build(graph, p)
     tables = CostModel(GTX1080TI).build_tables(graph, space)
 
-    print(f"\n== breadth-first DP (recurrence 2), p={p} ==")
+    print(f"\n== the same DP over a breadth-first ordering, p={p} ==")
     try:
-        naive_bf_strategy(graph, space, tables)
+        find_best_strategy(graph, space, tables,
+                           order=breadth_first_seq(graph),
+                           method_name="naive-bf")
         print("  unexpectedly fit in budget")
     except SearchResourceError as exc:
         print(f"  OOM, as in Table I: {exc}")

@@ -71,21 +71,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from .obs import Metrics
 
         metrics = Metrics()
-    # The DP path runs whenever it can honor a custom memory budget /
-    # breadth-first ordering; plain "bf" stays the naive recurrence-(2)
-    # baseline, exactly as before the hardened runtime.
-    method, order = args.method, None
-    if args.method == "bf" and \
-            (args.resilient or args.memory_budget is not None):
-        from .core.sequencer import breadth_first_seq
-
-        method, order = "ours", breadth_first_seq(graph)
     objective = "cost"
     if args.frontier_eps is not None and not args.frontier:
         print("pase: --frontier-eps requires --frontier", file=sys.stderr)
         return 2
     if args.frontier:
-        if method != "ours":
+        if args.method != "ours":
             print("pase: --frontier requires --method ours",
                   file=sys.stderr)
             return 2
@@ -102,8 +93,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     try:
         with trap_signals(ctx.cancellation):
             outcome = execute_search(
-                graph, space, machine, method=method, seed=args.seed,
-                order=order, reduce=args.reduce, objective=objective,
+                graph, space, machine, method=args.method, seed=args.seed,
+                reduce=args.reduce, objective=objective,
                 resilient=args.resilient, ctx=ctx, resume=args.resume)
     finally:
         # The tracer flushes per-span, so the trace file is valid even on

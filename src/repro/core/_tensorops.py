@@ -10,8 +10,7 @@ hot loop, stay easy on memory).
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def chunked_min_argmin(
     cfg_count: int,
     table_shape: tuple[int, ...],
     chunk_cells: int,
-    deadline: float | None = None,
+    poll: Callable[[], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize a broadcast sum of terms over the configuration axis.
 
@@ -117,10 +116,10 @@ def chunked_min_argmin(
         Shape over the table axes (full_axes minus cfg_axis).
     chunk_cells:
         Max transient cells per chunk evaluation.
-    deadline:
-        Optional ``time.perf_counter()`` value; raises `TimeoutError` when
-        a chunk boundary passes it (big chunked tables can take unbounded
-        time while still fitting in memory).
+    poll:
+        Optional callable run before every chunk after the first (a
+        one-chunk table never calls it); whatever it raises propagates,
+        so a cooperative checkpoint can stop a big table mid-way.
     """
     if full_axes[-1] != cfg_axis:
         raise ValueError("cfg_axis must be the last of full_axes")
@@ -137,8 +136,8 @@ def chunked_min_argmin(
     # so results stay bit-identical.
     buf = kernels._WS.take("dp_acc", table_shape + (chunk,), np.float64)
     for c0 in range(0, cfg_count, chunk):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeoutError("chunked DP evaluation passed its deadline")
+        if c0 and poll is not None:
+            poll()
         c1 = min(cfg_count, c0 + chunk)
         acc = buf[..., :c1 - c0]
         sum_terms(terms, full_axes, acc, slice(c0, c1))

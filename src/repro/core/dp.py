@@ -36,6 +36,7 @@ would be exceeded.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import time
@@ -135,9 +136,11 @@ class MinTable:
     frontier = False
     memory = None        # no memory columns for the reduction
 
-    def __init__(self, ledger: _Ledger, chunk_cells: int) -> None:
+    def __init__(self, ledger: _Ledger, chunk_cells: int,
+                 checkpoint: Callable[..., None] | None) -> None:
         self.ledger = ledger
         self.chunk_cells = chunk_cells
+        self.checkpoint = checkpoint
 
     def vertex(self, i: int, name: str, dep: tuple[int, ...],
                table_shape: tuple[int, ...], k: int, terms: list,
@@ -152,8 +155,14 @@ class MinTable:
         for axes, rec in kids:
             assert rec.table is not None, "child table consumed twice"
             terms.append((rec.table, axes))
+        # A table of several chunks polls the checkpoint before each
+        # chunk after the first, so a budget can stop it mid-way.
+        poll = None
+        if self.checkpoint is not None:
+            poll = functools.partial(self.checkpoint, phase=self.span, step=i)
         table, argmin = chunked_min_argmin(
-            terms, dep + (i,), i, k, table_shape, self.chunk_cells)
+            terms, dep + (i,), i, k, table_shape, self.chunk_cells,
+            poll=poll)
         # Child tables are consulted exactly once; free them.
         for _, rec in kids:
             self.ledger.sub(rec.table.nbytes)
@@ -232,10 +241,12 @@ def find_best_strategy(
         the search so reduction rounds and per-vertex spans land in the
         caller's trace.  The checkpoint is polled once per DP vertex
         (and per reduction round when ``reduce`` is on) with
-        ``phase``/``step``/``total`` keywords; it aborts the search by
-        raising — e.g. `DeadlineExceededError` or `RunInterrupted` —
-        always between vertices, never mid-table, so no partial state
-        escapes.
+        ``phase``/``step``/``total`` keywords, and again with
+        ``phase``/``step`` before every chunk after the first of a
+        scalar table.  It aborts the search by raising — e.g.
+        `DeadlineExceededError` or `RunInterrupted` — between vertices
+        or mid-table; a table is published only once it is complete, so
+        no partial state escapes.
 
     Returns
     -------
@@ -274,7 +285,7 @@ def _solve(
     t0 = time.perf_counter()
     ledger = _Ledger(memory_budget)
     fmt = (PointTable(graph, space, tables, obj.eps, ledger, chunk_cells)
-           if obj.is_frontier else MinTable(ledger, chunk_cells))
+           if obj.is_frontier else MinTable(ledger, chunk_cells, checkpoint))
     mode = _resolve_reduce_mode(reduce)
     seq: SequencedGraph | None = None
     bypassed = False

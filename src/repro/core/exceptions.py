@@ -53,8 +53,9 @@ class DeadlineExceededError(PaseError):
 
     Searches under a `repro.runtime.RunBudget` poll the budget at
     cooperative checkpoints (between table-build tasks, reduction rounds,
-    and DP vertices); the first poll past the deadline raises this error
-    so the run stops at a phase boundary instead of being killed.
+    DP vertices, and the chunks of a multi-chunk DP table); the first
+    poll past the deadline raises this error so the run stops cleanly
+    instead of being killed.
     """
 
     def __init__(self, message: str, *, deadline_seconds: float | None = None,

@@ -1,10 +1,13 @@
 """Reference searches: the naive recurrence (2) DP and brute force.
 
-* :func:`naive_bf_strategy` implements Section III-A: recurrence (2) over a
-  breadth-first ordering, with DP tables keyed by the *breadth-first
-  dependent sets* ``D_B(i) = N(V_<=i) ∩ V_>i``.  This is the paper's "BF"
-  column in Table I; it matches the efficient DP on path graphs and runs
-  out of memory on InceptionV3/Transformer.
+* :func:`naive_bf_strategy` implements Section III-A as written:
+  recurrence (2) over a breadth-first ordering, with DP tables keyed by
+  the *breadth-first dependent sets* ``D_B(i) = N(V_<=i) ∩ V_>i``.  The
+  paper's "BF" column in Table I runs the one DP driver over the same
+  ordering instead (`repro.core.dp.find_best_strategy` with
+  ``order=breadth_first_seq(graph)``): Theorem 1 makes the two the same
+  computation, and this short, unbudgeted loop is the independent oracle
+  that says so.
 * :func:`brute_force_strategy` enumerates every strategy (vectorized as one
   giant broadcast sum); it is the ground truth the property tests compare
   both DPs against on small graphs.
@@ -23,9 +26,7 @@ from .exceptions import SearchResourceError
 from .graph import CompGraph
 from .sequencer import breadth_first_seq
 from .strategy import SearchResult, Strategy
-from ..obs.profile import profiled
-from ._tensorops import chunked_min_argmin
-from .dp import DEFAULT_CHUNK_CELLS, DEFAULT_MEMORY_BUDGET
+from ._tensorops import sum_terms
 
 __all__ = ["naive_bf_strategy", "brute_force_strategy", "bf_dependent_sets"]
 
@@ -41,111 +42,48 @@ def bf_dependent_sets(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-@profiled("baseline.bf")
 def naive_bf_strategy(
     graph: CompGraph,
     space: ConfigSpace,
     tables: CostTables,
     *,
     order: Sequence[str] | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
-    time_budget: float | None = None,
 ) -> SearchResult:
-    """Recurrence (2) DP (Section III-A).
+    """Recurrence (2) DP (Section III-A), the oracle for the BF search.
 
     ``B(i, φ) = min_C [ H(i, φ ∪ {(v_i, C)}) + B(i-1, φ'') ]`` with tables
-    keyed by ``D_B(i)``.  Raises `SearchResourceError` when a table would
-    exceed the byte budget — the deterministic counterpart of the paper's
-    OOM entries — or, if ``time_budget`` seconds is set, when the search
-    exceeds it (large chunked tables can take unbounded time even while
-    they still fit in memory).
+    keyed by ``D_B(i)``, each built whole: no byte budget, no chunking,
+    no checkpoints.  ``order`` defaults to the breadth-first ordering.
     """
     t0 = time.perf_counter()
-    if order is None:
-        order = breadth_first_seq(graph)
-    order = tuple(order)
-    n = len(order)
-    if n == 0:
-        return SearchResult(Strategy({}), 0.0, time.perf_counter() - t0, "naive-bf")
+    order = tuple(breadth_first_seq(graph) if order is None else order)
     pos = {name: i for i, name in enumerate(order)}
     adj = [sorted(pos[m] for m in graph.neighbors(name)) for name in order]
     dep = bf_dependent_sets(adj)
-    ksize = [space.size(name) for name in order]
-
-    prev_table: np.ndarray | None = None
-    prev_axes: tuple[int, ...] = ()
+    carried: list = []              # B(i-1) as a term; none before v_0
     argmins: list[np.ndarray] = []
-    axes_log: list[tuple[int, ...]] = []
-    live = 0
-    peak = 0
-    cells_evaluated = 0
-
-    for i in range(n):
-        if time_budget is not None and time.perf_counter() - t0 > time_budget:
-            raise SearchResourceError(
-                f"BF DP exceeded the {time_budget:.0f}s time budget at "
-                f"vertex {order[i]!r} ({i}/{n})",
-                requested_bytes=live, budget_bytes=memory_budget)
-        axes = dep[i]
-        full_axes = axes + (i,)
-        table_shape = tuple(ksize[d] for d in axes)
-        table_cells = int(np.prod(table_shape, dtype=np.int64)) if axes else 1
-        needed = table_cells * 12 + min(table_cells * ksize[i], chunk_cells) * 8
-        if live + needed > memory_budget:
-            raise SearchResourceError(
-                f"BF DP table for vertex {order[i]!r} needs {needed} bytes "
-                f"({live} live, budget {memory_budget}); |D_B(i)|={len(axes)}",
-                requested_bytes=live + needed, budget_bytes=memory_budget)
-
-        terms: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        terms.append((tables.lc[order[i]], (i,)))
-        for u in adj[i]:
-            if u > i:
-                terms.append((tables.tx(order[i], order[u]), (i, u)))
-        if prev_table is not None:
-            terms.append((prev_table, prev_axes))
-
-        deadline = None if time_budget is None else t0 + time_budget
-        try:
-            table, argmin = chunked_min_argmin(
-                terms, full_axes, i, ksize[i], table_shape, chunk_cells,
-                deadline=deadline)
-        except TimeoutError:
-            raise SearchResourceError(
-                f"BF DP exceeded the {time_budget:.0f}s time budget at "
-                f"vertex {order[i]!r} ({i}/{n})",
-                requested_bytes=live + needed,
-                budget_bytes=memory_budget) from None
-        cells_evaluated += table_cells * ksize[i]
-        if prev_table is not None:
-            live -= prev_table.nbytes
-        prev_table, prev_axes = table, axes
-        argmins.append(argmin)
-        axes_log.append(axes)
-        live += table.nbytes + argmin.nbytes
-        peak = max(peak, live + needed)
-
-    assert prev_table is not None and prev_table.shape == ()
-    total = float(prev_table)
+    cells = 0
+    for i, name in enumerate(order):
+        terms = [(tables.lc[name], (i,))]
+        terms += [(tables.tx(name, order[u]), (i, u)) for u in adj[i] if u > i]
+        full = np.empty(tuple(space.size(order[d]) for d in dep[i])
+                        + (space.size(name),))
+        sum_terms(terms + carried, dep[i] + (i,), full)
+        carried = [(full.min(-1), dep[i])]
+        argmins.append(full.argmin(-1))
+        cells += full.size
 
     chosen: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        idx = tuple(chosen[d] for d in axes_log[i])
-        chosen[i] = int(argmins[i][idx])
-
+    for i in range(len(order) - 1, -1, -1):
+        chosen[i] = int(argmins[i][tuple(chosen[d] for d in dep[i])])
     strategy = Strategy.from_indices(space, {order[i]: k for i, k in chosen.items()})
     return SearchResult(
         strategy=strategy,
-        cost=total,
+        cost=float(carried[0][0]) if carried else 0.0,
         elapsed=time.perf_counter() - t0,
         method="naive-bf",
-        stats={
-            "cells": float(cells_evaluated),
-            "peak_bytes": float(peak),
-            "max_dependent": float(max((len(d) for d in dep), default=0)),
-            "k_max": float(space.max_size),
-        },
+        stats={"cells": float(cells),
+               "max_dependent": float(max(map(len, dep), default=0))},
     )
 
 

@@ -18,17 +18,24 @@ from ..baselines import (
 from ..core.configs import ConfigSpace
 from ..core.costmodel import CostModel, CostTables
 from ..core.dp import find_best_strategy
+from ..core.exceptions import DeadlineExceededError, SearchResourceError
 from ..core.graph import CompGraph
 from ..core.machine import GTX1080TI, MachineSpec
-from ..core.naive import naive_bf_strategy
+from ..core.sequencer import breadth_first_seq
 from ..core.strategy import SearchResult, Strategy
 from ..models import BENCHMARKS
+from ..runtime import RunBudget, RunContext
 
 __all__ = ["BenchSetup", "add_table_args", "at_least", "build_setup",
            "search_with", "METHODS"]
 
 #: Search/baseline method names accepted by :func:`search_with`.
 METHODS = ("ours", "bf", "mcmc", "data_parallel", "expert", "random")
+
+#: Wall-clock budget of one breadth-first search in :func:`search_with`.
+#: On the branchy graphs a BF table can grind for minutes while it still
+#: fits the byte budget; running out of either is Table I's "OOM".
+BF_TIME_BUDGET_SECONDS = 60.0
 
 
 @dataclass
@@ -82,7 +89,6 @@ def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
     if cache_dir is not None:
         from ..core.tablecache import TableCache
         cache = TableCache(cache_dir)
-    from ..runtime.context import RunContext
     tables = CostModel(machine).build_tables(
         graph, space, ctx=RunContext(cache=cache))
     return BenchSetup(name=name, graph=graph, p=p, machine=machine,
@@ -102,17 +108,16 @@ def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
 
 def search_with(setup: BenchSetup, method: str, *, seed: int = 0,
                 mcmc_options: MCMCOptions | None = None,
-                bf_time_budget: float | None = 60.0,
                 reduce: bool = False) -> SearchResult:
     """Run one search/baseline method on a setup.
 
     Baselines that are closed-form (data parallelism, expert) are wrapped
-    in a `SearchResult` with near-zero elapsed time.  The breadth-first
-    DP gets a time budget on top of its byte budget (both failure modes
-    surface as `SearchResourceError`, Table I's OOM): on the branchy
-    graphs it can grind through hours of chunked table evaluations before
-    finally exceeding memory.  ``reduce`` turns on the exactness-
-    preserving search-space reduction ahead of the DP (method "ours").
+    in a `SearchResult` with near-zero elapsed time.  ``"bf"`` is the DP
+    over a breadth-first ordering (Table I's BF column), never reduced,
+    under `BF_TIME_BUDGET_SECONDS` on top of the byte budget; both
+    failure modes surface as `SearchResourceError`, Table I's OOM.
+    ``reduce`` turns on the exactness-preserving search-space reduction
+    ahead of the DP (method "ours").
     """
     import time
 
@@ -120,8 +125,14 @@ def search_with(setup: BenchSetup, method: str, *, seed: int = 0,
         return find_best_strategy(setup.graph, setup.space, setup.tables,
                                   reduce=reduce)
     if method == "bf":
-        return naive_bf_strategy(setup.graph, setup.space, setup.tables,
-                                 time_budget=bf_time_budget)
+        ctx = RunContext(budget=RunBudget(deadline=BF_TIME_BUDGET_SECONDS))
+        try:
+            return find_best_strategy(
+                setup.graph, setup.space, setup.tables,
+                order=breadth_first_seq(setup.graph), method_name="naive-bf",
+                ctx=ctx)
+        except DeadlineExceededError as err:
+            raise SearchResourceError(f"BF search: {err}") from err
     if method == "mcmc":
         init = auto_expert_strategy(setup.graph, setup.p)
         return mcmc_search(setup.graph, setup.space, setup.tables, init=init,

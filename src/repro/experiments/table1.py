@@ -1,8 +1,9 @@
 """Table I: time taken by different algorithms to find strategies.
 
-Columns per benchmark: BF (naive recurrence-(2) DP over a breadth-first
-ordering — runs out of memory on InceptionV3 and Transformer), FlexFlow
-(the MCMC comparator), and Ours (FINDBESTSTRATEGY over GENERATESEQ).
+Columns per benchmark: BF (the DP over a breadth-first ordering, which
+Theorem 1 makes the naive recurrence (2) — runs out of memory on
+InceptionV3 and Transformer), FlexFlow (the MCMC comparator), and Ours
+(FINDBESTSTRATEGY over GENERATESEQ).
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ SIGINT/SIGTERM request from the signal handler to the working code.
 
 Neither object preempts anything.  The pipeline polls them at
 *cooperative checkpoints* — between table-build tasks, reduction rounds,
-and DP vertices — via :func:`make_checkpoint`, so a run always stops at a
-phase boundary with its journal consistent.
+DP vertices, and the chunks of a DP table too big for one — via
+:func:`make_checkpoint`, so a run always stops where no partial state
+escapes and its journal is consistent.
 """
 
 from __future__ import annotations

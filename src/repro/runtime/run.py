@@ -44,6 +44,7 @@ from ..core.exceptions import (
 )
 from ..core.graph import CompGraph
 from ..core.machine import MachineSpec
+from ..core.sequencer import breadth_first_seq
 from ..core.strategy import SearchResult
 from ..obs.profile import metrics_of, tracer_of
 from .budget import Cancellation, RunBudget
@@ -153,8 +154,11 @@ def execute_search(
         pre-configured `CostModel` (ablation flags).
     method:
         ``"ours"`` runs the tensorized DP (optionally ``resilient`` /
-        ``reduce`` / with a caller ``order``); anything else dispatches
-        to the matching baseline via `repro.experiments.common`.
+        ``reduce`` / with a caller ``order``).  ``"bf"`` runs the same
+        DP over a breadth-first ordering (Table I's BF column; never
+        reduced, ``order`` ignored) under the same budgets.  Anything
+        else dispatches to the matching baseline via
+        `repro.experiments.common`.
     objective:
         ``"cost"`` (default) keeps the scalar pipeline exactly as
         before — same code path, v2 fingerprint, bit-identical results.
@@ -276,14 +280,20 @@ def execute_search(
             _enter("search")
             resilience = None
             with tracer.span("search"):
-                if method == "ours":
+                if method in ("ours", "bf"):
+                    dp_kwargs = dict(
+                        order=order, memory_budget=run_budget.memory_budget,
+                        reduce=reduce, objective=obj.canonical, ctx=ctx)
+                    if method == "bf":
+                        # Table I's BF column: the same DP over a
+                        # breadth-first ordering, never reduced.
+                        dp_kwargs.update(order=breadth_first_seq(graph),
+                                         reduce=False)
                     if resilient:
                         from ..resilience import resilient_find_best_strategy
 
                         result, resilience = resilient_find_best_strategy(
-                            graph, space, tables, order=order,
-                            memory_budget=run_budget.memory_budget,
-                            reduce=reduce, objective=obj.canonical, ctx=ctx)
+                            graph, space, tables, **dp_kwargs)
                         if resilience.retries:
                             msg = ("resilient ladder degraded "
                                    f"{resilience.retries}x: "
@@ -293,9 +303,9 @@ def execute_search(
                                 journal_obj.event("search-degraded", msg)
                     else:
                         result = find_best_strategy(
-                            graph, space, tables, order=order,
-                            memory_budget=run_budget.memory_budget,
-                            reduce=reduce, objective=obj.canonical, ctx=ctx)
+                            graph, space, tables, method_name=(
+                                "naive-bf" if method == "bf" else "pase-dp"),
+                            **dp_kwargs)
                 else:
                     result = _run_baseline(graph, space, tables, machine,
                                            method, seed, reduce)

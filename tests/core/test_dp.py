@@ -16,8 +16,9 @@ from repro.core.dp import dp_table_profile, find_best_strategy
 from repro.core.exceptions import SearchResourceError
 from repro.core.machine import GTX1080TI, UNIT_BALANCE
 from repro.core.naive import brute_force_strategy, naive_bf_strategy
-from repro.core.sequencer import (SequencedGraph, connected_subsets_reference,
-                                  generate_seq)
+from repro.core.sequencer import (SequencedGraph, breadth_first_seq,
+                                  connected_subsets_reference, generate_seq)
+from repro.runtime import RunContext
 from tests.conftest import build_dag, small_dags
 
 
@@ -49,15 +50,26 @@ class TestCorrectness:
     @settings(max_examples=40, deadline=None)
     @given(small_dags(max_nodes=5), st.sampled_from([2, 3, 4]))
     def test_theorem1_random_graphs(self, graph, p):
-        """DP == naive BF DP == brute force on random graphs."""
+        """DP == naive BF DP == brute force on random graphs, and the DP
+        over the breadth-first ordering (Table I's BF search) matches the
+        recurrence-(2) reference: same optimum, cells and largest
+        dependent set."""
         space, tables = setup(graph, p=p)
         dp = find_best_strategy(graph, space, tables)
         nv = naive_bf_strategy(graph, space, tables)
         bf = brute_force_strategy(graph, space, tables)
+        bfs = find_best_strategy(graph, space, tables,
+                                 order=breadth_first_seq(graph),
+                                 method_name="naive-bf")
         assert dp.cost == pytest.approx(bf.cost, rel=1e-12)
         assert nv.cost == pytest.approx(bf.cost, rel=1e-12)
+        assert bfs.cost == pytest.approx(bf.cost, rel=1e-12)
+        assert bfs.cost == pytest.approx(nv.cost, rel=1e-12)
         assert dp.strategy.cost(tables) == pytest.approx(dp.cost, rel=1e-12)
         assert nv.strategy.cost(tables) == pytest.approx(nv.cost, rel=1e-12)
+        assert bfs.strategy.cost(tables) == pytest.approx(bfs.cost, rel=1e-12)
+        assert bfs.stats["cells"] == nv.stats["cells"]
+        assert bfs.stats["max_dependent"] == nv.stats["max_dependent"]
 
     @settings(max_examples=25, deadline=None)
     @given(small_dags(max_nodes=5), st.randoms(use_true_random=False))
@@ -104,6 +116,33 @@ class TestResourceBudget:
     def test_generous_budget_ok(self, diamond):
         space, tables = setup(diamond)
         find_best_strategy(diamond, space, tables, memory_budget=1 << 28)
+
+
+class TestMidTablePoll:
+    def test_abort_mid_table_leaves_no_partial_state(self, diamond):
+        """A checkpoint raising on the second poll of a step (the first
+        chunk poll of a multi-chunk table) aborts the search there; a
+        rerun without it returns the uninterrupted answer."""
+        space, tables = setup(diamond)
+        ref = find_best_strategy(diamond, space, tables, chunk_cells=7)
+        polls = []
+
+        class Stop(Exception):
+            pass
+
+        def ckpt(*, phase, step, total=None):
+            polls.append((phase, step, total))
+            if [s for _, s, _ in polls].count(step) == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            find_best_strategy(diamond, space, tables, chunk_cells=7,
+                               ctx=RunContext(checkpoint=ckpt))
+        step = polls[-1][1]
+        assert polls[-2:] == [("dp", step, len(diamond)), ("dp", step, None)]
+        again = find_best_strategy(diamond, space, tables, chunk_cells=7)
+        assert again.cost == ref.cost
+        assert again.strategy.assignment == ref.strategy.assignment
 
 
 class TestStats:

@@ -1,4 +1,4 @@
-"""Tests for the naive recurrence-(2) DP and brute force."""
+"""Tests for the naive recurrence-(2) DP, the BF search and brute force."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.core.costmodel import CostModel
 from repro.core.exceptions import SearchResourceError
 from repro.core.machine import GTX1080TI
 from repro.core.naive import bf_dependent_sets, brute_force_strategy, naive_bf_strategy
+from repro.runtime import RunBudget, RunContext, execute_search
 from tests.conftest import build_dag
 
 
@@ -15,6 +16,13 @@ def setup(graph, p=4):
     space = ConfigSpace.build(graph, p, mode="all")
     tables = CostModel(GTX1080TI).build_tables(graph, space)
     return space, tables
+
+
+def bf_search(graph, p=4, **budget):
+    """Table I's BF search under a run budget (the hardened runtime)."""
+    space = ConfigSpace.build(graph, p, mode="all")
+    return execute_search(graph, space, GTX1080TI, method="bf",
+                          ctx=RunContext(budget=RunBudget(**budget))).result
 
 
 class TestBFDependentSets:
@@ -44,13 +52,17 @@ class TestNaiveDP:
             assert res.cost == pytest.approx(ref)
 
     def test_oom_budget(self, diamond):
-        space, tables = setup(diamond)
+        assert bf_search(diamond).cost > 0
         with pytest.raises(SearchResourceError):
-            naive_bf_strategy(diamond, space, tables, memory_budget=100)
+            bf_search(diamond, memory_budget=100)
 
     def test_method_label(self, chain3):
         space, tables = setup(chain3)
-        assert naive_bf_strategy(chain3, space, tables).method == "naive-bf"
+        ref = naive_bf_strategy(chain3, space, tables)
+        bf = bf_search(chain3)
+        assert ref.method == bf.method == "naive-bf"
+        assert bf.cost == ref.cost
+        assert bf.strategy.assignment == ref.strategy.assignment
 
     def test_blows_up_on_branchy_graph_with_small_budget(self):
         """The Table I OOM mechanism: BF ordering's dependent sets on a
@@ -61,8 +73,11 @@ class TestNaiveDP:
         budget = 1 << 16
         ours = find_best_strategy(g, space, tables, memory_budget=budget)
         with pytest.raises(SearchResourceError):
-            naive_bf_strategy(g, space, tables, memory_budget=budget)
+            bf_search(g, memory_budget=budget)
         assert ours.cost > 0
+        # Unbudgeted, the reference recurrence agrees with the optimum.
+        ref = naive_bf_strategy(g, space, tables)
+        assert ref.cost == pytest.approx(ours.cost, rel=1e-12)
 
 
 class TestBruteForce:

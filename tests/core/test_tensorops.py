@@ -183,8 +183,16 @@ class TestChunkedMinArgmin:
             chunked_min_argmin(bad, (0, 1), 1, 3, (2,), 100)
 
     def test_deadline_exceeded(self):
-        import time
-        terms = [(np.zeros(8), (0,))]
-        with pytest.raises(TimeoutError):
-            chunked_min_argmin(terms, (0,), 0, 8, (), 1,
-                               deadline=time.perf_counter() - 1.0)
+        """``poll`` runs before chunks 2..n, never for a one-chunk table,
+        and whatever it raises propagates."""
+        rng = np.random.default_rng(8)
+        terms = [(rng.random(8), (9,)), (rng.random((3, 8)), (1, 9))]
+        args = (terms, (1, 9), 9, 8, (3,))
+        calls = []
+        chunked_min_argmin(*args, 6, poll=lambda: calls.append(1))
+        assert calls == [1] * 3          # chunks of 2 configs: 4 chunks
+        calls.clear()
+        chunked_min_argmin(*args, 24, poll=lambda: calls.append(1))
+        assert calls == []               # one chunk: never polled
+        with pytest.raises(ZeroDivisionError):
+            chunked_min_argmin(*args, 6, poll=lambda: 1 / 0)

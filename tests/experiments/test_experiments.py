@@ -60,6 +60,24 @@ class TestTable1:
         text = format_table1(cells)
         assert "alexnet/BF" in text and "alexnet/Ours" in text
 
+    def test_bf_oom_cell_pinned(self):
+        """Table I's transformer p=4 BF cell runs out of its byte budget
+        at the same vertex and byte count as the recurrence-(2) DP it
+        replaced."""
+        from repro.core.exceptions import SearchResourceError
+        with pytest.raises(SearchResourceError) as exc:
+            search_with(build_setup("transformer", 4), "bf")
+        assert "'enc5_f_ln'" in str(exc.value)
+        assert exc.value.requested_bytes == 4_964_924_560
+
+    def test_bf_time_budget_is_an_oom_cell(self, monkeypatch):
+        """Running out of the BF wall-clock budget is Table I's OOM too."""
+        from repro.experiments import common
+        monkeypatch.setattr(common, "BF_TIME_BUDGET_SECONDS", 0.0)
+        [cell] = run_table1(benchmarks=("alexnet",), ps=(4,),
+                            methods=("bf",))
+        assert cell.oom
+
     def test_oom_rendering(self):
         from repro.experiments.table1 import Table1Cell
         text = format_table1([Table1Cell("x", 4, "bf", None, None)])

@@ -103,6 +103,38 @@ class TestCleanRun:
             execute_search(graph, space)
 
 
+class TestBreadthFirst:
+    """``method="bf"`` runs the DP over a breadth-first ordering under
+    the run's own budgets and checkpoint."""
+
+    def test_memory_budget_reaches_bf(self):
+        from repro.models import BENCHMARKS
+
+        graph = BENCHMARKS["alexnet"]()
+        space = ConfigSpace.build(graph, 8)
+        assert execute_search(graph, space, GTX1080TI, method="bf"
+                              ).result.method == "naive-bf"
+        with pytest.raises(SearchResourceError) as exc:
+            execute_search(graph, space, GTX1080TI, method="bf",
+                           ctx=RunContext(budget=RunBudget(memory_budget=1000)))
+        assert exc.value.budget_bytes == 1000
+
+    def test_checkpoint_polls_and_aborts_bf(self):
+        graph, space = make_problem()
+        phases = []
+
+        def ckpt(*, phase="", step=None, total=None):
+            phases.append(phase)
+            if phase == "dp":
+                raise RunInterrupted("stop", signal_name="SIGINT")
+
+        with pytest.raises(RunInterrupted) as exc:
+            execute_search(graph, space, GTX1080TI, method="bf",
+                           ctx=RunContext(checkpoint=ckpt))
+        assert phases.count("dp") == 1 and phases[-1] == "dp"
+        assert exc.value.run_report.outcome == "interrupted"
+
+
 class TestFailureModes:
     def test_zero_deadline_raises_with_report(self):
         graph, space = make_problem()
