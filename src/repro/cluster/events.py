@@ -7,17 +7,25 @@ earliest-ready order, serializing tasks that share a resource — the
 standard list-scheduling approximation of a real runtime's stream queues.
 Communication/computation overlap falls out naturally because NICs and
 compute streams are distinct resources.
+
+A training step has ~10^4–10^5 tasks, so the scheduler stores them as
+parallel lists indexed by task id rather than as one object each, and a
+run records only the commit order and each task's interval.  `Task`
+objects and `TraceRecord`s are built on request: `add` takes a `Task`,
+a fault hook receives one per commit, and `Schedule.trace` builds the
+records.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from ..core.exceptions import SimulationError
 from .trace import TraceRecord
 
-__all__ = ["Task", "ListScheduler"]
+__all__ = ["Task", "ListScheduler", "Schedule"]
 
 
 @dataclass
@@ -49,26 +57,79 @@ class Task:
     tid: int = -1
 
 
-@dataclass
 class ListScheduler:
-    """Greedy earliest-ready list scheduler over shared resources."""
+    """Greedy earliest-ready list scheduler over shared resources.
 
-    tasks: list[Task] = field(default_factory=list)
+    Task ``t`` is index ``t`` of :attr:`kinds`, :attr:`labels`,
+    :attr:`slots`, :attr:`durations`, :attr:`deps` and
+    :attr:`dependents`.  A slot is an index into :attr:`resources`, the
+    resource keys in order of first use.
+    """
+
+    def __init__(self) -> None:
+        self.kinds: list[str] = []
+        self.labels: list[str] = []
+        self.slots: list[tuple[int, ...]] = []
+        self.durations: list[float] = []
+        self.deps: list[tuple[int, ...]] = []
+        self.dependents: list[list[int]] = []
+        self.resources: list[tuple[str, int]] = []
+        self._slot_of: dict[tuple[str, int], int] = {}
+        self._slots_of: dict[tuple[tuple[str, int], ...], tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
     def add(self, task: Task) -> int:
         """Register a task; returns its id (usable as a dependency)."""
-        task.tid = len(self.tasks)
-        if task.duration < 0:
-            raise SimulationError(f"task {task.label!r} has negative duration")
-        for dep in task.deps:
-            if not 0 <= dep < task.tid:
-                raise SimulationError(
-                    f"task {task.label!r} depends on unknown/future task {dep}")
-        self.tasks.append(task)
+        task.tid = self.append(task.kind, task.label, tuple(task.resources),
+                               task.duration, task.deps)
         return task.tid
 
-    def run(self, faults=None) -> tuple[float, list[TraceRecord]]:
-        """Schedule everything; returns (makespan, per-task trace).
+    def append(self, kind: str, label: str,
+               resources: tuple[tuple[str, int], ...], duration: float,
+               deps: tuple[int, ...] = ()) -> int:
+        """Register a task by its fields, as `add` does; returns its id."""
+        tid = len(self.kinds)
+        if duration < 0:
+            raise SimulationError(f"task {label!r} has negative duration")
+        for dep in deps:
+            if not 0 <= dep < tid:
+                raise SimulationError(
+                    f"task {label!r} depends on unknown/future task {dep}")
+        for dep in deps:
+            self.dependents[dep].append(tid)
+        slots = self._slots_of.get(resources)
+        if slots is None:
+            slots = self._slots_of[resources] = tuple(
+                self._slot(r) for r in resources)
+        self.kinds.append(kind)
+        self.labels.append(label)
+        self.slots.append(slots)
+        self.durations.append(duration)
+        self.deps.append(tuple(deps))
+        self.dependents.append([])
+        return tid
+
+    def _slot(self, resource: tuple[str, int]) -> int:
+        slot = self._slot_of.get(resource)
+        if slot is None:
+            slot = self._slot_of[resource] = len(self.resources)
+            self.resources.append(resource)
+        return slot
+
+    def task(self, tid: int) -> Task:
+        """Task ``tid`` as a `Task` object."""
+        return Task(kind=self.kinds[tid], label=self.labels[tid],
+                    resources=self.resource_keys(tid),
+                    duration=self.durations[tid], deps=self.deps[tid],
+                    tid=tid)
+
+    def resource_keys(self, tid: int) -> tuple[tuple[str, int], ...]:
+        return tuple(self.resources[s] for s in self.slots[tid])
+
+    def schedule(self, faults=None) -> "Schedule":
+        """Commit every task in earliest-ready order (ties by task id).
 
         ``faults``, when given, is a perturbation hook with an
         ``apply(task, start, duration) -> (start, duration)`` method
@@ -77,46 +138,96 @@ class ListScheduler:
         start, stragglers/degraded links/transient retries stretch the
         duration.  Running with ``faults=None`` is the healthy baseline.
         """
-        n = len(self.tasks)
-        if n == 0:
-            return 0.0, []
-        indeg = [len(t.deps) for t in self.tasks]
-        dependents: list[list[int]] = [[] for _ in range(n)]
-        for t in self.tasks:
-            for dep in t.deps:
-                dependents[dep].append(t.tid)
-
-        resource_free: dict[tuple[str, int], float] = {}
+        n = len(self.kinds)
+        slots, durations, dependents = self.slots, self.durations, self.dependents
+        indeg = [len(d) for d in self.deps]
+        free = [0.0] * len(self.resources)
         ready_at = [0.0] * n
-        trace: list[TraceRecord] = []
+        order: list[int] = []
+        starts: list[float] = []
+        ends: list[float] = []
         # Heap of (ready_time, tid) for tasks whose deps are all done.
-        heap: list[tuple[float, int]] = [
-            (0.0, t.tid) for t in self.tasks if indeg[t.tid] == 0
-        ]
+        heap = [(0.0, tid) for tid in range(n) if not indeg[tid]]
         heapq.heapify(heap)
-        done = 0
+        heappop, heappush = heapq.heappop, heapq.heappush
         makespan = 0.0
         while heap:
-            ready, tid = heapq.heappop(heap)
-            task = self.tasks[tid]
+            ready, tid = heappop(heap)
             start = ready
-            for r in task.resources:
-                start = max(start, resource_free.get(r, 0.0))
-            duration = task.duration
+            for s in slots[tid]:
+                if free[s] > start:
+                    start = free[s]
+            duration = durations[tid]
             if faults is not None:
-                start, duration = faults.apply(task, start, duration)
+                start, duration = faults.apply(self.task(tid), start, duration)
             end = start + duration
-            for r in task.resources:
-                resource_free[r] = end
-            makespan = max(makespan, end)
-            trace.append(TraceRecord(tid=tid, kind=task.kind, label=task.label,
-                                     resources=task.resources, start=start, end=end))
-            done += 1
+            for s in slots[tid]:
+                free[s] = end
+            if end > makespan:
+                makespan = end
+            order.append(tid)
+            starts.append(start)
+            ends.append(end)
             for nxt in dependents[tid]:
                 indeg[nxt] -= 1
-                ready_at[nxt] = max(ready_at[nxt], end)
-                if indeg[nxt] == 0:
-                    heapq.heappush(heap, (ready_at[nxt], nxt))
-        if done != n:
+                if end > ready_at[nxt]:
+                    ready_at[nxt] = end
+                if not indeg[nxt]:
+                    heappush(heap, (ready_at[nxt], nxt))
+        if len(order) != n:
             raise SimulationError("task graph contains a dependency cycle")
-        return makespan, trace
+        return Schedule(self, makespan, order, starts, ends)
+
+    def run(self, faults=None) -> tuple[float, list[TraceRecord]]:
+        """Schedule everything; returns (makespan, per-task trace).
+
+        ``faults`` is the perturbation hook of `schedule`.
+        """
+        done = self.schedule(faults)
+        return done.makespan, done.trace()
+
+
+@dataclass
+class Schedule:
+    """One `ListScheduler` run: the tasks in commit order, each with its
+    committed ``[start, end)`` interval.
+
+    The summaries add ``end - start`` per task in commit order, so they
+    equal `trace.busy_time_by_kind` and `trace.utilization` over
+    :meth:`trace` bit for bit without building the records.
+    """
+
+    sched: ListScheduler
+    makespan: float
+    order: list[int]
+    starts: list[float]
+    ends: list[float]
+
+    def trace(self) -> list[TraceRecord]:
+        """One `TraceRecord` per task, in commit order."""
+        sched = self.sched
+        return [TraceRecord(tid=tid, kind=sched.kinds[tid],
+                            label=sched.labels[tid],
+                            resources=sched.resource_keys(tid),
+                            start=start, end=end)
+                for tid, start, end in zip(self.order, self.starts, self.ends)]
+
+    def busy_by_kind(self) -> dict[str, float]:
+        """Task-seconds per task kind."""
+        kinds = self.sched.kinds
+        out: dict[str, float] = defaultdict(float)
+        for tid, start, end in zip(self.order, self.starts, self.ends):
+            out[kinds[tid]] += end - start
+        return dict(sorted(out.items()))
+
+    def utilization(self) -> dict[tuple[str, int], float]:
+        """Busy fraction per resource over the makespan."""
+        slots = self.sched.slots
+        busy = [0.0] * len(self.sched.resources)
+        for tid, start, end in zip(self.order, self.starts, self.ends):
+            duration = end - start
+            for s in slots[tid]:
+                busy[s] += duration
+        makespan = self.makespan
+        return {r: min(1.0, t / makespan) if makespan > 0 else 0.0
+                for r, t in sorted(zip(self.sched.resources, busy))}

@@ -34,9 +34,9 @@ from ..core.strategy import Strategy
 from ..core.tensors import DTYPE_BYTES
 from ..ops.base import OpSpec
 from .collectives import ring_allreduce_time
-from .events import ListScheduler, Task
+from .events import ListScheduler
 from .topology import ClusterTopology
-from .trace import TraceRecord, busy_time_by_kind, utilization
+from .trace import TraceRecord
 
 __all__ = ["SimulationReport", "simulate_step"]
 
@@ -90,16 +90,49 @@ def _infer_batch(graph: CompGraph) -> int:
     raise SimulationError("no node with a batch dim 'b'; pass batch explicitly")
 
 
-def _distinct_blocks(blocks: np.ndarray) -> list[tuple[int, list[int]]]:
+def _block_groups(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group shard indices by identical block intervals.
 
-    Returns ``(representative, members)`` per distinct block — replicas
-    (e.g. reduction-split copies) collapse into one group.
+    Returns ``(order, starts)``: the shard indices sorted by group, and
+    each group's offset in ``order``.  Groups come in order of their
+    lowest shard, members in ascending order; replicas (e.g.
+    reduction-split copies) share a group.
     """
     groups: dict[bytes, list[int]] = {}
     for j in range(blocks.shape[0]):
         groups.setdefault(blocks[j].tobytes(), []).append(j)
-    return [(members[0], members) for members in groups.values()]
+    members = list(groups.values())
+    return (np.concatenate(members),
+            np.cumsum([0] + [len(m) for m in members[:-1]]))
+
+
+def _pick_holders(ov: np.ndarray, src_blocks: np.ndarray,
+                  src_devs: np.ndarray, dst_devs: np.ndarray,
+                  bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source shard each destination reads each distinct block from.
+
+    ``ov`` is the ``[P_dst, P_src]`` overlap matrix and ``bandwidths``
+    the topology's ``[p, p]`` link matrix.  Of each group of identical
+    source blocks with a nonzero overlap, the pick is a holder on the
+    destination's own device first, then the holder on the fastest
+    link, then the lowest shard index.  Returns ``(rows, picks)``, one
+    entry per (destination, overlapping group), in destination order
+    and then group order (see `_block_groups`).
+    """
+    order, starts = _block_groups(src_blocks)
+    n_src = order.shape[0]
+    # Score each (destination, holder) pair by its link bandwidth, inf
+    # when local and -1 for non-holders; a group's pick is its first
+    # maximum in shard order.
+    score = np.where(ov[:, order] > 0,
+                     bandwidths[src_devs[order][None, :], dst_devs[:, None]],
+                     -1.0)
+    best = np.maximum.reduceat(score, starts, axis=1)
+    first = np.where(
+        score == np.repeat(best, np.diff(starts, append=n_src), axis=1),
+        np.arange(n_src), n_src)
+    rows, groups = np.nonzero(best >= 0.0)
+    return rows, order[np.minimum.reduceat(first, starts, axis=1)[rows, groups]]
 
 
 def _shard_groups(shards: np.ndarray, varying: list[int]) -> list[list[int]]:
@@ -135,6 +168,9 @@ class _StepBuilder:
         # (fwd) / input-gradient (bwd) available.
         self.fwd_ready: dict[str, list[int]] = {}
         self.bwd_ready: dict[str, list[int]] = {}
+        # Per edge: (overlap, consumer blocks) from the forward pass, for
+        # the backward pass to reuse.
+        self.overlaps: dict = {}
         self.order = graph.topological_order()
 
     # -- helpers -----------------------------------------------------------
@@ -152,19 +188,6 @@ class _StepBuilder:
         ov = block_overlap(dst_blocks, src_blocks)
         return ov, src_blocks, dst_blocks
 
-    def _pick_source(self, holders: list[int], src_devs: np.ndarray,
-                     dst_dev: int) -> int:
-        """Prefer a local holder, then fastest link, then lowest device."""
-        best, best_bw = holders[0], -1.0
-        for j in holders:
-            d = int(src_devs[j])
-            if d == dst_dev:
-                return j
-            bw = self.topo.bandwidth(d, dst_dev)
-            if bw > best_bw:
-                best, best_bw = j, bw
-        return best
-
     def _gather_transfers(self, ov: np.ndarray, src_blocks: np.ndarray,
                           src_devs: np.ndarray, dst_devs: np.ndarray,
                           ready: list[int], kind: str,
@@ -173,39 +196,36 @@ class _StepBuilder:
 
         Returns, per destination shard, the dependency ids its compute
         task must wait for (transfer tasks plus local producers' ready
-        tasks).  Replicated source blocks are collapsed and the
-        best-placed copy is picked.
+        tasks).  Replicated source blocks are collapsed to one holder
+        each (`_pick_holders`).  Transfers are created per destination
+        in shard order, per source device in order of its first pick.
         """
-        src_groups = _distinct_blocks(src_blocks)
-        deps_per_dst: list[list[int]] = []
-        for i in range(ov.shape[0]):
-            dst_dev = int(dst_devs[i])
-            bytes_by_src: dict[int, float] = {}
-            dep_by_src: dict[int, set[int]] = {}
-            local_deps: set[int] = set()
-            for _, members in src_groups:
-                holders = [j for j in members if ov[i, j] > 0]
-                if not holders:
-                    continue
-                j = self._pick_source(holders, src_devs, dst_dev)
-                src_dev = int(src_devs[j])
-                if src_dev == dst_dev:
-                    local_deps.add(ready[j])
-                else:
-                    nbytes = float(ov[i, j]) * DTYPE_BYTES
-                    bytes_by_src[src_dev] = bytes_by_src.get(src_dev, 0.0) + nbytes
-                    dep_by_src.setdefault(src_dev, set()).add(ready[j])
-            deps = list(local_deps)
-            for src_dev, nbytes in bytes_by_src.items():
-                t = self.sched.add(Task(
-                    kind=kind,
-                    label=f"{label}->dev{dst_dev}",
-                    resources=(("tx", src_dev), ("rx", dst_dev)),
-                    duration=self.topo.transfer_time(nbytes, src_dev, dst_dev),
-                    deps=tuple(sorted(dep_by_src[src_dev])),
-                ))
-                deps.append(t)
-            deps_per_dst.append(deps)
+        rows, picks = _pick_holders(ov, src_blocks, src_devs, dst_devs,
+                                    self.topo.bandwidths)
+        src_of = src_devs.tolist()
+        dst_of = dst_devs.tolist()
+        local: list[set[int]] = [set() for _ in range(ov.shape[0])]
+        # (dst shard, src device) -> [bytes, producer deps], in pick order.
+        remote: dict[tuple[int, int], list] = {}
+        for i, j, amount in zip(rows.tolist(), picks.tolist(),
+                                ov[rows, picks].tolist()):
+            src_dev = src_of[j]
+            if src_dev == dst_of[i]:
+                local[i].add(ready[j])
+                continue
+            entry = remote.get((i, src_dev))
+            if entry is None:
+                entry = remote[(i, src_dev)] = [0.0, set()]
+            entry[0] += float(amount) * DTYPE_BYTES
+            entry[1].add(ready[j])
+        deps_per_dst = [list(deps) for deps in local]
+        for (i, src_dev), (nbytes, deps) in remote.items():
+            dst_dev = dst_of[i]
+            deps_per_dst[i].append(self.sched.append(
+                kind, f"{label}->dev{dst_dev}",
+                (("tx", src_dev), ("rx", dst_dev)),
+                self.topo.transfer_time(nbytes, src_dev, dst_dev),
+                tuple(sorted(deps))))
         return deps_per_dst
 
     def _extra_comm_tasks(self, op: OpSpec, cfg: tuple[int, ...],
@@ -220,13 +240,10 @@ class _StepBuilder:
         for s in range(n):
             peer = int(devs[(s + 1) % n])
             dur = self.topo.transfer_time(per_dev_bytes, int(devs[s]), peer)
-            tasks.append(self.sched.add(Task(
-                kind="halo",
-                label=f"{phase}-halo {op.name}[{s}]",
-                resources=(("tx", int(devs[s])), ("rx", int(devs[s]))),
-                duration=dur,
-                deps=tuple(deps[s]),
-            )))
+            tasks.append(self.sched.append(
+                "halo", f"{phase}-halo {op.name}[{s}]",
+                (("tx", int(devs[s])), ("rx", int(devs[s]))), dur,
+                tuple(deps[s])))
         return tasks
 
     # -- forward ---------------------------------------------------------------
@@ -242,7 +259,8 @@ class _StepBuilder:
 
             deps: list[list[int]] = [[] for _ in range(n)]
             for e in self.graph.in_edges(name):
-                ov, src_blocks, _ = self._edge_overlaps(e)
+                ov, src_blocks, dst_blocks = self._edge_overlaps(e)
+                self.overlaps[e] = ov, dst_blocks
                 edge_deps = self._gather_transfers(
                     ov, src_blocks, self.placement.devices[e.src], devs,
                     self.fwd_ready[e.src], "xfer", f"fwd {e.src}->{name}")
@@ -253,10 +271,9 @@ class _StepBuilder:
             ready: list[int] = []
             for s in range(n):
                 d = tuple(sorted(set(deps[s]) | ({halos[s]} if halos[s] is not None else set())))
-                ready.append(self.sched.add(Task(
-                    kind="fwd", label=f"fwd {name}[{s}]",
-                    resources=(("gpu", int(devs[s])),),
-                    duration=fwd_time, deps=d)))
+                ready.append(self.sched.append(
+                    "fwd", f"fwd {name}[{s}]", (("gpu", int(devs[s])),),
+                    fwd_time, d))
 
             # Partial-sum all-reduce over reduction-dim splits.
             red_idx = [op.dim_index(r) for r in op.reduction_dims]
@@ -271,10 +288,10 @@ class _StepBuilder:
                     dur = ring_allreduce_time(self.topo, out_bytes, gdevs)
                     gdeps = tuple(sorted(ready[s] for s in group))
                     for s in group:
-                        ready[s] = self.sched.add(Task(
-                            kind="reduce", label=f"reduce {name}[{s}]",
-                            resources=(("tx", int(devs[s])), ("rx", int(devs[s]))),
-                            duration=dur, deps=gdeps))
+                        ready[s] = self.sched.append(
+                            "reduce", f"reduce {name}[{s}]",
+                            (("tx", int(devs[s])), ("rx", int(devs[s]))),
+                            dur, gdeps)
             self.fwd_ready[name] = ready
 
     # -- backward -----------------------------------------------------------------
@@ -298,7 +315,7 @@ class _StepBuilder:
                 # Gradients flow consumer -> producer with the same block
                 # overlaps, but every consumer contributes (sum), so only
                 # consumer-side replicas are deduplicated.
-                ov, _, dst_blocks = self._edge_overlaps(e)
+                ov, dst_blocks = self.overlaps[e]
                 edge_deps = self._gather_transfers(
                     ov.T, dst_blocks, self.placement.devices[e.dst], devs,
                     self.bwd_ready[e.dst], "xfer", f"bwd {e.dst}->{name}")
@@ -311,10 +328,9 @@ class _StepBuilder:
                 d = set(deps[s])
                 if halos[s] is not None:
                     d.add(halos[s])
-                ready.append(self.sched.add(Task(
-                    kind="bwd", label=f"bwd {name}[{s}]",
-                    resources=(("gpu", int(devs[s])),),
-                    duration=bwd_time, deps=tuple(sorted(d)))))
+                ready.append(self.sched.append(
+                    "bwd", f"bwd {name}[{s}]", (("gpu", int(devs[s])),),
+                    bwd_time, tuple(sorted(d))))
             self.bwd_ready[name] = ready
 
             # Parameter-gradient all-reduce across replication groups;
@@ -342,10 +358,10 @@ class _StepBuilder:
                     dur = ring_allreduce_time(self.topo, w_bytes, gdevs)
                     gdeps = tuple(sorted(ready[s] for s in group))
                     for s in group:
-                        sync_of_shard[s].append(self.sched.add(Task(
-                            kind="gradsync", label=f"gradsync {name}[{s}]",
-                            resources=(("tx", int(devs[s])), ("rx", int(devs[s]))),
-                            duration=dur, deps=gdeps)))
+                        sync_of_shard[s].append(self.sched.append(
+                            "gradsync", f"gradsync {name}[{s}]",
+                            (("tx", int(devs[s])), ("rx", int(devs[s]))),
+                            dur, gdeps))
 
             # Update phase: each device applies the optimizer to the
             # parameter shards it holds, once its gradients are combined.
@@ -356,10 +372,10 @@ class _StepBuilder:
                 for s in range(n):
                     d = tuple(sorted(sync_of_shard[s])) if sync_of_shard[s] \
                         else (ready[s],)
-                    self.sched.add(Task(
-                        kind="update", label=f"update {name}[{s}]",
-                        resources=(("gpu", int(devs[s])),),
-                        duration=upd_time, deps=d))
+                    self.sched.append(
+                        "update", f"update {name}[{s}]",
+                        (("gpu", int(devs[s])),), upd_time, d)
+        self.overlaps.clear()
 
 
 def simulate_step(
@@ -404,8 +420,8 @@ def simulate_step(
     builder = _StepBuilder(graph, strategy, placement, topo, efficiency)
     builder.build_forward()
     builder.build_backward()
-    makespan, trace = builder.sched.run()
-    if makespan <= 0:
+    done = builder.sched.schedule()
+    if done.makespan <= 0:
         raise SimulationError("simulated step has zero duration")
 
     baseline = None
@@ -413,21 +429,21 @@ def simulate_step(
     if faults is not None and not faults.is_empty():
         from ..resilience.faults import FaultInjector
 
-        baseline = makespan
+        baseline = done.makespan
         injector = FaultInjector(faults.resolve(baseline), p)
-        makespan, trace = builder.sched.run(faults=injector)
+        done = builder.sched.schedule(faults=injector)
         fault_events = injector.events
 
     return SimulationReport(
-        step_time=makespan,
-        throughput=batch / makespan,
+        step_time=done.makespan,
+        throughput=batch / done.makespan,
         batch=batch,
         p=p,
         machine=machine.name,
-        task_count=len(builder.sched.tasks),
-        busy_by_kind=busy_time_by_kind(trace),
-        device_utilization=utilization(trace, makespan),
-        trace=trace if keep_trace else [],
+        task_count=len(builder.sched),
+        busy_by_kind=done.busy_by_kind(),
+        device_utilization=done.utilization(),
+        trace=done.trace() if keep_trace else [],
         baseline_step_time=baseline,
         fault_events=fault_events,
     )

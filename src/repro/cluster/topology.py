@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..core.exceptions import SimulationError
 from ..core.machine import MachineSpec
@@ -55,14 +58,32 @@ class ClusterTopology:
 
     def bandwidth(self, a: int, b: int) -> float:
         """Bytes/s of the path between two devices (inf for local)."""
-        kind = self.link_kind(a, b)
-        if kind is LinkKind.LOCAL:
-            return float("inf")
-        if kind is LinkKind.INTER:
-            return self.machine.inter_node_bw
-        bw = self.machine.intra_node_bw
-        # Host-staged copies traverse PCIe twice (device->host->device).
-        return bw if self.machine.p2p else bw / 2.0
+        if not (0 <= a < self.p and 0 <= b < self.p):
+            raise SimulationError(
+                f"devices {a}, {b}: outside 0..{self.p - 1}")
+        return self._bandwidth_rows[a][b]
+
+    @cached_property
+    def bandwidths(self) -> np.ndarray:
+        """Bytes/s between every device pair, as a ``[p, p]`` array.
+
+        Local paths are inf, paths within a node get the machine's
+        intra-node bandwidth and paths across nodes its inter-node one.
+        """
+        node = np.arange(self.p) // self.machine.devices_per_node
+        intra = self.machine.intra_node_bw
+        if not self.machine.p2p:
+            # Host-staged copies traverse PCIe twice (device->host->device).
+            intra = intra / 2.0
+        out = np.where(node[:, None] == node[None, :], intra,
+                       self.machine.inter_node_bw).astype(np.float64)
+        np.fill_diagonal(out, np.inf)
+        return out
+
+    @cached_property
+    def _bandwidth_rows(self) -> list[list[float]]:
+        # Python floats, so that durations computed from them stay floats.
+        return self.bandwidths.tolist()
 
     def transfer_time(self, nbytes: float, a: int, b: int) -> float:
         if a == b or nbytes <= 0:

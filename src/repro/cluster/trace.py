@@ -101,7 +101,9 @@ def critical_path(trace: list[TraceRecord]) -> list[TraceRecord]:
     time equals the current task's start — the task it actually waited
     for.  The returned chain is ordered by start time; summing durations
     by kind shows *why* a step is as long as it is (compute-bound vs
-    transfer-bound vs sync-bound).
+    transfer-bound vs sync-bound).  A record already on the chain is
+    never taken again, so zero-duration records that end where the walk
+    stands cannot send it round in a loop.
     """
     if not trace:
         return []
@@ -110,17 +112,19 @@ def critical_path(trace: list[TraceRecord]) -> list[TraceRecord]:
         by_end.setdefault(round(rec.end, 15), []).append(rec)
     cur = max(trace, key=lambda r: (r.end, r.duration))
     chain = [cur]
+    on_chain = {id(cur)}
     eps = 1e-12
     while cur.start > eps:
         key = round(cur.start, 15)
         preds = by_end.get(key, [])
-        preds = [p for p in preds if p is not cur and p.end <= cur.start + eps]
+        preds = [p for p in preds
+                 if id(p) not in on_chain and p.end <= cur.start + eps]
         if not preds:
             # No exact-fit predecessor: the task was ready early and its
             # start was resource-delayed by something that finished just
             # before — fall back to the latest finisher before our start.
             preds = [p for p in trace
-                     if p.end <= cur.start + eps and p is not cur]
+                     if p.end <= cur.start + eps and id(p) not in on_chain]
             if not preds:
                 break
             cur = max(preds, key=lambda r: r.end)
@@ -130,6 +134,7 @@ def critical_path(trace: list[TraceRecord]) -> list[TraceRecord]:
                       if set(p.resources) & set(cur.resources)]
             cur = (shared or preds)[0]
         chain.append(cur)
+        on_chain.add(id(cur))
     chain.reverse()
     return chain
 

@@ -1,8 +1,11 @@
 """Tests for the list-scheduling event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.events import ListScheduler, Task
+from repro.cluster.trace import busy_time_by_kind, utilization
 from repro.core.exceptions import SimulationError
 
 
@@ -88,3 +91,38 @@ class TestScheduler:
         _, trace = s.run()
         by_tid = {r.tid: r for r in trace}
         assert by_tid[early].start < by_tid[late].start
+
+
+@st.composite
+def task_dags(draw):
+    """Random tasks over a few kinds and resources; deps point backwards."""
+    tasks = []
+    for tid in range(draw(st.integers(1, 25))):
+        res = draw(st.lists(st.tuples(st.sampled_from(["gpu", "tx", "rx"]),
+                                      st.integers(0, 3)),
+                            min_size=1, max_size=2, unique=True))
+        deps = draw(st.lists(st.integers(0, tid - 1), max_size=3)) \
+            if tid else []
+        tasks.append(Task(kind=draw(st.sampled_from(["fwd", "bwd", "xfer"])),
+                          label=f"t{tid}", resources=tuple(res),
+                          duration=draw(st.floats(0.0, 3.0)),
+                          deps=tuple(deps)))
+    return tasks
+
+
+class TestSchedule:
+    @settings(max_examples=50, deadline=None)
+    @given(task_dags())
+    def test_summaries_equal_trace_summaries(self, tasks):
+        """The store's summaries add durations in commit order, exactly
+        as the trace functions do over the records."""
+        s = ListScheduler()
+        for task in tasks:
+            s.add(task)
+        done = s.schedule()
+        trace = done.trace()
+        assert [r.tid for r in trace] == done.order
+        assert done.busy_by_kind() == busy_time_by_kind(trace)
+        assert done.utilization() == utilization(trace, done.makespan)
+        assert s.run() == (done.makespan, trace)
+        assert [s.task(t) for t in range(len(s))] == tasks

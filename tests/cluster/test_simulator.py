@@ -156,7 +156,7 @@ class TestErrors:
                            duration=1.0))
         b = sched.add(Task(kind="fwd", label="b", resources=(("gpu", 0),),
                            duration=1.0, deps=(a,)))
-        sched.tasks[a].deps = (b,)
+        sched.deps[a] = (b,)
         with pytest.raises(SimulationError, match="cycle"):
             sched.run()
 

@@ -1,5 +1,7 @@
 """Tests for trace records and utilization summaries."""
 
+import signal
+
 import pytest
 
 from repro.cluster.trace import TraceRecord, busy_time_by_kind, utilization
@@ -54,6 +56,27 @@ class TestCriticalPath:
                  rec(2, start=1, end=2)]
         chain = critical_path(trace)
         assert 1 not in [r.tid for r in chain]
+
+    def test_zero_duration_records_do_not_loop(self):
+        """Two zero-duration records on one resource, ending where the
+        walk stands, used to make it bounce between them forever."""
+        from repro.cluster import critical_path
+
+        def timeout(signum, frame):
+            raise TimeoutError("critical_path did not return")
+
+        a = rec(0, start=0.0, end=1.0, res=(("gpu", 1),))
+        z1 = rec(1, start=1.0, end=1.0)
+        z2 = rec(2, start=1.0, end=1.0)
+        e = rec(3, start=1.0, end=2.0)
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            chain = critical_path([a, z1, z2, e])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert [r.tid for r in chain] == [0, 2, 1, 3]
 
     def test_explains_simulated_step(self):
         from repro.baselines import data_parallel_strategy
