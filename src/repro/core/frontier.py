@@ -29,10 +29,17 @@ Representation: the point table of vertex ``i`` is CSR over the cells
 of its dependent set ``D(i)`` — ``offsets [cells+1]``, per-point
 ``cost``/``mem`` float64, the vertex's own configuration index ``k``,
 and one back-pointer column per consumed child (the point index inside
-the child's projected cell).  Children are merged one at a time as a
-per-cell Minkowski sum followed by a grouped Pareto prune, all
-vectorized (`pareto_prune` is a lexsort plus one segmented running-min
-— no Python-level per-cell loop).
+the child's projected cell).  While building it, the state over the
+full cells ``D(i) ∪ {v_i}`` is dense — one ``(cost, mem)`` per cell,
+as in the scalar DP — for as long as every merged child holds one
+point per cell: such a child is merged by broadcast add and the
+reduction over ``v_i``'s axis is a row scan that sends only the rows
+with several candidates through `pareto_prune`.  From the first child
+with a multi-point cell on, the state is CSR, and children are merged
+one at a time as a per-cell Minkowski sum followed by a grouped Pareto
+prune, all vectorized (`pareto_prune` is a lexsort plus one segmented
+running-min — no Python-level per-cell loop).  Both paths yield the
+same record, point for point.
 
 Memory is accounted on the scalar DP's byte ledger and budget, and
 exceeded budgets raise `SearchResourceError` (Table I's "OOM").
@@ -49,7 +56,7 @@ from .configs import ConfigSpace
 from .costmodel import CostTables
 from .graph import CompGraph
 from .strategy import FrontierPoint, Strategy
-from ._tensorops import sum_terms
+from ._tensorops import aligned_term, sum_terms
 
 __all__ = ["Objective", "parse_objective", "pareto_prune",
            "brute_force_frontier", "memory_tables", "strategy_peak_bytes"]
@@ -145,6 +152,13 @@ def strategy_peak_bytes(graph: CompGraph, space: ConfigSpace,
 # Grouped Pareto prune
 # ---------------------------------------------------------------------------
 
+def _mem_bucket(mem: np.ndarray, eps: float) -> np.ndarray:
+    """The geometric memory bucket of width ``(1 + eps)`` of each byte
+    count — the one expression eps coarsening compares."""
+    return np.floor(np.log(np.maximum(mem, 1.0))
+                    / math.log1p(eps)).astype(np.int64)
+
+
 def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
                  eps: float = 0.0) -> np.ndarray:
     """Indices of the non-dominated points of each group, vectorized.
@@ -201,9 +215,12 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
     m2 = mem[idx0]
     k = int(idx0.shape[0])
     # For nonnegative floats the IEEE bit pattern is order- (and
-    # equality-) preserving as int64, and numpy's stable sort on int64
-    # is a radix sort — much faster than float mergesort.  ``+ 0.0``
-    # normalizes -0.0; fall back to float keys on negative input.
+    # equality-) preserving as int64.  numpy radix-sorts only integers
+    # of 16 bits or less, so a stable sort on int64 is timsort, as on
+    # float64; the integer keys just compare cheaper (2M random keys,
+    # numpy 2.4 on a 2-vCPU Xeon: 0.35 s against 0.39 s, median of 7).
+    # ``+ 0.0`` normalizes -0.0; fall back to float keys on negative
+    # input.
     if np.min(c2) >= 0.0 and np.min(m2) >= 0.0:
         ck = (c2 + 0.0).view(np.int64)
         mk = (m2 + 0.0).view(np.int64)
@@ -243,8 +260,7 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
         kidx = np.flatnonzero(keep)
         km = m2[order[kidx]]
         kg = gdense[kidx]
-        bucket = np.floor(np.log(np.maximum(km, 1.0))
-                          / math.log1p(eps)).astype(np.int64)
+        bucket = _mem_bucket(km, eps)
         first = np.empty(kidx.shape[0], dtype=bool)
         first[0] = True
         first[1:] = (kg[1:] != kg[:-1]) | (bucket[1:] != bucket[:-1])
@@ -411,6 +427,102 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
     return off_n, cost_n, mem_n, childpt_n
 
 
+#: Peak bytes `pareto_prune` allocates per input point, as tracemalloc
+#: reads it: at most ~190 (every input a survivor, eps coarsening on),
+#: ~80 when the pre-filter drops most of them.
+_PRUNE_BYTES = 200
+
+
+def _reduce_dense(cost: np.ndarray, mem: np.ndarray, eps: float, ledger,
+                  what: str):
+    """Reduce a dense ``[cells, K]`` state over its last axis, the
+    vertex's own configuration, to CSR ``(offsets, cost, mem, k)``.
+
+    The result is what `pareto_prune` grouped by row returns, point for
+    point.  A row is one point, its min-cost config ``j*`` (first
+    occurrence), unless some config has less memory than ``j*``.  Exact
+    cost ties need no rule of their own: a tie with less memory is such
+    a config, and one with as much memory or more is dominated by
+    ``j*``, or duplicates it after it.  With ``eps > 0`` a row is also
+    one point when every lower-memory config falls in ``j*``'s memory
+    bucket and none ties its cost: the bucket's one survivor is ``j*``.
+    Only the candidates of the remaining rows, ``j*`` and the configs
+    with less memory, go through `pareto_prune`; its own pre-filter
+    keeps the same points of them as of the whole row.
+    """
+    cells, k = cost.shape
+    # Live through the scan: the argmin and its flat index, the min-cost
+    # point's cost and memory, the candidate mask, per-row flags; and
+    # the buffers of numpy's buffered ufunc loops, one
+    # ``getbufsize()``-element float64 array for each of up to three
+    # operands.
+    scan = cells * 48 + cost.size + 24 * np.getbufsize()
+    ledger.check(scan, what)
+    arg = cost.argmin(axis=1)
+    at = np.arange(cells, dtype=np.int64) * k + arg
+    cmin = cost.reshape(-1)[at]
+    mmin = mem.reshape(-1)[at]
+    del at
+    cand = mem < mmin[:, None]
+    if not cand.any():
+        return (np.arange(cells + 1, dtype=np.int64), cmin, mmin,
+                arg.astype(np.int32))
+    multi = cand.any(axis=1)
+    rows = np.flatnonzero(multi)
+
+    # The candidates of the rows with several, in (row, config) order.
+    sub = cand[rows]
+    del cand
+    sub[np.arange(rows.size), arg[rows]] = True
+    n_cand = int(np.count_nonzero(sub))
+    ledger.check(scan + rows.size * (k + 16)
+                 + n_cand * (96 + _PRUNE_BYTES), what)
+    rr, cc = np.divmod(np.flatnonzero(sub), k)
+    del sub
+    gid = rows[rr]
+    flat = gid * k + cc
+    c = cost.reshape(-1)[flat]
+    m = mem.reshape(-1)[flat]
+    del flat
+    if eps > 0.0:
+        # A row whose lower-memory configs all share j*'s bucket, none
+        # at j*'s cost, is one point after all: drop its candidates.
+        ties = np.bincount(rr[c == cmin[gid]], minlength=rows.size)
+        off = np.bincount(rr[_mem_bucket(m, eps)
+                             != _mem_bucket(mmin[rows], eps)[rr]],
+                          minlength=rows.size)
+        one = (ties == 1) & (off == 0)
+        if one.any():
+            multi[rows[one]] = False
+            keep = ~one[rr]
+            gid, cc, c, m = gid[keep], cc[keep], c[keep], m[keep]
+            del keep
+        del ties, off, one
+    del rr
+    kept = pareto_prune(gid, c, m, eps=eps)
+
+    # Interleave the survivors with the one-point rows, row by row.
+    one = ~multi
+    counts = np.bincount(gid[kept], minlength=cells)
+    counts[one] = 1
+    offsets = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    n_out = int(offsets[-1])
+    ledger.check(scan + n_cand * 40 + cells * 17 + n_out * 22, what)
+    pruned = np.repeat(multi, counts)
+    out_cost = np.empty(n_out, dtype=np.float64)
+    out_mem = np.empty(n_out, dtype=np.float64)
+    out_k = np.empty(n_out, dtype=np.int32)
+    out_cost[pruned] = c[kept]
+    out_mem[pruned] = m[kept]
+    out_k[pruned] = cc[kept]
+    pruned = ~pruned
+    out_cost[pruned] = cmin[one]
+    out_mem[pruned] = mmin[one]
+    out_k[pruned] = arg[one]
+    return offsets, out_cost, out_mem, out_k
+
+
 # ---------------------------------------------------------------------------
 # The frontier state format
 # ---------------------------------------------------------------------------
@@ -436,12 +548,35 @@ class PointTable:
         self.ledger = ledger
         self.chunk_cells = chunk_cells
         self.max_state_points = 0
+        # The dense state's cost and memory halves, reused by every
+        # vertex: a fresh multi-megabyte array per vertex costs about as
+        # much in page faults as the adds that fill it.  Live on the
+        # ledger from its allocation until `combine` drops it.
+        self._state = np.empty(0, dtype=np.float64)
+
+    def _dense_state(self, full_shape: tuple[int, ...], name: str):
+        """The dense ``(cost, mem)`` arrays over ``full_shape``, views of
+        the reused state buffer, grown to fit."""
+        n = math.prod(full_shape)
+        if self._state.shape[0] < 2 * n:
+            self.ledger.sub(self._state.nbytes)
+            self._state = np.empty(0, dtype=np.float64)
+            self.ledger.check(n * 16, f"frontier DP state of vertex {name!r}")
+            self._state = np.empty(2 * n, dtype=np.float64)
+            self.ledger.add(self._state.nbytes)
+        return (self._state[:n].reshape(full_shape),
+                self._state[n:2 * n].reshape(full_shape))
 
     def vertex(self, i: int, name: str, dep: tuple[int, ...],
                table_shape: tuple[int, ...], k: int, terms: list,
                kids: list) -> _PointRecord:
         """Seed one point per full cell, merge the children, and reduce
-        over ``v_i``'s configuration axis."""
+        over ``v_i``'s configuration axis.
+
+        The state stays dense while every merged child holds one point
+        per cell; the first child with a multi-point cell turns it into
+        CSR for the rest of the vertex.
+        """
         ledger = self.ledger
         eps = self.eps
         table_cells = math.prod(table_shape)
@@ -449,82 +584,77 @@ class PointTable:
         full_shape = table_shape + (k,)
         n_full = table_cells * k
 
-        # H(i, ·): per full cell the vertex's layer cost plus transfers
-        # to later neighbors, scalar association.
-        ledger.check(n_full * 28, f"frontier DP H table of vertex {name!r}")
-        H = np.empty(full_shape, dtype=np.float64)
-        sum_terms(terms, full_axes, H)
+        # The dense seed, one point per full cell: H(i, ·) — the layer
+        # cost plus transfers to later neighbors, scalar association —
+        # and the vertex's own memory.
+        cost, mem = self._dense_state(full_shape, name)
+        sum_terms(terms, full_axes, cost)
+        np.copyto(mem, aligned_term(self.memory[name], (i,), full_axes))
 
-        # One seed point per full cell: (H, own memory).
-        acc = (np.arange(n_full + 1, dtype=np.int64),
-               H.reshape(-1),
-               np.ascontiguousarray(np.broadcast_to(
-                   self.memory[name], (table_cells, k)).reshape(-1)),
-               np.empty((n_full, 0), dtype=np.int32))
-        ledger.add(n_full * 24 + acc[0].nbytes)
-
-        # Merge children in the scalar DP's term order; the last merge's
-        # prune is fused with the reduction over the vertex's own
-        # configuration axis (grouped by dependent-set cell), so the
-        # union of the K per-cell candidate sets is never re-pruned in a
-        # second pass.
-        k_arr = None
-        for t, (axes, rec) in enumerate(kids):
+        # Merge children in the scalar DP's term order.  A child with one
+        # point per cell is a dense table over its dependent set: add it
+        # by broadcast, so each cell's sums keep the scalar association.
+        t = 0
+        for axes, rec in kids:
             assert rec.cost is not None, "child point table consumed twice"
-            proj = _projection(axes, full_axes, full_shape)
-            old_bytes = (acc[0].nbytes + acc[1].nbytes
-                         + acc[2].nbytes + acc[3].nbytes)
-            if t == len(kids) - 1:
-                merged = _merge_child(
-                    acc, rec.offsets, rec.cost, rec.mem, proj,
-                    eps=eps, pair_chunk=self.chunk_cells, ledger=ledger,
-                    group_of_cell=np.repeat(
-                        np.arange(table_cells, dtype=np.int64), k),
-                    group_size=k, n_groups=table_cells,
-                    k_of_cell=np.tile(
-                        np.arange(k, dtype=np.int32), table_cells))
-                acc = merged[:4]
-                k_arr = merged[4]
-            else:
-                acc = _merge_child(acc, rec.offsets, rec.cost, rec.mem,
-                                   proj, eps=eps,
-                                   pair_chunk=self.chunk_cells, ledger=ledger)
-            ledger.sub(old_bytes)
-            ledger.add(acc[0].nbytes + acc[1].nbytes
-                       + acc[2].nbytes + acc[3].nbytes)
+            if rec.cost.shape[0] != rec.offsets.shape[0] - 1:
+                break
+            shape = tuple(full_shape[full_axes.index(ax)] for ax in axes)
+            np.add(cost, aligned_term(rec.cost.reshape(shape), axes,
+                                      full_axes), out=cost)
+            np.add(mem, aligned_term(rec.mem.reshape(shape), axes,
+                                     full_axes), out=mem)
             rec.free_values(ledger)
+            t += 1
 
-        if k_arr is None:
-            # No children: reduce the seed directly — union the K
-            # per-cell singletons of each dependent-set cell.
-            offsets, cost_a, mem_a, childpt = acc
-            counts = np.diff(offsets)
-            k_of = np.repeat(
-                np.tile(np.arange(k, dtype=np.int32), table_cells), counts)
-            gid = np.repeat(np.arange(table_cells, dtype=np.int64),
-                            counts.reshape(table_cells, k).sum(axis=1))
-            kept = pareto_prune(gid, cost_a, mem_a, eps=eps)
-            rec_off = np.zeros(table_cells + 1, dtype=np.int64)
-            np.cumsum(np.bincount(gid[kept], minlength=table_cells),
-                      out=rec_off[1:])
-            rec = _PointRecord(
-                offsets=rec_off,
-                cost=np.ascontiguousarray(cost_a[kept]),
-                mem=np.ascontiguousarray(mem_a[kept]),
-                k=np.ascontiguousarray(k_of[kept]),
-                childpt=np.ascontiguousarray(childpt[kept]))
+        if t == len(kids):
+            offsets, cost_r, mem_r, k_arr = _reduce_dense(
+                cost.reshape(table_cells, k), mem.reshape(table_cells, k),
+                eps, ledger, f"frontier DP reduction of vertex {name!r}")
+            rec = _PointRecord(offsets=offsets, cost=cost_r, mem=mem_r,
+                               k=k_arr,
+                               childpt=np.zeros((cost_r.shape[0], t),
+                                                dtype=np.int32))
+            ledger.add(rec.nbytes())
         else:
-            rec_off, cost_a, mem_a, childpt = acc
-            offsets = rec_off
-            rec = _PointRecord(
-                offsets=rec_off,
-                cost=np.ascontiguousarray(cost_a),
-                mem=np.ascontiguousarray(mem_a),
-                k=np.ascontiguousarray(k_arr),
-                childpt=np.ascontiguousarray(childpt))
-        ledger.sub(offsets.nbytes + cost_a.nbytes + mem_a.nbytes
-                   + childpt.nbytes)
-        ledger.add(rec.nbytes())
+            # From the first multi-point child on, the state is CSR.  The
+            # children merged so far hold one point per cell, so their
+            # back-pointer columns are all zero.  The last merge's prune
+            # is fused with the reduction over the vertex's own
+            # configuration axis (grouped by dependent-set cell), so the
+            # union of the K per-cell candidate sets is never re-pruned
+            # in a second pass.
+            acc = (np.arange(n_full + 1, dtype=np.int64), cost.reshape(-1),
+                   mem.reshape(-1), np.zeros((n_full, t), dtype=np.int32))
+            # Bytes of ``acc`` outside the state buffer.
+            owned = acc[0].nbytes + acc[3].nbytes
+            ledger.add(owned)
+            for u in range(t, len(kids)):
+                axes, rec = kids[u]
+                assert rec.cost is not None, \
+                    "child point table consumed twice"
+                proj = _projection(axes, full_axes, full_shape)
+                if u == len(kids) - 1:
+                    *acc, k_arr = _merge_child(
+                        acc, rec.offsets, rec.cost, rec.mem, proj,
+                        eps=eps, pair_chunk=self.chunk_cells, ledger=ledger,
+                        group_of_cell=np.repeat(
+                            np.arange(table_cells, dtype=np.int64), k),
+                        group_size=k, n_groups=table_cells,
+                        k_of_cell=np.tile(
+                            np.arange(k, dtype=np.int32), table_cells))
+                else:
+                    acc = _merge_child(
+                        acc, rec.offsets, rec.cost, rec.mem, proj, eps=eps,
+                        pair_chunk=self.chunk_cells, ledger=ledger)
+                ledger.sub(owned)
+                owned = sum(a.nbytes for a in acc)
+                ledger.add(owned)
+                rec.free_values(ledger)
+            offsets, cost_r, mem_r, childpt = acc
+            rec = _PointRecord(offsets=offsets, cost=cost_r, mem=mem_r,
+                               k=k_arr, childpt=childpt)
+            ledger.add(k_arr.nbytes)
         if rec.cost.size:
             self.max_state_points = max(self.max_state_points,
                                         int(np.diff(rec.offsets).max()))
@@ -533,6 +663,8 @@ class PointTable:
     def combine(self, roots: list) -> list:
         """The total frontier: the Minkowski sum of the root tables, one
         ``(cost, peak_bytes, root point indices)`` per point."""
+        self.ledger.sub(self._state.nbytes)
+        self._state = np.empty(0, dtype=np.float64)
         facc = (np.array([0, 1], dtype=np.int64),
                 np.zeros(1, dtype=np.float64),
                 np.zeros(1, dtype=np.float64),
