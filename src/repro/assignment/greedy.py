@@ -11,7 +11,7 @@ already-placed producers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..core.graph import CompGraph
 from ..core.strategy import Strategy
 from .blocks import block_overlap, shard_indices, tensor_blocks
 
-__all__ = ["Placement", "greedy_placement"]
+__all__ = ["Placement", "edge_overlaps", "greedy_placement"]
 
 
 @dataclass
@@ -35,11 +35,16 @@ class Placement:
         Node -> int64 array ``[P_v, d]`` of shard multi-indices.
     p:
         Total device count.
+    overlaps:
+        Edge -> ``(overlap [P_dst, P_src], src blocks, dst blocks)``, as
+        `greedy_placement` scored the edge for the strategy it placed;
+        the simulator reads them instead of computing them again.
     """
 
     devices: dict[str, np.ndarray]
     shards: dict[str, np.ndarray]
     p: int
+    overlaps: dict = field(default_factory=dict, repr=False)
 
     def device_of(self, node: str, shard: int) -> int:
         return int(self.devices[node][shard])
@@ -55,6 +60,21 @@ class Placement:
                 raise SimulationError(f"node {op.name!r} uses devices outside 0..{self.p - 1}")
 
 
+def edge_overlaps(graph: CompGraph, strategy: Strategy,
+                  shards: dict[str, np.ndarray], e,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(overlap [P_dst, P_src], src blocks, dst blocks)`` of edge ``e``:
+    the elements of each source shard's output block that each
+    destination shard's input block covers."""
+    src_op = graph.node(e.src)
+    dst_op = graph.node(e.dst)
+    src_blocks = tensor_blocks(src_op, src_op.outputs[e.src_port],
+                               strategy[e.src], shards[e.src])
+    dst_blocks = tensor_blocks(dst_op, dst_op.inputs[e.dst_port],
+                               strategy[e.dst], shards[e.dst])
+    return block_overlap(dst_blocks, src_blocks), src_blocks, dst_blocks
+
+
 def greedy_placement(graph: CompGraph, strategy: Strategy, p: int) -> Placement:
     """Assign every shard of every node to a device.
 
@@ -66,28 +86,22 @@ def greedy_placement(graph: CompGraph, strategy: Strategy, p: int) -> Placement:
     """
     devices: dict[str, np.ndarray] = {}
     shards: dict[str, np.ndarray] = {}
+    overlaps: dict = {}
 
     for name in graph.topological_order():
-        op = graph.node(name)
-        cfg = strategy[name]
-        idx = shard_indices(cfg)
+        idx = shard_indices(strategy[name])
         n_shards = idx.shape[0]
         if n_shards > p:
             raise SimulationError(
                 f"node {name!r}: {n_shards} shards exceed {p} devices")
+        shards[name] = idx
 
         score = np.zeros((n_shards, p), dtype=np.float64)
         for e in graph.in_edges(name):
             if e.src not in devices:
                 continue
-            src_op = graph.node(e.src)
-            out_spec = src_op.outputs[e.src_port]
-            in_spec = op.inputs[e.dst_port]
-            src_blocks = tensor_blocks(src_op, out_spec, strategy[e.src],
-                                       shards[e.src])
-            dst_blocks = tensor_blocks(op, in_spec, cfg, idx)
-            ov = block_overlap(dst_blocks, src_blocks)  # [n_shards, P_u]
-            np.add.at(score.T, devices[e.src], ov.T)
+            overlaps[e] = edge_overlaps(graph, strategy, shards, e)
+            np.add.at(score.T, devices[e.src], overlaps[e][0].T)
 
         assigned = np.full(n_shards, -1, dtype=np.int64)
         if not score.any():
@@ -112,6 +126,5 @@ def greedy_placement(graph: CompGraph, strategy: Strategy, p: int) -> Placement:
                 holes = np.flatnonzero(assigned < 0)
                 assigned[holes] = free[: holes.shape[0]]
         devices[name] = assigned
-        shards[name] = idx
 
-    return Placement(devices=devices, shards=shards, p=p)
+    return Placement(devices=devices, shards=shards, p=p, overlaps=overlaps)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..assignment.blocks import block_overlap, tensor_blocks
-from ..assignment.greedy import Placement, greedy_placement
+from ..assignment.greedy import Placement, edge_overlaps, greedy_placement
 from ..core.costmodel import CostModel
 from ..core.exceptions import SimulationError
 from ..core.graph import CompGraph
@@ -175,19 +174,6 @@ class _StepBuilder:
 
     # -- helpers -----------------------------------------------------------
 
-    def _edge_overlaps(self, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(overlap [P_dst, P_src], src blocks, dst blocks) for an edge."""
-        src_op = self.graph.node(e.src)
-        dst_op = self.graph.node(e.dst)
-        src_blocks = tensor_blocks(src_op, src_op.outputs[e.src_port],
-                                   self.strategy[e.src],
-                                   self.placement.shards[e.src])
-        dst_blocks = tensor_blocks(dst_op, dst_op.inputs[e.dst_port],
-                                   self.strategy[e.dst],
-                                   self.placement.shards[e.dst])
-        ov = block_overlap(dst_blocks, src_blocks)
-        return ov, src_blocks, dst_blocks
-
     def _gather_transfers(self, ov: np.ndarray, src_blocks: np.ndarray,
                           src_devs: np.ndarray, dst_devs: np.ndarray,
                           ready: list[int], kind: str,
@@ -259,7 +245,10 @@ class _StepBuilder:
 
             deps: list[list[int]] = [[] for _ in range(n)]
             for e in self.graph.in_edges(name):
-                ov, src_blocks, dst_blocks = self._edge_overlaps(e)
+                ov, src_blocks, dst_blocks = (
+                    self.placement.overlaps.get(e)
+                    or edge_overlaps(self.graph, self.strategy,
+                                     self.placement.shards, e))
                 self.overlaps[e] = ov, dst_blocks
                 edge_deps = self._gather_transfers(
                     ov, src_blocks, self.placement.devices[e.src], devs,

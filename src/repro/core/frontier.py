@@ -37,9 +37,9 @@ reduction over ``v_i``'s axis is a row scan that sends only the rows
 with several candidates through `pareto_prune`.  From the first child
 with a multi-point cell on, the state is CSR, and children are merged
 one at a time as a per-cell Minkowski sum followed by a grouped Pareto
-prune, all vectorized (`pareto_prune` is a lexsort plus one segmented
-running-min — no Python-level per-cell loop).  Both paths yield the
-same record, point for point.
+prune, all vectorized (`pareto_prune` is a corner-box filter, three
+unstable argsorts and one segmented running min — no Python-level
+per-cell loop).  Both paths yield the same record, point for point.
 
 Memory is accounted on the scalar DP's byte ledger and budget, and
 exceeded budgets raise `SearchResourceError` (Table I's "OOM").
@@ -169,18 +169,23 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
     pairs the earliest original index survives.
 
     Returns int64 indices into the inputs, ordered by (group, ascending
-    cost, ascending mem); within a group the survivors' memory is
-    strictly decreasing, and the group's first survivor is its min-cost
-    point (min-memory among exact cost ties).
+    cost); within a group the survivors' cost is strictly increasing and
+    their memory strictly decreasing, and the group's first survivor is
+    its min-cost point (min-memory among exact cost ties).
 
     With ``eps > 0``, survivors are additionally coarsened to one point
     per geometric memory bucket of width ``(1 + eps)`` — the kept point
     is the bucket's min-cost one, and each group's overall min-cost
     point is always exact.
 
-    Exact in every float comparison: the segmented running-min runs on
-    dense integer ranks of ``mem``, so no group-offset arithmetic ever
-    perturbs a comparison.
+    Two O(n) corner filters drop every point that one of the group's two
+    corner points beats, so the sorts see only the points inside the
+    corner box.  The sorts are numpy's default unstable ones, on keys
+    whose ties the function resolves itself: unstable argsort is 3.7x
+    faster than stable (timsort) on float64 keys here (2M keys, numpy
+    2.4 on a 2-vCPU AVX-512 Xeon: 89 against 329 ms, median of 7).
+    Every comparison is exact: the segmented running min runs on dense
+    integer ranks, so no group-offset arithmetic perturbs a float.
     """
     n = int(cost.shape[0])
     if n == 0:
@@ -189,84 +194,105 @@ def pareto_prune(gid: np.ndarray, cost: np.ndarray, mem: np.ndarray, *,
     if n > 1 and np.any(gid[1:] < gid[:-1]):
         raise ValueError("pareto_prune requires nondecreasing group ids")
 
-    # O(n) pre-filter, no sort: each group's min-cost point (min-memory
-    # among its cost ties, value (gmin, m*)) dominates every point with
-    # mem >= m* other than its own exact duplicates.  Survivors are the
-    # actual frontier candidates — typically a tiny fraction — and only
-    # they pay the exact sort-based prune below.
+    # Corner-box pre-filter, no sort.  Each group's min-cost point
+    # (min memory among its cost ties, value (c_lo, m_hi)) beats every
+    # point with mem >= m_hi, and its min-memory point (min cost among
+    # its memory ties, (c_hi, m_lo)) every point with cost >= c_hi, but
+    # for their own exact duplicates.  "Beats" is transitive and each
+    # corner passes both filters, so dropping the points outside the box
+    # cost < c_hi, mem < m_hi never changes the survivors.
     gstart = np.empty(n, dtype=bool)
     gstart[0] = True
-    gstart[1:] = gid[1:] != gid[:-1]
+    np.not_equal(gid[1:], gid[:-1], out=gstart[1:])
     starts = np.flatnonzero(gstart)
-    counts = np.diff(np.append(starts, n))
-    gmin = np.minimum.reduceat(cost, starts)
-    on_min = cost == np.repeat(gmin, counts)
-    m_star = np.minimum.reduceat(np.where(on_min, mem, np.inf), starts)
-    m_star_p = np.repeat(m_star, counts)
-    cand = (mem < m_star_p) | (on_min & (mem == m_star_p))
+    del gstart
+    n_groups = int(starts.shape[0])
+    counts = np.diff(starts, append=n)
+    at_c_lo = cost == np.repeat(np.minimum.reduceat(cost, starts), counts)
+    m_hi = np.repeat(np.minimum.reduceat(np.where(at_c_lo, mem, np.inf),
+                                         starts), counts)
+    cand = (mem < m_hi) | (at_c_lo & (mem == m_hi))
+    del at_c_lo, m_hi
+    at_m_lo = mem == np.repeat(np.minimum.reduceat(mem, starts), counts)
+    c_hi = np.repeat(np.minimum.reduceat(np.where(at_m_lo, cost, np.inf),
+                                         starts), counts)
+    del starts, counts
+    cand &= (cost < c_hi) | (at_m_lo & (cost == c_hi))
+    del at_m_lo, c_hi
     idx0 = np.flatnonzero(cand)
-    if idx0.shape[0] == starts.shape[0]:
+    del cand
+    k = int(idx0.shape[0])
+    if k == n_groups:
         # Exactly one candidate per group: already the frontier, already
         # in canonical (group, cost) order — and trivially eps-coarse.
         return idx0
 
-    g2 = gid[idx0]
-    c2 = cost[idx0]
+    # Dense ranks of memory and of cost (equal values, -0.0 and 0.0
+    # included, share a rank), then one key per (group, cost rank),
+    # below k * k.  Each run of equal keys is one group's cost-tie
+    # class; of it only the min-memory point can survive, and of equal
+    # memories the earliest, which one min over ``mem rank * k +
+    # position`` (below k * k) picks.
     m2 = mem[idx0]
-    k = int(idx0.shape[0])
-    # For nonnegative floats the IEEE bit pattern is order- (and
-    # equality-) preserving as int64.  numpy radix-sorts only integers
-    # of 16 bits or less, so a stable sort on int64 is timsort, as on
-    # float64; the integer keys just compare cheaper (2M random keys,
-    # numpy 2.4 on a 2-vCPU Xeon: 0.35 s against 0.39 s, median of 7).
-    # ``+ 0.0`` normalizes -0.0; fall back to float keys on negative
-    # input.
-    if np.min(c2) >= 0.0 and np.min(m2) >= 0.0:
-        ck = (c2 + 0.0).view(np.int64)
-        mk = (m2 + 0.0).view(np.int64)
-    else:
-        ck, mk = c2, m2
-    # Stable (group, cost, mem) order built as three composed stable
-    # argsorts — exactly np.lexsort((mk, ck, g2)), but the dense memory
-    # ranks fall out of the first pass for free.  Exact ties keep
-    # ascending original index, so within a group the first point is
-    # its min-cost point and a cost-tie class leads with its min-memory
-    # member (the forward scan drops the rest).
-    o1 = np.argsort(mk, kind="stable")
-    ms = mk[o1]
-    ranks = np.empty(k, dtype=np.int64)
-    step = np.empty(k, dtype=np.int64)
-    step[0] = 0
-    np.cumsum(ms[1:] != ms[:-1], out=step[1:])
-    ranks[o1] = step
-    o2 = o1[np.argsort(ck[o1], kind="stable")]
-    order = o2[np.argsort(g2[o2], kind="stable")]
-    g = g2[order]
-    g2start = np.empty(k, dtype=bool)
-    g2start[0] = True
-    g2start[1:] = g[1:] != g[:-1]
-    gdense = np.cumsum(g2start) - 1
-    ngroups = int(gdense[-1]) + 1
+    ranks = []
+    for x in (m2, cost[idx0]):
+        o = np.argsort(x)
+        xs = x[o]
+        step = np.empty(k, dtype=np.int64)
+        step[0] = 0
+        np.cumsum(xs[1:] != xs[:-1], out=step[1:])
+        del x, xs
+        rank = np.empty(k, dtype=np.int64)
+        rank[o] = step
+        del o, step
+        ranks.append(rank)
+    mrank, crank = ranks
+    del ranks
+    g2 = gid[idx0]
+    key = np.empty(k, dtype=np.int64)
+    key[0] = 0
+    np.cumsum(g2[1:] != g2[:-1], out=key[1:])
+    del g2
+    key *= k
+    key += crank
+    del crank
+    order = np.argsort(key)
+    key = key[order]
+    head = np.empty(k, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    runs = np.flatnonzero(head)
+    del head
+    gdense = key[runs] // k
+    del key
+    tie = mrank[order]
+    del mrank
+    tie *= k
+    tie += order
+    del order
+    best = np.minimum.reduceat(tie, runs)
+    del tie, runs
+    rep = best % k
+    best //= k
     # Encode (group, mem rank) so a single running min is a *segmented*
     # one: strictly decreasing per-group offsets make every
-    # earlier-group value larger than any current-group value.
-    base = np.int64(k + 1)
-    enc = ranks[order] + (np.int64(ngroups) - 1 - gdense) * base
-    run = np.minimum.accumulate(enc)
-    keep = np.empty(k, dtype=bool)
+    # earlier-group value larger than any current-group value.  A run
+    # survives when its memory is below every earlier run's of its group.
+    best += (np.int64(int(gdense[-1])) - gdense) * np.int64(k)
+    run = np.minimum.accumulate(best)
+    keep = np.empty(best.shape[0], dtype=bool)
     keep[0] = True
-    keep[1:] = enc[1:] < run[:-1]
+    np.less(best[1:], run[:-1], out=keep[1:])
+    del best, run
+    rep = rep[keep]
     if eps > 0.0:
-        kidx = np.flatnonzero(keep)
-        km = m2[order[kidx]]
-        kg = gdense[kidx]
-        bucket = _mem_bucket(km, eps)
-        first = np.empty(kidx.shape[0], dtype=bool)
+        kg = gdense[keep]
+        bucket = _mem_bucket(m2[rep], eps)
+        first = np.empty(rep.shape[0], dtype=bool)
         first[0] = True
         first[1:] = (kg[1:] != kg[:-1]) | (bucket[1:] != bucket[:-1])
-        keep = np.zeros(k, dtype=bool)
-        keep[kidx[first]] = True
-    return idx0[order[keep]]
+        rep = rep[first]
+    return idx0[rep]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +341,17 @@ def _projection(child_axes: tuple[int, ...], full_axes: tuple[int, ...],
     return out.reshape(-1)
 
 
+#: Peak bytes `pareto_prune` allocates per input point, as tracemalloc
+#: reads it: at most 73 (every input a survivor, eps coarsening on),
+#: under 30 when the corner box drops most of them.
+_PRUNE_BYTES = 80
+
+#: Bytes `_merge_child` holds per candidate of a chunk: seven 8-byte
+#: candidate arrays, three more per accumulated point, and the prune's
+#: result.
+_MERGE_BYTES = 88
+
+
 def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                  child_mem: np.ndarray, proj: np.ndarray, *, eps: float,
                  pair_chunk: int, ledger,
@@ -328,8 +365,8 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
     full cells; the child's cell per full cell is ``proj``.  Candidate
     order within a cell is (accumulated point asc, child point asc) —
     both sides are cost-sorted, so the (0, 0) combination is the
-    min-cost candidate and the stable prune keeps it first (float
-    addition is monotone), preserving the scalar DP's accumulation.
+    min-cost candidate and the prune keeps it first (float addition is
+    monotone), preserving the scalar DP's accumulation.
 
     Fast path: when either side is a singleton in every cell (and no
     coarsening is requested), the sum is one frontier shifted by a
@@ -361,6 +398,9 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
     out_childpt: list[np.ndarray] = []
     out_cells: list[np.ndarray] = []
     out_k: list[np.ndarray] = []
+    width = childpt.shape[1] + 1
+    held = 0        # bytes of the survivors so far, joined after the loop
+    cand_bytes = 0  # bytes of the last chunk's candidate arrays
     start = 0
     while start < n_cells:
         end = int(np.searchsorted(pair_off, pair_off[start] + pair_chunk,
@@ -371,8 +411,13 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
             end = min(n_cells, max(start + group_size,
                                    (end // group_size) * group_size))
         total = int(pair_off[end] - pair_off[start])
-        # Transient per candidate: cost+mem (16) + index arrays (~56).
-        ledger.check(total * 72, "frontier DP merge chunk")
+        # Transient: the survivors of the earlier chunks, and per
+        # candidate its arrays and `pareto_prune`'s peak.  The prune's
+        # arrays are freed before a survivor's output row is built: 44
+        # bytes, and its back-pointers twice (gathered, then joined).
+        cand_bytes = total * _MERGE_BYTES
+        ledger.check(held + cand_bytes + total * (_PRUNE_BYTES + 8 * width),
+                     "frontier DP merge chunk")
         # Candidate construction by repeats (no integer div/mod): each
         # accumulated point of the chunk expands to its cell's
         # child-point count, child points in ascending local order.
@@ -408,14 +453,20 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                 out_k.append(k_of_cell[cell_of[kept]])
             else:
                 out_cells.append(cell_of[kept])
+        held += sum(parts[-1].nbytes for parts in
+                    (out_cost, out_mem, out_childpt, out_cells, out_k)
+                    if parts)
         start = end
 
+    # Joining the chunks copies every survivor once more, while the last
+    # chunk's candidate arrays are still alive; then the offsets.
     n_out = n_groups if fused else n_cells
+    ledger.check(cand_bytes + 2 * held + 16 * (n_out + 1),
+                 "frontier DP merge")
     cost_n = np.concatenate(out_cost) if out_cost else np.empty(0)
     mem_n = np.concatenate(out_mem) if out_mem else np.empty(0)
     childpt_n = (np.concatenate(out_childpt)
-                 if out_childpt else np.empty((0, childpt.shape[1] + 1),
-                                              dtype=np.int32))
+                 if out_childpt else np.empty((0, width), dtype=np.int32))
     cells_n = (np.concatenate(out_cells)
                if out_cells else np.empty(0, dtype=np.int64))
     off_n = np.zeros(n_out + 1, dtype=np.int64)
@@ -425,12 +476,6 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                else np.empty(0, dtype=np.int32))
         return off_n, cost_n, mem_n, childpt_n, k_n
     return off_n, cost_n, mem_n, childpt_n
-
-
-#: Peak bytes `pareto_prune` allocates per input point, as tracemalloc
-#: reads it: at most ~190 (every input a survivor, eps coarsening on),
-#: ~80 when the pre-filter drops most of them.
-_PRUNE_BYTES = 200
 
 
 def _reduce_dense(cost: np.ndarray, mem: np.ndarray, eps: float, ledger,

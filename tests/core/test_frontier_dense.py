@@ -7,7 +7,8 @@ scan; from the first child with a multi-point cell on, it merges by
 the properties here feed one vertex to `PointTable.vertex` and to the
 plain CSR chain — every child through `_merge_child`, the last one with
 its prune fused with the reduction — and require the same record, bit
-for bit.  A second test holds the dense path to its byte ledger.
+for bit.  Two more hold the dense path and one CSR merge chunk to their
+byte ledger.
 """
 
 import math
@@ -60,6 +61,20 @@ def multi_record(rng, n_cells: int) -> _PointRecord:
                         mem=np.array(mem),
                         k=np.zeros(len(cost), dtype=np.int32),
                         childpt=np.zeros((len(cost), 0), dtype=np.int32))
+
+
+def staircases(rng, counts, step_c: float, step_m: float,
+               jitter: float):
+    """CSR point sets, each cell cost-ascending and memory-descending:
+    ``step_c``/``step_m`` apart, shifted by up to ``jitter`` steps."""
+    cost, mem = [], []
+    for c in counts:
+        j = np.arange(c)
+        cost.append(np.sort(j + rng.random(c) * jitter) * step_c)
+        mem.append(1e9 - np.sort(j + rng.random(c) * jitter) * step_m)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, np.concatenate(cost), np.concatenate(mem)
 
 
 def copy_record(rec: _PointRecord) -> _PointRecord:
@@ -233,3 +248,45 @@ class TestLedgerHonesty:
             tracemalloc.stop()
         assert np.diff(rec.offsets).max() > 1, "no row took the prune"
         assert peak <= ledger.peak - live0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("survive", [True, False])
+    def test_merge_chunk_peak_within_charge(self, survive, fused, eps):
+        """One `_merge_child` chunk: what it allocates, as tracemalloc
+        reads it, stays within what it charges the ledger — when nearly
+        every candidate is on the frontier (the accumulated side's steps
+        dwarf the child's, so every sum is a new point) and when the
+        prune drops most of them."""
+        rng = np.random.default_rng(11)
+        cells = 2000
+        if survive:
+            a_off, a_c, a_m = staircases(rng, [12] * cells, 1e3, 1e6, 0.0)
+            b_off, b_c, b_m = staircases(rng, [10] * cells, 1.0, 1e3, 0.0)
+        else:
+            a_off, a_c, a_m = staircases(rng, rng.integers(1, 24, cells),
+                                         10.0, 1e4, 0.9)
+            b_off, b_c, b_m = staircases(rng, rng.integers(1, 20, cells),
+                                         10.0, 1e4, 0.9)
+        acc = (a_off, a_c, a_m, np.zeros((a_c.size, 2), dtype=np.int32))
+        total = int(np.dot(np.diff(a_off), np.diff(b_off)))
+        fuse = {}
+        if fused:
+            k = 1 if survive else 4
+            fuse = dict(group_of_cell=np.arange(cells) // k, group_size=k,
+                        n_groups=cells // k,
+                        k_of_cell=(np.arange(cells) % k).astype(np.int32))
+        ledger = _Ledger(1 << 40)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _merge_child(acc, b_off, b_c, b_m,
+                               np.arange(cells, dtype=np.int64), eps=eps,
+                               pair_chunk=total, ledger=ledger, **fuse)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = out[1].size
+        if eps == 0.0:
+            assert (kept > 0.9 * total) if survive else (kept < total / 2)
+        assert peak <= ledger.peak
