@@ -220,7 +220,6 @@ def select_point(frontier: "Sequence[FrontierPoint]",
 
 def simulate(problem: Problem,
              strategy: "Strategy | SearchResult | FrontierPoint", *,
-             efficiency: float | None = None,
              batch: int | None = None,
              keep_trace: bool = False,
              faults=None):
@@ -236,9 +235,6 @@ def simulate(problem: Problem,
 
     if isinstance(strategy, (SearchResult, FrontierPoint)):
         strategy = strategy.strategy
-    kwargs: dict = {"batch": batch, "keep_trace": keep_trace,
-                    "faults": faults}
-    if efficiency is not None:
-        kwargs["efficiency"] = efficiency
     return simulate_step(problem.graph, strategy, problem.machine,
-                         problem.p, **kwargs)
+                         problem.p, batch=batch, keep_trace=keep_trace,
+                         faults=faults)

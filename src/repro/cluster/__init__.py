@@ -11,7 +11,7 @@ speedups are regenerated on top of it.
 
 from .topology import ClusterTopology, LinkKind
 from .collectives import ring_allreduce_time, ring_allgather_time, group_bottleneck_bw
-from .events import ListScheduler, Task
+from .events import ListScheduler
 from .simulator import SimulationReport, simulate_step
 from .trace import (TraceRecord, critical_path, critical_path_by_kind,
                     render_gantt, utilization)
@@ -21,7 +21,6 @@ __all__ = [
     "LinkKind",
     "ListScheduler",
     "SimulationReport",
-    "Task",
     "TraceRecord",
     "render_gantt",
     "critical_path",

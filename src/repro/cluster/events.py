@@ -10,10 +10,8 @@ compute streams are distinct resources.
 
 A training step has ~10^4–10^5 tasks, so the scheduler stores them as
 parallel lists indexed by task id rather than as one object each, and a
-run records only the commit order and each task's interval.  `Task`
-objects and `TraceRecord`s are built on request: `add` takes a `Task`,
-a fault hook receives one per commit, and `Schedule.trace` builds the
-records.
+run records only the commit order and each task's interval.
+`TraceRecord`s are built on request, by `Schedule.trace`.
 """
 
 from __future__ import annotations
@@ -25,36 +23,7 @@ from dataclasses import dataclass
 from ..core.exceptions import SimulationError
 from .trace import TraceRecord
 
-__all__ = ["Task", "ListScheduler", "Schedule"]
-
-
-@dataclass
-class Task:
-    """One schedulable unit of work.
-
-    Attributes
-    ----------
-    tid:
-        Unique integer id (assigned by the scheduler on add).
-    kind:
-        Category tag (``"fwd"``, ``"bwd"``, ``"xfer"``, ``"reduce"``,
-        ``"gradsync"``, ``"halo"``); used by traces and reports.
-    label:
-        Human-readable description (node name etc.).
-    resources:
-        Resource keys this task occupies, e.g. ``("gpu", 3)``/``("nic", 3)``.
-    duration:
-        Busy seconds.
-    deps:
-        Ids of tasks that must finish first.
-    """
-
-    kind: str
-    label: str
-    resources: tuple[tuple[str, int], ...]
-    duration: float
-    deps: tuple[int, ...] = ()
-    tid: int = -1
+__all__ = ["ListScheduler", "Schedule"]
 
 
 class ListScheduler:
@@ -80,16 +49,17 @@ class ListScheduler:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def add(self, task: Task) -> int:
-        """Register a task; returns its id (usable as a dependency)."""
-        task.tid = self.append(task.kind, task.label, tuple(task.resources),
-                               task.duration, task.deps)
-        return task.tid
-
     def append(self, kind: str, label: str,
                resources: tuple[tuple[str, int], ...], duration: float,
                deps: tuple[int, ...] = ()) -> int:
-        """Register a task by its fields, as `add` does; returns its id."""
+        """Register a task; returns its id (usable as a dependency).
+
+        ``kind`` tags it for traces and reports (``"fwd"``, ``"bwd"``,
+        ``"xfer"``, ``"reduce"``, ``"gradsync"``, ...), ``label`` names
+        it, ``resources`` are the keys it occupies (``("gpu", 3)``,
+        ``("nic", 3)``) for ``duration`` busy seconds, and ``deps`` are
+        the ids of tasks that must finish first.
+        """
         tid = len(self.kinds)
         if duration < 0:
             raise SimulationError(f"task {label!r} has negative duration")
@@ -118,13 +88,6 @@ class ListScheduler:
             self.resources.append(resource)
         return slot
 
-    def task(self, tid: int) -> Task:
-        """Task ``tid`` as a `Task` object."""
-        return Task(kind=self.kinds[tid], label=self.labels[tid],
-                    resources=self.resource_keys(tid),
-                    duration=self.durations[tid], deps=self.deps[tid],
-                    tid=tid)
-
     def resource_keys(self, tid: int) -> tuple[tuple[str, int], ...]:
         return tuple(self.resources[s] for s in self.slots[tid])
 
@@ -132,11 +95,12 @@ class ListScheduler:
         """Commit every task in earliest-ready order (ties by task id).
 
         ``faults``, when given, is a perturbation hook with an
-        ``apply(task, start, duration) -> (start, duration)`` method
-        (see `repro.resilience.faults.FaultInjector`) called once per
-        task right before it is committed — fail-stop blackouts push the
-        start, stragglers/degraded links/transient retries stretch the
-        duration.  Running with ``faults=None`` is the healthy baseline.
+        ``apply(kind, label, resources, start, duration) -> (start,
+        duration)`` method (see `repro.resilience.faults.FaultInjector`)
+        called once per task right before it is committed — fail-stop
+        blackouts push the start, stragglers/degraded links/transient
+        retries stretch the duration.  Running with ``faults=None`` is
+        the healthy baseline.
         """
         n = len(self.kinds)
         slots, durations, dependents = self.slots, self.durations, self.dependents
@@ -159,7 +123,9 @@ class ListScheduler:
                     start = free[s]
             duration = durations[tid]
             if faults is not None:
-                start, duration = faults.apply(self.task(tid), start, duration)
+                start, duration = faults.apply(
+                    self.kinds[tid], self.labels[tid],
+                    self.resource_keys(tid), start, duration)
             end = start + duration
             for s in slots[tid]:
                 free[s] = end
@@ -177,14 +143,6 @@ class ListScheduler:
         if len(order) != n:
             raise SimulationError("task graph contains a dependency cycle")
         return Schedule(self, makespan, order, starts, ends)
-
-    def run(self, faults=None) -> tuple[float, list[TraceRecord]]:
-        """Schedule everything; returns (makespan, per-task trace).
-
-        ``faults`` is the perturbation hook of `schedule`.
-        """
-        done = self.schedule(faults)
-        return done.makespan, done.trace()
 
 
 @dataclass

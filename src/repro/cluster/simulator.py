@@ -155,13 +155,12 @@ class _StepBuilder:
     """Accumulates the task DAG for one training step."""
 
     def __init__(self, graph: CompGraph, strategy: Strategy,
-                 placement: Placement, topo: ClusterTopology,
-                 efficiency: float) -> None:
+                 placement: Placement, topo: ClusterTopology) -> None:
         self.graph = graph
         self.strategy = strategy
         self.placement = placement
         self.topo = topo
-        self.flops_rate = topo.machine.peak_flops * efficiency
+        self.flops_rate = topo.machine.peak_flops * DEFAULT_COMPUTE_EFFICIENCY
         self.sched = ListScheduler()
         # Per node: task id whose completion makes each shard's output
         # (fwd) / input-gradient (bwd) available.
@@ -374,7 +373,6 @@ def simulate_step(
     p: int,
     *,
     placement: Placement | None = None,
-    efficiency: float = DEFAULT_COMPUTE_EFFICIENCY,
     batch: int | None = None,
     keep_trace: bool = False,
     faults=None,
@@ -385,8 +383,6 @@ def simulate_step(
     ----------
     placement:
         Shard-to-device map; defaults to the greedy locality placement.
-    efficiency:
-        Achieved fraction of peak FLOPS for compute kernels.
     batch:
         Global batch size for throughput; inferred from the graph's batch
         dim when omitted.
@@ -406,7 +402,7 @@ def simulate_step(
     topo = ClusterTopology(machine, p)
     batch = batch if batch is not None else _infer_batch(graph)
 
-    builder = _StepBuilder(graph, strategy, placement, topo, efficiency)
+    builder = _StepBuilder(graph, strategy, placement, topo)
     builder.build_forward()
     builder.build_backward()
     done = builder.sched.schedule()

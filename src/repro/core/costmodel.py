@@ -376,16 +376,12 @@ class CostTables:
     mem: dict[str, np.ndarray] | None = None
     derived: bool = False
     build_stats: dict[str, float] = field(default_factory=dict, repr=False)
-    _nbr_cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     def tx(self, u: str, v: str) -> np.ndarray:
         """Transfer-cost matrix oriented as ``[K_u, K_v]``."""
         key, flip = _canonical(u, v)
         mat = self.pair_tx[key]
         return mat.T if flip else mat
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.pair_tx)
 
     def strategy_cost(self, indices: dict[str, int]) -> float:
         """F(G, φ) for a strategy given as node -> configuration index."""
@@ -403,11 +399,6 @@ class CostTables:
         for (u, v), mat in self.pair_tx.items():
             total += float(mat[indices[u], indices[v]])
         return total
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        if name not in self._nbr_cache:
-            self._nbr_cache[name] = self.graph.neighbors(name)
-        return self._nbr_cache[name]
 
     def nbytes(self) -> int:
         """Memory footprint of the precomputed tables."""

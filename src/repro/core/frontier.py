@@ -458,24 +458,30 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
                     if parts)
         start = end
 
-    # Joining the chunks copies every survivor once more, while the last
-    # chunk's candidate arrays are still alive; then the offsets.
+    # Joining several chunks copies every survivor once more, while the
+    # last chunk's candidate arrays are still alive; a lone chunk's
+    # arrays are the result as they are.  Then the offsets.
     n_out = n_groups if fused else n_cells
-    ledger.check(cand_bytes + 2 * held + 16 * (n_out + 1),
+    copies = 2 if len(out_cost) > 1 else 1
+    ledger.check(cand_bytes + copies * held + 16 * (n_out + 1),
                  "frontier DP merge")
-    cost_n = np.concatenate(out_cost) if out_cost else np.empty(0)
-    mem_n = np.concatenate(out_mem) if out_mem else np.empty(0)
-    childpt_n = (np.concatenate(out_childpt)
-                 if out_childpt else np.empty((0, width), dtype=np.int32))
-    cells_n = (np.concatenate(out_cells)
-               if out_cells else np.empty(0, dtype=np.int64))
+    cost_n = _join(out_cost, np.empty(0))
+    mem_n = _join(out_mem, np.empty(0))
+    childpt_n = _join(out_childpt, np.empty((0, width), dtype=np.int32))
+    cells_n = _join(out_cells, np.empty(0, dtype=np.int64))
     off_n = np.zeros(n_out + 1, dtype=np.int64)
     np.cumsum(np.bincount(cells_n, minlength=n_out), out=off_n[1:])
     if fused:
-        k_n = (np.concatenate(out_k) if out_k
-               else np.empty(0, dtype=np.int32))
-        return off_n, cost_n, mem_n, childpt_n, k_n
+        return (off_n, cost_n, mem_n, childpt_n,
+                _join(out_k, np.empty(0, dtype=np.int32)))
     return off_n, cost_n, mem_n, childpt_n
+
+
+def _join(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """The chunks' arrays as one: a lone chunk's as it is, uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else empty
 
 
 def _reduce_dense(cost: np.ndarray, mem: np.ndarray, eps: float, ledger,

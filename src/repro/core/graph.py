@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from ..ops.base import OpSpec
 from .exceptions import GraphError
 
@@ -97,11 +95,6 @@ class CompGraph:
         self._succ[edge.src].append(edge)
         self._pred[edge.dst].append(edge)
         return edge
-
-    def connect(self, src: str, dst: str, *, src_port: str = "out",
-                dst_port: str = "in") -> Edge:
-        """Convenience wrapper around :meth:`add_edge`."""
-        return self.add_edge(Edge(src, src_port, dst, dst_port))
 
     # -- queries ---------------------------------------------------------------
 
@@ -212,20 +205,6 @@ class CompGraph:
             if e.src in keep and e.dst in keep:
                 sub.add_edge(e)
         return sub
-
-    # -- export -------------------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a networkx MultiDiGraph (for analysis/plotting)."""
-        g = nx.MultiDiGraph()
-        for name, op in self._nodes.items():
-            g.add_node(name, kind=op.kind, rank=op.rank,
-                       points=op.iteration_points)
-        for e in self._edges:
-            vol = self._nodes[e.src].outputs[e.src_port].volume(self._nodes[e.src])
-            g.add_edge(e.src, e.dst, src_port=e.src_port, dst_port=e.dst_port,
-                       volume=vol)
-        return g
 
     def stats(self) -> dict[str, float]:
         """Summary statistics used by the Section III-C analysis."""

@@ -74,6 +74,10 @@ __all__ = ["ReducedProblem", "ReducedGraphView", "reduce_problem",
 #: chain-contraction cube (keeps peak extra memory in the tens of MiB).
 _REDUCTION_CHUNK_CELLS = 4_000_000
 
+#: Fixed-point rounds after which the reduction stops even if a rule
+#: still fires.
+MAX_ROUNDS = 64
+
 
 class ReducedGraphView:
     """Adjacency-only stand-in for `CompGraph` over the surviving nodes.
@@ -467,13 +471,13 @@ def _min_over_middle(lc_w: np.ndarray, mat_uw: np.ndarray,
 
 def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
                    *, dominance: bool = True, contraction: bool = True,
-                   max_rounds: int = 64, vectorized: bool = True,
+                   vectorized: bool = True,
                    memory: "Mapping[str, np.ndarray] | None" = None,
                    checkpoint: "Callable[..., None] | None" = None,
                    ) -> ReducedProblem:
     """Shrink a search problem by dominance pruning and chain contraction.
 
-    Iterates both rules to a fixed point (or ``max_rounds``).  The
+    Iterates both rules to a fixed point (or `MAX_ROUNDS`).  The
     reduction is exactness-preserving: the reduced problem's optimum plus
     ``base_cost`` equals the original optimum, and
     :meth:`ReducedProblem.expand_indices` recovers a witnessing strategy.
@@ -506,9 +510,9 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     rounds = 0
     changed = True
     with tracer.span("reduction", cells_before=cells_before) as red_span:
-        while changed and rounds < max_rounds:
+        while changed and rounds < MAX_ROUNDS:
             if checkpoint is not None:
-                checkpoint(phase="reduction", step=rounds, total=max_rounds)
+                checkpoint(phase="reduction", step=rounds, total=MAX_ROUNDS)
             changed = False
             rounds += 1
             with tracer.span("reduction.round", round=rounds):

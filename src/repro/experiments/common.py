@@ -9,7 +9,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..baselines import (
-    MCMCOptions,
     auto_expert_strategy,
     data_parallel_strategy,
     mcmc_search,
@@ -40,9 +39,8 @@ BF_TIME_BUDGET_SECONDS = 60.0
 
 @dataclass
 class BenchSetup:
-    """One (benchmark, p, machine) problem instance with shared oracle."""
+    """One (graph, p, machine) problem instance with shared oracle."""
 
-    name: str
     graph: CompGraph
     p: int
     machine: MachineSpec
@@ -91,8 +89,8 @@ def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
         cache = TableCache(cache_dir)
     tables = CostModel(machine).build_tables(
         graph, space, ctx=RunContext(cache=cache))
-    return BenchSetup(name=name, graph=graph, p=p, machine=machine,
-                      space=space, tables=tables)
+    return BenchSetup(graph=graph, p=p, machine=machine, space=space,
+                      tables=tables)
 
 
 def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
@@ -107,7 +105,6 @@ def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
 
 
 def search_with(setup: BenchSetup, method: str, *, seed: int = 0,
-                mcmc_options: MCMCOptions | None = None,
                 reduce: bool = False) -> SearchResult:
     """Run one search/baseline method on a setup.
 
@@ -136,8 +133,7 @@ def search_with(setup: BenchSetup, method: str, *, seed: int = 0,
     if method == "mcmc":
         init = auto_expert_strategy(setup.graph, setup.p)
         return mcmc_search(setup.graph, setup.space, setup.tables, init=init,
-                           rng=np.random.default_rng(seed),
-                           options=mcmc_options or MCMCOptions())
+                           rng=np.random.default_rng(seed))
     if method == "random":
         return random_search(setup.graph, setup.space, setup.tables,
                              rng=np.random.default_rng(seed))

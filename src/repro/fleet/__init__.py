@@ -28,12 +28,8 @@ from .report import (
     write_summary,
 )
 from .spec import SPEC_VERSION, SweepSpec, SweepSpecError, SweepTask
-from .supervisor import (
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_STRAGGLER_AFTER_SECONDS,
-    FleetSupervisor,
-    run_sweep,
-)
+from .scheduler import DEFAULT_MAX_ATTEMPTS, DEFAULT_STRAGGLER_AFTER_SECONDS
+from .supervisor import FleetSupervisor
 from .worker import HEARTBEAT_INTERVAL_SECONDS
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "FleetReport",
     "FleetSupervisor",
-    "run_sweep",
     "merge_results",
     "write_summary",
     "format_fleet_report",

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 from ..core.exceptions import JournalError
 from ..obs.metrics import atomic_write_text
+from ..runtime.journal import read_snapshot
 
 __all__ = ["FleetManifest", "MANIFEST_VERSION", "TASK_STATES"]
 
@@ -45,10 +45,6 @@ MANIFEST_VERSION = 1
 #: Every state a task slot can hold.
 TASK_STATES = ("pending", "running", "done", "quarantined")
 
-#: Minimum seconds between periodic snapshot writes (state transitions
-#: always flush immediately; this only throttles heartbeat-ish updates).
-FLUSH_INTERVAL_SECONDS = 0.5
-
 
 class FleetManifest:
     """One sweep's crash-safe state under ``<fleet_dir>/manifest.json``."""
@@ -57,7 +53,6 @@ class FleetManifest:
         self.root = Path(root)
         self.path = self.root / "manifest.json"
         self.state: dict[str, Any] | None = None
-        self._last_flush = 0.0
         self._batching = False
         self._batch_dirty = False
 
@@ -94,7 +89,8 @@ class FleetManifest:
         (their worker died with the previous supervisor).
         """
         if resume:
-            state = self._read()
+            state = read_snapshot(self.path, "fleet manifest",
+                                  MANIFEST_VERSION)
             if state["fingerprint"] != fingerprint:
                 raise JournalError(
                     f"fleet manifest at {self.path} was written for a "
@@ -128,40 +124,14 @@ class FleetManifest:
         self.flush()
         return False
 
-    def _read(self) -> dict[str, Any]:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                state = json.load(fh)
-        except FileNotFoundError:
-            raise JournalError(
-                f"no fleet manifest to resume at {self.path}") from None
-        except (OSError, json.JSONDecodeError) as err:
-            raise JournalError(
-                f"fleet manifest at {self.path} is unreadable: {err}") \
-                from err
-        if not isinstance(state, dict) or \
-                state.get("version") != MANIFEST_VERSION:
-            raise JournalError(
-                f"fleet manifest at {self.path} has unsupported version "
-                f"{state.get('version') if isinstance(state, dict) else '?'}")
-        return state
-
-    def flush(self, *, force: bool = True) -> None:
-        """Atomically persist the snapshot (`atomic_write_text`).
-
-        ``force=False`` throttles to `FLUSH_INTERVAL_SECONDS` — used for
-        the supervisor's periodic loop writes; every state transition
-        flushes with ``force=True`` so crashes never lose a transition.
-        """
+    def flush(self) -> None:
+        """Atomically persist the snapshot (`atomic_write_text`); inside
+        `batch`, deferred to its end."""
         if self.state is None:
             return
         if self._batching:
             self._batch_dirty = True
             return
-        now = time.monotonic()
-        if not force and now - self._last_flush < FLUSH_INTERVAL_SECONDS:
-            return
-        self._last_flush = now
         atomic_write_text(self.path,
                           json.dumps(self.state, indent=2, sort_keys=True))
 

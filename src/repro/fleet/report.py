@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -96,27 +96,10 @@ def write_summary(fleet_dir: str | Path, report: FleetReport,
                   fingerprint: str) -> Path:
     """Persist ``summary.json`` (atomic write)."""
     out = Path(fleet_dir) / "summary.json"
-    payload = {
-        "version": SUMMARY_VERSION,
-        "fingerprint": fingerprint,
-        "generated_at": time.time(),
-        "tasks_total": report.tasks_total,
-        "succeeded": report.succeeded,
-        "quarantined": report.quarantined,
-        "retries": report.retries,
-        "stragglers_killed": report.stragglers_killed,
-        "worker_crashes": report.worker_crashes,
-        "adopted": report.adopted,
-        "completed_this_run": report.completed_this_run,
-        "wall_seconds": report.wall_seconds,
-        "searches_per_minute": report.searches_per_minute,
-        "workers": report.workers,
-        "workers_spawned": report.workers_spawned,
-        "workers_reused": report.workers_reused,
-        "resumed": report.resumed,
-        "quarantined_tasks": report.quarantined_tasks,
-        "results": "results.jsonl",
-    }
+    payload = {k: v for k, v in asdict(report).items()
+               if not k.endswith("_path")}
+    payload.update(version=SUMMARY_VERSION, fingerprint=fingerprint,
+                   generated_at=time.time(), results="results.jsonl")
     atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True))
     return out
 

@@ -34,7 +34,20 @@ from .pool import WorkerPool
 from .spec import SweepTask
 from .worker import read_json, read_result, task_dir
 
-__all__ = ["AttemptScheduler", "Job"]
+__all__ = ["AttemptScheduler", "Job", "DEFAULT_MAX_ATTEMPTS",
+           "DEFAULT_STRAGGLER_AFTER_SECONDS", "POLL_INTERVAL_SECONDS"]
+
+#: Total attempts a task gets before quarantine (first run + retries).
+DEFAULT_MAX_ATTEMPTS = 3
+
+#: Heartbeat age (seconds) past which a worker is declared a straggler
+#: and SIGKILLed.
+DEFAULT_STRAGGLER_AFTER_SECONDS = 60.0
+
+#: Period (seconds) at which the owner thread calls `AttemptScheduler.cycle`.
+#: Searches run 0.1-10 s, so dispatch latency is noise there, and serve
+#: cache hits never touch the scheduler at all.
+POLL_INTERVAL_SECONDS = 0.05
 
 
 def _backoff(task_id: str, attempts: int, base: float, cap: float) -> float:

@@ -37,34 +37,23 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any
 
 from ..obs.profile import metrics_of, tracer_of
 from ..runtime.budget import Cancellation, RunBudget
 from ..runtime.context import RunContext
 from .manifest import FleetManifest
 from .pool import WorkerPool
-from .report import FleetReport, format_fleet_report, merge_results, \
-    write_summary
-from .scheduler import AttemptScheduler, Job
+from .report import FleetReport, merge_results, write_summary
+from .scheduler import (DEFAULT_MAX_ATTEMPTS, DEFAULT_STRAGGLER_AFTER_SECONDS,
+                        POLL_INTERVAL_SECONDS, AttemptScheduler, Job)
 from .spec import SweepSpec, SweepTask
 from .worker import prewarm_fork_template, read_result
 
-__all__ = ["FleetSupervisor", "run_sweep", "DEFAULT_MAX_ATTEMPTS",
-           "DEFAULT_STRAGGLER_AFTER_SECONDS"]
-
-#: Total attempts a task gets before quarantine (first run + retries).
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Heartbeat age (seconds) past which a worker is declared a straggler.
-DEFAULT_STRAGGLER_AFTER_SECONDS = 60.0
+__all__ = ["FleetSupervisor"]
 
 #: Exponential-backoff base/cap for task retries (seconds).
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 30.0
-
-#: Supervisor loop poll period (seconds).
-POLL_INTERVAL_SECONDS = 0.05
 
 #: Grace period between SIGTERM and SIGKILL during shutdown.
 SHUTDOWN_GRACE_SECONDS = 2.0
@@ -169,9 +158,6 @@ class FleetSupervisor:
                 "completed searches per minute at fleet width").set(
                     report.searches_per_minute)
         return report
-
-    def summary(self, report: FleetReport) -> str:
-        return format_fleet_report(report)
 
     # -- resume adoption -----------------------------------------------------
 
@@ -325,9 +311,3 @@ class FleetSupervisor:
                 "last_error": rec.get("last_error"),
             })
         return report
-
-
-def run_sweep(spec: SweepSpec, fleet_dir: str | Path, *,
-              resume: bool = False, **kwargs: Any) -> FleetReport:
-    """One-call convenience wrapper: build a supervisor and drain it."""
-    return FleetSupervisor(spec, fleet_dir, **kwargs).run(resume=resume)

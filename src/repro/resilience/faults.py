@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -120,8 +120,9 @@ class FaultPlan:
             if not 0 <= f.device < p:
                 raise FaultPlanError(
                     f"fail-stop device {f.device} outside 0..{p - 1}")
-            if f.time < 0:
-                raise FaultPlanError(f"fail-stop time {f.time} < 0")
+            if not (math.isfinite(f.time) and f.time >= 0):
+                raise FaultPlanError(
+                    f"fail-stop time {f.time} must be finite and >= 0")
             if not (f.downtime > 0 and math.isfinite(f.downtime)):
                 raise FaultPlanError(
                     f"fail-stop downtime {f.downtime} must be finite and "
@@ -130,23 +131,28 @@ class FaultPlan:
             if not 0 <= s.device < p:
                 raise FaultPlanError(
                     f"straggler device {s.device} outside 0..{p - 1}")
-            if s.slowdown < 1.0:
+            if not (math.isfinite(s.slowdown) and s.slowdown >= 1.0):
                 raise FaultPlanError(
-                    f"straggler slowdown {s.slowdown} < 1 (use 1 for none)")
+                    f"straggler slowdown {s.slowdown} must be finite and "
+                    ">= 1 (use 1 for none)")
         for l in self.link_degradations:
             if not 0 <= l.device < p:
                 raise FaultPlanError(
                     f"link-degradation device {l.device} outside 0..{p - 1}")
-            if l.factor < 1.0:
+            if not (math.isfinite(l.factor) and l.factor >= 1.0):
                 raise FaultPlanError(
-                    f"link-degradation factor {l.factor} < 1 (use 1 for none)")
+                    f"link-degradation factor {l.factor} must be finite and "
+                    ">= 1 (use 1 for none)")
         t = self.transients
         if t is not None:
             if not 0.0 <= t.probability < 1.0:
                 raise FaultPlanError(
                     f"transient probability {t.probability} outside [0, 1)")
-            if t.backoff < 0 or t.max_retries < 0:
-                raise FaultPlanError("transient backoff/max_retries < 0")
+            if not (math.isfinite(t.backoff) and t.backoff >= 0) \
+                    or t.max_retries < 0:
+                raise FaultPlanError(
+                    "transient backoff must be finite and >= 0, and "
+                    "max_retries >= 0")
 
     def resolve(self, makespan: float) -> "FaultPlan":
         """Convert relative fail-stop times to absolute seconds."""
@@ -169,20 +175,33 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        try:
-            failures = tuple(DeviceFailure(**d)
-                             for d in data.get("device_failures", ()))
-            stragglers = tuple(Straggler(**d)
-                               for d in data.get("stragglers", ()))
-            links = tuple(LinkDegradation(**d)
-                          for d in data.get("link_degradations", ()))
-            t = data.get("transients")
-            transients = TransientFaults(**t) if t else None
-        except TypeError as err:
-            raise FaultPlanError(f"malformed fault plan: {err}") from None
-        return cls(device_failures=failures, stragglers=stragglers,
-                   link_degradations=links, transients=transients,
-                   relative_times=bool(data.get("relative_times", False)))
+        """The plan a JSON document describes.
+
+        Every field name and JSON type is checked, at the top level and
+        in every entry, with no coercion: a JSON bool is never a number
+        and a float is never a device.  Raises one `FaultPlanError`
+        listing every problem.
+        """
+        problems = [f"{name}: unknown field" for name in sorted(
+            set(data) - {*_ENTRY_LISTS, "transients", "relative_times"})]
+        for name, entry_cls in _ENTRY_LISTS.items():
+            entries = data.get(name, [])
+            if not isinstance(entries, list):
+                problems.append(f"{name}: expected an array")
+                continue
+            for i, entry in enumerate(entries):
+                problems += _entry_problems(f"{name}[{i}]", entry, entry_cls)
+        t = data.get("transients")
+        if t is not None:
+            problems += _entry_problems("transients", t, TransientFaults)
+        if not isinstance(data.get("relative_times", False), bool):
+            problems.append("relative_times: expected a bool")
+        if problems:
+            raise FaultPlanError("invalid fault plan: " + "; ".join(problems))
+        return cls(**{name: tuple(entry_cls(**d) for d in data.get(name, ()))
+                      for name, entry_cls in _ENTRY_LISTS.items()},
+                   transients=None if t is None else TransientFaults(**t),
+                   relative_times=data.get("relative_times", False))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -202,6 +221,34 @@ class FaultPlan:
         except OSError as err:
             raise FaultPlanError(f"cannot read fault plan {path!r}: {err}") \
                 from None
+
+
+#: The plan fields that hold a list of entries, and each entry's type.
+_ENTRY_LISTS = {"device_failures": DeviceFailure, "stragglers": Straggler,
+                "link_degradations": LinkDegradation}
+
+#: The JSON types an entry field of each annotation accepts, and their
+#: name in messages.
+_JSON_TYPES = {"int": ((int,), "an int"), "float": ((int, float), "a number")}
+
+
+def _entry_problems(where: str, entry, entry_cls: type) -> list[str]:
+    """The problems with one plan entry's field names and JSON types."""
+    if not isinstance(entry, dict):
+        return [f"{where}: expected an object"]
+    known = {f.name: f for f in fields(entry_cls)}
+    out = [f"{where}.{name}: unknown field"
+           for name in sorted(set(entry) - set(known))]
+    for name, f in known.items():
+        if name not in entry:
+            if f.default is MISSING:
+                out.append(f"{where}.{name}: required")
+            continue
+        types, noun = _JSON_TYPES[f.type]
+        val = entry[name]
+        if isinstance(val, bool) or not isinstance(val, types):
+            out.append(f"{where}.{name}: expected {noun}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,29 +293,31 @@ class FaultInjector:
                      if plan.transients is not None else None)
         self.events: list[FaultEvent] = []
 
-    def apply(self, task, start: float, duration: float
-              ) -> tuple[float, float]:
-        """Perturb one task commitment; returns (start, duration)."""
+    def apply(self, kind: str, label: str,
+              resources: tuple[tuple[str, int], ...], start: float,
+              duration: float) -> tuple[float, float]:
+        """Perturb one commitment of the task ``kind``/``label`` on
+        ``resources``; returns (start, duration)."""
         dur = duration
         # Straggler / degraded-link scaling (worst factor among resources).
         factor = 1.0
         slow_dev = -1
-        for rk, dev in task.resources:
+        for rk, dev in resources:
             f = (self._slow.get(dev, 1.0) if rk == "gpu"
                  else self._link.get(dev, 1.0))
             if f > factor:
                 factor, slow_dev = f, dev
         if factor > 1.0 and dur > 0:
             self.events.append(FaultEvent(
-                fault="straggler" if task.kind in COMPUTE_KINDS else "link",
-                task=task.label, device=slow_dev,
+                fault="straggler" if kind in COMPUTE_KINDS else "link",
+                task=label, device=slow_dev,
                 delay=dur * (factor - 1.0)))
             dur *= factor
 
         # Transient collective failures: retry with backoff, redo the work.
         t = self.plan.transients
         if t is not None and self._rng is not None and dur > 0 \
-                and task.kind in COLLECTIVE_KINDS and t.probability > 0:
+                and kind in COLLECTIVE_KINDS and t.probability > 0:
             retries = 0
             while retries < t.max_retries \
                     and self._rng.random() < t.probability:
@@ -276,8 +325,8 @@ class FaultInjector:
             if retries:
                 extra = retries * (t.backoff + dur)
                 self.events.append(FaultEvent(
-                    fault="transient", task=task.label,
-                    device=int(task.resources[0][1]), delay=extra))
+                    fault="transient", task=label,
+                    device=int(resources[0][1]), delay=extra))
                 dur += extra
 
         # Fail-stop blackout windows: partial work is lost; the task
@@ -287,12 +336,12 @@ class FaultInjector:
         moved = True
         while moved:
             moved = False
-            for _, dev in task.resources:
+            for _, dev in resources:
                 for t0, t1 in self._windows.get(dev, ()):
                     if start >= t1 or start + dur <= t0:
                         continue
                     self.events.append(FaultEvent(
-                        fault="failstop", task=task.label, device=dev,
+                        fault="failstop", task=label, device=dev,
                         delay=t1 - start))
                     start = t1
                     moved = True

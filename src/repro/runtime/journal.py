@@ -34,7 +34,7 @@ from ..obs.metrics import atomic_write_text
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.tablecache import TableCache
 
-__all__ = ["SearchJournal", "JOURNAL_VERSION"]
+__all__ = ["SearchJournal", "JOURNAL_VERSION", "read_snapshot"]
 
 #: Journal layout version; bump whenever the stored schema changes.
 JOURNAL_VERSION = 1
@@ -43,6 +43,27 @@ JOURNAL_VERSION = 1
 #: per DP vertex; rewriting the journal that often would dominate small
 #: searches).
 PROGRESS_INTERVAL_SECONDS = 0.5
+
+
+def read_snapshot(path: Path, noun: str, version: int) -> dict[str, Any]:
+    """The JSON snapshot at ``path`` that an `atomic_write_text` left.
+
+    Raises `JournalError` naming the ``noun`` (``"journal"``, ``"fleet
+    manifest"``) when the file is missing, unreadable, or not at layout
+    ``version``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except FileNotFoundError:
+        raise JournalError(f"no {noun} to resume at {path}") from None
+    except (OSError, json.JSONDecodeError) as err:
+        raise JournalError(f"{noun} at {path} is unreadable: {err}") from err
+    if not isinstance(state, dict) or state.get("version") != version:
+        raise JournalError(
+            f"{noun} at {path} has unsupported version "
+            f"{state.get('version') if isinstance(state, dict) else '?'}")
+    return state
 
 
 def _normalize(fingerprint: dict) -> dict:
@@ -75,7 +96,7 @@ class SearchJournal:
         """
         fingerprint = _normalize(fingerprint)
         if resume:
-            state = self._read()
+            state = read_snapshot(self.path, "journal", JOURNAL_VERSION)
             if state["fingerprint"] != fingerprint:
                 raise JournalError(
                     f"journal at {self.path} was written for a different "
@@ -92,23 +113,6 @@ class SearchJournal:
         }
         self.flush()
         return False
-
-    def _read(self) -> dict[str, Any]:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                state = json.load(fh)
-        except FileNotFoundError:
-            raise JournalError(
-                f"no journal to resume at {self.path}") from None
-        except (OSError, json.JSONDecodeError) as err:
-            raise JournalError(
-                f"journal at {self.path} is unreadable: {err}") from err
-        if not isinstance(state, dict) or \
-                state.get("version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"journal at {self.path} has unsupported version "
-                f"{state.get('version') if isinstance(state, dict) else '?'}")
-        return state
 
     def flush(self) -> None:
         """Atomically persist the current snapshot (`atomic_write_text`)."""

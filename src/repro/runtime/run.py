@@ -133,9 +133,8 @@ def run_fingerprint(graph: CompGraph, space: ConfigSpace, model: CostModel,
 def execute_search(
     graph: CompGraph,
     space: ConfigSpace,
-    machine: MachineSpec | None = None,
+    machine: MachineSpec,
     *,
-    model: CostModel | None = None,
     method: str = "ours",
     seed: int = 0,
     order: Sequence[str] | None = None,
@@ -149,9 +148,8 @@ def execute_search(
 
     Parameters
     ----------
-    graph, space, machine / model:
-        The problem instance; pass either the `MachineSpec` or a
-        pre-configured `CostModel` (ablation flags).
+    graph, space, machine:
+        The problem instance.
     method:
         ``"ours"`` runs the tensorized DP (optionally ``resilient`` /
         ``reduce`` / with a caller ``order``).  ``"bf"`` runs the same
@@ -191,11 +189,7 @@ def execute_search(
     from ..core.frontier import parse_objective
 
     obj = parse_objective(objective)  # validate before any work
-    if model is None:
-        if machine is None:
-            raise ValueError("pass either machine= or model=")
-        model = CostModel(machine)
-    machine = model.machine
+    model = CostModel(machine)
     if ctx.budget is None or ctx.cancellation is None:
         ctx = ctx.with_overrides(
             budget=ctx.budget or RunBudget(),
@@ -367,8 +361,8 @@ def _run_baseline(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     spans land under this run's ``search`` span."""
     from ..experiments.common import BenchSetup, search_with
 
-    setup = BenchSetup(name="runtime", graph=graph, p=space.p,
-                       machine=machine, space=space, tables=tables)
+    setup = BenchSetup(graph=graph, p=space.p, machine=machine, space=space,
+                       tables=tables)
     return search_with(setup, method, seed=seed, reduce=reduce)
 
 

@@ -156,13 +156,6 @@ class Quarantine:
         self.flush()  # immediate: must survive the crash it witnessed
         return entry
 
-    def remove(self, fingerprint: str) -> bool:
-        with self._lock:
-            found = self._entries.pop(fingerprint, None) is not None
-        if found:
-            self.flush()
-        return found
-
     def snapshot(self) -> dict[str, dict]:
         with self._lock:
             return {fp: dict(rec) for fp, rec in self._entries.items()}

@@ -49,26 +49,16 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..fleet.scheduler import AttemptScheduler, Job
+from ..fleet.scheduler import (DEFAULT_MAX_ATTEMPTS,
+                               DEFAULT_STRAGGLER_AFTER_SECONDS,
+                               POLL_INTERVAL_SECONDS, AttemptScheduler, Job)
 from ..fleet.spec import SweepTask
 from ..fleet.worker import benchmark_problem, read_result
 from ..obs.metrics import NULL_METRICS
 from .coalesce import Quarantine, ResultCache
 from .wire import ServeError, ServeRequest
 
-__all__ = ["SearchEngine", "EngineResult", "DEFAULT_MAX_ATTEMPTS",
-           "DEGRADE_LADDER"]
-
-#: Total attempts a fingerprint gets before quarantine (fleet default).
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Heartbeat age (seconds) past which a worker is SIGKILLed.
-DEFAULT_STRAGGLER_AFTER_SECONDS = 60.0
-
-#: Dispatcher loop poll period (seconds) — the fleet supervisor's
-#: cadence.  Searches run 0.1-10s, so dispatch latency is noise there,
-#: and cache hits never touch the dispatcher at all.
-POLL_INTERVAL_SECONDS = 0.05
+__all__ = ["SearchEngine", "EngineResult", "DEGRADE_LADDER"]
 
 #: Retry backoff base/cap (seconds) — much tighter than the fleet's:
 #: a waiting HTTP client should not watch a 30s backoff ladder.

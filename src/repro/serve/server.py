@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from ..core.exceptions import RunInterrupted
+from ..fleet.scheduler import DEFAULT_MAX_ATTEMPTS
 from ..obs.metrics import Metrics
 from ..obs.trace import TRACE_VERSION, NULL_TRACER, Tracer
 from ..runtime.budget import Cancellation
@@ -336,14 +337,13 @@ class StrategyServer(ThreadingHTTPServer):
 
 def serve_forever(*, host: str = "127.0.0.1", port: int = 8421,
                   workers: int = 4, max_queue: int = 16,
-                  max_attempts: int = 3,
+                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                   request_deadline: float | None = None,
                   memory_budget: int | None = None,
                   state_dir: str | os.PathLike = "pase-serve",
                   allow_chaos: bool = False,
                   trace: str | None = None,
                   metrics_path: str | None = None,
-                  drain_grace: float = DEFAULT_DRAIN_GRACE_SECONDS,
                   verbose: bool = False) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns the exit code (0).
 
@@ -379,7 +379,7 @@ def serve_forever(*, host: str = "127.0.0.1", port: int = 8421,
             print("# draining: refusing new work, finishing "
                   "in-flight requests", flush=True)
             try:
-                drained = server.drain(drain_grace)
+                drained = server.drain()
             except KeyboardInterrupt:
                 # Second SIGINT: the user wants out *now*; unwind via
                 # the documented interrupted path (exit code 6).

@@ -112,7 +112,7 @@ class TestPick:
         strategy = Strategy.serial(graph)
         builder = _StepBuilder(graph, strategy,
                                greedy_placement(graph, strategy, topo.p),
-                               topo, 0.35)
+                               topo)
         sched = builder.sched
         for _ in range(N_READY):
             sched.append("fwd", "producer", (("gpu", 0),), 1.0)

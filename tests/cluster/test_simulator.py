@@ -6,7 +6,7 @@ import pytest
 from repro.assignment.greedy import greedy_placement
 from repro.baselines import data_parallel_strategy
 from repro.cluster import simulate_step
-from repro.cluster.events import ListScheduler, Task
+from repro.cluster.events import ListScheduler
 from repro.cluster.simulator import DEFAULT_COMPUTE_EFFICIENCY
 from repro.core.exceptions import SimulationError
 from repro.core.strategy import Strategy
@@ -149,28 +149,24 @@ class TestErrors:
             simulate_step(small_mlp, s, GTX1080TI, 4, placement=pl)
 
     def test_dependency_cycle_detected(self):
-        """`add` forbids forward deps, so a cycle can only be forged by
-        mutation — `run` must still refuse to schedule it."""
+        """`append` forbids forward deps, so a cycle can only be forged
+        by mutation — `schedule` must still refuse to schedule it."""
         sched = ListScheduler()
-        a = sched.add(Task(kind="fwd", label="a", resources=(("gpu", 0),),
-                           duration=1.0))
-        b = sched.add(Task(kind="fwd", label="b", resources=(("gpu", 0),),
-                           duration=1.0, deps=(a,)))
+        a = sched.append("fwd", "a", (("gpu", 0),), 1.0)
+        b = sched.append("fwd", "b", (("gpu", 0),), 1.0, (a,))
         sched.deps[a] = (b,)
         with pytest.raises(SimulationError, match="cycle"):
-            sched.run()
+            sched.schedule()
 
     def test_future_dependency_rejected_at_add(self):
         sched = ListScheduler()
         with pytest.raises(SimulationError, match="unknown/future"):
-            sched.add(Task(kind="fwd", label="a", resources=(("gpu", 0),),
-                           duration=1.0, deps=(5,)))
+            sched.append("fwd", "a", (("gpu", 0),), 1.0, (5,))
 
     def test_negative_duration_rejected_at_add(self):
         sched = ListScheduler()
         with pytest.raises(SimulationError, match="negative duration"):
-            sched.add(Task(kind="fwd", label="a", resources=(("gpu", 0),),
-                           duration=-1.0))
+            sched.append("fwd", "a", (("gpu", 0),), -1.0)
 
     def test_missing_batch_dim_needs_explicit_batch(self):
         from repro.core.dims import Dim

@@ -290,3 +290,40 @@ class TestLedgerHonesty:
         if eps == 0.0:
             assert (kept > 0.9 * total) if survive else (kept < total / 2)
         assert peak <= ledger.peak
+
+    @pytest.mark.parametrize("columns", [4, 10])
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_merge_join_peak_within_charge(self, chunks, columns):
+        """A whole `_merge_child` with ``columns`` back-pointer columns,
+        one chunk or two: from the join's charge on, what it allocates,
+        as tracemalloc reads it, stays within that charge.  A lone
+        chunk's arrays are the result uncopied; two chunks are joined by
+        a copy of every survivor, and nearly every candidate survives."""
+        class JoinLedger(_Ledger):
+            def check(self, extra, what, note=""):
+                super().check(extra, what, note)
+                if what == "frontier DP merge":
+                    self.join_charge = extra
+                    tracemalloc.reset_peak()
+
+        rng = np.random.default_rng(5)
+        cells = 2000
+        a_off, a_c, a_m = staircases(rng, [12] * cells, 1e3, 1e6, 0.0)
+        b_off, b_c, b_m = staircases(rng, [10] * cells, 1.0, 1e3, 0.0)
+        acc = (a_off, a_c, a_m,
+               np.zeros((a_c.size, columns - 1), dtype=np.int32))
+        total = int(np.dot(np.diff(a_off), np.diff(b_off)))
+        ledger = JoinLedger(1 << 40)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _merge_child(acc, b_off, b_c, b_m,
+                               np.arange(cells, dtype=np.int64), eps=0.0,
+                               pair_chunk=total * (10 - chunks) // 9,
+                               ledger=ledger)
+            join_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out[3].shape == (out[1].size, columns)
+        assert out[1].size > 0.9 * total
+        assert join_peak <= ledger.join_charge

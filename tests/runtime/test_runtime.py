@@ -99,7 +99,7 @@ class TestCleanRun:
 
     def test_requires_machine_or_model(self):
         graph, space = make_problem()
-        with pytest.raises(ValueError, match="machine"):
+        with pytest.raises(TypeError, match="machine"):
             execute_search(graph, space)
 
 

@@ -240,6 +240,30 @@ class TestCLIResilience:
                      "--methods", "ours", "--faults", str(bad)]) == 4
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plan,field", [
+        ({"stragglerz": [{"device": 1, "slowdown": 2.0}]}, "stragglerz"),
+        ({"device_failures": [{"device": "1", "time": 0.1}]},
+         "device_failures[0].device"),
+    ], ids=["misspelled-key", "string-device"])
+    def test_simulate_plan_type_error_exits_4(self, plan, field, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(plan))
+        assert main(["simulate", "--model", "rnnlm", "--p", "4",
+                     "--methods", "ours", "--faults", str(bad)]) == 4
+        assert f"invalid fault plan: {field}:" in capsys.readouterr().err
+
+    def test_sweep_plan_type_error_exits_4(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "models": ["rnnlm"], "ps": [4],
+            "fault_plans": [{"name": "bad", "plan": {
+                "device_failures": [{"device": "1", "time": 0.1}]}}]}))
+        assert main(["sweep", "--spec", str(spec),
+                     "--fleet-dir", str(tmp_path / "fleet")]) == 4
+        assert "device_failures[0].device: expected an int" \
+            in capsys.readouterr().err
+
 
 class TestCLIExperimentCommands:
     def test_table1_subcommand(self, capsys):
