@@ -62,9 +62,8 @@ def format_frontier_table(frontier: Sequence) -> str:
     return format_grid(["#", "cost (FLOP-eq)", "peak memory", ""], rows)
 
 
-def format_frontier_plot(frontier: Sequence, *, width: int = 60,
-                         height: int = 16) -> str:
-    """ASCII scatter of the (cost, peak-bytes) frontier.
+def format_frontier_plot(frontier: Sequence) -> str:
+    """ASCII scatter of the (cost, peak-bytes) frontier, 60 x 16 cells.
 
     Cost on the x axis, peak bytes on the y axis; ``*`` marks frontier
     points and ``o`` the min-cost point.  Degenerate (single-point or
@@ -80,6 +79,7 @@ def format_frontier_plot(frontier: Sequence, *, width: int = 60,
     if len(frontier) == 1 or c_hi <= c_lo or m_hi <= m_lo:
         return (f"frontier: {len(frontier)} point(s), cost {c_lo:.6e}, "
                 f"peak {format_bytes(m_lo)}")
+    width, height = 60, 16
     grid = [[" "] * width for _ in range(height)]
     for pt in frontier:
         x = round((pt.cost - c_lo) / (c_hi - c_lo) * (width - 1))

@@ -30,7 +30,7 @@ __all__ = [
 
 #: Layer kinds OWT treats as "convolutional" (data parallel).
 _CONVISH = {"conv2d", "maxpool", "avgpool", "lrn", "batchnorm", "dropout",
-            "concat", "identity"}
+            "concat"}
 
 
 def _dp_config(op, p: int) -> tuple[int, ...]:

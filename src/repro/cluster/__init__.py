@@ -10,7 +10,7 @@ speedups are regenerated on top of it.
 """
 
 from .topology import ClusterTopology, LinkKind
-from .collectives import ring_allreduce_time, ring_allgather_time, group_bottleneck_bw
+from .collectives import ring_allreduce_time, group_bottleneck_bw
 from .events import ListScheduler
 from .simulator import SimulationReport, simulate_step
 from .trace import (TraceRecord, critical_path, critical_path_by_kind,
@@ -26,7 +26,6 @@ __all__ = [
     "critical_path",
     "critical_path_by_kind",
     "group_bottleneck_bw",
-    "ring_allgather_time",
     "ring_allreduce_time",
     "simulate_step",
     "utilization",

@@ -13,8 +13,7 @@ from typing import Sequence
 
 from .topology import ClusterTopology
 
-__all__ = ["group_bottleneck_bw", "ring_allreduce_time", "ring_allgather_time",
-           "ring_reduce_scatter_time", "alltoall_time", "RING_CHANNELS"]
+__all__ = ["group_bottleneck_bw", "ring_allreduce_time", "RING_CHANNELS"]
 
 #: Concurrent ring channels (NCCL-style duplex/multi-ring execution);
 #: collective times divide by this.
@@ -38,42 +37,3 @@ def ring_allreduce_time(topo: ClusterTopology, nbytes: float,
         return 0.0
     bw = group_bottleneck_bw(topo, devices)
     return 2.0 * nbytes * (m - 1) / m / bw / RING_CHANNELS
-
-
-def ring_reduce_scatter_time(topo: ClusterTopology, nbytes: float,
-                             devices: Sequence[int]) -> float:
-    m = len(set(int(d) for d in devices))
-    if m < 2 or nbytes <= 0:
-        return 0.0
-    return nbytes * (m - 1) / m / group_bottleneck_bw(topo, devices) / RING_CHANNELS
-
-
-def ring_allgather_time(topo: ClusterTopology, nbytes: float,
-                        devices: Sequence[int]) -> float:
-    """Gather ``nbytes`` shards from every device to every device."""
-    m = len(set(int(d) for d in devices))
-    if m < 2 or nbytes <= 0:
-        return 0.0
-    return nbytes * (m - 1) / m / group_bottleneck_bw(topo, devices) / RING_CHANNELS
-
-
-def alltoall_time(topo: ClusterTopology, nbytes: float,
-                  devices: Sequence[int]) -> float:
-    """Exchange distinct ``nbytes / m`` blocks between all pairs.
-
-    Unlike the all-gather — where the *same* shard rotates around the
-    ring and every step's transfer is useful to every later recipient —
-    an all-to-all moves a distinct block per (source, destination) pair.
-    Each device injects ``nbytes · (m-1)/m`` of its own data, but a block
-    headed ``k`` hops away occupies ``k`` ring links on its way: summing
-    ``m`` sources × distances ``1..m-1`` and dividing over the ``m``
-    links, every link forwards ``nbytes · (m-1)/2`` bytes across the
-    ``m-1`` ring steps (``nbytes/2`` per step, not ``nbytes/m``).  The
-    schedule therefore costs a factor ``m/2`` over the all-gather, and
-    coincides with it at ``m = 2`` where every block is a direct
-    neighbor exchange.
-    """
-    m = len(set(int(d) for d in devices))
-    if m < 2 or nbytes <= 0:
-        return 0.0
-    return nbytes * (m - 1) / 2.0 / group_bottleneck_bw(topo, devices) / RING_CHANNELS

@@ -1,6 +1,6 @@
 """Core of the PaSE reproduction: graphs, costs, orderings, and the DP."""
 
-from .configs import ConfigSpace, batch_split_config, enumerate_configs, serial_config
+from .configs import ConfigSpace, enumerate_configs
 from .costmodel import CostModel, CostTables, allreduce_bytes
 from .dims import Dim, ceil_div, shard_extent, shard_volume
 from .dp import DEFAULT_MEMORY_BUDGET, dp_table_profile, find_best_strategy
@@ -57,7 +57,6 @@ __all__ = [
     "TensorSpec",
     "UNIT_BALANCE",
     "allreduce_bytes",
-    "batch_split_config",
     "breadth_first_seq",
     "brute_force_strategy",
     "ceil_div",
@@ -68,7 +67,6 @@ __all__ = [
     "naive_bf_strategy",
     "random_seq",
     "reduce_problem",
-    "serial_config",
     "shard_extent",
     "shard_volume",
     "table_digest",

@@ -27,8 +27,8 @@ from ..ops.base import OpSpec
 from .exceptions import ConfigError
 from .graph import CompGraph
 
-__all__ = ["MODES", "enumerate_configs", "ConfigSpace", "serial_config",
-           "batch_split_config", "prune_configs_by_memory"]
+__all__ = ["MODES", "enumerate_configs", "ConfigSpace",
+           "prune_configs_by_memory"]
 
 MODES = ("pow2", "divisors", "all")
 
@@ -79,27 +79,6 @@ def enumerate_configs(op: OpSpec, p: int, *, mode: str = "pow2") -> np.ndarray:
 
     rec(0, 1)
     return np.array(rows, dtype=np.int64).reshape(len(rows), op.rank)
-
-
-def serial_config(op: OpSpec) -> tuple[int, ...]:
-    """The no-parallelism configuration."""
-    return (1,) * op.rank
-
-
-def batch_split_config(op: OpSpec, p: int, batch_dim: str = "b") -> tuple[int, ...]:
-    """Pure data parallelism: split the batch dim ``p``-ways.
-
-    Raises `ConfigError` if the op has no batch dim or its extent is
-    below ``p`` (data parallelism needs at least one sample per device).
-    """
-    if not op.has_dim(batch_dim):
-        raise ConfigError(f"op {op.name!r} has no {batch_dim!r} dim for data parallelism")
-    if op.dim_size(batch_dim) < p:
-        raise ConfigError(
-            f"op {op.name!r}: batch {op.dim_size(batch_dim)} < p={p}")
-    cfg = [1] * op.rank
-    cfg[op.dim_index(batch_dim)] = p
-    return tuple(cfg)
 
 
 @dataclass

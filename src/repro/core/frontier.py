@@ -55,11 +55,11 @@ import numpy as np
 from .configs import ConfigSpace
 from .costmodel import CostTables
 from .graph import CompGraph
-from .strategy import FrontierPoint, Strategy
+from .strategy import Strategy
 from ._tensorops import aligned_term, sum_terms
 
 __all__ = ["Objective", "parse_objective", "pareto_prune",
-           "brute_force_frontier", "memory_tables", "strategy_peak_bytes"]
+           "memory_tables", "strategy_peak_bytes"]
 
 
 @dataclass(frozen=True)
@@ -736,31 +736,3 @@ class PointTable:
         index of that point inside each child's cell."""
         g = int(rec.offsets[cell]) + local
         return int(rec.k[g]), rec.childpt[g].tolist()
-
-
-def brute_force_frontier(graph: CompGraph, space: ConfigSpace,
-                         tables: CostTables) -> tuple[FrontierPoint, ...]:
-    """Exhaustive (cost, peak-bytes) frontier — the test oracle.
-
-    Enumerates every strategy of the space (exponential: small graphs
-    only), prices each with `CostTables.strategy_cost` and the memory
-    tables, and prunes to the non-dominated set.
-    """
-    import itertools
-
-    mem_tables = memory_tables(graph, space)
-    names = list(space.tables)
-    sizes = [space.size(nm) for nm in names]
-    combos = list(itertools.product(*[range(s) for s in sizes]))
-    costs = np.empty(len(combos), dtype=np.float64)
-    mems = np.empty(len(combos), dtype=np.float64)
-    for t, combo in enumerate(combos):
-        idx = dict(zip(names, combo))
-        costs[t] = tables.strategy_cost(idx)
-        mems[t] = sum(float(mem_tables[nm][k]) for nm, k in idx.items())
-    kept = pareto_prune(np.zeros(len(combos), dtype=np.int64), costs, mems)
-    return tuple(
-        FrontierPoint(cost=float(costs[j]), peak_bytes=float(mems[j]),
-                      strategy=Strategy.from_indices(
-                          space, dict(zip(names, combos[j]))))
-        for j in kept)

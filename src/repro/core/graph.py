@@ -139,11 +139,6 @@ class CompGraph:
     def degree(self, name: str) -> int:
         return len(self.neighbors(name))
 
-    def edges_between(self, u: str, v: str) -> tuple[Edge, ...]:
-        """All edges joining u and v, in either direction."""
-        return tuple(e for e in self._succ[u] if e.dst == v) + \
-            tuple(e for e in self._succ[v] if e.dst == u)
-
     # -- structure ---------------------------------------------------------------
 
     def topological_order(self) -> tuple[str, ...]:

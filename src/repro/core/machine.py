@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["MachineSpec", "GTX1080TI", "RTX2080TI", "UNIT_BALANCE",
-           "MACHINES", "from_heterogeneous"]
+           "MACHINES"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,27 +116,3 @@ UNIT_BALANCE = MachineSpec(
     devices_per_node=8,
     p2p=True,
 )
-
-
-def from_heterogeneous(name, device_flops, intra_bws, inter_bws, *,
-                       devices_per_node: int = 8, p2p: bool = True) -> MachineSpec:
-    """Collapse a heterogeneous cluster description into a `MachineSpec`.
-
-    Following the paper's Section V treatment of heterogeneous systems,
-    the peak FLOP rate of the *weakest* device and the bandwidth of the
-    *weakest* link are used — they form the bottlenecks the cost model
-    must rank against.
-    """
-    device_flops = list(device_flops)
-    intra_bws = list(intra_bws)
-    inter_bws = list(inter_bws)
-    if not device_flops or not intra_bws or not inter_bws:
-        raise ValueError("heterogeneous description must be non-empty")
-    return MachineSpec(
-        name=name,
-        peak_flops=min(device_flops),
-        intra_node_bw=min(intra_bws),
-        inter_node_bw=min(inter_bws),
-        devices_per_node=devices_per_node,
-        p2p=p2p,
-    )

@@ -39,16 +39,14 @@ final reduced space (if it survived) or in its own elimination-time space
 (if it was eliminated later — in which case expanding in reverse
 elimination order supplies exactly that index).
 
-Performance: the fixed point runs in **vectorized** form by default —
-the dominance keep-mask and the contraction fold dispatch through
-`repro.core.kernels` (a witness-first candidate-pair sieve, a min-plus
-fold in L2-sized blocks reduced over the last, contiguous axis), and a
-dirty-set worklist skips nodes whose cost profile is untouched since
-their last prune (re-pruning an unchanged profile provably keeps every
-row, so skipping is exact).  The pre-vectorization per-vertex code is
-retained verbatim behind ``vectorized=False`` /
-:func:`dominance_keep_mask_reference` as the bit-identity oracle for
-the property tests.
+Performance: the dominance keep-mask and the contraction fold dispatch
+through `repro.core.kernels` (a witness-first candidate-pair sieve, a
+min-plus fold in L2-sized blocks reduced over the last, contiguous
+axis), and a dirty-set worklist skips nodes whose cost profile is
+untouched since their last prune (re-pruning an unchanged profile
+provably keeps every row, so skipping is exact).  The per-vertex
+reference kernels that pin this path bit for bit live in
+``tests/core/test_reduction.py``.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from .graph import CompGraph
 from .strategy import FrontierPoint, SearchResult, Strategy
 
 __all__ = ["ReducedProblem", "ReducedGraphView", "reduce_problem",
-           "dominance_keep_mask", "dominance_keep_mask_reference"]
+           "dominance_keep_mask"]
 
 #: Transient-cell budget for the vectorized dominance comparison and the
 #: chain-contraction cube (keeps peak extra memory in the tens of MiB).
@@ -251,32 +249,10 @@ def dominance_keep_mask(profile: np.ndarray, *,
     witness, its smallest-sum candidate, is verified on the remaining
     columns, and a row whose witness passes is dropped; the
     candidate-pair sieve runs only among the rows left.  Every gather
-    transient is bounded by ``chunk_cells`` cells, including the ``K*C >
-    chunk_cells`` regime the pre-vectorization implementation silently
-    exceeded.  Bit-identical to :func:`dominance_keep_mask_reference`.
+    transient is bounded by ``chunk_cells`` cells, also when ``K*C >
+    chunk_cells``.
     """
     return kernels.dominance_mask(profile, chunk_cells=chunk_cells)
-
-
-def dominance_keep_mask_reference(profile: np.ndarray, *,
-                                  chunk_cells: int = _REDUCTION_CHUNK_CELLS
-                                  ) -> np.ndarray:
-    """The pre-vectorization keep-mask, retained as the parity oracle."""
-    prof = np.ascontiguousarray(profile, dtype=np.float64)
-    k, c = prof.shape
-    if k <= 1:
-        return np.ones(k, dtype=bool)
-    dominated = np.zeros(k, dtype=bool)
-    rows_i = np.arange(k)[:, None]
-    chunk = max(1, chunk_cells // max(k * c, 1))
-    for j0 in range(0, k, chunk):
-        j1 = min(k, j0 + chunk)
-        block = prof[j0:j1]                                   # [c0, C]
-        le = (prof[:, None, :] <= block[None, :, :]).all(-1)  # [K, c0]
-        ge = (prof[:, None, :] >= block[None, :, :]).all(-1)
-        beats = le & (~ge | (rows_i < np.arange(j0, j1)[None, :]))
-        dominated[j0:j1] |= beats.any(axis=0)
-    return ~dominated
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +262,17 @@ def dominance_keep_mask_reference(profile: np.ndarray, *,
 class _Reducer:
     """Mutable reduction state iterated to a fixed point.
 
-    ``vectorized`` selects the kernel-dispatched fast path plus the
-    dirty-set worklist; ``False`` replays the pre-vectorization
-    per-vertex code exactly (the parity oracle for the property tests).
-    Both paths visit nodes in the same order and produce bit-identical
-    ``lc``/``tx``/``sel``/``elims``/``base_cost``: the worklist only
-    skips prunes that provably keep every row (a node's survivors are
-    mutually non-dominated, so re-pruning an unchanged profile is a
-    no-op), and every kernel preserves scalar association and argmin
-    tie-break.
+    The dirty-set worklist only skips prunes that provably keep every
+    row (a node's survivors are mutually non-dominated, so re-pruning an
+    unchanged profile is a no-op), and every kernel preserves scalar
+    association and argmin tie-break, so the result is bit-identical to
+    re-pruning every node each round with per-vertex kernels.
     """
 
     def __init__(self, graph: CompGraph, space: ConfigSpace,
-                 tables: CostTables, *, vectorized: bool = True,
+                 tables: CostTables, *,
                  memory: "Mapping[str, np.ndarray] | None" = None) -> None:
         self.space = space
-        self.vectorized = vectorized
         self.order = tuple(space.tables)  # deterministic node order
         self.lc: dict[str, np.ndarray] = {
             n: np.array(tables.lc[n], dtype=np.float64) for n in self.order}
@@ -366,9 +337,7 @@ class _Reducer:
             cols.append(self.mem[name][:, None])
         for u in sorted(self.adj[name]):
             cols.append(self._mat(name, u))
-        mask_fn = (dominance_keep_mask if self.vectorized
-                   else dominance_keep_mask_reference)
-        keep = mask_fn(np.concatenate(cols, axis=1))
+        keep = dominance_keep_mask(np.concatenate(cols, axis=1))
         if keep.all():
             return False
         self.configs_removed += int(k - keep.sum())
@@ -398,11 +367,7 @@ class _Reducer:
         elif len(nbrs) == 1:
             u = nbrs[0]
             prof = self._mat(u, name) + lc_w[None, :]        # [K_u, K_w]
-            if self.vectorized:
-                vals, table = kernels.last_axis_min_argmin(prof)
-            else:
-                table = prof.argmin(axis=1).astype(np.int32)
-                vals = prof.min(axis=1)
+            vals, table = kernels.last_axis_min_argmin(prof)
             self.lc[u] = self.lc[u] + vals
             self._drop_pair(u, name)
             deps = (u,)
@@ -410,15 +375,12 @@ class _Reducer:
             u, v = nbrs
             mat_uw = self._mat(u, name)                      # [K_u, K_w]
             mat_wv = self._mat(name, v)                      # [K_w, K_v]
-            if self.vectorized:
-                # Pre-fold lc[w] into the (w, v) side and transpose so the
-                # kernel reduces over the last, contiguous axis; the scalar
-                # association stays uw + (lc + wv), as in the reference.
-                bt = np.ascontiguousarray((lc_w[:, None] + mat_wv).T)
-                folded, table = kernels.min_plus_fold(
-                    mat_uw, bt, chunk_cells=_REDUCTION_CHUNK_CELLS)
-            else:
-                folded, table = _min_over_middle(lc_w, mat_uw, mat_wv)
+            # Pre-fold lc[w] into the (w, v) side and transpose so the
+            # kernel reduces over the last, contiguous axis; the scalar
+            # association is uw + (lc + wv).
+            bt = np.ascontiguousarray((lc_w[:, None] + mat_wv).T)
+            folded, table = kernels.min_plus_fold(
+                mat_uw, bt, chunk_cells=_REDUCTION_CHUNK_CELLS)
             self._drop_pair(u, name)
             self._drop_pair(name, v)
             if v in self.adj[u]:
@@ -445,34 +407,8 @@ class _Reducer:
                    + sum(m.size for m in self.tx.values()))
 
 
-def _min_over_middle(lc_w: np.ndarray, mat_uw: np.ndarray,
-                     mat_wv: np.ndarray,
-                     chunk_cells: int = _REDUCTION_CHUNK_CELLS
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``min/argmin over k_w`` of ``lc_w + tx(u,w) + tx(w,v)``, chunked.
-
-    Returns ``(folded [K_u, K_v], argmin [K_u, K_v] int32)``; the cube is
-    evaluated in row-chunks of ``K_u`` so the transient stays within
-    ``chunk_cells`` cells.
-    """
-    ku, kw = mat_uw.shape
-    kv = mat_wv.shape[1]
-    folded = np.empty((ku, kv), dtype=np.float64)
-    arg = np.empty((ku, kv), dtype=np.int32)
-    rows = max(1, chunk_cells // max(kw * kv, 1))
-    mid = lc_w[None, :, None] + mat_wv[None, :, :]           # [1, K_w, K_v]
-    for a0 in range(0, ku, rows):
-        a1 = min(ku, a0 + rows)
-        cube = mat_uw[a0:a1, :, None] + mid                  # [rows, K_w, K_v]
-        folded[a0:a1] = cube.min(axis=1)
-        arg[a0:a1] = cube.argmin(axis=1)
-    return folded, arg
-
-
 def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
-                   *, dominance: bool = True, contraction: bool = True,
-                   vectorized: bool = True,
-                   memory: "Mapping[str, np.ndarray] | None" = None,
+                   *, memory: "Mapping[str, np.ndarray] | None" = None,
                    checkpoint: "Callable[..., None] | None" = None,
                    ) -> ReducedProblem:
     """Shrink a search problem by dominance pruning and chain contraction.
@@ -482,13 +418,11 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     ``base_cost`` equals the original optimum, and
     :meth:`ReducedProblem.expand_indices` recovers a witnessing strategy.
     Runs *after* any table-cache lookup, so cached tables stay canonical.
-    ``vectorized=False`` replays the pre-kernel per-vertex implementation
-    (the parity oracle; bit-identical output, much slower).
     ``memory`` switches the reduction to the frontier objective: per-node
     per-config memory columns (``name -> float64 [K]``) join the
     dominance profile so pruning respects *both* axes, and chain
     contraction — whose min-fold is scalar-objective and would collapse
-    the memory axis — is auto-disabled; the stats record both decisions
+    the memory axis — is off; the stats record both decisions
     (``reduction_memory_aware`` / ``reduction_contraction_disabled``),
     and the pruned columns become ``reduced_tables.mem``.
     ``checkpoint`` (`repro.runtime.make_checkpoint`) is polled once per
@@ -499,11 +433,8 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
 
     tracer = tracer_of()
     t0 = time.perf_counter()
-    contraction_disabled = bool(contraction and memory is not None)
-    if memory is not None:
-        contraction = False
-    red = _Reducer(graph, space, tables, vectorized=vectorized,
-                   memory=memory)
+    contraction = memory is None
+    red = _Reducer(graph, space, tables, memory=memory)
     cells_before = red.work_cells()
     n_before = len(red.order)
 
@@ -516,14 +447,13 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
             changed = False
             rounds += 1
             with tracer.span("reduction.round", round=rounds):
-                if dominance:
-                    for name in list(red.lc):
-                        if vectorized and name not in red.dirty:
-                            # Untouched since its last prune: survivors
-                            # are pairwise non-dominated, so re-pruning
-                            # keeps every row.  Skipping is exact.
-                            continue
-                        changed |= red.prune_node(name)
+                for name in list(red.lc):
+                    if name not in red.dirty:
+                        # Untouched since its last prune: survivors are
+                        # pairwise non-dominated, so re-pruning keeps
+                        # every row.  Skipping is exact.
+                        continue
+                    changed |= red.prune_node(name)
                 if contraction:
                     for name in [n for n in red.order if n in red.lc]:
                         if len(red.adj[name]) <= 2:
@@ -556,8 +486,7 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
     }
     if memory is not None:
         stats["reduction_memory_aware"] = 1.0
-        stats["reduction_contraction_disabled"] = (
-            1.0 if contraction_disabled else 0.0)
+        stats["reduction_contraction_disabled"] = 1.0
     return ReducedProblem(
         graph=graph, space=space, tables=tables,
         reduced_graph=reduced_graph, reduced_space=reduced_space,

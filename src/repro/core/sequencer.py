@@ -11,9 +11,10 @@ and table sizes are exponential in ``|D(i)|``.  This module provides
 * :func:`random_seq` — for ablations;
 * :class:`SequencedGraph` — a graph indexed by sequence position with
   dependent sets ``D(i)``, each vertex's children and the roots, consumed
-  by the DP;
-* definitional reference implementations of ``D/X/S`` used by the
-  Theorem 2 property tests.
+  by the DP.
+
+The Theorem 2 property tests (``tests/core/test_sequencer.py``) check
+these sets against ``D/X/S`` computed straight from the definitions.
 
 Both `generate_seq` and `SequencedGraph.build` run the same single pass
 of Fig. 3 (`_eliminate`).  Its incremental dependent-set update (line 8)
@@ -30,7 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +43,6 @@ __all__ = [
     "breadth_first_seq",
     "random_seq",
     "SequencedGraph",
-    "dependent_set_reference",
-    "connected_set_reference",
-    "connected_subsets_reference",
 ]
 
 
@@ -113,20 +111,16 @@ def _eliminate(graph: CompGraph, order: Sequence[str] | None
     return tuple(seq), dsets
 
 
-def breadth_first_seq(graph: CompGraph, root: str | None = None) -> tuple[str, ...]:
+def breadth_first_seq(graph: CompGraph) -> tuple[str, ...]:
     """Breadth-first ordering over the undirected graph (Section III-A).
 
-    Starts from ``root`` (default: the first topological source) and, for
-    forests, restarts from the next unvisited vertex.
+    Starts from the first topological source and, for forests, restarts
+    from the next unvisited vertex.
     """
     names = graph.node_names
     if not names:
         return ()
-    if root is None:
-        topo = graph.topological_order()
-        root = topo[0]
-    elif root not in graph:
-        raise GraphError(f"unknown BFS root {root!r}")
+    root = graph.topological_order()[0]
     order: list[str] = []
     visited: set[str] = set()
     pending = [root] + [n for n in names if n != root]
@@ -235,60 +229,3 @@ class SequencedGraph:
     def later_neighbors(self, i: int) -> tuple[int, ...]:
         """N(v_i) ∩ V_>i — the neighbors whose transfer cost H(i, ·) owns."""
         return tuple(j for j in self.adj[i] if j > i)
-
-
-# ---------------------------------------------------------------------------
-# Definitional reference implementations (used by property tests)
-# ---------------------------------------------------------------------------
-
-def connected_set_reference(graph: CompGraph, order: Sequence[str], i: int) -> set[str]:
-    """X(i) straight from the Section III-B definition."""
-    order = tuple(order)
-    allowed = set(order[: i + 1])
-    start = order[i]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in graph.neighbors(u):
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def dependent_set_reference(graph: CompGraph, order: Sequence[str], i: int) -> set[str]:
-    """D(i) = N(X(i)) ∩ V_>i straight from the definition."""
-    order = tuple(order)
-    x = connected_set_reference(graph, order, i)
-    later = set(order[i + 1:])
-    nbrs: set[str] = set()
-    for u in x:
-        nbrs.update(graph.neighbors(u))
-    return nbrs & later
-
-
-def connected_subsets_reference(graph: CompGraph, order: Sequence[str],
-                                i: int) -> list[set[str]]:
-    """S(i): components of the induced subgraph on X(i) - {v_i}."""
-    order = tuple(order)
-    members = connected_set_reference(graph, order, i) - {order[i]}
-    comps: list[set[str]] = []
-    seen: set[str] = set()
-    for start in sorted(members, key=order.index):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in members and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-OrderingFn = Callable[[CompGraph], tuple[str, ...]]

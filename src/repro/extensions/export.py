@@ -54,8 +54,7 @@ def sharding_spec(graph: CompGraph, strategy: Strategy) -> dict[str, dict]:
     return out
 
 
-def to_gshard_json(graph: CompGraph, strategy: Strategy, *,
-                   indent: int = 2) -> str:
+def to_gshard_json(graph: CompGraph, strategy: Strategy) -> str:
     """JSON rendering of :func:`sharding_spec`."""
-    return json.dumps(sharding_spec(graph, strategy), indent=indent,
+    return json.dumps(sharding_spec(graph, strategy), indent=2,
                       sort_keys=True)

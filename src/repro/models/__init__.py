@@ -13,7 +13,6 @@ from .inception import inception_v3
 from .rnnlm import rnnlm
 from .transformer import transformer
 from .densenet import densenet
-from .resnet import resnet50
 from .vgg import vgg16
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "densenet",
     "inception_v3",
     "mlp",
-    "resnet50",
     "rnnlm",
     "transformer",
     "vgg16",

@@ -8,7 +8,7 @@ internal-communication hooks (e.g. convolution halo exchange).
 """
 
 from .base import OpSpec, TRAINING_FLOP_FACTOR_PARAM, TRAINING_FLOP_FACTOR_NOPARAM
-from .dense import FullyConnected, BiasAdd
+from .dense import FullyConnected
 from .conv import Conv2D
 from .pool import Pool2D
 from .norm import LocalResponseNorm, LayerNorm, BatchNorm
@@ -18,14 +18,13 @@ from .embedding import Embedding
 from .rnn import LSTMStack
 from .attention import MultiheadAttention
 from .elementwise import ElementwiseBinary
-from .structural import Concat, Identity
+from .structural import Concat
 
 __all__ = [
     "OpSpec",
     "TRAINING_FLOP_FACTOR_PARAM",
     "TRAINING_FLOP_FACTOR_NOPARAM",
     "FullyConnected",
-    "BiasAdd",
     "Conv2D",
     "Pool2D",
     "LocalResponseNorm",
@@ -40,5 +39,4 @@ __all__ = [
     "MultiheadAttention",
     "ElementwiseBinary",
     "Concat",
-    "Identity",
 ]

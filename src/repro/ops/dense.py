@@ -8,7 +8,7 @@ from ..core.dims import Dim
 from ..core.tensors import TensorSpec
 from .base import OpSpec
 
-__all__ = ["FullyConnected", "FeedForward", "BiasAdd"]
+__all__ = ["FullyConnected", "FeedForward"]
 
 
 def FullyConnected(
@@ -108,21 +108,4 @@ def FeedForward(
         reduction_dims=frozenset({"d", "e"}),
         flops_per_point=4.0,  # two GEMMs x 2 FLOPs per MAC
         aliases={"do": (None, model_dim)},
-    )
-
-
-def BiasAdd(name: str, *, dims: Sequence[tuple[str, int]], bias_axis: str) -> OpSpec:
-    """A standalone bias addition (rarely needed; FC/conv fold their own)."""
-    dtuple = tuple(Dim(n, s) for n, s in dims)
-    axes = tuple(n for n, _ in dims)
-    return OpSpec(
-        name=name,
-        kind="bias_add",
-        dims=dtuple,
-        inputs={
-            "in": TensorSpec(axes=axes),
-            "bias": TensorSpec(axes=(bias_axis,), is_param=True),
-        },
-        outputs={"out": TensorSpec(axes=axes)},
-        flops_per_point=1.0,
     )

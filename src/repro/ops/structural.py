@@ -1,4 +1,4 @@
-"""Structural operators: concatenation and identity.
+"""Structural operators: concatenation.
 
 InceptionV3's module outputs concatenate several towers along the channel
 axis — these concat nodes are exactly the high-degree vertices the paper's
@@ -13,7 +13,7 @@ from ..core.dims import Dim
 from ..core.tensors import TensorSpec
 from .base import OpSpec
 
-__all__ = ["Concat", "Identity"]
+__all__ = ["Concat"]
 
 
 def Concat(name: str, *, parts: Sequence[int], batch: int,
@@ -50,18 +50,4 @@ def Concat(name: str, *, parts: Sequence[int], batch: int,
         outputs={"out": TensorSpec(axes=("b", axis_name) + tail)},
         flops_per_point=1.0,  # a copy, charged as one move per point
         aliases=aliases,
-    )
-
-
-def Identity(name: str, *, dims: Sequence[tuple[str, int]]) -> OpSpec:
-    """A passthrough node (branch points, graph surgery)."""
-    dtuple = tuple(Dim(n, s) for n, s in dims)
-    axes = tuple(n for n, _ in dims)
-    return OpSpec(
-        name=name,
-        kind="identity",
-        dims=dtuple,
-        inputs={"in": TensorSpec(axes=axes)},
-        outputs={"out": TensorSpec(axes=axes)},
-        flops_per_point=0.0,
     )

@@ -11,8 +11,7 @@ Two halves:
   survivor set after device loss.
 """
 
-from .checkpoint import CheckpointPolicy, effective_step_time, \
-    young_daly_interval
+from .checkpoint import CheckpointPolicy, effective_step_time
 from .faults import (
     DeviceFailure,
     FaultEvent,
@@ -46,5 +45,4 @@ __all__ = [
     "effective_step_time",
     "elastic_replan",
     "resilient_find_best_strategy",
-    "young_daly_interval",
 ]

@@ -9,20 +9,16 @@ steps.  This module folds that protocol into an *effective* step time:
 where ``C`` is the checkpoint write time, ``k`` the checkpoint interval
 in steps, ``λ`` the expected failures per step (``1 / MTBF``), ``R`` the
 restore time, and ``(k/2)·step + C/2`` the expected redo work (a failure
-lands uniformly inside a checkpoint interval).  The classic Young/Daly
-rule gives the ``k`` minimizing this waste; :func:`young_daly_interval`
-computes it in steps so callers can compare their configured interval
-against the optimum.
+lands uniformly inside a checkpoint interval).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.exceptions import FaultPlanError
 
-__all__ = ["CheckpointPolicy", "effective_step_time", "young_daly_interval"]
+__all__ = ["CheckpointPolicy", "effective_step_time"]
 
 
 @dataclass(frozen=True)
@@ -73,18 +69,3 @@ def effective_step_time(step_time: float, policy: CheckpointPolicy,
     waste = failures_per_step * (policy.restore_time
                                  + policy.expected_lost_work(step_time))
     return step_time + policy.overhead_per_step() + waste
-
-
-def young_daly_interval(step_time: float, checkpoint_time: float,
-                        mtbf_steps: float) -> int:
-    """Young/Daly optimal checkpoint interval, in steps (>= 1).
-
-    ``k* = sqrt(2 · C · M) / step`` with the MTBF ``M = mtbf_steps ·
-    step`` — the interval balancing write overhead against redo work.
-    """
-    if step_time <= 0 or checkpoint_time < 0 or mtbf_steps <= 0:
-        raise FaultPlanError("young_daly_interval needs positive step time "
-                             "and MTBF and non-negative checkpoint time")
-    mtbf_s = mtbf_steps * step_time
-    k = math.sqrt(2.0 * checkpoint_time * mtbf_s) / step_time
-    return max(1, round(k))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from ..core.configs import ConfigSpace
 from ..core.costmodel import CostModel
-from ..core.dp import DEFAULT_MEMORY_BUDGET
 from ..core.exceptions import FaultPlanError
 from ..core.graph import CompGraph
 from ..core.machine import MachineSpec
@@ -79,15 +78,15 @@ def elastic_replan(
     *,
     mode: str = "pow2",
     policy: CheckpointPolicy | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> ElasticReplanReport:
     """Price continuing degraded vs re-planning on the survivor set.
 
     ``strategy`` is the strategy the cluster was running when ``plan``'s
     fail-stops struck; the plan must contain at least one device
-    failure.  The survivor search runs through the resilient runner, so
-    a tight ``memory_budget`` degrades gracefully rather than aborting
-    the recovery.
+    failure.  The survivor search runs through the resilient runner
+    under `repro.core.dp.DEFAULT_MEMORY_BUDGET`, so a search that
+    outgrows it degrades
+    gracefully rather than aborting the recovery.
     """
     from ..cluster import simulate_step
 
@@ -105,8 +104,7 @@ def elastic_replan(
 
     space = ConfigSpace.build(graph, new_p, mode=mode)
     tables = CostModel(machine).build_tables(graph, space)
-    result, resilience = resilient_find_best_strategy(
-        graph, space, tables, memory_budget=memory_budget)
+    result, resilience = resilient_find_best_strategy(graph, space, tables)
     replanned = simulate_step(graph, result.strategy, machine, new_p)
 
     # Work lost to the first fail-stop: everything since the last

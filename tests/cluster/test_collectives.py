@@ -4,11 +4,8 @@ import pytest
 
 from repro.cluster.collectives import (
     RING_CHANNELS,
-    alltoall_time,
     group_bottleneck_bw,
-    ring_allgather_time,
     ring_allreduce_time,
-    ring_reduce_scatter_time,
 )
 from repro.cluster.topology import ClusterTopology
 from repro.core.machine import GTX1080TI
@@ -44,13 +41,6 @@ class TestRingTimes:
         expect = 2 * 1e9 * 3 / 4 / GTX1080TI.intra_node_bw / RING_CHANNELS
         assert t == pytest.approx(expect)
 
-    def test_allreduce_twice_allgather(self, topo):
-        devs = [0, 1, 2, 3]
-        ar = ring_allreduce_time(topo, 1e9, devs)
-        ag = ring_allgather_time(topo, 1e9, devs)
-        rs = ring_reduce_scatter_time(topo, 1e9, devs)
-        assert ar == pytest.approx(ag + rs)
-
     def test_cross_node_slower(self, topo):
         intra = ring_allreduce_time(topo, 1e9, [0, 1, 2, 3])
         cross = ring_allreduce_time(topo, 1e9, [0, 1, 8, 9])
@@ -60,41 +50,3 @@ class TestRingTimes:
         t2 = ring_allreduce_time(topo, 1e9, [0, 1])
         t8 = ring_allreduce_time(topo, 1e9, list(range(8)))
         assert t8 > t2  # (m-1)/m grows
-
-    def test_alltoall(self, topo):
-        assert alltoall_time(topo, 1e9, [0]) == 0.0
-        assert alltoall_time(topo, 1e9, [0, 1, 2, 3]) > 0
-
-
-class TestAllToAll:
-    """The all-to-all moves a distinct block per (src, dst) pair; it was
-    once a byte-for-byte copy of the all-gather formula."""
-
-    def test_formula(self, topo):
-        t = alltoall_time(topo, 1e9, [0, 1, 2, 3])
-        expect = 1e9 * 3 / 2 / GTX1080TI.intra_node_bw / RING_CHANNELS
-        assert t == pytest.approx(expect)
-
-    def test_costs_m_over_2_times_allgather(self, topo):
-        """Per-link forwarded traffic is nbytes·(m-1)/2 vs the
-        all-gather's nbytes·(m-1)/m — a factor m/2."""
-        for m in (3, 4, 8):
-            devs = list(range(m))
-            a2a = alltoall_time(topo, 1e9, devs)
-            ag = ring_allgather_time(topo, 1e9, devs)
-            assert a2a == pytest.approx(ag * m / 2)
-            assert a2a > ag  # strictly slower beyond pairs
-
-    def test_pairwise_exchange_equals_allgather(self, topo):
-        """At m = 2 every block is a direct neighbor exchange — the two
-        schedules coincide."""
-        a2a = alltoall_time(topo, 1e9, [0, 1])
-        ag = ring_allgather_time(topo, 1e9, [0, 1])
-        assert a2a == pytest.approx(ag)
-
-    def test_grows_superlinearly_with_group(self, topo):
-        """Total time scales with (m-1)/2, unlike the all-gather's
-        saturating (m-1)/m."""
-        t2 = alltoall_time(topo, 1e9, [0, 1])
-        t8 = alltoall_time(topo, 1e9, list(range(8)))
-        assert t8 == pytest.approx(t2 * 7)

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.configs import (
-    ConfigSpace,
-    batch_split_config,
-    enumerate_configs,
-    serial_config,
-)
+from repro.core.configs import ConfigSpace, enumerate_configs
 from repro.core.exceptions import ConfigError
 from repro.core.graph import CompGraph
 from tests.conftest import build_dag, make_test_op
@@ -86,23 +81,6 @@ class TestEnumerate:
         assert (tab >= 1).all()
         assert (np.prod(tab, axis=1) <= p).all()
         assert tab[:, 0].max() <= 8 and tab[:, 1].max() <= 12
-
-
-class TestHelpers:
-    def test_serial_config(self):
-        assert serial_config(make_test_op("o")) == (1, 1)
-
-    def test_batch_split(self):
-        assert batch_split_config(make_test_op("o", batch=8), 4) == (4, 1)
-
-    def test_batch_split_too_small(self):
-        with pytest.raises(ConfigError):
-            batch_split_config(make_test_op("o", batch=2), 4)
-
-    def test_batch_split_missing_dim(self):
-        op = make_test_op("o")
-        with pytest.raises(ConfigError):
-            batch_split_config(op, 2, batch_dim="zz")
 
 
 class TestConfigSpace:

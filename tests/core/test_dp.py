@@ -17,9 +17,10 @@ from repro.core.exceptions import SearchResourceError
 from repro.core.machine import GTX1080TI, UNIT_BALANCE
 from repro.core.naive import brute_force_strategy, naive_bf_strategy
 from repro.core.sequencer import (SequencedGraph, breadth_first_seq,
-                                  connected_subsets_reference, generate_seq)
+                                  generate_seq)
 from repro.runtime import RunContext
 from tests.conftest import build_dag, small_dags
+from tests.core.test_sequencer import connected_subsets_reference
 
 
 def setup(graph, p=4, machine=GTX1080TI, mode="all"):

@@ -12,6 +12,7 @@ The load-bearing contracts:
   identical result through the identical code path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,16 +25,40 @@ from repro.core.costmodel import CostModel
 from repro.core.dp import find_best_strategy
 from repro.core.frontier import (
     Objective,
-    brute_force_frontier,
     memory_tables,
     parse_objective,
     pareto_prune,
     strategy_peak_bytes,
 )
 from repro.core.machine import GTX1080TI
-from repro.core.strategy import FrontierPoint
+from repro.core.strategy import FrontierPoint, Strategy
 from repro.runtime import RunContext
 from tests.conftest import build_dag, small_dags
+
+
+def brute_force_frontier(graph, space, tables):
+    """Exhaustive (cost, peak-bytes) frontier — the exactness oracle.
+
+    Enumerates every strategy of the space (exponential: small graphs
+    only), prices each with `CostTables.strategy_cost` and the memory
+    tables, and prunes to the non-dominated set.
+    """
+    mem_tables = memory_tables(graph, space)
+    names = list(space.tables)
+    sizes = [space.size(nm) for nm in names]
+    combos = list(itertools.product(*[range(s) for s in sizes]))
+    costs = np.empty(len(combos), dtype=np.float64)
+    mems = np.empty(len(combos), dtype=np.float64)
+    for t, combo in enumerate(combos):
+        idx = dict(zip(names, combo))
+        costs[t] = tables.strategy_cost(idx)
+        mems[t] = sum(float(mem_tables[nm][k]) for nm, k in idx.items())
+    kept = pareto_prune(np.zeros(len(combos), dtype=np.int64), costs, mems)
+    return tuple(
+        FrontierPoint(cost=float(costs[j]), peak_bytes=float(mems[j]),
+                      strategy=Strategy.from_indices(
+                          space, dict(zip(names, combos[j]))))
+        for j in kept)
 
 
 def setup(graph, p=4, machine=GTX1080TI, mode="all"):

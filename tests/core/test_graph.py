@@ -54,7 +54,7 @@ class TestQueries:
         g.add_edge(Edge("a", "out", "b", "in0"))
         g.add_edge(Edge("a", "out", "b", "in1"))
         assert g.neighbors("a") == ("b",)
-        assert len(g.edges_between("a", "b")) == 2
+        assert len(g.out_edges("a")) == 2
 
     def test_len_iter_contains(self, chain3):
         assert len(chain3) == 3

@@ -1,12 +1,21 @@
-"""Tests for the exact search-space reduction (dominance + contraction)."""
+"""Tests for the exact search-space reduction (dominance + contraction).
+
+The per-vertex kernels below are the reduction's parity oracle: the
+pre-vectorization keep-mask and min-fold, swapped into
+`repro.core.reduction` by :func:`_reduce` together with a reducer that
+re-prunes every node each round, so the production fixed point (kernels
+plus dirty-set worklist) is checked bit for bit against them.
+"""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import reduction
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel, CostTables
 from repro.core.dp import find_best_strategy
@@ -15,7 +24,6 @@ from repro.core.naive import brute_force_strategy
 from repro.core.reduction import (
     ReducedGraphView,
     dominance_keep_mask,
-    dominance_keep_mask_reference,
     reduce_problem,
 )
 from tests.conftest import build_dag, small_dags
@@ -24,6 +32,84 @@ from tests.conftest import build_dag, small_dags
 def _tables(graph, p, mode="all"):
     space = ConfigSpace.build(graph, p, mode=mode)
     return space, CostModel(GTX1080TI).build_tables(graph, space)
+
+
+def dominance_keep_mask_reference(profile, *,
+                                  chunk_cells=reduction._REDUCTION_CHUNK_CELLS):
+    """The pre-vectorization keep-mask: every row against every row."""
+    prof = np.ascontiguousarray(profile, dtype=np.float64)
+    k, c = prof.shape
+    if k <= 1:
+        return np.ones(k, dtype=bool)
+    dominated = np.zeros(k, dtype=bool)
+    rows_i = np.arange(k)[:, None]
+    chunk = max(1, chunk_cells // max(k * c, 1))
+    for j0 in range(0, k, chunk):
+        j1 = min(k, j0 + chunk)
+        block = prof[j0:j1]                                   # [c0, C]
+        le = (prof[:, None, :] <= block[None, :, :]).all(-1)  # [K, c0]
+        ge = (prof[:, None, :] >= block[None, :, :]).all(-1)
+        beats = le & (~ge | (rows_i < np.arange(j0, j1)[None, :]))
+        dominated[j0:j1] |= beats.any(axis=0)
+    return ~dominated
+
+
+def _min_over_middle(mat_uw, bt, *, chunk_cells):
+    """``min/argmin over k_w`` of ``tx(u,w) + (lc_w + tx(w,v))``, chunked.
+
+    ``bt`` is the ``[K_v, K_w]`` transposed right operand that
+    `kernels.min_plus_fold` takes; the cube ``[rows, K_w, K_v]`` is
+    evaluated in row-chunks of ``K_u`` within ``chunk_cells`` cells.
+    """
+    ku, kw = mat_uw.shape
+    mid = bt.T[None, :, :]                                   # [1, K_w, K_v]
+    kv = mid.shape[2]
+    folded = np.empty((ku, kv), dtype=np.float64)
+    arg = np.empty((ku, kv), dtype=np.int32)
+    rows = max(1, chunk_cells // max(kw * kv, 1))
+    for a0 in range(0, ku, rows):
+        a1 = min(ku, a0 + rows)
+        cube = mat_uw[a0:a1, :, None] + mid                  # [rows, K_w, K_v]
+        folded[a0:a1] = cube.min(axis=1)
+        arg[a0:a1] = cube.argmin(axis=1)
+    return folded, arg
+
+
+_REFERENCE_KERNELS = types.SimpleNamespace(
+    last_axis_min_argmin=lambda prof: (
+        prof.min(axis=1), prof.argmin(axis=1).astype(np.int32)),
+    min_plus_fold=_min_over_middle,
+)
+
+
+class _EveryNode(set):
+    """A dirty set that holds every node: each round re-prunes them all."""
+
+    def __contains__(self, name):
+        return True
+
+
+class _ReferenceReducer(reduction._Reducer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dirty = _EveryNode()
+
+
+def _reduce(graph, space, tables, *, reference=False, only=None, **kwargs):
+    """`reduce_problem`, on the reference kernels without the worklist
+    when ``reference``, and with one rule (``"dominance"`` or
+    ``"contraction"``) when ``only`` names it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(reduction, "dominance_keep_mask",
+                       dominance_keep_mask_reference)
+            mp.setattr(reduction, "kernels", _REFERENCE_KERNELS)
+            mp.setattr(reduction, "_Reducer", _ReferenceReducer)
+        if only is not None:
+            off = {"dominance": "eliminate_node",
+                   "contraction": "prune_node"}[only]
+            mp.setattr(reduction._Reducer, off, lambda self, name: False)
+        return reduce_problem(graph, space, tables, **kwargs)
 
 
 class TestDominanceKeepMask:
@@ -78,13 +164,13 @@ class TestDominanceOnTables:
             lc={n: np.zeros_like(a) for n, a in tables.lc.items()},
             pair_tx={k: np.zeros_like(m) for k, m in tables.pair_tx.items()},
             derived=True)
-        red = reduce_problem(chain3, space, flat, contraction=False)
+        red = _reduce(chain3, space, flat, only="dominance")
         for name in red.survivors:
             assert red.config_maps[name].tolist() == [0]
 
     def test_dominance_never_grows_the_space(self, diamond):
         space, tables = _tables(diamond, 4)
-        red = reduce_problem(diamond, space, tables, contraction=False)
+        red = _reduce(diamond, space, tables, only="dominance")
         for name in red.survivors:
             assert red.reduced_space.size(name) <= space.size(name)
             # back-map lands inside the original space
@@ -95,7 +181,7 @@ class TestDominanceOnTables:
 class TestChainContraction:
     def test_chain_contracts_fully(self, chain3):
         space, tables = _tables(chain3, 4)
-        red = reduce_problem(chain3, space, tables, dominance=False)
+        red = _reduce(chain3, space, tables, only="contraction")
         assert red.survivors == ()
         assert len(red.elims) == 3
 
@@ -103,7 +189,7 @@ class TestChainContraction:
         """A fully contracted chain must expand to the brute-force optimum
         at identical cost."""
         space, tables = _tables(chain3, 4)
-        red = reduce_problem(chain3, space, tables, dominance=False)
+        red = _reduce(chain3, space, tables, only="contraction")
         full = red.expand_indices({})
         truth = brute_force_strategy(chain3, space, tables)
         assert math.isclose(tables.strategy_cost(full), truth.cost,
@@ -113,7 +199,7 @@ class TestChainContraction:
         """Eliminating n1 and n2 (both on n0—n3) must fold both paths onto
         the same reduced edge, not lose one."""
         space, tables = _tables(diamond, 4)
-        red = reduce_problem(diamond, space, tables, dominance=False)
+        red = _reduce(diamond, space, tables, only="contraction")
         res = find_best_strategy(diamond, space, tables, reduce="always")
         truth = brute_force_strategy(diamond, space, tables)
         assert math.isclose(res.cost, truth.cost, rel_tol=1e-9)
@@ -174,8 +260,8 @@ class TestReducedDPExactness:
     def test_single_rule_variants_also_exact(self, graph, p):
         space, tables = _tables(graph, p)
         truth = brute_force_strategy(graph, space, tables)
-        for kwargs in ({"contraction": False}, {"dominance": False}):
-            red = reduce_problem(graph, space, tables, **kwargs)
+        for rule in ("dominance", "contraction"):
+            red = _reduce(graph, space, tables, only=rule)
             if red.survivors:
                 inner = find_best_strategy(red.reduced_graph,
                                            red.reduced_space,
@@ -240,10 +326,15 @@ def _assert_reductions_identical(fast, ref):
     assert fast.stats["reduction_rounds"] == ref.stats["reduction_rounds"]
     assert fast.stats["reduction_configs_removed"] == \
         ref.stats["reduction_configs_removed"]
+    assert (fast.reduced_tables.mem is None) == \
+        (ref.reduced_tables.mem is None)
     for name in fast.survivors:
         assert np.array_equal(fast.config_maps[name], ref.config_maps[name])
         assert np.array_equal(fast.reduced_tables.lc[name],
                               ref.reduced_tables.lc[name])
+        if fast.reduced_tables.mem is not None:
+            assert np.array_equal(fast.reduced_tables.mem[name],
+                                  ref.reduced_tables.mem[name])
     assert set(fast.reduced_tables.pair_tx) == set(ref.reduced_tables.pair_tx)
     for key in fast.reduced_tables.pair_tx:
         assert np.array_equal(fast.reduced_tables.pair_tx[key],
@@ -266,19 +357,37 @@ class TestVectorizedParity:
     @given(small_dags(max_nodes=6), st.integers(2, 4))
     def test_random_graphs(self, graph, p):
         space, tables = _tables(graph, p)
-        fast = reduce_problem(graph, space, tables, vectorized=True)
-        ref = reduce_problem(graph, space, tables, vectorized=False)
+        fast = _reduce(graph, space, tables)
+        ref = _reduce(graph, space, tables, reference=True)
         _assert_reductions_identical(fast, ref)
 
     @settings(max_examples=10, deadline=None)
     @given(small_dags(max_nodes=5), st.integers(2, 3))
     def test_random_graphs_single_rule(self, graph, p):
         space, tables = _tables(graph, p)
-        for kwargs in ({"contraction": False}, {"dominance": False}):
-            fast = reduce_problem(graph, space, tables, vectorized=True,
-                                  **kwargs)
-            ref = reduce_problem(graph, space, tables, vectorized=False,
-                                 **kwargs)
+        for rule in ("dominance", "contraction"):
+            fast = _reduce(graph, space, tables, only=rule)
+            ref = _reduce(graph, space, tables, reference=True, only=rule)
+            _assert_reductions_identical(fast, ref)
+
+    def test_small_integer_tables_memory_path(self):
+        """Two-level costs on a chain, with memory columns, where
+        contraction is off and only dominance runs: dense ties make a
+        prune drop columns from an already-pruned neighbour's profile,
+        which must send that neighbour back through the prune."""
+        graph = build_dag(5, [])
+        space, model = _tables(graph, 3)
+        rng = np.random.default_rng(0)
+        draw = lambda shape: rng.integers(0, 2, size=shape).astype(float)
+        for _ in range(60):
+            tables = CostTables(
+                graph=graph, space=space, machine=model.machine,
+                lc={n: draw(a.shape) for n, a in model.lc.items()},
+                pair_tx={k: draw(m.shape) for k, m in model.pair_tx.items()},
+                derived=True)
+            memory = {n: draw(a.shape) for n, a in model.lc.items()}
+            fast = _reduce(graph, space, tables, memory=memory)
+            ref = _reduce(graph, space, tables, memory=memory, reference=True)
             _assert_reductions_identical(fast, ref)
 
     @pytest.mark.parametrize("net, p", [
@@ -295,6 +404,6 @@ class TestVectorizedParity:
         graph = BENCHMARKS[net]()
         space = ConfigSpace.build(graph, p, mode="pow2")
         tables = CostModel(GTX1080TI).build_tables(graph, space)
-        fast = reduce_problem(graph, space, tables, vectorized=True)
-        ref = reduce_problem(graph, space, tables, vectorized=False)
+        fast = _reduce(graph, space, tables)
+        ref = _reduce(graph, space, tables, reference=True)
         _assert_reductions_identical(fast, ref)

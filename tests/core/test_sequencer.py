@@ -10,13 +10,63 @@ from repro.core.reduction import ReducedGraphView
 from repro.core.sequencer import (
     SequencedGraph,
     breadth_first_seq,
-    connected_set_reference,
-    connected_subsets_reference,
-    dependent_set_reference,
     generate_seq,
     random_seq,
 )
 from tests.conftest import build_dag, small_dags
+
+
+# ---------------------------------------------------------------------------
+# Definitional reference implementations of X(i), D(i) and S(i)
+# ---------------------------------------------------------------------------
+
+def connected_set_reference(graph, order, i):
+    """X(i) straight from the Section III-B definition."""
+    order = tuple(order)
+    allowed = set(order[: i + 1])
+    start = order[i]
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in graph.neighbors(u):
+            if w in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def dependent_set_reference(graph, order, i):
+    """D(i) = N(X(i)) ∩ V_>i straight from the definition."""
+    order = tuple(order)
+    x = connected_set_reference(graph, order, i)
+    later = set(order[i + 1:])
+    nbrs = set()
+    for u in x:
+        nbrs.update(graph.neighbors(u))
+    return nbrs & later
+
+
+def connected_subsets_reference(graph, order, i):
+    """S(i): components of the induced subgraph on X(i) - {v_i}."""
+    order = tuple(order)
+    members = connected_set_reference(graph, order, i) - {order[i]}
+    comps = []
+    seen = set()
+    for start in sorted(members, key=order.index):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                if w in members and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 @st.composite
@@ -81,11 +131,6 @@ class TestOrderings:
         order = breadth_first_seq(diamond)
         assert sorted(order) == sorted(diamond.node_names)
 
-    def test_breadth_first_root(self, chain3):
-        assert breadth_first_seq(chain3, root="n2")[0] == "n2"
-        with pytest.raises(GraphError):
-            breadth_first_seq(chain3, root="zzz")
-
     def test_random_seq(self, chain3, rng):
         order = random_seq(chain3, rng)
         assert sorted(order) == sorted(chain3.node_names)
@@ -98,14 +143,13 @@ class TestOrderings:
         assert generate_seq(CompGraph()) == ()
         assert breadth_first_seq(CompGraph()) == ()
 
-    def _bfs_list_pop_reference(self, graph, root=None):
+    def _bfs_list_pop_reference(self, graph):
         """The original O(n²) ``list.pop(0)`` BFS; the deque version must
         visit in exactly the same order."""
         names = graph.node_names
         if not names:
             return ()
-        if root is None:
-            root = graph.topological_order()[0]
+        root = graph.topological_order()[0]
         order, visited = [], set()
         for start in [root] + [n for n in names if n != root]:
             if start in visited:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.machine import GTX1080TI, UNIT_BALANCE, from_heterogeneous
+from repro.core.machine import GTX1080TI, UNIT_BALANCE, MachineSpec
 from repro.experiments import (
     build_setup,
     run_config_mode_ablation,
@@ -24,9 +24,9 @@ class TestCommon:
         assert a is b
 
     def test_build_setup_prices_the_given_machine(self):
-        hetero = from_heterogeneous("mixed", [10e12, 12e12], [8e9],
-                                    [5e9, 9e9])
-        for machine in (UNIT_BALANCE, hetero, GTX1080TI):
+        mixed = MachineSpec(name="mixed", peak_flops=10e12,
+                            intra_node_bw=8e9, inter_node_bw=5e9)
+        for machine in (UNIT_BALANCE, mixed, GTX1080TI):
             setup = build_setup("alexnet", 4, machine=machine)
             assert setup.machine == machine
             assert setup.tables.machine == machine

@@ -5,6 +5,9 @@ checks the paper's headline orderings hold under both the analytic oracle
 and the cluster simulator.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -19,8 +22,14 @@ class TestPublicAPI:
         assert repro.__version__
 
     def test_exports(self):
+        """Every ``__all__`` name of ``repro`` and of each of its
+        submodules resolves, so ``import *`` never meets a stale one."""
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{info.name}.{name}"
 
 
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))

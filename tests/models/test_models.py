@@ -130,22 +130,6 @@ class TestDenseNet:
 
 
 class TestExtensionModels:
-    def test_resnet_structure(self):
-        from repro.models import resnet50
-        g = resnet50()
-        g.validate()
-        # Residual adds give two-input joins throughout.
-        kinds = {op.kind for op in g}
-        assert "ew_add" in kinds and "conv2d" in kinds
-        assert g.node("fc").dim_size("c") == 2048
-
-    def test_resnet_orderable(self):
-        from repro.core.sequencer import SequencedGraph, generate_seq
-        from repro.models import resnet50
-        g = resnet50()
-        seq = SequencedGraph.build(g, generate_seq(g))
-        assert seq.max_dependent_size <= 3
-
     def test_vgg_path_graph(self):
         from repro.models import vgg16
         g = vgg16()
@@ -155,10 +139,9 @@ class TestExtensionModels:
 
     def test_owt_covers_extension_cnns(self):
         from repro.baselines import owt_strategy
-        from repro.models import resnet50, vgg16
-        for builder in (resnet50, vgg16):
-            g = builder()
-            owt_strategy(g, 8).validate(g, 8)
+        from repro.models import vgg16
+        g = vgg16()
+        owt_strategy(g, 8).validate(g, 8)
 
 
 class TestTransformerWiring:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ops import FullyConnected
-from repro.ops.dense import BiasAdd, FeedForward
+from repro.ops.dense import FeedForward
 
 
 class TestFullyConnected:
@@ -85,11 +85,3 @@ class TestFeedForward:
             pytest.approx(w.volume(ff) / 4)
         # b-split replicates the weights across the batch groups.
         assert w.replication(ff, np.array([[8, 1, 1, 1]])).tolist() == [8]
-
-
-class TestBiasAdd:
-    def test_structure(self):
-        op = BiasAdd("ba", dims=[("b", 4), ("n", 8)], bias_axis="n")
-        assert op.inputs["bias"].is_param
-        assert op.inputs["bias"].shape(op) == (8,)
-        assert op.flops == 1 * 4 * 8 * 3  # 1 FLOP/point, params -> 3x factor

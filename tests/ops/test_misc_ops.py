@@ -10,7 +10,6 @@ from repro.ops import (
     Concat,
     Dropout,
     ElementwiseBinary,
-    Identity,
     LayerNorm,
     LocalResponseNorm,
     Softmax,
@@ -88,10 +87,6 @@ class TestConcat:
     def test_seq_variant(self):
         op = Concat("c", parts=[3, 5], batch=4, hw=None, axis_name="d")
         assert op.dim_names == ("b", "d")
-
-    def test_identity(self):
-        op = Identity("i", dims=[("b", 4), ("n", 8)])
-        assert op.flops == 0.0
 
 
 class TestEmbeddingOp:

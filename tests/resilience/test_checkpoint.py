@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.exceptions import FaultPlanError
-from repro.resilience import (
-    CheckpointPolicy,
-    effective_step_time,
-    young_daly_interval,
-)
+from repro.resilience import CheckpointPolicy, effective_step_time
 
 
 class TestPolicy:
@@ -49,21 +45,3 @@ class TestEffectiveStepTime:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(FaultPlanError):
             effective_step_time(0.0, CheckpointPolicy())
-
-
-class TestYoungDaly:
-    def test_matches_formula(self):
-        # sqrt(2 * C * M) / step with C=2, MTBF=10000 steps of 1s.
-        assert young_daly_interval(1.0, 2.0, 10_000) == 200
-
-    def test_interval_grows_with_mtbf(self):
-        a = young_daly_interval(0.5, 1.0, 1_000)
-        b = young_daly_interval(0.5, 1.0, 100_000)
-        assert b > a
-
-    def test_at_least_one_step(self):
-        assert young_daly_interval(10.0, 1e-6, 1) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(FaultPlanError):
-            young_daly_interval(0.0, 1.0, 100)
