@@ -4,11 +4,10 @@ Section II of the paper argues that minimizing the training-time objective
 *indirectly* minimizes memory: per-device footprint is (i) parameter +
 activation shards, which shrink with the layer's device count, plus (ii)
 communication buffers, proportional to the communication volume the
-objective already minimizes.  This module makes that claim measurable —
-and `repro.core.configs.prune_configs_by_memory` turns it into a hard
-constraint, rejecting configurations whose worst-device footprint exceeds
-the device capacity (the reason pure data parallelism simply cannot train
-large models, Section I).
+objective already minimizes.  This module makes that claim measurable,
+including its corollary: a configuration that replicates a big layer's
+parameters can exceed a device's capacity (the reason pure data
+parallelism simply cannot train large models, Section I).
 
 The estimate per node and device:
 
@@ -21,7 +20,7 @@ The estimate per node and device:
 
 One formula prices every path: `MemoryModel.node_bytes` vectorized over
 a node's configuration rows.  The frontier's memory tables, the table
-builds, the memory prune and `strategy_memory`'s per-part breakdown
+builds and `strategy_memory`'s per-part breakdown
 (`MemoryModel.node_memory`, the same code on one row) all call it.
 """
 

@@ -18,7 +18,7 @@ Three enumeration modes control granularity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,8 +27,7 @@ from ..ops.base import OpSpec
 from .exceptions import ConfigError
 from .graph import CompGraph
 
-__all__ = ["MODES", "enumerate_configs", "ConfigSpace",
-           "prune_configs_by_memory"]
+__all__ = ["MODES", "enumerate_configs", "ConfigSpace"]
 
 MODES = ("pow2", "divisors", "all")
 
@@ -98,7 +97,6 @@ class ConfigSpace:
     p: int
     mode: str
     tables: dict[str, np.ndarray]
-    _index: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, graph: CompGraph, p: int, *, mode: str = "pow2") -> "ConfigSpace":
@@ -122,15 +120,15 @@ class ConfigSpace:
 
     def index_of(self, name: str, config) -> int:
         """Index of a configuration tuple within a node's table."""
-        if name not in self._index:
-            tab = self.tables[name]
-            self._index[name] = {tuple(int(x) for x in row): i for i, row in enumerate(tab)}
-        try:
-            return self._index[name][tuple(int(x) for x in config)]
-        except KeyError:
-            raise ConfigError(
-                f"configuration {tuple(config)} not valid for node {name!r} "
-                f"(p={self.p}, mode={self.mode!r})") from None
+        tab = self.tables[name]
+        row = np.asarray(config)
+        if row.shape == tab.shape[1:]:
+            hit = np.flatnonzero((tab == row).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise ConfigError(
+            f"configuration {tuple(config)} not valid for node {name!r} "
+            f"(p={self.p}, mode={self.mode!r})")
 
     def total_cells(self) -> int:
         """Sum of K_v over nodes (a size proxy used in reports)."""
@@ -154,30 +152,3 @@ class ConfigSpace:
         }
         return ConfigSpace(p=self.p, mode=self.mode, tables=tables)
 
-
-def prune_configs_by_memory(graph: CompGraph, space: ConfigSpace,
-                            capacity_bytes: float) -> ConfigSpace:
-    """Drop configurations whose worst-device footprint exceeds a device's
-    memory capacity.
-
-    This is the hard form of the paper's Section II memory argument: pure
-    data parallelism replicates every parameter and simply cannot train
-    large models — with a capacity limit the batch-split-only
-    configurations of the big layers disappear from the search space and
-    the DP is forced into parameter parallelism for them.
-
-    Raises `ConfigError` if some node has *no* feasible configuration.
-    """
-    from ..analysis.memory import MemoryModel
-
-    mm = MemoryModel()
-    tables: dict[str, np.ndarray] = {}
-    for name, tab in space.tables.items():
-        keep = mm.node_bytes(graph.node(name), tab) <= capacity_bytes
-        kept = tab[keep]
-        if kept.shape[0] == 0:
-            raise ConfigError(
-                f"node {name!r}: no configuration fits in "
-                f"{capacity_bytes / 2**30:.1f} GiB on p={space.p} devices")
-        tables[name] = kept
-    return ConfigSpace(p=space.p, mode=space.mode, tables=tables)

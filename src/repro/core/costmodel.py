@@ -19,12 +19,15 @@
 consumer needs minus the best-case aligned overlap with what the producer
 holds, in both directions (activations forward, gradients backward), which
 makes it edge-direction symmetric as required by the paper (footnote 2).
+The overlap is a product over tensor axes of the smaller of the two ends'
+shard extents, computed from each end's per-axis extents.
 
 All per-node and per-edge costs are precomputed **vectorized over entire
 configuration tables** into `CostTables`; the dynamic program, brute force,
 MCMC comparator, and reports all rank strategies with these shared arrays.
 `CostModel.build_tables` fills them in one serial pass, nodes then edges,
-and a content-addressed `repro.core.tablecache.TableCache` makes a
+pricing each distinct edge (equal extents and replication at both ends)
+once, and a content-addressed `repro.core.tablecache.TableCache` makes a
 repeated build a load.
 """
 
@@ -41,7 +44,7 @@ from ..ops.base import OpSpec
 from .configs import ConfigSpace
 from .dims import shard_extent
 from .exceptions import StrategyError
-from .graph import CompGraph, Edge
+from .graph import CompGraph
 from .machine import MachineSpec
 from .tensors import DTYPE_BYTES, TensorSpec
 
@@ -135,21 +138,6 @@ class CostModel:
 
     # -- transfer cost t_x ----------------------------------------------------
 
-    @staticmethod
-    def _overlap_volume(shape: np.ndarray, splits_u: np.ndarray,
-                        splits_v: np.ndarray) -> np.ndarray:
-        """Best-case aligned overlap of producer/consumer block shards.
-
-        Along each tensor axis the overlap of a 1/a block with a 1/b block
-        is at most ``ceil(extent / max(a, b))`` elements; a greedy
-        locality-maximizing device assignment (Section II) achieves the
-        product bound for the best-aligned device.
-        """
-        su = splits_u[:, None, :]
-        sv = splits_v[None, :, :]
-        joint = np.maximum(su, sv)
-        return np.prod(shard_extent(shape, joint), axis=-1, dtype=np.int64)
-
     def transfer_bytes_matrix(self, src: OpSpec, out_spec: TensorSpec,
                               dst: OpSpec, in_spec: TensorSpec,
                               configs_u: np.ndarray,
@@ -158,45 +146,11 @@ class CostModel:
 
         Returns ``[K_u, K_v]``: forward deficit (consumer need minus
         overlap) plus backward deficit (producer grad need minus overlap),
-        each taken at the *worst* device (the paper's ``max_d``).
-
-        Replication matters for the worst device: when the consumer
-        replicates the tensor across more devices than the producer keeps
-        copies (``ρ_v > ρ_u``), some consumer replica cannot be co-located
-        with any holder of its block and must receive its full need — the
-        aligned overlap only helps when every replica finds a resident
-        copy (and symmetrically for gradients flowing back).
+        each taken at the *worst* device (the paper's ``max_d``).  See
+        `_transfer_bytes` for the formula.
         """
-        cu = np.asarray(configs_u, dtype=np.int64)
-        cv = np.asarray(configs_v, dtype=np.int64)
-        shape = np.asarray(out_spec.shape(src), dtype=np.int64)
-        if shape.size == 0:
-            return np.zeros((cu.shape[0], cv.shape[0]), dtype=np.float64)
-        splits_u = out_spec.splits(src, cu)
-        splits_v = in_spec.splits(dst, cv)
-        held = np.prod(shard_extent(shape, splits_u), axis=-1, dtype=np.int64)
-        need = np.prod(shard_extent(shape, splits_v), axis=-1, dtype=np.int64)
-        ov = self._overlap_volume(shape, splits_u, splits_v)
-        # Replication factors: devices per distinct block of the tensor.
-        rep_u = np.prod(cu, axis=-1) // np.maximum(np.prod(splits_u, axis=-1), 1)
-        rep_v = np.prod(cv, axis=-1) // np.maximum(np.prod(splits_v, axis=-1), 1)
-        starved_fwd = rep_v[None, :] > rep_u[:, None]
-        starved_bwd = rep_u[:, None] > rep_v[None, :]
-        fwd = np.where(starved_fwd, need[None, :],
-                       np.maximum(need[None, :] - ov, 0))
-        bwd = np.where(starved_bwd, held[:, None],
-                       np.maximum(held[:, None] - ov, 0))
-        # Every transferred byte occupies both endpoints' links (the
-        # sender streams what the receiver ingests), so each direction's
-        # worst-device deficit is charged twice.
-        return 2.0 * (fwd + bwd).astype(np.float64) * DTYPE_BYTES
-
-    def edge_bytes_matrix(self, graph: CompGraph, edge: Edge,
-                          configs_u: np.ndarray, configs_v: np.ndarray) -> np.ndarray:
-        src, dst = graph.node(edge.src), graph.node(edge.dst)
-        return self.transfer_bytes_matrix(
-            src, src.outputs[edge.src_port], dst, dst.inputs[edge.dst_port],
-            configs_u, configs_v)
+        return _transfer_bytes(*_transfer_operands(
+            src, out_spec, dst, in_spec, configs_u, configs_v))
 
     # -- table construction --------------------------------------------------
 
@@ -255,7 +209,8 @@ class CostModel:
         work_cells = self.table_work_cells(graph, space)
         with tracer.span("tables.build", cells=work_cells) as span:
             tables = self._build_tables_inner(
-                graph, space, cache, checkpoint, work_cells, t0, memory)
+                graph, space, cache, checkpoint, work_cells, t0, memory,
+                span)
             stats = tables.build_stats
             span.set(cache_hit=bool(stats["cache_hit"]),
                      seconds_build=stats["build_seconds"])
@@ -279,7 +234,7 @@ class CostModel:
                             cache: "object | None",
                             checkpoint: Callable[..., None] | None,
                             work_cells: int, t0: float,
-                            memory: bool) -> "CostTables":
+                            memory: bool, span) -> "CostTables":
         """Cache lookup, the per-node then per-edge loop, cache store."""
         digest = None
         if cache is not None:
@@ -300,32 +255,34 @@ class CostModel:
             if checkpoint is not None:
                 checkpoint(phase="tables", step=k, total=n_tasks)
             lc[op.name] = self.layer_cost(op, space.configs(op.name))
-        edge_mats = []
+        # Repeated blocks repeat their edges' arguments exactly, so each
+        # distinct argument set is priced once and its matrix shared.
+        built: dict[tuple, np.ndarray] = {}
+        pair_tx: dict[tuple[str, str], np.ndarray] = {}
         for k, e in enumerate(graph.edges):
             if checkpoint is not None:
                 checkpoint(phase="tables", step=len(graph) + k, total=n_tasks)
-            edge_mats.append(self.edge_bytes_matrix(
-                graph, e, space.configs(e.src), space.configs(e.dst)))
+            src, dst = graph.node(e.src), graph.node(e.dst)
+            args = _transfer_operands(
+                src, src.outputs[e.src_port], dst, dst.inputs[e.dst_port],
+                space.configs(e.src), space.configs(e.dst))
+            key = tuple((a.shape, a.tobytes()) for a in args)
+            mat = built.get(key)
+            if mat is None:
+                mat = built[key] = _transfer_bytes(*args) * self.r
+            pair, flip = _canonical(e.src, e.dst)
+            if flip:
+                mat = mat.T
+            if pair in pair_tx:
+                pair_tx[pair] = pair_tx[pair] + mat
+            else:
+                pair_tx[pair] = mat
+        span.set(edges=len(graph.edges), matrices_built=len(built))
         mem = None
         if memory:
             from .frontier import memory_tables
 
             mem = memory_tables(graph, space)
-        # The raw matrices stay alive until the store and are scaled only
-        # after the loop, because allocation order moves peak RSS:
-        # scaling each matrix as it is built measured +6% on the
-        # search-reduce workload and -8% on search-p16 (benchmarks/e2e,
-        # 2-vCPU host).
-        pair_tx: dict[tuple[str, str], np.ndarray] = {}
-        for e, raw in zip(graph.edges, edge_mats):
-            mat = raw * self.r
-            key, flip = _canonical(e.src, e.dst)
-            if flip:
-                mat = mat.T
-            if key in pair_tx:
-                pair_tx[key] = pair_tx[key] + mat
-            else:
-                pair_tx[key] = mat
         tables = CostTables(graph=graph, space=space, machine=self.machine,
                             lc=lc, pair_tx=pair_tx, mem=mem)
         tables.build_stats = {
@@ -336,6 +293,67 @@ class CostModel:
         if digest is not None:
             cache.store(digest, tables)
         return tables
+
+
+def _transfer_operands(src: OpSpec, out_spec: TensorSpec, dst: OpSpec,
+                       in_spec: TensorSpec, configs_u: np.ndarray,
+                       configs_v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arguments of `_transfer_bytes` for one edge.
+
+    For each end: the per-axis shard extents ``[K, m]`` of the
+    producer's tensor under that end's configurations, and its
+    replication ``[K]``, the devices per distinct block.
+    """
+    shape = np.asarray(out_spec.shape(src), dtype=np.int64)
+    args: list[np.ndarray] = []
+    for spec, op, configs in ((out_spec, src, configs_u),
+                              (in_spec, dst, configs_v)):
+        configs = np.asarray(configs, dtype=np.int64)
+        splits = spec.splits(op, configs)
+        args.append(shard_extent(shape, splits))
+        args.append(np.prod(configs, axis=-1)
+                    // np.maximum(np.prod(splits, axis=-1), 1))
+    return tuple(args)
+
+
+def _transfer_bytes(ext_u: np.ndarray, rep_u: np.ndarray,
+                    ext_v: np.ndarray, rep_v: np.ndarray) -> np.ndarray:
+    """t_x in bytes, ``[K_u, K_v]``, from both ends' extents and replication.
+
+    Along each axis of extent ``s`` the overlap of a ``1/a`` block with a
+    ``1/b`` block is at most ``ceil(s / max(a, b))`` elements, which is
+    ``min(ceil(s / a), ceil(s / b))``.  So the best-case aligned overlap
+    is ``Π_axis min(ext_u[i, axis], ext_v[j, axis])``, and a greedy
+    locality-maximizing device assignment (Section II) achieves it for
+    the best-aligned device.  It never exceeds either end's shard, so
+    each deficit is the shard minus the overlap.
+
+    Replication matters for the worst device: when the consumer
+    replicates the tensor across more devices than the producer keeps
+    copies (``ρ_v > ρ_u``), some consumer replica cannot be co-located
+    with any holder of its block and must receive its full need — the
+    aligned overlap only helps when every replica finds a resident copy
+    (and symmetrically for gradients flowing back).
+    """
+    k_u, m = ext_u.shape
+    if m == 0:
+        return np.zeros((k_u, ext_v.shape[0]), dtype=np.float64)
+    ov = np.minimum.outer(ext_u[:, 0], ext_v[:, 0])
+    for axis in range(1, m):
+        ov *= np.minimum.outer(ext_u[:, axis], ext_v[:, axis])
+    # Forward deficit: need - ov, or all of need when ρ_v > ρ_u.
+    # Backward deficit: held - ov, or all of held when ρ_u > ρ_v.  At
+    # most one direction starves, so the sum is held + need - ov, less
+    # ov once more when ρ_u == ρ_v.
+    np.add(ov, ov, out=ov, where=rep_u[:, None] == rep_v[None, :])
+    total = np.prod(ext_u, axis=-1)[:, None] + np.prod(ext_v, axis=-1)
+    total -= ov
+    # Every transferred byte occupies both endpoints' links (the
+    # sender streams what the receiver ingests), so each direction's
+    # worst-device deficit is charged twice.
+    out = total.astype(np.float64)
+    out *= 2.0 * DTYPE_BYTES
+    return out
 
 
 def _canonical(u: str, v: str) -> tuple[tuple[str, str], bool]:

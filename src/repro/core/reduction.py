@@ -44,13 +44,17 @@ through `repro.core.kernels` (a witness-first candidate-pair sieve, a
 min-plus fold in L2-sized blocks reduced over the last, contiguous
 axis), and a dirty-set worklist skips nodes whose cost profile is
 untouched since their last prune (re-pruning an unchanged profile
-provably keeps every row, so skipping is exact).  The per-vertex
+provably keeps every row, so skipping is exact).  Repeated blocks hand
+both kernels identical operands, so one ``reduce_problem`` call computes
+each distinct keep-mask and fold once, keyed by a sha256 of the
+operands' contents, and shares the read-only result.  The per-vertex
 reference kernels that pin this path bit for bit live in
 ``tests/core/test_reduction.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -267,6 +271,12 @@ class _Reducer:
     unchanged profile is a no-op), and every kernel preserves scalar
     association and argmin tie-break, so the result is bit-identical to
     re-pruning every node each round with per-vertex kernels.
+
+    ``memo`` keeps each keep-mask and fold result, read-only, under a
+    sha256 of the kernel's name and every operand's shape, dtype and
+    bytes (the trust `repro.core.tablecache.table_digest` puts in
+    sha256); ``calls`` and ``computed`` count, per kernel, the calls
+    made and those that missed it.
     """
 
     def __init__(self, graph: CompGraph, space: ConfigSpace,
@@ -274,8 +284,10 @@ class _Reducer:
                  memory: "Mapping[str, np.ndarray] | None" = None) -> None:
         self.space = space
         self.order = tuple(space.tables)  # deterministic node order
+        # No copies: every update below replaces an array, none writes
+        # into one.
         self.lc: dict[str, np.ndarray] = {
-            n: np.array(tables.lc[n], dtype=np.float64) for n in self.order}
+            n: np.asarray(tables.lc[n], dtype=np.float64) for n in self.order}
         #: Per-node per-config memory columns (frontier objective): when
         #: set, dominance must respect *both* axes — a config survives
         #: unless some other config beats it on cost everywhere *and* on
@@ -285,7 +297,7 @@ class _Reducer:
             self.mem = {n: np.ascontiguousarray(memory[n], dtype=np.float64)
                         for n in self.order}
         self.tx: dict[tuple[str, str], np.ndarray] = {
-            key: np.array(mat, dtype=np.float64)
+            key: np.asarray(mat, dtype=np.float64)
             for key, mat in tables.pair_tx.items()}
         self.adj: dict[str, set[str]] = {n: set() for n in self.order}
         for (u, v) in self.tx:
@@ -299,8 +311,29 @@ class _Reducer:
         #: Nodes whose profile (lc column or an incident tx matrix) may
         #: have changed since their last dominance prune.
         self.dirty: set[str] = set(self.order)
+        self.memo: dict[bytes, object] = {}
+        self.calls: dict[str, int] = {"mask": 0, "fold": 0}
+        self.computed: dict[str, int] = {"mask": 0, "fold": 0}
 
     # -- helpers -----------------------------------------------------------
+
+    def _memoized(self, name: str, kernel: Callable, *operands: np.ndarray,
+                  **kwargs) -> object:
+        """``kernel(*operands, **kwargs)``, computed once per content."""
+        self.calls[name] += 1
+        digest = hashlib.sha256(name.encode())
+        for a in operands:
+            digest.update(f"{a.shape}{a.dtype.str}".encode())
+            digest.update(np.ascontiguousarray(a))
+        key = digest.digest()
+        out = self.memo.get(key)
+        if out is None:
+            self.computed[name] += 1
+            out = kernel(*operands, **kwargs)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+            self.memo[key] = out
+        return out
 
     def _mat(self, u: str, v: str) -> np.ndarray:
         """Transfer matrix oriented ``[K_u, K_v]``."""
@@ -337,7 +370,8 @@ class _Reducer:
             cols.append(self.mem[name][:, None])
         for u in sorted(self.adj[name]):
             cols.append(self._mat(name, u))
-        keep = dominance_keep_mask(np.concatenate(cols, axis=1))
+        keep = self._memoized("mask", dominance_keep_mask,
+                              np.concatenate(cols, axis=1))
         if keep.all():
             return False
         self.configs_removed += int(k - keep.sum())
@@ -379,8 +413,9 @@ class _Reducer:
             # kernel reduces over the last, contiguous axis; the scalar
             # association is uw + (lc + wv).
             bt = np.ascontiguousarray((lc_w[:, None] + mat_wv).T)
-            folded, table = kernels.min_plus_fold(
-                mat_uw, bt, chunk_cells=_REDUCTION_CHUNK_CELLS)
+            folded, table = self._memoized(
+                "fold", kernels.min_plus_fold, mat_uw, bt,
+                chunk_cells=_REDUCTION_CHUNK_CELLS)
             self._drop_pair(u, name)
             self._drop_pair(name, v)
             if v in self.adj[u]:
@@ -458,7 +493,11 @@ def reduce_problem(graph: CompGraph, space: ConfigSpace, tables: CostTables,
                     for name in [n for n in red.order if n in red.lc]:
                         if len(red.adj[name]) <= 2:
                             changed |= red.eliminate_node(name)
-        red_span.set(rounds=rounds, cells_after=red.work_cells())
+        red_span.set(rounds=rounds, cells_after=red.work_cells(),
+                     masks=red.calls["mask"],
+                     masks_computed=red.computed["mask"],
+                     folds=red.calls["fold"],
+                     folds_computed=red.computed["fold"])
     metrics_of().counter(
         "reduction_rounds_total", "search-space reduction rounds").inc(rounds)
 

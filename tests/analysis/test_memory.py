@@ -1,15 +1,11 @@
-"""Tests for memory-footprint estimation and memory-capped search."""
+"""Tests for memory-footprint estimation."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.memory import MemoryModel, strategy_memory
 from repro.baselines import data_parallel_strategy
-from repro.core.configs import ConfigSpace, prune_configs_by_memory
-from repro.core.costmodel import CostModel
-from repro.core.dp import find_best_strategy
-from repro.core.exceptions import ConfigError
-from repro.core.machine import GTX1080TI
+from repro.core.configs import ConfigSpace
 from repro.core.strategy import Strategy
 from repro.models import mlp, rnnlm
 
@@ -47,6 +43,21 @@ class TestMemoryModel:
         for nm in mem.values():
             assert nm.total == nm.params + nm.activations + nm.comm_buffers
 
+    def test_replicating_projection_exceeds_11_gib(self):
+        """Section II: an 800k-vocab RNNLM cannot replicate its projection
+        on an 11 GiB device.  Every config that leaves the big weight
+        whole (no v or d split) exceeds it, and every config that fits
+        shards the weight."""
+        g = rnnlm(vocab=800_000)
+        proj = g.node("projection")
+        configs = ConfigSpace.build(g, 32).configs("projection")
+        nbytes = MemoryModel().node_bytes(proj, configs)
+        shards = configs[:, proj.dim_index("v")] \
+            * configs[:, proj.dim_index("d")] > 1
+        fits = nbytes <= 11 * 2**30
+        assert (~shards).any() and (nbytes[~shards] > 11 * 2**30).all()
+        assert fits.any() and shards[fits].all()
+
     def test_node_bytes_matches_node_memory(self):
         """The vectorized per-config table (`node_bytes`, the frontier's
         second objective axis) agrees exactly with the per-strategy
@@ -65,40 +76,3 @@ class TestMemoryModel:
                 strat = Strategy(base)
                 assert table[k] == mm.node_memory(g, strat, name).total
 
-
-class TestMemoryPruning:
-    def test_generous_capacity_keeps_everything(self):
-        g = mlp(batch=16, hidden=(64,))
-        space = ConfigSpace.build(g, 4)
-        pruned = prune_configs_by_memory(g, space, 1e15)
-        assert all(pruned.size(n) == space.size(n) for n in g.node_names)
-
-    def test_tight_capacity_removes_replicating_configs(self):
-        """An 800k-vocab RNNLM cannot replicate its projection on an
-        11 GiB device: the data-parallel configs of the big layers must
-        disappear from the search space."""
-        g = rnnlm(vocab=800_000)
-        space = ConfigSpace.build(g, 32)
-        pruned = prune_configs_by_memory(g, space, 11 * 2**30)
-        proj = g.node("projection")
-        assert pruned.size("projection") < space.size("projection")
-        for row in pruned.configs("projection"):
-            # every surviving config shards the big weight (v or d split)
-            assert row[proj.dim_index("v")] * row[proj.dim_index("d")] > 1
-
-    def test_impossible_capacity_raises(self):
-        g = mlp(batch=16, hidden=(64,))
-        space = ConfigSpace.build(g, 4)
-        with pytest.raises(ConfigError, match="no configuration fits"):
-            prune_configs_by_memory(g, space, 16.0)
-
-    def test_search_over_pruned_space(self):
-        g = rnnlm(vocab=800_000)
-        space = prune_configs_by_memory(
-            g, ConfigSpace.build(g, 32), 11 * 2**30)
-        tables = CostModel(GTX1080TI).build_tables(g, space)
-        res = find_best_strategy(g, space, tables)
-        res.strategy.validate(g, 32)
-        # The found strategy fits on the devices.
-        mem = strategy_memory(g, res.strategy)
-        assert all(nm.total <= 11 * 2**30 for nm in mem.values())

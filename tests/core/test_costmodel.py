@@ -1,18 +1,72 @@
 """Unit and property tests for the analytic cost model and its table
-build."""
+build.
+
+`transfer_bytes_oracle` is the ``[K_u, K_v, m]`` overlap formula the
+cost model used before it priced ``t_x`` from per-axis extents; the
+production matrices, and the tables built with one matrix per distinct
+edge, must match it byte for byte.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.configs import ConfigSpace
+from repro.core.configs import ConfigSpace, enumerate_configs
 from repro.core.costmodel import CostModel, allreduce_bytes
+from repro.core.dims import Dim, shard_extent
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE, MachineSpec
-from repro.core.tensors import DTYPE_BYTES
+from repro.core.tensors import DTYPE_BYTES, TensorSpec
+from repro.ops.base import OpSpec
 from repro.runtime import RunContext
-from tests.conftest import build_dag, make_test_op
+from tests.conftest import build_dag, make_test_op, small_dags
 from tests.core.test_tensors import gemm_op
+
+
+def transfer_bytes_oracle(src, out_spec, dst, in_spec, configs_u, configs_v):
+    """t_x in bytes with the overlap ``Π ceil(s / max(a, b))`` taken over
+    the full ``[K_u, K_v, m]`` cube of joint splits."""
+    cu = np.asarray(configs_u, dtype=np.int64)
+    cv = np.asarray(configs_v, dtype=np.int64)
+    shape = np.asarray(out_spec.shape(src), dtype=np.int64)
+    if shape.size == 0:
+        return np.zeros((cu.shape[0], cv.shape[0]), dtype=np.float64)
+    splits_u = out_spec.splits(src, cu)
+    splits_v = in_spec.splits(dst, cv)
+    held = np.prod(shard_extent(shape, splits_u), axis=-1, dtype=np.int64)
+    need = np.prod(shard_extent(shape, splits_v), axis=-1, dtype=np.int64)
+    joint = np.maximum(splits_u[:, None, :], splits_v[None, :, :])
+    ov = np.prod(shard_extent(shape, joint), axis=-1, dtype=np.int64)
+    rep_u = np.prod(cu, axis=-1) // np.maximum(np.prod(splits_u, axis=-1), 1)
+    rep_v = np.prod(cv, axis=-1) // np.maximum(np.prod(splits_v, axis=-1), 1)
+    starved_fwd = rep_v[None, :] > rep_u[:, None]
+    starved_bwd = rep_u[:, None] > rep_v[None, :]
+    fwd = np.where(starved_fwd, need[None, :],
+                   np.maximum(need[None, :] - ov, 0))
+    bwd = np.where(starved_bwd, held[:, None],
+                   np.maximum(held[:, None] - ov, 0))
+    return 2.0 * (fwd + bwd).astype(np.float64) * DTYPE_BYTES
+
+
+def pair_tx_oracle(graph, space, cm):
+    """`CostTables.pair_tx` built edge by edge with the oracle, no reuse."""
+    pair_tx = {}
+    for e in graph.edges:
+        src, dst = graph.node(e.src), graph.node(e.dst)
+        mat = transfer_bytes_oracle(
+            src, src.outputs[e.src_port], dst, dst.inputs[e.dst_port],
+            space.configs(e.src), space.configs(e.dst)) * cm.r
+        key = (e.src, e.dst)
+        if e.dst < e.src:
+            key, mat = (e.dst, e.src), mat.T
+        pair_tx[key] = pair_tx[key] + mat if key in pair_tx else mat
+    return pair_tx
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
 
 
 class TestAllreduceBytes:
@@ -138,6 +192,94 @@ class TestTransferCost:
         assert big[0, 0] > small[0, 0]
 
 
+class TestTransferOracle:
+    """Per-axis extents price ``t_x`` exactly as the joint-split cube."""
+
+    @staticmethod
+    def rank_op(name, extents, order, extra):
+        """An op whose ``in``/``out`` tensor has axes ``t0..t{r-1}`` of the
+        given extents, its dims listed in ``order`` plus an ``x`` dim of
+        size ``extra`` that replicates the tensor when split."""
+        dims = tuple(Dim(f"t{i}", extents[i]) for i in order) \
+            + (Dim("x", extra),)
+        axes = tuple(f"t{i}" for i in range(len(extents)))
+        return OpSpec(name=name, kind="test", dims=dims,
+                      inputs={"in": TensorSpec(axes=axes)},
+                      outputs={"out": TensorSpec(axes=axes)})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 13), min_size=1, max_size=4),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 8),
+           st.randoms(use_true_random=False))
+    def test_matches_oracle_byte_for_byte(self, extents, x_u, x_v, p, rnd):
+        """Ranks 1-4, extents the splits rarely divide, the consumer's
+        dims in another order, random config rows on both sides."""
+        order = list(range(len(extents)))
+        rnd.shuffle(order)
+        u = self.rank_op("u", extents, range(len(extents)), x_u)
+        v = self.rank_op("v", extents, order, x_v)
+        cu, cv = (enumerate_configs(op, p, mode="all") for op in (u, v))
+        cu = cu[[rnd.randrange(len(cu)) for _ in range(rnd.randint(1, 40))]]
+        cv = cv[[rnd.randrange(len(cv)) for _ in range(rnd.randint(1, 40))]]
+        args = (u, u.outputs["out"], v, v.inputs["in"], cu, cv)
+        assert_same_bytes(CostModel(UNIT_BALANCE).transfer_bytes_matrix(*args),
+                          transfer_bytes_oracle(*args))
+
+
+class TestDistinctEdgeBuild:
+    """`build_tables` prices each distinct edge once and shares the
+    matrix; the tables must equal a per-edge build with no reuse."""
+
+    @pytest.mark.parametrize("net", ["alexnet", "inception_v3", "rnnlm",
+                                     "transformer"])
+    def test_bundled_models(self, net):
+        from repro.models import BENCHMARKS
+
+        graph = BENCHMARKS[net]()
+        space = ConfigSpace.build(graph, 8)
+        cm = CostModel(GTX1080TI)
+        built = cm.build_tables(graph, space).pair_tx
+        oracle = pair_tx_oracle(graph, space, cm)
+        assert list(built) == list(oracle)
+        for key, mat in oracle.items():
+            assert_same_bytes(built[key], mat)
+
+    def test_equal_extents_different_replication(self):
+        """Two consumers whose configuration rows split the tensor alike
+        but replicate it differently: the shared extents must not make
+        them share a matrix."""
+        from repro.core.graph import CompGraph, Edge
+
+        x = OpSpec(name="x", kind="test", dims=(Dim("b", 4), Dim("m", 6),
+                                                Dim("r", 2)),
+                   inputs={"in": TensorSpec(axes=("b", "m"))},
+                   outputs={"out": TensorSpec(axes=("b", "m"))})
+        g = CompGraph([make_test_op("a"), make_test_op("c"), x])
+        g.add_edge(Edge("a", "out", "c", "in0"))
+        g.add_edge(Edge("a", "out", "x", "in"))
+        space = ConfigSpace.build(g, 4)
+        rows = space.configs("c")
+        space.tables["x"] = np.column_stack(
+            [rows, np.arange(len(rows)) % 2 + 1])
+        cm = CostModel(GTX1080TI)
+        built = cm.build_tables(g, space).pair_tx
+        oracle = pair_tx_oracle(g, space, cm)
+        assert not np.array_equal(oracle[("a", "c")], oracle[("a", "x")])
+        for key, mat in oracle.items():
+            assert_same_bytes(built[key], mat)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_dags(max_nodes=6), st.integers(2, 4))
+    def test_small_dags(self, graph, p):
+        space = ConfigSpace.build(graph, p, mode="all")
+        cm = CostModel(GTX1080TI)
+        built = cm.build_tables(graph, space).pair_tx
+        oracle = pair_tx_oracle(graph, space, cm)
+        assert list(built) == list(oracle)
+        for key, mat in oracle.items():
+            assert_same_bytes(built[key], mat)
+
+
 class TestCostTables:
     def setup_tables(self, machine: MachineSpec = GTX1080TI):
         g = build_dag(3, [(0, 2)], param_mask=0b111, reduction_mask=0b010)
@@ -188,8 +330,10 @@ class TestCostTables:
         g.add_edge(Edge("a", "out", "b", "in1"))
         space = ConfigSpace.build(g, 4)
         tables = CostModel(UNIT_BALANCE).build_tables(g, space)
-        single = CostModel(UNIT_BALANCE).edge_bytes_matrix(
-            g, g.edges[0], space.configs("a"), space.configs("b"))
+        a, b = g.node("a"), g.node("b")
+        single = CostModel(UNIT_BALANCE).transfer_bytes_matrix(
+            a, a.outputs["out"], b, b.inputs["in0"],
+            space.configs("a"), space.configs("b"))
         assert np.allclose(tables.tx("a", "b"),
                            2 * single * UNIT_BALANCE.flop_byte_ratio)
 

@@ -3,8 +3,9 @@
 The per-vertex kernels below are the reduction's parity oracle: the
 pre-vectorization keep-mask and min-fold, swapped into
 `repro.core.reduction` by :func:`_reduce` together with a reducer that
-re-prunes every node each round, so the production fixed point (kernels
-plus dirty-set worklist) is checked bit for bit against them.
+re-prunes every node each round and computes every kernel call (no
+memo), so the production fixed point (kernels, dirty-set worklist and
+kernel memo) is checked bit for bit against them.
 """
 
 import math
@@ -89,7 +90,22 @@ class _EveryNode(set):
         return True
 
 
-class _ReferenceReducer(reduction._Reducer):
+class _Forgetful(dict):
+    """A kernel memo that keeps nothing: every call computes."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Unmemoized(reduction._Reducer):
+    """The production reducer with its kernel memo off."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memo = _Forgetful()
+
+
+class _ReferenceReducer(_Unmemoized):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.dirty = _EveryNode()
@@ -389,6 +405,55 @@ class TestVectorizedParity:
             fast = _reduce(graph, space, tables, memory=memory)
             ref = _reduce(graph, space, tables, memory=memory, reference=True)
             _assert_reductions_identical(fast, ref)
+
+    def test_memo_computes_fewer_calls_than_it_makes(self):
+        """Transformer repeats its layers, so its reduction hands the
+        keep-mask and the fold identical operands: fewer calls compute
+        than are made, and the result still matches the reference."""
+        from repro.models import BENCHMARKS
+
+        graph = BENCHMARKS["transformer"]()
+        space = ConfigSpace.build(graph, 8, mode="pow2")
+        tables = CostModel(GTX1080TI).build_tables(graph, space)
+        runs = []
+        for reducer in (reduction._Reducer, _Unmemoized):
+            ran = {"mask": 0, "fold": 0}
+
+            def counted(name, kernel):
+                def run(*args, **kwargs):
+                    ran[name] += 1
+                    return kernel(*args, **kwargs)
+                return run
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "dominance_keep_mask",
+                           counted("mask", reduction.dominance_keep_mask))
+                mp.setattr(reduction.kernels, "min_plus_fold",
+                           counted("fold", reduction.kernels.min_plus_fold))
+                mp.setattr(reduction, "_Reducer", reducer)
+                runs.append((reduce_problem(graph, space, tables), ran))
+        (fast, computed), (unmemoized, made) = runs
+        _assert_reductions_identical(fast, unmemoized)
+        assert 0 < computed["mask"] < made["mask"]
+        assert 0 < computed["fold"] < made["fold"]
+        _assert_reductions_identical(
+            fast, _reduce(graph, space, tables, reference=True))
+
+    def test_memoized_fold_is_read_only_and_shared(self, diamond):
+        """n1 and n2 fold identical operands onto n0-n3: the second
+        elimination reuses the first's result, which is read-only."""
+        space, tables = _tables(diamond, 4)
+        red = reduction._Reducer(diamond, space, tables)
+        red.eliminate_node("n1")
+        folded = red.tx[("n0", "n3")]
+        with pytest.raises(ValueError):
+            folded[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            red.elims[0].table[0, 0] = 0
+        red.eliminate_node("n2")
+        assert red.calls["fold"] == 2 and red.computed["fold"] == 1
+        assert red.elims[1].table is red.elims[0].table
+        assert np.array_equal(red.tx[("n0", "n3")], folded + folded)
 
     @pytest.mark.parametrize("net, p", [
         pytest.param("alexnet", 8, id="alexnet"),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import costmodel
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel
 from repro.core.machine import GTX1080TI, RTX2080TI, UNIT_BALANCE
@@ -226,8 +227,13 @@ class TestBuildTablesIntegration:
         def boom(*args, **kwargs):
             raise AssertionError("matrix construction ran on a cache hit")
 
-        monkeypatch.setattr(CostModel, "layer_cost", boom)
-        monkeypatch.setattr(CostModel, "edge_bytes_matrix", boom)
+        # Each patch is on the cold path: an uncached build raises.  The
+        # edge patch goes first, so its raise cannot come from the nodes.
+        for owner, name in ((costmodel, "_transfer_bytes"),
+                            (CostModel, "layer_cost")):
+            monkeypatch.setattr(owner, name, boom)
+            with pytest.raises(AssertionError, match="matrix construction"):
+                cm.build_tables(g, space)
         warm = cm.build_tables(g, space, ctx=RunContext(cache=cache))
         assert warm.build_stats["cache_hit"] == 1.0
         assert tables_equal(cold, warm)
