@@ -35,7 +35,14 @@ def test_search_time(benchmark, net, method, p):
         assert result.cost == pytest.approx(search_with(setup, "ours").cost)
 
 
-@pytest.mark.parametrize("p", BENCH_PS)
+#: The OOM cells also run at p=16 on the default grid, where a BF
+#: vertex's table needs gigabytes: only a byte ledger that charges what
+#: the DP allocates turns it into Table I's "OOM" before numpy's
+#: MemoryError or the OOM killer.
+OOM_PS = tuple(sorted(set(BENCH_PS) | {16}))
+
+
+@pytest.mark.parametrize("p", OOM_PS)
 @pytest.mark.parametrize("net", ("inception_v3", "transformer"))
 def test_breadth_first_oom(benchmark, net, p):
     """The paper's OOM cells: BF DP exceeds the table budget."""

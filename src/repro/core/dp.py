@@ -21,9 +21,9 @@ format* — what a DP table cell holds — depends on the objective:
 * ``"cost"`` — `MinTable`: the table of vertex ``i`` is a numpy array
   with one axis per vertex of ``D(i)`` (axis length = that vertex's
   configuration count) holding the min cost, plus its argmin.  All
-  ``Φ_|D(i)|`` substrategies are processed per candidate configuration
-  as one broadcast expression (chunked along the candidate axis), which
-  keeps the exponential inner loop out of the Python interpreter.
+  ``Φ_|D(i)|`` substrategies are processed as broadcast adds over
+  L2-sized blocks of whole candidate rows, which keeps the exponential
+  inner loop out of the Python interpreter.
 * ``"frontier"`` — `repro.core.frontier.PointTable`: a CSR table of the
   non-dominated (cost, peak-bytes) points of each cell.
 
@@ -63,7 +63,9 @@ __all__ = ["find_best_strategy", "dp_table_profile", "DEFAULT_MEMORY_BUDGET"]
 #: OOM entries indicate.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
-#: Max cells of the transient cost array per chunk (64 MiB of float64).
+#: Cells between two checkpoint polls inside a scalar table (a block of
+#: its cost array is capped by it too, but is `kernels._BLOCK_CELLS` at
+#: most), and the frontier merge's candidate chunk.
 DEFAULT_CHUNK_CELLS = 8_000_000
 
 #: Auto-bypass threshold for ``reduce=True``: the reduction runs only
@@ -146,23 +148,24 @@ class MinTable:
                table_shape: tuple[int, ...], k: int, terms: list,
                kids: list) -> _MinRecord:
         """Minimize ``H + Σ children`` over ``v_i``'s configurations."""
-        table_cells = math.prod(table_shape)
-        # The transient high-water mark: everything live, plus the new
-        # table/argmin (float64 + int32) and the chunked cost array.
-        self.ledger.check(
-            table_cells * 12 + min(table_cells * k, self.chunk_cells) * 8,
-            f"DP table for vertex {name!r}", f"; |D(i)|={len(dep)}")
         for axes, rec in kids:
             assert rec.table is not None, "child table consumed twice"
             terms.append((rec.table, axes))
-        # A table of several chunks polls the checkpoint before each
-        # chunk after the first, so a budget can stop it mid-way.
+        # The transient high-water mark: everything live, plus what the
+        # kernel allocates (the new table and argmin, one block, and for
+        # a table of several blocks the pre-sum and the term copies),
+        # charged before it allocates any of it.
+        reserve = functools.partial(
+            self.ledger.check, what=f"DP table for vertex {name!r}",
+            note=f"; |D(i)|={len(dep)}")
+        # A table of several blocks polls the checkpoint every
+        # ``chunk_cells`` cells, so a budget can stop it mid-way.
         poll = None
         if self.checkpoint is not None:
             poll = functools.partial(self.checkpoint, phase=self.span, step=i)
         table, argmin = chunked_min_argmin(
             terms, dep + (i,), i, k, table_shape, self.chunk_cells,
-            poll=poll)
+            poll=poll, reserve=reserve)
         # Child tables are consulted exactly once; free them.
         for _, rec in kids:
             self.ledger.sub(rec.table.nbytes)
@@ -210,7 +213,7 @@ def find_best_strategy(
         — recurrence (4) is valid for any ordering (Theorem 1), only the
         table sizes change.
     memory_budget:
-        Byte budget for live DP tables plus the transient cost array;
+        Byte budget for live DP tables plus each vertex's transient;
         exceeding it raises `SearchResourceError` (Table I's "OOM").
     reduce:
         Run the exactness-preserving search-space reduction (dominance
@@ -242,8 +245,8 @@ def find_best_strategy(
         caller's trace.  The checkpoint is polled once per DP vertex
         (and per reduction round when ``reduce`` is on) with
         ``phase``/``step``/``total`` keywords, and again with
-        ``phase``/``step`` before every chunk after the first of a
-        scalar table.  It aborts the search by raising — e.g.
+        ``phase``/``step`` every ``chunk_cells`` cells of a scalar table
+        of several blocks.  It aborts the search by raising — e.g.
         `DeadlineExceededError` or `RunInterrupted` — between vertices
         or mid-table; a table is published only once it is complete, so
         no partial state escapes.

@@ -3,21 +3,23 @@
 The wall-clock of the whole strategy search is dominated by two inner
 loops:
 
-* the **DP chunk reduction** — min/argmin over the candidate-configuration
+* the **DP vertex minimum** — min/argmin over the candidate-configuration
   axis of the broadcast cost sum (`repro.core._tensorops.chunked_min_argmin`);
 * the **reduction fold** — the TensorOpt-style min-plus contraction
   ``min_k A[i, k] + B[k, j]`` with argmin records, plus the dominance
   keep-mask, in `repro.core.reduction`.
 
-This module is the single implementation of all three kernels, tuned so
-every reduction runs over the **last, contiguous** axis (a transposed
-layout for the min-plus fold) and the min is recovered from the argmin
-by a gather instead of a second full scan.  The min-plus fold evaluates
-its cube in L2-sized blocks (``_FOLD_BLOCK_CELLS``); the dominance mask
-first verifies one witness per row and runs its candidate-pair sieve
-only among the rows no witness beat.  Every kernel keeps numpy's
-first-minimum tie-break, pinned against naive oracles by
-``tests/core/test_kernels.py``.
+This module holds the fused last-axis min/argmin, the min-plus fold and
+the dominance keep-mask, tuned so every reduction runs over the **last,
+contiguous** axis (a transposed layout for the min-plus fold) and the
+min is recovered from the argmin by a gather instead of a second full
+scan.  The min-plus fold evaluates its cube in L2-sized blocks of
+``_BLOCK_CELLS``, and the DP vertex minimum in `_tensorops` evaluates
+its cost array in blocks of whole candidate rows of the same size; the
+dominance mask first verifies one witness per row and runs its
+candidate-pair sieve only among the rows no witness beat.  Every kernel
+keeps numpy's first-minimum tie-break, pinned against naive oracles by
+``tests/core/test_kernels.py`` and ``tests/core/test_tensorops.py``.
 """
 
 from __future__ import annotations
@@ -90,11 +92,11 @@ def last_axis_min_argmin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Kernel: min-plus fold (tropical matmul) with argmin records
 # ---------------------------------------------------------------------------
 
-#: Cells per ``[rows, n, t]`` cube block of the min-plus fold: 64K
-#: float64 cells (512 KiB) stay resident in a per-core L2, where the
-#: add and the argmin scan run about twice as fast as on a block that
-#: streams through memory.
-_FOLD_BLOCK_CELLS = 1 << 16
+#: Cells per block of the min-plus fold's ``[rows, n, t]`` cube and of
+#: the DP vertex's cost array: 64K float64 cells (512 KiB) stay resident
+#: in a per-core L2, where the add and the argmin scan run about twice
+#: as fast as on a block that streams through memory.
+_BLOCK_CELLS = 1 << 16
 
 
 def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
@@ -106,7 +108,7 @@ def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
     reduction runs over the last, contiguous axis of both operands.
     Returns ``(folded float64[m, n], arg int32[m, n])``; ties resolve to
     the smallest ``t`` (numpy argmin order).  The ``[rows, n, t]`` cube
-    is evaluated in blocks of at most ``_FOLD_BLOCK_CELLS`` cells (and
+    is evaluated in blocks of at most ``_BLOCK_CELLS`` cells (and
     never more than ``chunk_cells``): whole rows when one row fits, else
     runs of columns of a single row.  Only the argmin is taken per
     block; the min is one gather-and-add ``a[i, t*] + bt[j, t*]`` at the
@@ -120,7 +122,7 @@ def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
         # One middle configuration: the fold is a broadcast add.
         folded = a[:, 0][:, None] + bt[:, 0][None, :]
         return folded, np.zeros((m, n), dtype=np.int32)
-    block = max(1, min(chunk_cells, _FOLD_BLOCK_CELLS))
+    block = max(1, min(chunk_cells, _BLOCK_CELLS))
     rows = max(1, min(m, block // max(n * k, 1)))
     cols = max(1, min(n, block // max(rows * k, 1)))
     arg = np.empty((m, n), dtype=np.intp)
@@ -129,7 +131,12 @@ def min_plus_fold(a: np.ndarray, bt: np.ndarray, *,
         for j0 in range(0, n, cols):
             j1 = min(n, j0 + cols)
             cube = _WS.take("fold_cube", (a1 - a0, j1 - j0, k), np.float64)
-            np.add(a[a0:a1, None, :], bt[None, j0:j1, :], out=cube)
+            # Broadcast the rows of ``a`` by a copy, then add ``bt``
+            # broadcast only over the leading axis: numpy adds that at
+            # contiguous speed, where one add broadcasting both operands
+            # runs through its buffered loop, a quarter slower.
+            np.copyto(cube, a[a0:a1, None, :])
+            np.add(cube, bt[None, j0:j1, :], out=cube)
             np.argmin(cube, axis=-1, out=arg[a0:a1, j0:j1])
     folded = np.take_along_axis(a, arg, axis=1)
     folded += bt[np.arange(n)[None, :], arg]

@@ -5,6 +5,8 @@ for any vertex ordering, with the extracted strategy achieving the
 reported cost.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,10 +124,18 @@ class TestResourceBudget:
 class TestMidTablePoll:
     def test_abort_mid_table_leaves_no_partial_state(self, diamond):
         """A checkpoint raising on the second poll of a step (the first
-        chunk poll of a multi-chunk table) aborts the search there; a
+        block poll of a multi-block table) aborts the search there; a
         rerun without it returns the uninterrupted answer."""
         space, tables = setup(diamond)
-        ref = find_best_strategy(diamond, space, tables, chunk_cells=7)
+        chunk = 7
+        # Blocks of max(1, chunk // K) whole candidate rows: every vertex
+        # with a non-empty dependent set spans several.
+        seq = SequencedGraph.build(diamond, generate_seq(diamond))
+        multi = [i for i in range(len(seq))
+                 if math.prod(space.size(seq.name(d)) for d in seq.dep[i])
+                 > max(1, chunk // space.size(seq.name(i)))]
+        assert multi
+        ref = find_best_strategy(diamond, space, tables, chunk_cells=chunk)
         polls = []
 
         class Stop(Exception):
@@ -137,11 +147,12 @@ class TestMidTablePoll:
                 raise Stop
 
         with pytest.raises(Stop):
-            find_best_strategy(diamond, space, tables, chunk_cells=7,
+            find_best_strategy(diamond, space, tables, chunk_cells=chunk,
                                ctx=RunContext(checkpoint=ckpt))
         step = polls[-1][1]
+        assert step == multi[0]
         assert polls[-2:] == [("dp", step, len(diamond)), ("dp", step, None)]
-        again = find_best_strategy(diamond, space, tables, chunk_cells=7)
+        again = find_best_strategy(diamond, space, tables, chunk_cells=chunk)
         assert again.cost == ref.cost
         assert again.strategy.assignment == ref.strategy.assignment
 
@@ -167,10 +178,11 @@ class TestStats:
 class TestPeakBytes:
     """Regression tests for the peak-memory accounting.
 
-    ``needed`` already contains the new table + argmin bytes
-    (``table_cells * 12``); an earlier version added ``needed`` on top of
-    the post-materialization ``live_bytes`` and so double-charged every
-    table.
+    A vertex's charge already contains its new table + argmin bytes
+    (``table_cells * 12``); an earlier version added it on top of the
+    post-materialization ``live_bytes`` and so double-charged every
+    table.  A table that fits one block of whole candidate rows is
+    charged its cost array and the argmin's row indices besides.
     """
 
     def test_single_node_exact(self):
@@ -180,10 +192,10 @@ class TestPeakBytes:
         space, tables = setup(g)
         res = find_best_strategy(g, space, tables)
         k = space.size("a")
-        # One vertex, empty D(i): 12 bytes of table/argmin plus the
-        # K-cell transient cost array.  The double-counting bug reported
-        # 12 bytes more.
-        assert res.stats["peak_bytes"] == 12 + 8 * k
+        # One vertex, empty D(i): 12 bytes of table/argmin plus one block
+        # of K cells with its argmin and row offset.  The
+        # double-counting bug reported 12 bytes more.
+        assert res.stats["peak_bytes"] == 12 + 8 * (k + 2)
 
     @pytest.mark.parametrize("fixture", ["chain3", "diamond"])
     def test_matches_reference_accounting(self, fixture, request):
@@ -192,11 +204,11 @@ class TestPeakBytes:
         res = find_best_strategy(graph, space, tables)
 
         # Independent mirror of the DP's accounting: live tables before
-        # vertex i, plus i's transient (table + argmin + chunked cost
-        # array), the tables of S(i)'s components (each its last
-        # vertex's, from the definition) freed after consumption,
-        # argmins kept live.
-        from repro.core.dp import DEFAULT_CHUNK_CELLS
+        # vertex i, plus i's transient (table + argmin, and the one
+        # block: cost array, argmin and row offsets), the tables of
+        # S(i)'s components (each its last vertex's, from the
+        # definition) freed after consumption, argmins kept live.
+        from repro.core import kernels
         seq = SequencedGraph.build(graph, generate_seq(graph))
         ksize = [space.size(seq.name(i)) for i in range(len(seq))]
         table_nbytes = [0] * len(seq)
@@ -206,8 +218,8 @@ class TestPeakBytes:
             cells = 1
             for d in seq.dep[i]:
                 cells *= ksize[d]
-            needed = cells * 12 + \
-                min(cells * ksize[i], DEFAULT_CHUNK_CELLS) * 8
+            assert cells * ksize[i] <= kernels._BLOCK_CELLS  # one block
+            needed = cells * 12 + cells * (ksize[i] + 2) * 8
             peak = max(peak, live + needed)
             for comp in connected_subsets_reference(graph, seq.order, i):
                 live -= table_nbytes[max(seq.pos[n] for n in comp)]
@@ -223,7 +235,7 @@ class TestPeakBytes:
         space, tables = setup(diamond)
         res = find_best_strategy(diamond, space, tables)
         assert res.stats["cells"] == 1096.0
-        assert res.stats["peak_bytes"] == 5632.0
+        assert res.stats["peak_bytes"] == 6656.0
 
 
 class TestAgainstBaselines:

@@ -8,7 +8,8 @@ the properties here feed one vertex to `PointTable.vertex` and to the
 plain CSR chain — every child through `_merge_child`, the last one with
 its prune fused with the reduction — and require the same record, bit
 for bit.  Two more hold the dense path and one CSR merge chunk to their
-byte ledger.
+byte ledger, and one the scalar DP's vertex (`repro.core.dp.MinTable`)
+over tables of several blocks.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core._tensorops import aligned_term, sum_terms
-from repro.core.dp import _Ledger
+from repro.core.dp import MinTable, _Ledger, _MinRecord
 from repro.core.frontier import (
     PointTable,
     _merge_child,
@@ -327,3 +328,56 @@ class TestLedgerHonesty:
         assert out[3].shape == (out[1].size, columns)
         assert out[1].size > 0.9 * total
         assert join_peak <= ledger.join_charge
+
+
+@st.composite
+def scalar_vertices(draw):
+    """One scalar DP vertex whose table has more cells than
+    ``chunk_cells``: ``lc``, ``tx`` to most dependent-set vertices,
+    stored either way round, and child tables whose first axis is the
+    vertex's own (``D(j)[0] = i``), as the DP hands them over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chunk = draw(st.sampled_from([1024, 4096]))
+    k = draw(st.integers(1, 24))
+    sizes = [draw(st.integers(2, 40)) for _ in range(draw(st.integers(1, 3)))]
+    rest = math.prod(sizes[1:])
+    sizes[0] = max(sizes[0], chunk // rest + 1)
+    sizes = tuple(sizes)
+    dep, i = tuple(range(len(sizes))), len(sizes)
+    terms = [(rng.random(k), (i,))]
+    for d, size in zip(dep, sizes):
+        if rng.random() < 0.8:
+            terms.append((rng.random((k, size)) if rng.random() < 0.5
+                          else rng.random((size, k)).T, (i, d)))
+    kids = []
+    for _ in range(draw(st.integers(1, 2))):
+        axes = (i,) + tuple(d for d in dep if rng.random() < 0.8)
+        table = rng.random(tuple(k if a == i else sizes[a] for a in axes))
+        kids.append((axes, _MinRecord(table, np.zeros(0, np.int32))))
+    return i, dep, sizes, k, terms, kids, chunk
+
+
+class TestScalarLedgerHonesty:
+    @settings(max_examples=25, deadline=None)
+    @given(scalar_vertices())
+    def test_vertex_peak_within_charge(self, vertex):
+        """One `MinTable.vertex` call over a table of several blocks:
+        what it allocates — table, argmin, block, numpy's loop buffers,
+        the pre-sum and the contiguous copies of the children —, as
+        tracemalloc reads it, stays within what it charges the
+        ledger."""
+        i, dep, sizes, k, terms, kids, chunk = vertex
+        assert math.prod(sizes) > chunk
+        ledger = _Ledger(1 << 40)
+        for _, rec in kids:
+            ledger.add(rec.table.nbytes)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ledger.peak = live0 = ledger.live
+            MinTable(ledger, chunk, None).vertex(i, "v", dep, sizes, k,
+                                                 terms, kids)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= ledger.peak - live0

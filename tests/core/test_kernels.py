@@ -70,7 +70,7 @@ class TestMinPlusFold:
         (3, 300, 250),   # 75000-cell rows: each row exceeds a block
     ])
     def test_cache_blocks_match_naive(self, m, n, k):
-        assert n * k * m > kernels._FOLD_BLOCK_CELLS
+        assert n * k * m > kernels._BLOCK_CELLS
         rng = np.random.default_rng(m * n * k)
         a = rng.integers(0, 4, size=(m, k)).astype(float)
         bt = rng.integers(0, 4, size=(n, k)).astype(float)

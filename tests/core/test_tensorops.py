@@ -1,9 +1,95 @@
-"""Tests for the broadcast/chunked-minimization helpers."""
+"""Tests for the broadcast and blocked-minimization helpers.
+
+`candidate_chunked_min_argmin` is the scalar DP's kernel before it
+evaluated whole candidate rows in blocks: chunks of candidate
+configurations, each chunk's minimum merged into the running one where
+strictly smaller.  The blocked kernel must match it bit for bit.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core._tensorops import aligned_term, chunked_min_argmin
+from repro.core import kernels
+from repro.core._tensorops import (aligned_term, chunked_min_argmin,
+                                   sum_terms)
+
+#: Few distinct values, so sums tie exactly; 0.1 and 0.7 are not dyadic,
+#: so a changed summation order shows in the last bits.
+COSTS = [0.0, 0.1, 0.5, 0.7, 1.0, 1.5, 3.0, 8.0]
+
+
+def candidate_chunked_min_argmin(terms, full_axes, cfg_axis, cfg_count,
+                                 table_shape, chunk_cells):
+    """The candidate-chunked kernel: ``cost`` evaluated over chunks of
+    whole candidate configurations, at most ``chunk_cells`` cells but at
+    least one configuration; a chunk's min replaces the running one
+    where strictly smaller."""
+    table_cells = math.prod(table_shape)
+    chunk = max(1, min(cfg_count, chunk_cells // table_cells))
+    best = best_arg = None
+    for c0 in range(0, cfg_count, chunk):
+        c1 = min(cfg_count, c0 + chunk)
+        sliced = []
+        for arr, axes in terms:
+            if cfg_axis in axes:
+                sl = [slice(None)] * arr.ndim
+                sl[axes.index(cfg_axis)] = slice(c0, c1)
+                arr = arr[tuple(sl)]
+            sliced.append((arr, axes))
+        acc = np.empty(table_shape + (c1 - c0,))
+        sum_terms(sliced, full_axes, acc)
+        cand, arg32 = kernels.last_axis_min_argmin(acc)
+        if best is None:
+            best, best_arg = cand, arg32
+        else:
+            better = cand < best
+            best = np.where(better, cand, best)
+            best_arg = np.where(better, arg32 + c0, best_arg)
+    return best, best_arg
+
+
+@st.composite
+def term_sets(draw):
+    """One DP vertex's terms: ``lc``; ``tx`` to some dependent-set
+    vertices, stored either way round; child tables whose first axis is
+    the candidate axis; maybe a term over any axes in any order and a
+    0-d constant.  Values tie exactly and span magnitudes, axis labels
+    come out of order, and the chunk is often smaller than the table."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dep = draw(st.integers(0, 3))
+    sizes = tuple(draw(st.integers(1, 7)) for _ in range(n_dep))
+    k = draw(st.sampled_from([1, 2, 3, 5, 8, 13]))
+    labels = [int(a) for a in rng.permutation(10)[:n_dep + 1]]
+    dep, i = tuple(labels[:-1]), labels[-1]
+    size = dict(zip(dep, sizes))
+    size[i] = k
+
+    def values(shape):
+        return rng.choice(COSTS, shape) * rng.choice([1.0, 1e3, 1e9])
+
+    terms = [(values(k), (i,))]
+    for d in dep:
+        if rng.random() < 0.7:
+            tx = (values((k, size[d])) if rng.random() < 0.5
+                  else values((size[d], k)).T)
+            terms.append((tx, (i, d)))
+    for _ in range(draw(st.integers(0, 3))):
+        axes = (i,) + tuple(d for d in dep if rng.random() < 0.7)
+        terms.append((values(tuple(size[a] for a in axes)), axes))
+    if draw(st.booleans()):
+        # Any axes, in any order.
+        axes = tuple(int(a) for a in rng.permutation(dep + (i,))
+                     if rng.random() < 0.7)
+        terms.append((values(tuple(size[a] for a in axes)), axes))
+    if draw(st.booleans()):
+        terms.insert(int(rng.integers(len(terms) + 1)),
+                     (np.array(values(())), ()))
+    chunk = draw(st.sampled_from([1, 3, 7, 16, 64, 1 << 20]))
+    return terms, dep + (i,), i, k, sizes, chunk
 
 
 class TestAlignedTerm:
@@ -129,8 +215,8 @@ class TestChunkedMinArgmin:
 
     def _alloc_per_term_reference(self, terms, full_axes, cfg_axis,
                                   cfg_count, table_shape, chunk_cells):
-        """The pre-buffer-reuse implementation (fresh array per term per
-        chunk).  The shared-buffer path must match it bit for bit."""
+        """A candidate-chunked reference with a fresh array per term per
+        chunk.  The blocked kernel must match it bit for bit."""
         terms = list(terms)
         table_cells = int(np.prod(table_shape)) if table_shape else 1
         chunk = max(1, min(cfg_count, chunk_cells // max(table_cells, 1)))
@@ -183,16 +269,56 @@ class TestChunkedMinArgmin:
             chunked_min_argmin(bad, (0, 1), 1, 3, (2,), 100)
 
     def test_deadline_exceeded(self):
-        """``poll`` runs before chunks 2..n, never for a one-chunk table,
+        """``poll`` runs before every ``max(1, chunk_cells // block
+        cells)``-th block after the first, never for a one-block table,
         and whatever it raises propagates."""
         rng = np.random.default_rng(8)
         terms = [(rng.random(8), (9,)), (rng.random((3, 8)), (1, 9))]
         args = (terms, (1, 9), 9, 8, (3,))
         calls = []
         chunked_min_argmin(*args, 6, poll=lambda: calls.append(1))
-        assert calls == [1] * 3          # chunks of 2 configs: 4 chunks
+        assert calls == [1] * 2          # blocks of one 8-cell row: 3
         calls.clear()
         chunked_min_argmin(*args, 24, poll=lambda: calls.append(1))
-        assert calls == []               # one chunk: never polled
+        assert calls == []               # one block: never polled
         with pytest.raises(ZeroDivisionError):
             chunked_min_argmin(*args, 6, poll=lambda: 1 / 0)
+        # Blocks capped at `kernels._BLOCK_CELLS`: 8192 rows of 8 cells,
+        # two runs over each of 3 leading indices; a poll every third.
+        terms = [(rng.random(8), (9,)), (rng.random((3, 10000, 8)),
+                                         (1, 2, 9))]
+        calls.clear()
+        chunked_min_argmin(terms, (1, 2, 9), 9, 8, (3, 10000),
+                           3 * kernels._BLOCK_CELLS,
+                           poll=lambda: calls.append(1))
+        assert calls == [1]              # 6 blocks, polled before the 4th
+
+    def test_reserve_called_once_before_allocating(self):
+        """``reserve`` sees the call's bytes once, and what it raises
+        propagates."""
+        rng = np.random.default_rng(9)
+        terms = [(rng.random(8), (9,)), (rng.random((8, 3)), (9, 1))]
+        seen = []
+        chunked_min_argmin(terms, (1, 9), 9, 8, (3,), 8,
+                           reserve=seen.append)
+        assert len(seen) == 1 and seen[0] > 3 * 12
+
+        def refuse(nbytes):
+            raise MemoryError(nbytes)
+
+        with pytest.raises(MemoryError):
+            chunked_min_argmin(terms, (1, 9), 9, 8, (3,), 8, reserve=refuse)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_sets())
+    def test_matches_candidate_chunked_oracle(self, case):
+        """Blocks of whole candidate rows, pre-summed leading terms and
+        contiguous copies reproduce the candidate-chunked kernel: values
+        and argmins bit for bit."""
+        terms, full_axes, i, k, sizes, chunk = case
+        got = chunked_min_argmin(terms, full_axes, i, k, sizes, chunk)
+        want = candidate_chunked_min_argmin(terms, full_axes, i, k, sizes,
+                                            chunk)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape == sizes
+            assert a.tobytes() == b.tobytes()

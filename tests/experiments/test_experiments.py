@@ -62,13 +62,16 @@ class TestTable1:
 
     def test_bf_oom_cell_pinned(self):
         """Table I's transformer p=4 BF cell runs out of its byte budget
-        at the same vertex and byte count as the recurrence-(2) DP it
-        replaced."""
+        at the same vertex as the recurrence-(2) DP it replaced.  The
+        charge is the blocked kernel's: the 408M-cell table and argmin
+        (4.90 GB), the leading terms pre-summed into a table-sized array
+        (3.27 GB), one block, numpy's loop buffers and the contiguous
+        copies of the transposed terms."""
         from repro.core.exceptions import SearchResourceError
         with pytest.raises(SearchResourceError) as exc:
             search_with(build_setup("transformer", 4), "bf")
         assert "'enc5_f_ln'" in str(exc.value)
-        assert exc.value.requested_bytes == 4_964_924_560
+        assert exc.value.requested_bytes == 8_169_031_856
 
     def test_bf_time_budget_is_an_oom_cell(self, monkeypatch):
         """Running out of the BF wall-clock budget is Table I's OOM too."""
