@@ -13,12 +13,12 @@ takes minutes) — and asserts the multi-objective contract:
 * exact rows expose a genuine trade-off curve (more than one point);
 * carrying the frontier costs at most ``OVERHEAD_FACTOR``x the scalar
   DP (plus ``SLACK_SECONDS`` absolute, which dominates on the
-  sub-10ms networks).  Measured at p=16 on a 2-vCPU x86-64 host: 3.2x
-  on transformer (eps=10), whose point tables stay dense, 11x on
-  rnnlm, 43x on inception_v3 (eps=10, 12.3 s), whose mixed vertices
-  merge CSR point tables, and 41x on alexnet's 78 exact points
-  (0.11 s against a 3 ms scalar DP), so the 150x ceiling leaves ~3.5x
-  headroom for machine drift.
+  sub-10ms networks).  Measured at p=16 on a 2-vCPU x86-64 host: 6.7x
+  on transformer (eps=10), whose point tables stay dense, 14x on
+  rnnlm, 48x on inception_v3 (eps=10, 10.6 s), whose mixed vertices
+  merge CSR point tables, and 61x on alexnet's 78 exact points
+  (0.14 s against a 2.3 ms scalar DP), so the 150x ceiling leaves
+  ~2.5x headroom for machine drift.
 
 Frontier sizes and timings land in ``BENCH_frontier.json`` (override
 the path with ``PASE_BENCH_OUT``).  The device grid comes from

@@ -226,8 +226,7 @@ def format_replan_report(rep) -> str:
         f"  replanned step : {rep.replanned_step_time * 1e3:9.2f} ms "
         f"(new strategy on {rep.new_p} devices)",
         f"  recovery cost  : {rep.recovery_cost:9.3f} s "
-        f"(restore {rep.restore_time:.3f} + lost work {rep.lost_work:.3f} "
-        f"+ re-search {rep.search_elapsed:.3f})",
+        f"(restore {rep.restore_time:.3f} + lost work {rep.lost_work:.3f})",
         f"  break-even     : {be_text}",
     ]
     return "\n".join(lines)

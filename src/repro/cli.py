@@ -367,9 +367,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                           "keeps the exact frontier (default)")
     p_search.add_argument("--json", help="write the strategy to a JSON file")
     p_search.add_argument("--resilient", action="store_true",
-                          help="degrade gracefully (chunk reduction, "
-                          "GENERATESEQ fallback, config coarsening) instead "
-                          "of failing on a blown memory budget")
+                          help="degrade gracefully (GENERATESEQ fallback, "
+                          "config coarsening) instead of failing on a blown "
+                          "DP memory budget")
     p_search.add_argument("--memory-budget", type=at_least(int, 1),
                           default=None,
                           help="DP byte budget (default 2 GiB)")

@@ -30,7 +30,9 @@ format* — what a DP table cell holds — depends on the objective:
 The memory the paper's Table I reports as "OOM" for the breadth-first
 ordering is modelled by a byte budget: before materializing a table the
 DP accounts its cells and raises `SearchResourceError` when the budget
-would be exceeded.
+would be exceeded.  It counts DP-state bytes only (live tables plus the
+current vertex's allocations), never a strategy's device memory: cap
+that with ``objective="frontier"`` and `repro.api.select_point`.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ __all__ = ["find_best_strategy", "dp_table_profile", "DEFAULT_MEMORY_BUDGET"]
 #: OOM entries indicate.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
-#: Cells between two checkpoint polls inside a scalar table (a block of
-#: its cost array is capped by it too, but is `kernels._BLOCK_CELLS` at
-#: most), and the frontier merge's candidate chunk.
-DEFAULT_CHUNK_CELLS = 8_000_000
+#: Cells between two checkpoint polls inside a scalar table of several
+#: blocks.  It caps a block too, but a block is `kernels._BLOCK_CELLS`
+#: at most, far below it.
+_POLL_CELLS = 8_000_000
 
 #: Auto-bypass threshold for ``reduce=True``: the reduction runs only
 #: when the predicted plain-DP work (``Σ_i K_i·Π_{d∈D(i)} K_d`` cells,
@@ -138,10 +140,9 @@ class MinTable:
     frontier = False
     memory = None        # no memory columns for the reduction
 
-    def __init__(self, ledger: _Ledger, chunk_cells: int,
+    def __init__(self, ledger: _Ledger,
                  checkpoint: Callable[..., None] | None) -> None:
         self.ledger = ledger
-        self.chunk_cells = chunk_cells
         self.checkpoint = checkpoint
 
     def vertex(self, i: int, name: str, dep: tuple[int, ...],
@@ -159,12 +160,12 @@ class MinTable:
             self.ledger.check, what=f"DP table for vertex {name!r}",
             note=f"; |D(i)|={len(dep)}")
         # A table of several blocks polls the checkpoint every
-        # ``chunk_cells`` cells, so a budget can stop it mid-way.
+        # `_POLL_CELLS` cells, so a budget can stop it mid-way.
         poll = None
         if self.checkpoint is not None:
             poll = functools.partial(self.checkpoint, phase=self.span, step=i)
         table, argmin = chunked_min_argmin(
-            terms, dep + (i,), i, k, table_shape, self.chunk_cells,
+            terms, dep + (i,), i, k, table_shape, _POLL_CELLS,
             poll=poll, reserve=reserve)
         # Child tables are consulted exactly once; free them.
         for _, rec in kids:
@@ -194,7 +195,6 @@ def find_best_strategy(
     *,
     order: Sequence[str] | None = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
     method_name: str = "pase-dp",
     reduce: "bool | str" = False,
     objective: str = "cost",
@@ -245,8 +245,8 @@ def find_best_strategy(
         caller's trace.  The checkpoint is polled once per DP vertex
         (and per reduction round when ``reduce`` is on) with
         ``phase``/``step``/``total`` keywords, and again with
-        ``phase``/``step`` every ``chunk_cells`` cells of a scalar table
-        of several blocks.  It aborts the search by raising — e.g.
+        ``phase``/``step`` every `_POLL_CELLS` (8M) cells of a scalar
+        table of several blocks.  It aborts the search by raising — e.g.
         `DeadlineExceededError` or `RunInterrupted` — between vertices
         or mid-table; a table is published only once it is complete, so
         no partial state escapes.
@@ -266,8 +266,8 @@ def find_best_strategy(
     with observed:
         return _solve(
             graph, space, tables, obj, order=order,
-            memory_budget=memory_budget, chunk_cells=chunk_cells,
-            method_name=method_name, reduce=reduce, checkpoint=checkpoint)
+            memory_budget=memory_budget, method_name=method_name,
+            reduce=reduce, checkpoint=checkpoint)
 
 
 def _solve(
@@ -278,7 +278,6 @@ def _solve(
     *,
     order: Sequence[str] | None,
     memory_budget: int,
-    chunk_cells: int,
     method_name: str,
     reduce: "bool | str",
     checkpoint: Callable[..., None] | None,
@@ -287,8 +286,8 @@ def _solve(
     taken from the context, the observability pair ambient."""
     t0 = time.perf_counter()
     ledger = _Ledger(memory_budget)
-    fmt = (PointTable(graph, space, tables, obj.eps, ledger, chunk_cells)
-           if obj.is_frontier else MinTable(ledger, chunk_cells, checkpoint))
+    fmt = (PointTable(graph, space, tables, obj.eps, ledger)
+           if obj.is_frontier else MinTable(ledger, checkpoint))
     mode = _resolve_reduce_mode(reduce)
     seq: SequencedGraph | None = None
     bypassed = False
@@ -315,8 +314,7 @@ def _solve(
         inner = _solve(
             red.reduced_graph, red.reduced_space, red.reduced_tables, obj,
             order=sub_order, memory_budget=memory_budget,
-            chunk_cells=chunk_cells, method_name=method_name, reduce=False,
-            checkpoint=checkpoint)
+            method_name=method_name, reduce=False, checkpoint=checkpoint)
         return red.expand_result(inner, elapsed=time.perf_counter() - t0)
     if seq is None:
         seq = SequencedGraph.build(graph, order)

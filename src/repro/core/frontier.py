@@ -40,6 +40,8 @@ one at a time as a per-cell Minkowski sum followed by a grouped Pareto
 prune, all vectorized (`pareto_prune` is a corner-box filter, three
 unstable argsorts and one segmented running min — no Python-level
 per-cell loop).  Both paths yield the same record, point for point.
+A merge works in chunks of at most `kernels._BLOCK_CELLS` candidates,
+the scalar DP's and the min-plus fold's block size.
 
 Memory is accounted on the scalar DP's byte ledger and budget, and
 exceeded budgets raise `SearchResourceError` (Table I's "OOM").
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .configs import ConfigSpace
 from .costmodel import CostTables
 from .graph import CompGraph
@@ -380,6 +383,9 @@ def _merge_child(acc, child_offsets: np.ndarray, child_cost: np.ndarray,
     own configuration axis in the same pass.  The returned CSR is then
     over the ``n_groups`` dependent-set cells and a fifth array gives
     each point's own-config index (``k_of_cell`` gathered).
+
+    Candidates are built and pruned in chunks of at most ``pair_chunk``,
+    but never less than one cell (one group when fused).
     """
     offsets, cost_a, mem_a, childpt = acc
     n_cells = offsets.shape[0] - 1
@@ -587,8 +593,7 @@ class PointTable:
     frontier = True
 
     def __init__(self, graph: CompGraph, space: ConfigSpace,
-                 tables: CostTables, eps: float, ledger,
-                 chunk_cells: int) -> None:
+                 tables: CostTables, eps: float, ledger) -> None:
         mem = tables.mem
         if mem is None:
             mem = memory_tables(graph, space)
@@ -597,7 +602,6 @@ class PointTable:
                        for n, m in mem.items()}
         self.eps = eps
         self.ledger = ledger
-        self.chunk_cells = chunk_cells
         self.max_state_points = 0
         # The dense state's cost and memory halves, reused by every
         # vertex: a fresh multi-megabyte array per vertex costs about as
@@ -688,7 +692,8 @@ class PointTable:
                 if u == len(kids) - 1:
                     *acc, k_arr = _merge_child(
                         acc, rec.offsets, rec.cost, rec.mem, proj,
-                        eps=eps, pair_chunk=self.chunk_cells, ledger=ledger,
+                        eps=eps, pair_chunk=kernels._BLOCK_CELLS,
+                        ledger=ledger,
                         group_of_cell=np.repeat(
                             np.arange(table_cells, dtype=np.int64), k),
                         group_size=k, n_groups=table_cells,
@@ -697,7 +702,7 @@ class PointTable:
                 else:
                     acc = _merge_child(
                         acc, rec.offsets, rec.cost, rec.mem, proj, eps=eps,
-                        pair_chunk=self.chunk_cells, ledger=ledger)
+                        pair_chunk=kernels._BLOCK_CELLS, ledger=ledger)
                 ledger.sub(owned)
                 owned = sum(a.nbytes for a in acc)
                 ledger.add(owned)
@@ -724,7 +729,8 @@ class PointTable:
         for rec in roots:
             assert rec.cost is not None and rec.offsets.shape[0] == 2
             facc = _merge_child(facc, rec.offsets, rec.cost, rec.mem, proj1,
-                                eps=self.eps, pair_chunk=self.chunk_cells,
+                                eps=self.eps,
+                                pair_chunk=kernels._BLOCK_CELLS,
                                 ledger=self.ledger)
             rec.free_values(self.ledger)
         _, fcost, fmem, rootpt = facc

@@ -236,9 +236,7 @@ class ReducedProblem:
 # Dominance pruning
 # ---------------------------------------------------------------------------
 
-def dominance_keep_mask(profile: np.ndarray, *,
-                        chunk_cells: int = _REDUCTION_CHUNK_CELLS
-                        ) -> np.ndarray:
+def dominance_keep_mask(profile: np.ndarray) -> np.ndarray:
     """Boolean keep-mask over the rows of a cost ``profile`` ``[K, C]``.
 
     Row ``j`` is dropped when some row ``i`` is elementwise ``<=`` and
@@ -253,10 +251,11 @@ def dominance_keep_mask(profile: np.ndarray, *,
     witness, its smallest-sum candidate, is verified on the remaining
     columns, and a row whose witness passes is dropped; the
     candidate-pair sieve runs only among the rows left.  Every gather
-    transient is bounded by ``chunk_cells`` cells, also when ``K*C >
-    chunk_cells``.
+    transient is bounded by `_REDUCTION_CHUNK_CELLS` cells, also when
+    ``K*C`` exceeds it.
     """
-    return kernels.dominance_mask(profile, chunk_cells=chunk_cells)
+    return kernels.dominance_mask(profile,
+                                  chunk_cells=_REDUCTION_CHUNK_CELLS)
 
 
 # ---------------------------------------------------------------------------

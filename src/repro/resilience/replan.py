@@ -6,14 +6,15 @@ When a device fail-stops, the operator has two options:
   perturbations every step (the failed device stalling its shards, the
   stragglers, the flaky links);
 * **re-plan elastically** — pay a one-time recovery cost (checkpoint
-  restore + redo of the lost work + a fresh strategy search on the
-  ``p - |failed|`` survivors) and then run healthy steps on the smaller
-  cluster.
+  restore + redo of the lost work) and then run healthy steps of a
+  fresh strategy on the ``p - |failed|`` survivors.
 
 :func:`elastic_replan` prices both: it simulates the degraded step,
 re-runs the (resilient) DP on the survivor count, simulates the
 re-planned step, and reports the recovery cost plus the break-even step
-count after which re-planning wins.
+count after which re-planning wins.  Every term is modelled cluster
+time, so the same inputs always give the same report; the survivor
+search's own wall-clock seconds stay in ``resilience.attempts``.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ class ElasticReplanReport:
     healthy_step_time: float           # old strategy, fault-free cluster
     degraded_step_time: float          # old strategy under the fault plan
     replanned_step_time: float         # new strategy on new_p devices
-    search_elapsed: float              # re-planning search seconds
     restore_time: float                # checkpoint restore seconds
     lost_work: float                   # redo seconds (work since last ckpt)
     resilience: ResilienceReport
 
     @property
     def recovery_cost(self) -> float:
-        """One-time seconds to switch: restore + redo + re-search."""
-        return self.restore_time + self.lost_work + self.search_elapsed
+        """One-time seconds to switch: restore + redo."""
+        return self.restore_time + self.lost_work
 
     @property
     def breakeven_steps(self) -> float:
@@ -127,7 +127,6 @@ def elastic_replan(
         healthy_step_time=degraded.baseline_step_time,
         degraded_step_time=degraded.step_time,
         replanned_step_time=replanned.step_time,
-        search_elapsed=result.elapsed,
         restore_time=restore,
         lost_work=lost,
         resilience=resilience,

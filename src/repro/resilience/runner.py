@@ -6,34 +6,25 @@ Table I's OOM entries, useless for a production planner that must return
 *some* strategy.  :func:`resilient_find_best_strategy` wraps the DP in a
 degradation ladder and records every rung in a `ResilienceReport`:
 
-1. **as requested** — the caller's ordering / chunk size / budget;
-2. **adaptive chunk reduction** — shrink the transient cost-array chunk
-   (the ``min(cells, chunk) · 8`` term of the budget check) by 8x, then
-   64x;
-3. **ordering fallback** — if the caller forced a non-default ordering
+1. **as requested** — the caller's ordering and budget;
+2. **ordering fallback** — if the caller forced a non-default ordering
    (e.g. the breadth-first baseline), fall back to GENERATESEQ, which
    minimizes dependent-set sizes and hence table bytes (Theorem 1 makes
    any ordering valid, so this degrades table size, not correctness);
-4. **frontier-point selection** — only when the caller *tightened* the
-   byte budget below the default: run the exact Pareto-frontier DP
-   (`repro.core.frontier`) at the default budget and return the
-   min-cost point whose ``peak_bytes`` fits the caller's budget
-   (`repro.api.select_point`).  Unlike coarsening this is **exact** —
-   the point is a true optimum under the memory cap, not an optimum of
-   a pruned space — so it outranks coarsening on the ladder; its own
-   `SearchResourceError` (frontier too big, or no point fits) falls
-   through to the rung below;
-5. **configuration-space coarsening** — repeatedly halve each node's
+3. **configuration-space coarsening** — repeatedly halve each node's
    configuration count, keeping the serial configuration plus the
    lowest-layer-cost candidates.  Table bytes scale as ``K^{|D(i)|}``,
    so each halving cuts them exponentially; the cost optimum is now over
    a pruned space (a documented approximation, reported as such).
 
-Every rung is one attempt of `find_best_strategy`, timed, traced and
-recorded the same way; all but the frontier-select rung pass on the
-caller's ``reduce=`` and ``objective=``.  Only when every rung fails does
-the final `SearchResourceError` propagate, with the full retry chain
-attached as ``err.report``.
+The budget means DP-state bytes on every rung, as it does for
+`find_best_strategy`; a cap on a strategy's device memory is a separate
+question, answered by ``objective="frontier"`` and
+`repro.api.select_point`.  Every rung is one attempt of
+`find_best_strategy` with the caller's ``reduce=`` and ``objective=``,
+timed, traced and recorded the same way.  Only when every rung fails
+does the final `SearchResourceError` propagate, with the full retry
+chain attached as ``err.report``.
 """
 
 from __future__ import annotations
@@ -46,8 +37,7 @@ import numpy as np
 
 from ..core.configs import ConfigSpace
 from ..core.costmodel import CostTables
-from ..core.dp import DEFAULT_CHUNK_CELLS, DEFAULT_MEMORY_BUDGET, \
-    find_best_strategy
+from ..core.dp import DEFAULT_MEMORY_BUDGET, find_best_strategy
 from ..core.exceptions import SearchResourceError
 from ..core.graph import CompGraph
 from ..core.strategy import SearchResult
@@ -55,9 +45,6 @@ from ..obs.profile import metrics_of, tracer_of
 
 __all__ = ["AttemptRecord", "ResilienceReport", "coarsen_config_space",
            "resilient_find_best_strategy"]
-
-#: Smallest transient chunk the ladder will try (cells).
-MIN_CHUNK_CELLS = 4_096
 
 #: Halvings of the configuration space the last rung tries.
 COARSEN_ROUNDS = 3
@@ -70,7 +57,7 @@ METHOD_NAME = "pase-dp-resilient"
 class AttemptRecord:
     """One rung of the degradation ladder."""
 
-    stage: str                     # e.g. "initial", "chunk/8", "coarsen x2"
+    stage: str                     # e.g. "initial", "coarsen x2"
     detail: str                    # human-readable parameters
     elapsed: float                 # seconds spent on this attempt
     error: str | None = None       # None on success
@@ -104,26 +91,23 @@ class ResilienceReport:
         return format_resilience_report(self)
 
 
-def coarsen_config_space(space: ConfigSpace, tables: CostTables,
-                         factor: int = 2
+def coarsen_config_space(space: ConfigSpace, tables: CostTables
                          ) -> tuple[ConfigSpace, CostTables]:
-    """Shrink each node's configuration table by ``factor``.
+    """Halve each node's configuration table.
 
     Keeps the serial configuration (row 0 — always feasible) plus the
-    lowest-layer-cost candidates up to ``ceil(K / factor)`` per node,
+    lowest-layer-cost candidates up to ``ceil(K / 2)`` per node,
     and slices the precomputed cost tables to match, so no cost is
     recomputed.  Strategies found in the coarsened space are valid in
     the original space (configurations are a subset) and their costs are
     directly comparable.
     """
-    if factor < 2:
-        raise ValueError(f"coarsening factor {factor} must be >= 2")
     keep: dict[str, np.ndarray] = {}
     new_cfg: dict[str, np.ndarray] = {}
     new_lc: dict[str, np.ndarray] = {}
     for name, tab in space.tables.items():
         k = tab.shape[0]
-        k_new = max(1, -(-k // factor))
+        k_new = -(-k // 2)
         best = np.argsort(tables.lc[name], kind="stable")[:k_new]
         idx = np.unique(np.concatenate(([0], best)))
         keep[name] = idx
@@ -150,7 +134,6 @@ def resilient_find_best_strategy(
     *,
     order: Sequence[str] | None = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
     reduce: "bool | str" = False,
     objective: str = "cost",
     ctx: "object | None" = None,
@@ -161,8 +144,7 @@ def resilient_find_best_strategy(
     `ResilienceReport` of every attempt.  When all rungs fail, the last
     `SearchResourceError` is re-raised with the report attached as
     ``err.report``.  ``reduce`` and ``objective`` are passed to every
-    rung's `find_best_strategy` except the frontier-select one, which
-    runs its own exact frontier.  ``ctx`` (a `repro.runtime.RunContext`)
+    rung's `find_best_strategy`.  ``ctx`` (a `repro.runtime.RunContext`)
     is forwarded into every rung's search, so a deadline or SIGINT stops
     the ladder mid-rung instead of grinding through the remaining ones.
     """
@@ -170,35 +152,17 @@ def resilient_find_best_strategy(
     report = ResilienceReport()
     last_error: SearchResourceError | None = None
 
-    def attempt(stage: str, detail: str, *, a_order, a_chunk,
-                a_space, a_tables,
-                select_under: int | None = None) -> SearchResult | None:
-        """One rung.  With ``select_under``, the exact frontier at the
-        *default* DP budget, then the min-cost point whose peak bytes fit
-        ``select_under`` (`repro.api.select_point`); a too-big frontier
-        DP and an unsatisfiable budget both fall through like any
-        `SearchResourceError`."""
+    def attempt(stage: str, detail: str, a_order, a_space,
+                a_tables) -> SearchResult | None:
         nonlocal last_error
         t0 = time.perf_counter()
-        point = None
         try:
             with tracer.span("resilience.attempt", stage=stage,
                              detail=detail):
-                if select_under is None:
-                    result = find_best_strategy(
-                        graph, a_space, a_tables, order=a_order,
-                        memory_budget=memory_budget, chunk_cells=a_chunk,
-                        method_name=METHOD_NAME, reduce=reduce,
-                        objective=objective, ctx=ctx)
-                else:
-                    from ..api import select_point
-
-                    result = find_best_strategy(
-                        graph, a_space, a_tables, order=a_order,
-                        memory_budget=DEFAULT_MEMORY_BUDGET,
-                        chunk_cells=a_chunk, method_name=METHOD_NAME,
-                        objective="frontier", ctx=ctx)
-                    point = select_point(result.frontier, select_under)
+                result = find_best_strategy(
+                    graph, a_space, a_tables, order=a_order,
+                    memory_budget=memory_budget, method_name=METHOD_NAME,
+                    reduce=reduce, objective=objective, ctx=ctx)
         except SearchResourceError as err:
             report.attempts.append(AttemptRecord(
                 stage=stage, detail=detail,
@@ -212,66 +176,25 @@ def resilient_find_best_strategy(
             elapsed=time.perf_counter() - t0))
         report.succeeded = True
         result.stats["resilience_retries"] = float(report.retries)
-        if point is None:
-            return result
-        # The selected point as a result: its length-1 ``frontier`` is
-        # the chosen point, so ``frontier[0].cost == cost`` holds like
-        # everywhere else.
-        result.stats["frontier_selected_peak_bytes"] = \
-            float(point.peak_bytes)
-        return SearchResult(strategy=point.strategy, cost=point.cost,
-                            elapsed=result.elapsed, method=result.method,
-                            stats=result.stats, frontier=(point,))
+        return result
 
     def ladder() -> SearchResult:
-        cur_chunk = chunk_cells
-        cur_order = order
-        cur_space, cur_tables = space, tables
-
         res = attempt("initial",
                       f"order={'caller' if order is not None else 'generateseq'} "
-                      f"chunk={chunk_cells} budget={memory_budget}",
-                      a_order=cur_order, a_chunk=cur_chunk,
-                      a_space=cur_space, a_tables=cur_tables)
+                      f"budget={memory_budget}",
+                      order, space, tables)
         if res is not None:
             return res
 
-        # Rung 2: adaptive chunk-size reduction.
-        for div in (8, 64):
-            smaller = max(MIN_CHUNK_CELLS, chunk_cells // div)
-            if smaller >= cur_chunk:
-                continue
-            cur_chunk = smaller
-            res = attempt(f"chunk/{div}", f"chunk={cur_chunk}",
-                          a_order=cur_order, a_chunk=cur_chunk,
-                          a_space=cur_space, a_tables=cur_tables)
-            if res is not None:
-                return res
-
-        # Rung 3: fall back from the caller's ordering to GENERATESEQ.
-        if cur_order is not None:
-            cur_order = None
+        # Rung 2: fall back from the caller's ordering to GENERATESEQ.
+        if order is not None:
             res = attempt("generateseq-order", "order=generateseq",
-                          a_order=None, a_chunk=cur_chunk,
-                          a_space=cur_space, a_tables=cur_tables)
+                          None, space, tables)
             if res is not None:
                 return res
 
-        # Rung 4: exact frontier-point selection under the caller's
-        # budget, read as a memory cap.  Only meaningful when the budget
-        # was tightened below the default — at the default the frontier
-        # DP has no extra headroom to trade for exactness.
-        if memory_budget < DEFAULT_MEMORY_BUDGET:
-            res = attempt("frontier-select",
-                          f"exact frontier @ default budget, "
-                          f"select peak_bytes<={memory_budget}",
-                          a_order=cur_order, a_chunk=cur_chunk,
-                          a_space=cur_space, a_tables=cur_tables,
-                          select_under=memory_budget)
-            if res is not None:
-                return res
-
-        # Rung 5: configuration-space coarsening, halving K each round.
+        # Rung 3: configuration-space coarsening, halving K each round.
+        cur_space, cur_tables = space, tables
         for rnd in range(1, COARSEN_ROUNDS + 1):
             if cur_space.max_size <= 1:
                 break
@@ -279,8 +202,7 @@ def resilient_find_best_strategy(
             res = attempt(f"coarsen x{2 ** rnd}",
                           f"K_max={cur_space.max_size} "
                           f"cells={cur_space.total_cells()}",
-                          a_order=cur_order, a_chunk=cur_chunk,
-                          a_space=cur_space, a_tables=cur_tables)
+                          None, cur_space, cur_tables)
             if res is not None:
                 return res
 

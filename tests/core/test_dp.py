@@ -85,10 +85,12 @@ class TestCorrectness:
         alt = find_best_strategy(graph, space, tables, order=tuple(order))
         assert alt.cost == pytest.approx(ref, rel=1e-12)
 
-    def test_chunked_evaluation_matches(self, diamond):
+    def test_chunked_evaluation_matches(self, diamond, monkeypatch):
+        """Blocks of one row (a 7-cell cap) give the one-block answer."""
         space, tables = setup(diamond)
         ref = find_best_strategy(diamond, space, tables).cost
-        tiny = find_best_strategy(diamond, space, tables, chunk_cells=7)
+        monkeypatch.setattr("repro.core.dp._POLL_CELLS", 7)
+        tiny = find_best_strategy(diamond, space, tables)
         assert tiny.cost == pytest.approx(ref)
 
     def test_forest_supported(self):
@@ -122,12 +124,14 @@ class TestResourceBudget:
 
 
 class TestMidTablePoll:
-    def test_abort_mid_table_leaves_no_partial_state(self, diamond):
+    def test_abort_mid_table_leaves_no_partial_state(self, diamond,
+                                                     monkeypatch):
         """A checkpoint raising on the second poll of a step (the first
         block poll of a multi-block table) aborts the search there; a
         rerun without it returns the uninterrupted answer."""
         space, tables = setup(diamond)
         chunk = 7
+        monkeypatch.setattr("repro.core.dp._POLL_CELLS", chunk)
         # Blocks of max(1, chunk // K) whole candidate rows: every vertex
         # with a non-empty dependent set spans several.
         seq = SequencedGraph.build(diamond, generate_seq(diamond))
@@ -135,7 +139,7 @@ class TestMidTablePoll:
                  if math.prod(space.size(seq.name(d)) for d in seq.dep[i])
                  > max(1, chunk // space.size(seq.name(i)))]
         assert multi
-        ref = find_best_strategy(diamond, space, tables, chunk_cells=chunk)
+        ref = find_best_strategy(diamond, space, tables)
         polls = []
 
         class Stop(Exception):
@@ -147,12 +151,12 @@ class TestMidTablePoll:
                 raise Stop
 
         with pytest.raises(Stop):
-            find_best_strategy(diamond, space, tables, chunk_cells=chunk,
+            find_best_strategy(diamond, space, tables,
                                ctx=RunContext(checkpoint=ckpt))
         step = polls[-1][1]
         assert step == multi[0]
         assert polls[-2:] == [("dp", step, len(diamond)), ("dp", step, None)]
-        again = find_best_strategy(diamond, space, tables, chunk_cells=chunk)
+        again = find_best_strategy(diamond, space, tables)
         assert again.cost == ref.cost
         assert again.strategy.assignment == ref.strategy.assignment
 

@@ -270,11 +270,11 @@ class TestFrontierExactness:
                                  order=tuple(order))
         assert_frontiers_match(alt.frontier, ref.frontier)
 
-    def test_chunked_merge_matches(self, diamond):
+    def test_chunked_merge_matches(self, diamond, monkeypatch):
         space, tables = setup(diamond)
         ref = find_best_strategy(diamond, space, tables, objective="frontier")
-        tiny = find_best_strategy(diamond, space, tables, objective="frontier",
-                                  chunk_cells=7)
+        monkeypatch.setattr("repro.core.kernels._BLOCK_CELLS", 7)
+        tiny = find_best_strategy(diamond, space, tables, objective="frontier")
         assert_frontiers_match(tiny.frontier, ref.frontier)
 
     def test_frontier_sorted_and_nondominated(self, diamond):

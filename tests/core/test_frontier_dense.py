@@ -156,10 +156,10 @@ def csr_chain(i, dep, sizes, k, terms, kids, own_mem, eps, chunk):
                            eps=eps, pair_chunk=chunk, ledger=ledger)
 
 
-def point_table(own_mem, eps, chunk, ledger) -> PointTable:
+def point_table(own_mem, eps, ledger) -> PointTable:
     """A `PointTable` whose one vertex is named ``"v"``."""
     return PointTable(None, None, SimpleNamespace(mem={"v": own_mem}), eps,
-                      ledger, chunk)
+                      ledger)
 
 
 def assert_same(got, want):
@@ -177,9 +177,11 @@ class TestPathEquivalence:
         want = csr_chain(i, dep, sizes, k, list(terms),
                          [(a, copy_record(r)) for a, r in kids],
                          own_mem, eps, chunk)
-        pt = point_table(own_mem, eps, chunk, _Ledger(1 << 40))
-        rec = pt.vertex(i, "v", dep, sizes, k, list(terms),
-                        [(a, copy_record(r)) for a, r in kids])
+        pt = point_table(own_mem, eps, _Ledger(1 << 40))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.kernels._BLOCK_CELLS", chunk)
+            rec = pt.vertex(i, "v", dep, sizes, k, list(terms),
+                            [(a, copy_record(r)) for a, r in kids])
         assert_same((rec.offsets, rec.cost, rec.mem, rec.k, rec.childpt),
                     want)
 
@@ -191,7 +193,7 @@ class TestPathEquivalence:
         terms = [(np.array([1.5, 1.5, 1.5, 3.0]), (0,))]
         own_mem = np.array([1100.0, 1100.0, 1000.0, 1.0])
         want = csr_chain(0, (), (), 4, terms, [], own_mem, eps, 1 << 20)
-        rec = point_table(own_mem, eps, 1 << 20, _Ledger(1 << 40)).vertex(
+        rec = point_table(own_mem, eps, _Ledger(1 << 40)).vertex(
             0, "v", (), (), 4, terms, [])
         assert_same((rec.offsets, rec.cost, rec.mem, rec.k, rec.childpt),
                     want)
@@ -212,7 +214,7 @@ class TestPathEquivalence:
             want = csr_chain(i, dep, sizes, k, terms,
                              [(a, copy_record(r)) for a, r in kids],
                              own_mem, eps, 1 << 20)
-            rec = point_table(own_mem, eps, 1 << 20, _Ledger(1 << 40)).vertex(
+            rec = point_table(own_mem, eps, _Ledger(1 << 40)).vertex(
                 i, "v", dep, sizes, k, terms,
                 [(a, copy_record(r)) for a, r in kids])
             assert_same((rec.offsets, rec.cost, rec.mem, rec.k,
@@ -238,7 +240,7 @@ class TestLedgerHonesty:
         own_mem = rng.choice([1e3, 1e5, 1e7], k)
         ledger = _Ledger(1 << 40)
         ledger.add(kids[0][1].nbytes())
-        pt = point_table(own_mem, eps, 1 << 20, ledger)
+        pt = point_table(own_mem, eps, ledger)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -332,10 +334,11 @@ class TestLedgerHonesty:
 
 @st.composite
 def scalar_vertices(draw):
-    """One scalar DP vertex whose table has more cells than
-    ``chunk_cells``: ``lc``, ``tx`` to most dependent-set vertices,
-    stored either way round, and child tables whose first axis is the
-    vertex's own (``D(j)[0] = i``), as the DP hands them over."""
+    """One scalar DP vertex whose table has more cells than ``chunk``,
+    the block cap it runs under: ``lc``, ``tx`` to most dependent-set
+    vertices, stored either way round, and child tables whose first
+    axis is the vertex's own (``D(j)[0] = i``), as the DP hands them
+    over."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chunk = draw(st.sampled_from([1024, 4096]))
     k = draw(st.integers(1, 24))
@@ -371,13 +374,15 @@ class TestScalarLedgerHonesty:
         ledger = _Ledger(1 << 40)
         for _, rec in kids:
             ledger.add(rec.table.nbytes)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ledger.peak = live0 = ledger.live
-            MinTable(ledger, chunk, None).vertex(i, "v", dep, sizes, k,
-                                                 terms, kids)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        table = MinTable(ledger, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.dp._POLL_CELLS", chunk)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ledger.peak = live0 = ledger.live
+                table.vertex(i, "v", dep, sizes, k, terms, kids)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
         assert peak <= ledger.peak - live0

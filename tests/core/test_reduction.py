@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import reduction
+from repro.core import kernels, reduction
 from repro.core.configs import ConfigSpace
 from repro.core.costmodel import CostModel, CostTables
 from repro.core.dp import find_best_strategy
@@ -157,8 +157,9 @@ class TestDominanceKeepMask:
     def test_chunking_invariant(self, chunk):
         rng = np.random.default_rng(0)
         prof = rng.integers(0, 3, size=(23, 5)).astype(float)
-        assert np.array_equal(dominance_keep_mask(prof, chunk_cells=chunk),
-                              dominance_keep_mask(prof))
+        assert np.array_equal(
+            kernels.dominance_mask(prof, chunk_cells=chunk),
+            dominance_keep_mask(prof))
 
     def test_every_dropped_row_has_surviving_dominator(self):
         rng = np.random.default_rng(1)
@@ -311,7 +312,7 @@ class TestDominanceMaskParity:
         rng = np.random.default_rng(7)
         prof = rng.integers(0, 3, size=(60, 6)).astype(float)
         assert np.array_equal(
-            dominance_keep_mask(prof, chunk_cells=chunk),
+            kernels.dominance_mask(prof, chunk_cells=chunk),
             dominance_keep_mask_reference(prof))
 
     @settings(max_examples=15, deadline=None)
@@ -330,9 +331,10 @@ class TestDominanceMaskParity:
         dup = rng.random(k) < 0.2
         prof[dup] = prof[rng.integers(0, k, size=int(dup.sum()))]
         ref = dominance_keep_mask_reference(prof)
-        for chunk in (1, 7, None):
-            kwargs = {} if chunk is None else {"chunk_cells": chunk}
-            assert np.array_equal(dominance_keep_mask(prof, **kwargs), ref)
+        assert np.array_equal(dominance_keep_mask(prof), ref)
+        for chunk in (1, 7):
+            assert np.array_equal(
+                kernels.dominance_mask(prof, chunk_cells=chunk), ref)
 
 
 def _assert_reductions_identical(fast, ref):

@@ -15,7 +15,7 @@ def test_every_registered_key_validates():
 def test_prefixed_keys_validate():
     validate_stats_keys(["table_seconds_build", "reduction_rounds",
                          "frontier_points", "frontier_eps",
-                         "frontier_selected_peak_bytes"])
+                         "frontier_cells"])
     assert set(STATS_KEY_PREFIXES) == {"table_", "reduction_", "frontier_"}
 
 

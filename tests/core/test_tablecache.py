@@ -131,7 +131,7 @@ class TestStoreLoad:
         from repro.resilience import coarsen_config_space
         g, space, cm = setup_instance()
         tables = cm.build_tables(g, space)
-        _, coarse = coarsen_config_space(space, tables, factor=2)
+        _, coarse = coarsen_config_space(space, tables)
         assert coarse.derived is True
         cache = TableCache(tmp_path)
         assert cache.store(table_digest(g, space, cm), coarse) is None

@@ -88,3 +88,15 @@ class TestElasticReplan:
         rep = elastic_replan(small_mlp, s, GTX1080TI, 4, failstop_plan())
         text = rep.summary()
         assert "survivors" in text and "break-even" in text
+
+    def test_same_inputs_same_report(self, small_mlp):
+        """Every term of the report is modelled cluster time, so two runs
+        print the same text; the survivor search's wall-clock seconds
+        stay in the resilience report."""
+        s = data_parallel_strategy(small_mlp, 4)
+        policy = CheckpointPolicy(interval_steps=100, checkpoint_time=0.5,
+                                  restore_time=2.0)
+        a, b = (elastic_replan(small_mlp, s, GTX1080TI, 4, failstop_plan(),
+                               policy=policy) for _ in range(2))
+        assert a.summary() == b.summary()
+        assert a.recovery_cost == a.restore_time + a.lost_work

@@ -9,6 +9,7 @@ from repro.core.dp import find_best_strategy
 from repro.core.exceptions import SearchResourceError
 from repro.core.machine import GTX1080TI
 from repro.core.sequencer import breadth_first_seq
+from repro.experiments.common import build_setup
 from repro.resilience import coarsen_config_space, resilient_find_best_strategy
 from tests.conftest import build_dag
 
@@ -44,11 +45,6 @@ class TestCoarsening:
         res = find_best_strategy(g, sub_space, sub_tables)
         assert res.cost == pytest.approx(res.strategy.cost(tables))
 
-    def test_rejects_bad_factor(self, problem):
-        _, space, tables = problem
-        with pytest.raises(ValueError):
-            coarsen_config_space(space, tables, factor=1)
-
 
 class TestResilientSearch:
     def test_no_degradation_when_budget_fits(self, problem):
@@ -74,65 +70,66 @@ class TestResilientSearch:
         budget = 1 << 20
         with pytest.raises(SearchResourceError):
             find_best_strategy(g, space, tables, order=order,
-                               memory_budget=budget, chunk_cells=4096)
+                               memory_budget=budget)
         res, rep = resilient_find_best_strategy(
-            g, space, tables, order=order, memory_budget=budget,
-            chunk_cells=4096)
+            g, space, tables, order=order, memory_budget=budget)
         assert rep.succeeded
         assert "generateseq-order" in rep.degradations
         assert res.cost == pytest.approx(
             find_best_strategy(g, space, tables).cost)
 
-    def test_frontier_select_rescues_tight_budget(self, problem):
-        """A tightened budget that some frontier point fits is rescued by
-        the exact frontier-select rung — not by lossy coarsening."""
+    def test_coarsening_rescues_when_no_frontier_point_fits(self, problem):
+        """A budget that blows the initial DP is rescued by coarsening.
+        This one is also below every frontier point's device footprint:
+        the budget counts DP-state bytes, and the ladder never reads it
+        as a cap on device memory."""
         g, space, tables = problem
-        gen_peak = int(find_best_strategy(g, space, tables)
-                       .stats["peak_bytes"])
-        budget = gen_peak // 2
+        frontier = find_best_strategy(g, space, tables,
+                                      objective="frontier").frontier
+        budget = int(min(pt.peak_bytes for pt in frontier)) - 1
         with pytest.raises(SearchResourceError):
             find_best_strategy(g, space, tables, memory_budget=budget)
         res, rep = resilient_find_best_strategy(
             g, space, tables, memory_budget=budget)
         assert rep.succeeded
-        assert "frontier-select" in rep.degradations
-        assert not any(s.startswith("coarsen") for s in rep.degradations)
-        assert res.method == "pase-dp-resilient+frontier"
-        res.strategy.validate(g, space.p)
-        # The selection is exact and self-describing: a length-1 frontier
-        # whose point is the result, with its footprint in the stats.
-        assert res.frontier[0].cost == res.cost
-        assert res.frontier[0].peak_bytes <= budget
-        assert res.stats["frontier_selected_peak_bytes"] == \
-            res.frontier[0].peak_bytes
-        assert res.stats["resilience_retries"] == float(rep.retries)
-
-    def test_coarsening_rescues_when_no_frontier_point_fits(self, problem):
-        """A budget below every frontier footprint exhausts rung 4 and
-        falls through to configuration-space coarsening."""
-        g, space, tables = problem
-        frontier = find_best_strategy(g, space, tables,
-                                      objective="frontier").frontier
-        budget = int(min(pt.peak_bytes for pt in frontier)) - 1
-        res, rep = resilient_find_best_strategy(
-            g, space, tables, memory_budget=budget)
-        assert rep.succeeded
-        assert "frontier-select" in rep.degradations
-        failed = next(a for a in rep.attempts
-                      if a.stage == "frontier-select")
-        assert not failed.ok
-        assert failed.requested_bytes is not None
-        assert any(s.startswith("coarsen") for s in rep.degradations)
+        assert rep.degradations[0] == "coarsen x2"
+        assert all(s.startswith("coarsen") for s in rep.degradations)
+        assert res.method == "pase-dp-resilient"
         # The coarsened optimum is still a valid strategy on the graph.
         res.strategy.validate(g, space.p)
         assert np.isfinite(res.cost)
 
-    def test_default_budget_never_runs_frontier_select(self, problem):
-        """At the default budget the rung is skipped entirely — scalar
-        callers keep the scalar ladder."""
-        g, space, tables = problem
-        _, rep = resilient_find_best_strategy(g, space, tables)
-        assert "frontier-select" not in rep.degradations
+    def test_verify_flow_coarsens_twice(self):
+        """inception_v3 p=8 under 200,000 bytes (its first DP table
+        alone needs 769,868): the space coarsened twice answers, with
+        the plain DP's optimum over that space."""
+        s = build_setup("inception_v3", 8)
+        res, rep = resilient_find_best_strategy(
+            s.graph, s.space, s.tables, memory_budget=200_000)
+        assert [a.stage for a in rep.attempts] == [
+            "initial", "coarsen x2", "coarsen x4"]
+        space, tables = coarsen_config_space(
+            *coarsen_config_space(s.space, s.tables))
+        ref = find_best_strategy(s.graph, space, tables)
+        assert res.cost == ref.cost
+        assert res.strategy.assignment == ref.strategy.assignment
+
+    def test_tight_frontier_budget_succeeds_first_time(self):
+        """alexnet p=32's exact frontier under 32 MiB of DP state: its
+        merges run in chunks of one block of candidates, so the first
+        attempt answers with the default budget's frontier, point for
+        point."""
+        s = build_setup("alexnet", 32)
+        ref = find_best_strategy(s.graph, s.space, s.tables,
+                                 objective="frontier")
+        res, rep = resilient_find_best_strategy(
+            s.graph, s.space, s.tables, objective="frontier",
+            memory_budget=32 << 20)
+        assert [a.stage for a in rep.attempts] == ["initial"]
+        assert [(pt.cost, pt.peak_bytes, pt.strategy.assignment)
+                for pt in res.frontier] == \
+            [(pt.cost, pt.peak_bytes, pt.strategy.assignment)
+             for pt in ref.frontier]
 
     def test_retry_chain_recorded(self, problem):
         g, space, tables = problem
@@ -151,11 +148,16 @@ class TestResilientSearch:
         assert "degradation" in text
 
     def test_hopeless_budget_raises_with_report(self, problem):
+        """A hopeless budget under a caller's ordering runs every rung,
+        and nothing else: as requested, GENERATESEQ, three halvings."""
         g, space, tables = problem
         with pytest.raises(SearchResourceError) as exc:
-            resilient_find_best_strategy(g, space, tables, memory_budget=8)
+            resilient_find_best_strategy(g, space, tables,
+                                         order=breadth_first_seq(g),
+                                         memory_budget=8)
         report = exc.value.report
         assert not report.succeeded
-        assert report.retries >= 1
-        assert any(s.startswith("coarsen") for s in report.degradations)
+        assert [a.stage for a in report.attempts] == [
+            "initial", "generateseq-order", "coarsen x2", "coarsen x4",
+            "coarsen x8"]
         assert "FAILED" in report.summary()
