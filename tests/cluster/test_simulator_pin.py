@@ -50,15 +50,21 @@ CASES = [(model, p, machine, strategy)
          for p in (8, 16)
          for machine in MACHINES
          for strategy in ("dp", "data_parallel", "expert")]
-#: The two ``search-reduce`` benchmark problems under the DP.
-CASES += [("transformer", 64, "1080Ti", "dp"),
-          ("inception_v3", 32, "1080Ti", "dp")]
+#: The two ``search-reduce`` benchmark problems under the DP, on both
+#: machines (host-staged links change which holder a transfer reads),
+#: and data-parallel at p=64, whose gradient syncs span every device.
+CASES += [(model, p, machine, "dp")
+          for model, p in (("transformer", 64), ("inception_v3", 32))
+          for machine in MACHINES]
+CASES += [(model, 64, "1080Ti", "data_parallel")
+          for model in ("transformer", "inception_v3")]
 
 #: (model, p, machine) of every pinned faulted step, under the DP.
 FAULT_CASES = [(model, p, machine)
                for model in ("alexnet", "transformer", "inception_v3")
                for p in (8, 16)
                for machine in MACHINES]
+FAULT_CASES += [("transformer", 64, "1080Ti"), ("inception_v3", 32, "1080Ti")]
 
 #: One plan with all four fault classes, in fractions of the healthy step.
 FAULT_PLAN = FaultPlan(
