@@ -101,7 +101,9 @@ def greedy_placement(graph: CompGraph, strategy: Strategy, p: int) -> Placement:
             if e.src not in devices:
                 continue
             overlaps[e] = edge_overlaps(graph, strategy, shards, e)
-            np.add.at(score.T, devices[e.src], overlaps[e][0].T)
+            # A node's devices are distinct (`Placement.validate`), so
+            # each cell gets one add per edge, in edge order.
+            score[:, devices[e.src]] += overlaps[e][0]
 
         assigned = np.full(n_shards, -1, dtype=np.int64)
         if not score.any():

@@ -11,29 +11,52 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .topology import ClusterTopology
 
-__all__ = ["group_bottleneck_bw", "ring_allreduce_time", "RING_CHANNELS"]
+__all__ = ["group_bottleneck_bw", "group_bottleneck_bws",
+           "ring_allreduce_time", "ring_allreduce_times", "RING_CHANNELS"]
 
 #: Concurrent ring channels (NCCL-style duplex/multi-ring execution);
 #: collective times divide by this.
 RING_CHANNELS = 2.0
 
 
+def group_bottleneck_bws(topo: ClusterTopology,
+                         groups: np.ndarray) -> np.ndarray:
+    """Slowest link bandwidth along the ring over each row of ``groups``
+    (``[G, m]`` distinct device ids per row, ring in sorted order)."""
+    ring = np.sort(groups, axis=1)
+    nxt = np.concatenate((ring[:, 1:], ring[:, :1]), axis=1)
+    return topo.bandwidths[ring, nxt].min(axis=1, initial=np.inf)
+
+
+def ring_allreduce_times(topo: ClusterTopology, nbytes: float,
+                         groups: np.ndarray) -> np.ndarray:
+    """Completion time of a ring all-reduce of ``nbytes`` per device, for
+    each row of ``groups`` (``[G, m]`` distinct device ids per row)."""
+    m = groups.shape[1]
+    if m < 2 or nbytes <= 0:
+        return np.zeros(groups.shape[0])
+    return 2.0 * nbytes * (m - 1) / m / group_bottleneck_bws(topo, groups) \
+        / RING_CHANNELS
+
+
+def _one_group(topo: ClusterTopology, devices: Sequence[int]) -> np.ndarray:
+    devs = sorted({int(d) for d in devices})
+    for d in devs:
+        topo.node_of(d)  # raises for a device outside the cluster
+    return np.asarray([devs], dtype=np.int64)
+
+
 def group_bottleneck_bw(topo: ClusterTopology, devices: Sequence[int]) -> float:
     """Slowest link bandwidth along the ring over ``devices`` (sorted)."""
-    devs = sorted(set(int(d) for d in devices))
-    if len(devs) < 2:
-        return float("inf")
-    ring = devs + [devs[0]]
-    return min(topo.bandwidth(a, b) for a, b in zip(ring, ring[1:]))
+    return float(group_bottleneck_bws(topo, _one_group(topo, devices))[0])
 
 
 def ring_allreduce_time(topo: ClusterTopology, nbytes: float,
                         devices: Sequence[int]) -> float:
     """Completion time of a ring all-reduce of ``nbytes`` per device."""
-    m = len(set(int(d) for d in devices))
-    if m < 2 or nbytes <= 0:
-        return 0.0
-    bw = group_bottleneck_bw(topo, devices)
-    return 2.0 * nbytes * (m - 1) / m / bw / RING_CHANNELS
+    return float(ring_allreduce_times(topo, nbytes,
+                                      _one_group(topo, devices))[0])

@@ -16,10 +16,19 @@ task DAG of a training step —
 
 — and schedules it on per-device compute and NIC resources.  The makespan
 is the step time; throughput is ``batch / step_time``.
+
+The DAG is built in per-layer blocks of numpy arrays, not one call per
+task: each node adds its forward and its backward phase as a few
+`ListScheduler.add` calls (the transfers of each edge, halos, compute,
+each collective), and the members of one all-reduce group share one
+dependency list.  Task ids follow the per-shard order written out in
+``tests/cluster/reference.py``, so schedules, trace records and fault
+events match that reference bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +41,7 @@ from ..core.machine import MachineSpec
 from ..core.strategy import Strategy
 from ..core.tensors import DTYPE_BYTES
 from ..ops.base import OpSpec
-from .collectives import ring_allreduce_time
+from .collectives import ring_allreduce_times
 from .events import ListScheduler
 from .topology import ClusterTopology
 from .trace import TraceRecord
@@ -89,62 +98,81 @@ def _infer_batch(graph: CompGraph) -> int:
     raise SimulationError("no node with a batch dim 'b'; pass batch explicitly")
 
 
-def _block_groups(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group shard indices by identical block intervals.
+def _grid_groups(config: tuple[int, ...],
+                 varying: frozenset[int]) -> np.ndarray:
+    """``[G, m]`` shard indices: the shards that differ only along the
+    ``varying`` dims, one group per row.
 
-    Returns ``(order, starts)``: the shard indices sorted by group, and
-    each group's offset in ``order``.  Groups come in order of their
-    lowest shard, members in ascending order; replicas (e.g.
-    reduction-split copies) share a group.
+    A node's shards are the row-major grid of its configuration
+    (`shard_indices`), so ordering the groups by their ravelled
+    coordinates on the other dims orders them by their lowest shard, and
+    each row's members ascend.
     """
-    groups: dict[bytes, list[int]] = {}
-    for j in range(blocks.shape[0]):
-        groups.setdefault(blocks[j].tobytes(), []).append(j)
-    members = list(groups.values())
-    return (np.concatenate(members),
-            np.cumsum([0] + [len(m) for m in members[:-1]]))
+    kept = [i for i in range(len(config)) if i not in varying]
+    moved = sorted(varying)
+    return np.arange(math.prod(config)).reshape(config).transpose(
+        kept + moved).reshape(-1, math.prod(config[i] for i in moved))
 
 
-def _pick_holders(ov: np.ndarray, src_blocks: np.ndarray,
+def _replica_dims(op: OpSpec, spec) -> frozenset[int]:
+    """The dims no axis of tensor ``spec`` resolves to: shards that
+    differ only along them hold the same block (`tensor_blocks`).
+
+    Two shards that differ on another dim can hold equal blocks only
+    when both are empty, and an empty block overlaps nothing.
+    """
+    kept = {op.dim_index(primary) for primary in
+            map(op.resolve_dim, spec.axes) if primary is not None}
+    return frozenset(range(op.rank)) - kept
+
+
+def _pick_holders(ov: np.ndarray, groups: np.ndarray,
                   src_devs: np.ndarray, dst_devs: np.ndarray,
                   bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The source shard each destination reads each distinct block from.
 
-    ``ov`` is the ``[P_dst, P_src]`` overlap matrix and ``bandwidths``
-    the topology's ``[p, p]`` link matrix.  Of each group of identical
-    source blocks with a nonzero overlap, the pick is a holder on the
-    destination's own device first, then the holder on the fastest
-    link, then the lowest shard index.  Returns ``(rows, picks)``, one
-    entry per (destination, overlapping group), in destination order
-    and then group order (see `_block_groups`).
+    ``ov`` is the ``[P_dst, P_src]`` overlap matrix, ``groups`` the
+    ``[G, m]`` source shards holding identical blocks (`_replica_dims`)
+    and ``bandwidths`` the topology's ``[p, p]`` link matrix.  Of each
+    group with a nonzero overlap, the pick is a holder on the
+    destination's own device first, then the holder on the fastest link,
+    then the lowest shard index.  Returns ``(rows, picks)``, one entry
+    per (destination, overlapping group), in destination order and then
+    group order.
     """
-    order, starts = _block_groups(src_blocks)
-    n_src = order.shape[0]
+    if groups.shape[1] == 1:
+        # One holder per block: a destination reads every block it
+        # overlaps from that holder.
+        rows, cols = np.nonzero(ov[:, groups[:, 0]] > 0)
+        return rows, groups[cols, 0]
     # Score each (destination, holder) pair by its link bandwidth, inf
     # when local and -1 for non-holders; a group's pick is its first
     # maximum in shard order.
-    score = np.where(ov[:, order] > 0,
-                     bandwidths[src_devs[order][None, :], dst_devs[:, None]],
+    score = np.where(ov[:, groups] > 0,
+                     bandwidths[src_devs[groups], dst_devs[:, None, None]],
                      -1.0)
-    best = np.maximum.reduceat(score, starts, axis=1)
-    first = np.where(
-        score == np.repeat(best, np.diff(starts, append=n_src), axis=1),
-        np.arange(n_src), n_src)
-    rows, groups = np.nonzero(best >= 0.0)
-    return rows, order[np.minimum.reduceat(first, starts, axis=1)[rows, groups]]
+    rows, cols = np.nonzero(score.max(axis=2) >= 0.0)
+    return rows, groups[cols, score.argmax(axis=2)[rows, cols]]
 
 
-def _shard_groups(shards: np.ndarray, varying: list[int]) -> list[list[int]]:
-    """Group shard row indices by their coordinates on the non-``varying``
-    dims; members of a group differ only along ``varying`` dims."""
-    if shards.shape[1] == 0:
-        return [list(range(shards.shape[0]))]
-    keep = [i for i in range(shards.shape[1]) if i not in varying]
-    keys = shards[:, keep] if keep else np.zeros((shards.shape[0], 0), dtype=np.int64)
-    groups: dict[bytes, list[int]] = {}
-    for j in range(shards.shape[0]):
-        groups.setdefault(keys[j].tobytes(), []).append(j)
-    return list(groups.values())
+def _csr(n: int, rows: list[np.ndarray],
+         ids: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row lists, in CSR form, of the (row, task id) entries given as
+    parallel arrays; a row keeps its entries' order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    if not rows:
+        return ptr, ptr[:0]
+    rows_all = np.concatenate(rows)
+    np.cumsum(np.bincount(rows_all, minlength=n), out=ptr[1:])
+    return ptr, np.concatenate(ids)[np.argsort(rows_all, kind="stable")]
+
+
+def _group_deps(ready: np.ndarray,
+                groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One dependency list per group row: its members' ``ready`` tasks."""
+    m = groups.shape[1]
+    return (np.arange(groups.shape[0] + 1, dtype=np.int64) * m,
+            np.sort(ready[groups], axis=1).ravel())
 
 
 def _single_config(cfg: tuple[int, ...]) -> np.ndarray:
@@ -152,7 +180,15 @@ def _single_config(cfg: tuple[int, ...]) -> np.ndarray:
 
 
 class _StepBuilder:
-    """Accumulates the task DAG for one training step."""
+    """Accumulates the task DAG for one training step.
+
+    Each node adds its forward and its backward phase as a few blocks
+    (`ListScheduler.add`): one per in-edge (or out-edge) for the
+    transfers, then halos, compute, and every collective with the
+    members of each group sharing one dependency list.  Task ids follow
+    the order of the per-shard rules written out in
+    ``tests/cluster/reference.py``.
+    """
 
     def __init__(self, graph: CompGraph, strategy: Strategy,
                  placement: Placement, topo: ClusterTopology) -> None:
@@ -160,76 +196,118 @@ class _StepBuilder:
         self.strategy = strategy
         self.placement = placement
         self.topo = topo
+        self.p = topo.p
         self.flops_rate = topo.machine.peak_flops * DEFAULT_COMPUTE_EFFICIENCY
-        self.sched = ListScheduler()
+        # Slot d is device d's compute stream, p + d its NIC's sending
+        # side and 2p + d its receiving side.
+        self.sched = ListScheduler([(res, d) for res in ("gpu", "tx", "rx")
+                                    for d in range(topo.p)])
         # Per node: task id whose completion makes each shard's output
         # (fwd) / input-gradient (bwd) available.
-        self.fwd_ready: dict[str, list[int]] = {}
-        self.bwd_ready: dict[str, list[int]] = {}
-        # Per edge: (overlap, consumer blocks) from the forward pass, for
-        # the backward pass to reuse.
+        self.fwd_ready: dict[str, np.ndarray] = {}
+        self.bwd_ready: dict[str, np.ndarray] = {}
+        # Per edge: (overlap, consumer block groups) from the forward pass,
+        # for the backward pass to reuse.
         self.overlaps: dict = {}
+        # Per node: halo bytes per device, from the forward pass.
+        self.halo_bytes: dict[str, float] = {}
+        # `_grid_groups` by (config, varying dims).
+        self.groups: dict = {}
         self.order = graph.topological_order()
 
     # -- helpers -----------------------------------------------------------
 
-    def _gather_transfers(self, ov: np.ndarray, src_blocks: np.ndarray,
+    def _groups(self, config: tuple[int, ...], varying) -> np.ndarray:
+        key = (config, frozenset(varying))
+        if key not in self.groups:
+            self.groups[key] = _grid_groups(*key)
+        return self.groups[key]
+
+    def _gather_transfers(self, ov: np.ndarray, src_groups: np.ndarray,
                           src_devs: np.ndarray, dst_devs: np.ndarray,
-                          ready: list[int], kind: str,
-                          label: str) -> list[list[int]]:
-        """Create transfer tasks moving overlapped bytes to each dst shard.
+                          ready: np.ndarray, label: str,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Add the transfers moving overlapped bytes to each dst shard.
 
-        Returns, per destination shard, the dependency ids its compute
-        task must wait for (transfer tasks plus local producers' ready
-        tasks).  Replicated source blocks are collapsed to one holder
-        each (`_pick_holders`).  Transfers are created per destination
-        in shard order, per source device in order of its first pick.
+        Returns the (destination shard, task id) entries its compute
+        task must wait for: the transfers, and the ready tasks of the
+        local picks.  Replicated source blocks are collapsed to one
+        holder each (`_pick_holders`), and the remote picks of one
+        (destination, source device) pair make one transfer.  Transfers
+        are added per destination in shard order, per source device in
+        order of its first pick.
         """
-        rows, picks = _pick_holders(ov, src_blocks, src_devs, dst_devs,
+        p = self.p
+        rows, picks = _pick_holders(ov, src_groups, src_devs, dst_devs,
                                     self.topo.bandwidths)
-        src_of = src_devs.tolist()
-        dst_of = dst_devs.tolist()
-        local: list[set[int]] = [set() for _ in range(ov.shape[0])]
-        # (dst shard, src device) -> [bytes, producer deps], in pick order.
-        remote: dict[tuple[int, int], list] = {}
-        for i, j, amount in zip(rows.tolist(), picks.tolist(),
-                                ov[rows, picks].tolist()):
-            src_dev = src_of[j]
-            if src_dev == dst_of[i]:
-                local[i].add(ready[j])
-                continue
-            entry = remote.get((i, src_dev))
-            if entry is None:
-                entry = remote[(i, src_dev)] = [0.0, set()]
-            entry[0] += float(amount) * DTYPE_BYTES
-            entry[1].add(ready[j])
-        deps_per_dst = [list(deps) for deps in local]
-        for (i, src_dev), (nbytes, deps) in remote.items():
-            dst_dev = dst_of[i]
-            deps_per_dst[i].append(self.sched.append(
-                kind, f"{label}->dev{dst_dev}",
-                (("tx", src_dev), ("rx", dst_dev)),
-                self.topo.transfer_time(nbytes, src_dev, dst_dev),
-                tuple(sorted(deps))))
-        return deps_per_dst
+        src = src_devs[picks]
+        local = src == dst_devs[rows]
+        if local.all():
+            return rows, ready[picks]
+        remote = ~local
+        r_rows, r_picks = rows[remote], picks[remote]
+        pair, first, which = np.unique(r_rows * p + src[remote],
+                                       return_index=True,
+                                       return_inverse=True)
+        by_pick = np.argsort(first)
+        pair = pair[by_pick]
+        rank = np.empty_like(by_pick)
+        rank[by_pick] = np.arange(by_pick.shape[0])
+        which = rank[which.ravel()]
+        t_rows, t_src = np.divmod(pair, p)
+        t_dst = dst_devs[t_rows]
+        nbytes = np.bincount(which, weights=ov[r_rows, r_picks] * DTYPE_BYTES,
+                             minlength=pair.shape[0])
+        dep_ptr, deps = _csr(pair.shape[0], [which], [ready[r_picks]])
+        tid = self.sched.add(
+            "xfer", (f"{label}->dev", ""), t_dst,
+            (p + t_src, 2 * p + t_dst),
+            nbytes / self.topo.bandwidths[t_src, t_dst], dep_ptr, deps)
+        return (np.concatenate([rows[local], t_rows]),
+                np.concatenate([ready[picks[local]],
+                                tid + np.arange(pair.shape[0])]))
 
-    def _extra_comm_tasks(self, op: OpSpec, cfg: tuple[int, ...],
-                          devs: np.ndarray, deps: list[list[int]],
-                          phase: str) -> list[int | None]:
-        """Halo/handoff NIC tasks per shard; None when the op has none."""
-        per_dev_bytes = float(op.extra_comm_bytes(_single_config(cfg))[0]) / 2.0
+    def _compute(self, op: OpSpec, devs: np.ndarray, phase: str,
+                 duration: float, rows: list[np.ndarray],
+                 ids: list[np.ndarray]) -> np.ndarray:
+        """Add the halo exchanges (when the op has them) and the compute
+        tasks of one phase; returns the compute task ids."""
         n = devs.shape[0]
-        if per_dev_bytes <= 0 or n < 2:
-            return [None] * n
-        tasks: list[int | None] = []
-        for s in range(n):
-            peer = int(devs[(s + 1) % n])
-            dur = self.topo.transfer_time(per_dev_bytes, int(devs[s]), peer)
-            tasks.append(self.sched.append(
-                "halo", f"{phase}-halo {op.name}[{s}]",
-                (("tx", int(devs[s])), ("rx", int(devs[s]))), dur,
-                tuple(deps[s])))
-        return tasks
+        shard = np.arange(n)
+        name = op.name
+        if name not in self.halo_bytes:
+            self.halo_bytes[name] = float(op.extra_comm_bytes(
+                _single_config(self.strategy[name]))[0]) / 2.0
+        halo_bytes = self.halo_bytes[name]
+        if halo_bytes > 0 and n >= 2:
+            # Each shard swaps its boundary with the next shard's device.
+            peer = np.concatenate((devs[1:], devs[:1]))
+            halo = self.sched.add(
+                "halo", (f"{phase}-halo {name}[", "]"), shard,
+                (self.p + devs, 2 * self.p + devs),
+                halo_bytes / self.topo.bandwidths[devs, peer],
+                *_csr(n, rows, ids))
+            rows = rows + [shard]
+            ids = ids + [halo + shard]
+        first = self.sched.add(phase, (f"{phase} {name}[", "]"), shard, devs,
+                               duration, *_csr(n, rows, ids))
+        return first + shard
+
+    def _collective(self, kind: str, name: str, devs: np.ndarray,
+                    groups: np.ndarray, nbytes: float,
+                    ready: np.ndarray) -> np.ndarray:
+        """Add one ring all-reduce per group row, one NIC task per member,
+        released together once every member's ``ready`` task is done;
+        returns the task ids in row-major member order."""
+        members = groups.ravel()
+        gdevs = devs[groups]
+        first = self.sched.add(
+            kind, (f"{kind} {name}[", "]"), members,
+            (self.p + devs[members], 2 * self.p + devs[members]),
+            np.repeat(ring_allreduce_times(self.topo, nbytes, gdevs),
+                      groups.shape[1]),
+            *_group_deps(ready, groups), group=groups.shape[1])
+        return first + np.arange(members.shape[0])
 
     # -- forward ---------------------------------------------------------------
 
@@ -237,49 +315,34 @@ class _StepBuilder:
         for name in self.order:
             op = self.graph.node(name)
             cfg = self.strategy[name]
-            shards = self.placement.shards[name]
             devs = self.placement.devices[name]
-            n = shards.shape[0]
-            fwd_time = op.fwd_flops / n / self.flops_rate
+            fwd_time = op.fwd_flops / devs.shape[0] / self.flops_rate
 
-            deps: list[list[int]] = [[] for _ in range(n)]
+            rows: list[np.ndarray] = []
+            ids: list[np.ndarray] = []
             for e in self.graph.in_edges(name):
-                ov, src_blocks, dst_blocks = (
-                    self.placement.overlaps.get(e)
-                    or edge_overlaps(self.graph, self.strategy,
-                                     self.placement.shards, e))
-                self.overlaps[e] = ov, dst_blocks
-                edge_deps = self._gather_transfers(
-                    ov, src_blocks, self.placement.devices[e.src], devs,
-                    self.fwd_ready[e.src], "xfer", f"fwd {e.src}->{name}")
-                for i in range(n):
-                    deps[i].extend(edge_deps[i])
-
-            halos = self._extra_comm_tasks(op, cfg, devs, deps, "fwd")
-            ready: list[int] = []
-            for s in range(n):
-                d = tuple(sorted(set(deps[s]) | ({halos[s]} if halos[s] is not None else set())))
-                ready.append(self.sched.append(
-                    "fwd", f"fwd {name}[{s}]", (("gpu", int(devs[s])),),
-                    fwd_time, d))
+                ov = (self.placement.overlaps.get(e)
+                      or edge_overlaps(self.graph, self.strategy,
+                                       self.placement.shards, e))[0]
+                src_op = self.graph.node(e.src)
+                self.overlaps[e] = ov, self._groups(
+                    cfg, _replica_dims(op, op.inputs[e.dst_port]))
+                r, i = self._gather_transfers(
+                    ov, self._groups(self.strategy[e.src], _replica_dims(
+                        src_op, src_op.outputs[e.src_port])),
+                    self.placement.devices[e.src], devs,
+                    self.fwd_ready[e.src], f"fwd {e.src}->{name}")
+                rows.append(r)
+                ids.append(i)
+            ready = self._compute(op, devs, "fwd", fwd_time, rows, ids)
 
             # Partial-sum all-reduce over reduction-dim splits.
-            red_idx = [op.dim_index(r) for r in op.reduction_dims]
-            m = int(np.prod([cfg[i] for i in red_idx], dtype=np.int64)) if red_idx else 1
-            if m > 1 and op.outputs:
+            groups = self._groups(cfg, map(op.dim_index, op.reduction_dims))
+            if groups.shape[1] > 1 and op.outputs:
                 out_bytes = float(op.primary_output.shard_volume(
                     op, _single_config(cfg))[0]) * DTYPE_BYTES
-                for group in _shard_groups(shards, red_idx):
-                    if len(group) < 2:
-                        continue
-                    gdevs = [int(devs[s]) for s in group]
-                    dur = ring_allreduce_time(self.topo, out_bytes, gdevs)
-                    gdeps = tuple(sorted(ready[s] for s in group))
-                    for s in group:
-                        ready[s] = self.sched.append(
-                            "reduce", f"reduce {name}[{s}]",
-                            (("tx", int(devs[s])), ("rx", int(devs[s]))),
-                            dur, gdeps)
+                ready[groups.ravel()] = self._collective(
+                    "reduce", name, devs, groups, out_bytes, ready)
             self.fwd_ready[name] = ready
 
     # -- backward -----------------------------------------------------------------
@@ -288,68 +351,49 @@ class _StepBuilder:
         for name in reversed(self.order):
             op = self.graph.node(name)
             cfg = self.strategy[name]
-            shards = self.placement.shards[name]
             devs = self.placement.devices[name]
-            n = shards.shape[0]
+            n = devs.shape[0]
             bwd_time = max(op.flops - op.fwd_flops, 0.0) / n / self.flops_rate
 
-            deps: list[list[int]] = [[] for _ in range(n)]
+            rows: list[np.ndarray] = []
+            ids: list[np.ndarray] = []
             out_edges = self.graph.out_edges(name)
             if not out_edges:
                 # Loss nodes: backward starts once their forward is done.
-                for s in range(n):
-                    deps[s].append(self.fwd_ready[name][s])
+                rows.append(np.arange(n))
+                ids.append(self.fwd_ready[name])
             for e in out_edges:
                 # Gradients flow consumer -> producer with the same block
                 # overlaps, but every consumer contributes (sum), so only
                 # consumer-side replicas are deduplicated.
-                ov, dst_blocks = self.overlaps[e]
-                edge_deps = self._gather_transfers(
-                    ov.T, dst_blocks, self.placement.devices[e.dst], devs,
-                    self.bwd_ready[e.dst], "xfer", f"bwd {e.dst}->{name}")
-                for s in range(n):
-                    deps[s].extend(edge_deps[s])
-
-            halos = self._extra_comm_tasks(op, cfg, devs, deps, "bwd")
-            ready: list[int] = []
-            for s in range(n):
-                d = set(deps[s])
-                if halos[s] is not None:
-                    d.add(halos[s])
-                ready.append(self.sched.append(
-                    "bwd", f"bwd {name}[{s}]", (("gpu", int(devs[s])),),
-                    bwd_time, tuple(sorted(d))))
+                ov, dst_groups = self.overlaps[e]
+                r, i = self._gather_transfers(
+                    ov.T, dst_groups, self.placement.devices[e.dst], devs,
+                    self.bwd_ready[e.dst], f"bwd {e.dst}->{name}")
+                rows.append(r)
+                ids.append(i)
+            ready = self._compute(op, devs, "bwd", bwd_time, rows, ids)
             self.bwd_ready[name] = ready
 
             # Parameter-gradient all-reduce across replication groups;
             # overlaps with the rest of the backward pass (NIC resource).
-            sync_of_shard: list[list[int]] = [[] for _ in range(n)]
+            sync_rows: list[np.ndarray] = []
+            sync_ids: list[np.ndarray] = []
             param_shard_volume = 0.0
             for spec in op.inputs.values():
                 if not spec.is_param:
                     continue
                 param_shard_volume += float(
                     spec.shard_volume(op, _single_config(cfg))[0])
-                covered = {op.resolve_dim(a) for a in spec.axes} - {None}
-                varying = [i for i, dim in enumerate(op.dims)
-                           if dim.name not in covered]
-                rho = int(np.prod([cfg[i] for i in varying], dtype=np.int64)) \
-                    if varying else 1
-                if rho < 2:
+                # The replicas of a parameter shard sync its gradient.
+                groups = self._groups(cfg, _replica_dims(op, spec))
+                if groups.shape[1] < 2:
                     continue
                 w_bytes = float(spec.grad_sync_volume(op, _single_config(cfg))[0]) \
                     * DTYPE_BYTES
-                for group in _shard_groups(shards, varying):
-                    if len(group) < 2:
-                        continue
-                    gdevs = [int(devs[s]) for s in group]
-                    dur = ring_allreduce_time(self.topo, w_bytes, gdevs)
-                    gdeps = tuple(sorted(ready[s] for s in group))
-                    for s in group:
-                        sync_of_shard[s].append(self.sched.append(
-                            "gradsync", f"gradsync {name}[{s}]",
-                            (("tx", int(devs[s])), ("rx", int(devs[s]))),
-                            dur, gdeps))
+                sync_rows.append(groups.ravel())
+                sync_ids.append(self._collective("gradsync", name, devs,
+                                                 groups, w_bytes, ready))
 
             # Update phase: each device applies the optimizer to the
             # parameter shards it holds, once its gradients are combined.
@@ -357,12 +401,11 @@ class _StepBuilder:
                 upd_time = param_shard_volume \
                     * CostModel.UPDATE_FLOPS_PER_PARAM \
                     / self.flops_rate
-                for s in range(n):
-                    d = tuple(sorted(sync_of_shard[s])) if sync_of_shard[s] \
-                        else (ready[s],)
-                    self.sched.append(
-                        "update", f"update {name}[{s}]",
-                        (("gpu", int(devs[s])),), upd_time, d)
+                if not sync_rows:
+                    sync_rows, sync_ids = [np.arange(n)], [ready]
+                self.sched.add("update", (f"update {name}[", "]"),
+                               np.arange(n), devs, upd_time,
+                               *_csr(n, sync_rows, sync_ids))
         self.overlaps.clear()
 
 

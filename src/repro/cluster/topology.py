@@ -61,7 +61,7 @@ class ClusterTopology:
         if not (0 <= a < self.p and 0 <= b < self.p):
             raise SimulationError(
                 f"devices {a}, {b}: outside 0..{self.p - 1}")
-        return self._bandwidth_rows[a][b]
+        return float(self.bandwidths[a, b])
 
     @cached_property
     def bandwidths(self) -> np.ndarray:
@@ -79,11 +79,6 @@ class ClusterTopology:
                        self.machine.inter_node_bw).astype(np.float64)
         np.fill_diagonal(out, np.inf)
         return out
-
-    @cached_property
-    def _bandwidth_rows(self) -> list[list[float]]:
-        # Python floats, so that durations computed from them stay floats.
-        return self.bandwidths.tolist()
 
     def transfer_time(self, nbytes: float, a: int, b: int) -> float:
         if a == b or nbytes <= 0:

@@ -19,6 +19,7 @@ def topo():
 class TestBottleneck:
     def test_single_device_infinite(self, topo):
         assert group_bottleneck_bw(topo, [3]) == float("inf")
+        assert group_bottleneck_bw(topo, []) == float("inf")
 
     def test_intra_node_group(self, topo):
         assert group_bottleneck_bw(topo, [0, 1, 2]) == GTX1080TI.intra_node_bw

@@ -149,24 +149,29 @@ class TestErrors:
             simulate_step(small_mlp, s, GTX1080TI, 4, placement=pl)
 
     def test_dependency_cycle_detected(self):
-        """`append` forbids forward deps, so a cycle can only be forged
-        by mutation — `schedule` must still refuse to schedule it."""
-        sched = ListScheduler()
-        a = sched.append("fwd", "a", (("gpu", 0),), 1.0)
-        b = sched.append("fwd", "b", (("gpu", 0),), 1.0, (a,))
-        sched.deps[a] = (b,)
+        """`add` forbids forward deps, so a cycle can only be forged by
+        rewriting a stored block — `schedule` must still refuse it."""
+        sched = ListScheduler([("gpu", 0)])
+        gpu = np.zeros(1, dtype=np.int64)
+        a = sched.add("fwd", ("a", ""), [0], gpu, 1.0)
+        b = sched.add("fwd", ("b", ""), [0], gpu, 1.0, np.array([0, 1]),
+                      np.array([a]))
+        sched.blocks[0] = sched.blocks[0]._replace(dep_ptr=np.array([0, 1]),
+                                                   deps=np.array([b]))
         with pytest.raises(SimulationError, match="cycle"):
             sched.schedule()
 
     def test_future_dependency_rejected_at_add(self):
-        sched = ListScheduler()
+        sched = ListScheduler([("gpu", 0)])
         with pytest.raises(SimulationError, match="unknown/future"):
-            sched.append("fwd", "a", (("gpu", 0),), 1.0, (5,))
+            sched.add("fwd", ("a", ""), [0], np.zeros(1, dtype=np.int64),
+                      1.0, np.array([0, 1]), np.array([5]))
 
     def test_negative_duration_rejected_at_add(self):
-        sched = ListScheduler()
+        sched = ListScheduler([("gpu", 0)])
         with pytest.raises(SimulationError, match="negative duration"):
-            sched.append("fwd", "a", (("gpu", 0),), -1.0)
+            sched.add("fwd", ("a", ""), [0], np.zeros(1, dtype=np.int64),
+                      -1.0)
 
     def test_missing_batch_dim_needs_explicit_batch(self):
         from repro.core.dims import Dim

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.baselines import data_parallel_strategy
@@ -232,9 +233,11 @@ class TestSimulateWithFaults:
 
     def test_scheduler_honors_injector_hook(self):
         """The raw scheduler applies the perturbation hook per task."""
-        sched = ListScheduler()
-        a = sched.append("fwd", "a", (("gpu", 0),), 1.0)
-        sched.append("fwd", "b", (("gpu", 0),), 1.0, (a,))
+        sched = ListScheduler([("gpu", 0)])
+        gpu = np.zeros(1, dtype=np.int64)
+        a = sched.add("fwd", ("a", ""), [0], gpu, 1.0)
+        sched.add("fwd", ("b", ""), [0], gpu, 1.0, np.array([0, 1]),
+                  np.array([a]))
         plan = FaultPlan(stragglers=(Straggler(0, 3.0),))
         done = sched.schedule(faults=FaultInjector(plan, 1))
         assert done.makespan == pytest.approx(6.0)
