@@ -10,7 +10,7 @@ speedups are regenerated on top of it.
 """
 
 from .topology import ClusterTopology, LinkKind
-from .collectives import ring_allreduce_time, group_bottleneck_bw
+from .collectives import group_bottleneck_bws, ring_allreduce_times
 from .events import ListScheduler
 from .simulator import SimulationReport, simulate_step
 from .trace import (TraceRecord, critical_path, critical_path_by_kind,
@@ -25,8 +25,8 @@ __all__ = [
     "render_gantt",
     "critical_path",
     "critical_path_by_kind",
-    "group_bottleneck_bw",
-    "ring_allreduce_time",
+    "group_bottleneck_bws",
+    "ring_allreduce_times",
     "simulate_step",
     "utilization",
 ]

@@ -9,14 +9,11 @@ neighbors come first).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .topology import ClusterTopology
 
-__all__ = ["group_bottleneck_bw", "group_bottleneck_bws",
-           "ring_allreduce_time", "ring_allreduce_times", "RING_CHANNELS"]
+__all__ = ["group_bottleneck_bws", "ring_allreduce_times", "RING_CHANNELS"]
 
 #: Concurrent ring channels (NCCL-style duplex/multi-ring execution);
 #: collective times divide by this.
@@ -41,22 +38,3 @@ def ring_allreduce_times(topo: ClusterTopology, nbytes: float,
         return np.zeros(groups.shape[0])
     return 2.0 * nbytes * (m - 1) / m / group_bottleneck_bws(topo, groups) \
         / RING_CHANNELS
-
-
-def _one_group(topo: ClusterTopology, devices: Sequence[int]) -> np.ndarray:
-    devs = sorted({int(d) for d in devices})
-    for d in devs:
-        topo.node_of(d)  # raises for a device outside the cluster
-    return np.asarray([devs], dtype=np.int64)
-
-
-def group_bottleneck_bw(topo: ClusterTopology, devices: Sequence[int]) -> float:
-    """Slowest link bandwidth along the ring over ``devices`` (sorted)."""
-    return float(group_bottleneck_bws(topo, _one_group(topo, devices))[0])
-
-
-def ring_allreduce_time(topo: ClusterTopology, nbytes: float,
-                        devices: Sequence[int]) -> float:
-    """Completion time of a ring all-reduce of ``nbytes`` per device."""
-    return float(ring_allreduce_times(topo, nbytes,
-                                      _one_group(topo, devices))[0])

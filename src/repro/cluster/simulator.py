@@ -140,11 +140,6 @@ def _pick_holders(ov: np.ndarray, groups: np.ndarray,
     per (destination, overlapping group), in destination order and then
     group order.
     """
-    if groups.shape[1] == 1:
-        # One holder per block: a destination reads every block it
-        # overlaps from that holder.
-        rows, cols = np.nonzero(ov[:, groups[:, 0]] > 0)
-        return rows, groups[cols, 0]
     # Score each (destination, holder) pair by its link bandwidth, inf
     # when local and -1 for non-holders; a group's pick is its first
     # maximum in shard order.
@@ -209,19 +204,9 @@ class _StepBuilder:
         # Per edge: (overlap, consumer block groups) from the forward pass,
         # for the backward pass to reuse.
         self.overlaps: dict = {}
-        # Per node: halo bytes per device, from the forward pass.
-        self.halo_bytes: dict[str, float] = {}
-        # `_grid_groups` by (config, varying dims).
-        self.groups: dict = {}
         self.order = graph.topological_order()
 
     # -- helpers -----------------------------------------------------------
-
-    def _groups(self, config: tuple[int, ...], varying) -> np.ndarray:
-        key = (config, frozenset(varying))
-        if key not in self.groups:
-            self.groups[key] = _grid_groups(*key)
-        return self.groups[key]
 
     def _gather_transfers(self, ov: np.ndarray, src_groups: np.ndarray,
                           src_devs: np.ndarray, dst_devs: np.ndarray,
@@ -232,10 +217,10 @@ class _StepBuilder:
         Returns the (destination shard, task id) entries its compute
         task must wait for: the transfers, and the ready tasks of the
         local picks.  Replicated source blocks are collapsed to one
-        holder each (`_pick_holders`), and the remote picks of one
-        (destination, source device) pair make one transfer.  Transfers
-        are added per destination in shard order, per source device in
-        order of its first pick.
+        holder each (`_pick_holders`), and every remote pick is one
+        transfer: a node's shards sit on distinct devices, so no two
+        picks of one destination share a source device.  Transfers are
+        added per destination in shard order, then in group order.
         """
         p = self.p
         rows, picks = _pick_holders(ov, src_groups, src_devs, dst_devs,
@@ -245,27 +230,17 @@ class _StepBuilder:
         if local.all():
             return rows, ready[picks]
         remote = ~local
-        r_rows, r_picks = rows[remote], picks[remote]
-        pair, first, which = np.unique(r_rows * p + src[remote],
-                                       return_index=True,
-                                       return_inverse=True)
-        by_pick = np.argsort(first)
-        pair = pair[by_pick]
-        rank = np.empty_like(by_pick)
-        rank[by_pick] = np.arange(by_pick.shape[0])
-        which = rank[which.ravel()]
-        t_rows, t_src = np.divmod(pair, p)
+        t_rows, t_picks, t_src = rows[remote], picks[remote], src[remote]
         t_dst = dst_devs[t_rows]
-        nbytes = np.bincount(which, weights=ov[r_rows, r_picks] * DTYPE_BYTES,
-                             minlength=pair.shape[0])
-        dep_ptr, deps = _csr(pair.shape[0], [which], [ready[r_picks]])
+        k = t_rows.shape[0]
         tid = self.sched.add(
             "xfer", (f"{label}->dev", ""), t_dst,
             (p + t_src, 2 * p + t_dst),
-            nbytes / self.topo.bandwidths[t_src, t_dst], dep_ptr, deps)
+            ov[t_rows, t_picks] * DTYPE_BYTES
+            / self.topo.bandwidths[t_src, t_dst],
+            np.arange(k + 1, dtype=np.int64), ready[t_picks])
         return (np.concatenate([rows[local], t_rows]),
-                np.concatenate([ready[picks[local]],
-                                tid + np.arange(pair.shape[0])]))
+                np.concatenate([ready[picks[local]], tid + np.arange(k)]))
 
     def _compute(self, op: OpSpec, devs: np.ndarray, phase: str,
                  duration: float, rows: list[np.ndarray],
@@ -275,10 +250,8 @@ class _StepBuilder:
         n = devs.shape[0]
         shard = np.arange(n)
         name = op.name
-        if name not in self.halo_bytes:
-            self.halo_bytes[name] = float(op.extra_comm_bytes(
-                _single_config(self.strategy[name]))[0]) / 2.0
-        halo_bytes = self.halo_bytes[name]
+        halo_bytes = float(op.extra_comm_bytes(
+            _single_config(self.strategy[name]))[0]) / 2.0
         if halo_bytes > 0 and n >= 2:
             # Each shard swaps its boundary with the next shard's device.
             peer = np.concatenate((devs[1:], devs[:1]))
@@ -325,10 +298,10 @@ class _StepBuilder:
                       or edge_overlaps(self.graph, self.strategy,
                                        self.placement.shards, e))[0]
                 src_op = self.graph.node(e.src)
-                self.overlaps[e] = ov, self._groups(
+                self.overlaps[e] = ov, _grid_groups(
                     cfg, _replica_dims(op, op.inputs[e.dst_port]))
                 r, i = self._gather_transfers(
-                    ov, self._groups(self.strategy[e.src], _replica_dims(
+                    ov, _grid_groups(self.strategy[e.src], _replica_dims(
                         src_op, src_op.outputs[e.src_port])),
                     self.placement.devices[e.src], devs,
                     self.fwd_ready[e.src], f"fwd {e.src}->{name}")
@@ -337,7 +310,8 @@ class _StepBuilder:
             ready = self._compute(op, devs, "fwd", fwd_time, rows, ids)
 
             # Partial-sum all-reduce over reduction-dim splits.
-            groups = self._groups(cfg, map(op.dim_index, op.reduction_dims))
+            groups = _grid_groups(
+                cfg, frozenset(map(op.dim_index, op.reduction_dims)))
             if groups.shape[1] > 1 and op.outputs:
                 out_bytes = float(op.primary_output.shard_volume(
                     op, _single_config(cfg))[0]) * DTYPE_BYTES
@@ -386,7 +360,7 @@ class _StepBuilder:
                 param_shard_volume += float(
                     spec.shard_volume(op, _single_config(cfg))[0])
                 # The replicas of a parameter shard sync its gradient.
-                groups = self._groups(cfg, _replica_dims(op, spec))
+                groups = _grid_groups(cfg, _replica_dims(op, spec))
                 if groups.shape[1] < 2:
                     continue
                 w_bytes = float(spec.grad_sync_volume(op, _single_config(cfg))[0]) \

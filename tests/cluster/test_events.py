@@ -113,7 +113,8 @@ class TestScheduler:
 def task_blocks(draw):
     """Random blocks over a few kinds and resources.  A block's tasks
     share one dependency list per group of ``group`` consecutive tasks,
-    and every dependency is a task of an earlier block.
+    and every dependency is a task of an earlier block, some named more
+    than once.
 
     Returns the block arguments of `ListScheduler.add` and, per task,
     (kind, label, resource keys, duration, deps).
@@ -129,9 +130,8 @@ def task_blocks(draw):
                       st.integers(0, 3)),
             min_size=1, max_size=2, unique=True))) for _ in range(n)]
         durations = [draw(st.floats(0.0, 3.0)) for _ in range(n)]
-        deps = [tuple(draw(st.lists(st.integers(0, first - 1), max_size=3,
-                                    unique=True))) if first else ()
-                for _ in range(n // group)]
+        deps = [tuple(draw(st.lists(st.integers(0, first - 1), max_size=3)))
+                if first else () for _ in range(n // group)]
         slot0 = np.array([SLOT[r[0]] for r in res])
         slot1 = np.array([SLOT[r[-1]] for r in res])
         blocks.append((kind, ("t", ""), np.arange(first, first + n),
