@@ -23,7 +23,7 @@ from .cluster import simulate_step
 from .core.configs import MODES
 from .core.machine import MACHINES as _MACHINES
 from .experiments import figure6, table1, table2
-from .experiments.common import (METHODS, add_table_args, at_least,
+from .experiments.common import (METHODS, add_reduce_arg, at_least,
                                  build_setup, search_with)
 from .models import BENCHMARKS
 
@@ -51,11 +51,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]
     graph = BENCHMARKS[args.model]()
     space = ConfigSpace.build(graph, args.p, mode=args.mode)
-    cache = None
-    if args.table_cache is not None:
-        from .core.tablecache import TableCache
-
-        cache = TableCache(args.table_cache)
     journal = None
     if args.journal_dir is not None:
         journal = SearchJournal(args.journal_dir)
@@ -88,8 +83,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             memory_budget=args.memory_budget if args.memory_budget is not None
             else DEFAULT_MEMORY_BUDGET),
         cancellation=Cancellation(),
-        journal=journal, cache=cache,
-        tracer=tracer, metrics=metrics)
+        journal=journal, tracer=tracer, metrics=metrics)
     try:
         with trap_signals(ctx.cancellation):
             outcome = execute_search(
@@ -202,8 +196,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]
-    setup = build_setup(args.model, args.p, machine=machine, mode=args.mode,
-                        cache_dir=args.table_cache)
+    setup = build_setup(args.model, args.p, machine=machine, mode=args.mode)
     plan = None
     if args.faults:
         from .resilience import FaultPlan
@@ -289,14 +282,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     machine = _MACHINES[args.machine]
     graph = BENCHMARKS[args.model]()
-    cache = None
-    if args.table_cache is not None:
-        from .core.tablecache import TableCache
-
-        cache = TableCache(args.table_cache)
     res = pipeline_pase(graph, args.p, args.stages, machine=machine,
-                        mode=args.mode, cache=cache,
-                        reduce=args.reduce)
+                        mode=args.mode, reduce=args.reduce)
     print(f"# {args.model} p={args.p} stages={args.stages} "
           f"({res.devices_per_stage} devices/stage)")
     for i, (stage, cost) in enumerate(zip(res.stages, res.stage_costs)):
@@ -352,7 +339,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_search = subs.add_parser("search", help="find the best strategy")
     _add_common(p_search)
-    add_table_args(p_search)
+    add_reduce_arg(p_search)
     p_search.add_argument("--method", choices=METHODS, default="ours")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--frontier", action="store_true",
@@ -381,8 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                           "it exits with code 5")
     p_search.add_argument("--journal-dir", metavar="DIR", default=None,
                           help="crash-safe run journal: phase snapshots "
-                          "and built tables land here (atomic writes), "
-                          "SIGINT/SIGTERM flush it and exit with code 6")
+                          "land here (atomic writes), SIGINT/SIGTERM "
+                          "flush it and exit with code 6")
     p_search.add_argument("--resume", action="store_true",
                           help="resume a journalled run from --journal-dir "
                           "bit-identically (fingerprint-checked)")
@@ -502,7 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_sim = subs.add_parser("simulate", help="simulate strategies on a cluster")
     _add_common(p_sim)
-    add_table_args(p_sim)
+    add_reduce_arg(p_sim)
     p_sim.add_argument("--methods", nargs="+", choices=METHODS,
                        default=["data_parallel", "expert", "ours"])
     p_sim.add_argument("--seed", type=int, default=0)
@@ -536,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_pipe = subs.add_parser("pipeline", help="PipeDream-style stages + "
                              "PaSE per stage (Section VI composition)")
     _add_common(p_pipe)
-    add_table_args(p_pipe)
+    add_reduce_arg(p_pipe)
     p_pipe.add_argument("--stages", type=at_least(int, 1), default=2)
     p_pipe.set_defaults(fn=_cmd_pipeline)
 

@@ -9,7 +9,7 @@ hierarchical link bandwidths, *allowing communication/computation overlap*
 speedups are regenerated on top of it.
 """
 
-from .topology import ClusterTopology, LinkKind
+from .topology import ClusterTopology
 from .collectives import group_bottleneck_bws, ring_allreduce_times
 from .events import ListScheduler
 from .simulator import SimulationReport, simulate_step
@@ -18,7 +18,6 @@ from .trace import (TraceRecord, critical_path, critical_path_by_kind,
 
 __all__ = [
     "ClusterTopology",
-    "LinkKind",
     "ListScheduler",
     "SimulationReport",
     "TraceRecord",

@@ -1,8 +1,7 @@
-"""Cluster topology: devices, nodes, link classes and bandwidths."""
+"""Cluster topology: devices packed into nodes, and their bandwidths."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -11,16 +10,7 @@ import numpy as np
 from ..core.exceptions import SimulationError
 from ..core.machine import MachineSpec
 
-__all__ = ["LinkKind", "ClusterTopology"]
-
-
-class LinkKind(enum.Enum):
-    """Classes of device-to-device paths."""
-
-    LOCAL = "local"          # same device (no transfer)
-    INTRA_P2P = "intra_p2p"  # same node, peer-to-peer PCIe
-    INTRA_HOST = "intra_host"  # same node, staged through host memory
-    INTER = "inter"          # across nodes, InfiniBand
+__all__ = ["ClusterTopology"]
 
 
 @dataclass(frozen=True)
@@ -40,29 +30,6 @@ class ClusterTopology:
         if self.p < 1:
             raise SimulationError(f"cluster needs >= 1 device, got {self.p}")
 
-    @property
-    def num_nodes(self) -> int:
-        return self.machine.nodes_for(self.p)
-
-    def node_of(self, dev: int) -> int:
-        if not 0 <= dev < self.p:
-            raise SimulationError(f"device {dev} outside 0..{self.p - 1}")
-        return dev // self.machine.devices_per_node
-
-    def link_kind(self, a: int, b: int) -> LinkKind:
-        if a == b:
-            return LinkKind.LOCAL
-        if self.node_of(a) == self.node_of(b):
-            return LinkKind.INTRA_P2P if self.machine.p2p else LinkKind.INTRA_HOST
-        return LinkKind.INTER
-
-    def bandwidth(self, a: int, b: int) -> float:
-        """Bytes/s of the path between two devices (inf for local)."""
-        if not (0 <= a < self.p and 0 <= b < self.p):
-            raise SimulationError(
-                f"devices {a}, {b}: outside 0..{self.p - 1}")
-        return float(self.bandwidths[a, b])
-
     @cached_property
     def bandwidths(self) -> np.ndarray:
         """Bytes/s between every device pair, as a ``[p, p]`` array.
@@ -79,8 +46,3 @@ class ClusterTopology:
                        self.machine.inter_node_bw).astype(np.float64)
         np.fill_diagonal(out, np.inf)
         return out
-
-    def transfer_time(self, nbytes: float, a: int, b: int) -> float:
-        if a == b or nbytes <= 0:
-            return 0.0
-        return nbytes / self.bandwidth(a, b)

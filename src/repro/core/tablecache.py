@@ -1,10 +1,10 @@
 """Content-addressed on-disk cache for precomputed `CostTables`.
 
-Every search entry point pays `CostModel.build_tables` before a single DP
-cell is evaluated, and the same (graph, machine, p, mode) instance is
-rebuilt by experiment drivers thousands of times across runs.  TensorOpt
-and FlexFlow both treat cost-profile construction as a cacheable artifact;
-this module does the same for PaSE's tables.
+PaSE's cost tables are closed-form, so a one-shot process rebuilds them
+rather than store and read them back.  The one store that pays is the
+fleet-wide ``table-cache`` of the persistent worker pool that fleet and
+serve share (`repro.fleet.worker`): its long-lived workers answer many
+tasks of one (graph, machine, p, mode) cell from a verified mmap memo.
 
 **Cache key.**  :func:`table_digest` hashes a canonical description of
 everything the table contents depend on:
@@ -82,8 +82,7 @@ from .machine import MachineSpec
 if TYPE_CHECKING:  # pragma: no cover
     from .costmodel import CostModel, CostTables
 
-__all__ = ["TableCache", "table_digest", "DEFAULT_CACHE_BYTES",
-           "CACHE_DIR_ENV", "CACHE_BYTES_ENV"]
+__all__ = ["TableCache", "table_digest", "DEFAULT_CACHE_BYTES"]
 
 #: Stored-layout version; bump to invalidate every existing entry.
 #: v2 added the manifest payload checksum.
@@ -93,10 +92,6 @@ _log = logging.getLogger(__name__)
 
 #: Default size cap for the cache directory (bytes).
 DEFAULT_CACHE_BYTES = 1 << 30
-
-#: Environment overrides for the cache directory and size cap.
-CACHE_DIR_ENV = "PASE_TABLE_CACHE_DIR"
-CACHE_BYTES_ENV = "PASE_TABLE_CACHE_BYTES"
 
 #: Separator joining pair keys in the manifest (never appears in names).
 _PAIR_SEP = "\x1f"
@@ -321,23 +316,15 @@ class TableCache:
     Parameters
     ----------
     root:
-        Cache directory.  Defaults to ``$PASE_TABLE_CACHE_DIR`` or
-        ``~/.cache/pase/tables``.  Created lazily on first store.
+        Cache directory, created lazily on first store.
     max_bytes:
         Size cap; least-recently-used entries are evicted when a store
-        pushes the directory past it.  Defaults to
-        ``$PASE_TABLE_CACHE_BYTES`` or 1 GiB.
+        pushes the directory past it.
     """
 
-    def __init__(self, root: str | os.PathLike | None = None, *,
-                 max_bytes: int | None = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or \
-                Path.home() / ".cache" / "pase" / "tables"
+    def __init__(self, root: str | os.PathLike, *,
+                 max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.root = Path(root)
-        if max_bytes is None:
-            env = os.environ.get(CACHE_BYTES_ENV)
-            max_bytes = int(env) if env else DEFAULT_CACHE_BYTES
         if max_bytes <= 0:
             raise ValueError(f"max_bytes={max_bytes} must be positive")
         self.max_bytes = int(max_bytes)

@@ -25,7 +25,7 @@ from ..core.strategy import SearchResult, Strategy
 from ..models import BENCHMARKS
 from ..runtime import RunBudget, RunContext
 
-__all__ = ["BenchSetup", "add_table_args", "at_least", "build_setup",
+__all__ = ["BenchSetup", "add_reduce_arg", "at_least", "build_setup",
            "search_with", "METHODS"]
 
 #: Search/baseline method names accepted by :func:`search_with`.
@@ -48,12 +48,8 @@ class BenchSetup:
     tables: CostTables
 
 
-def add_table_args(parser: argparse.ArgumentParser) -> None:
-    """The ``--table-cache``/``--reduce`` options of every table-building
-    entry point."""
-    parser.add_argument("--table-cache", metavar="DIR", default=None,
-                        help="cache precomputed cost tables under DIR "
-                        "(content-addressed; reused across runs)")
+def add_reduce_arg(parser: argparse.ArgumentParser) -> None:
+    """The ``--reduce`` option of every table-building entry point."""
     parser.add_argument("--reduce", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run the exactness-preserving search-space "
@@ -79,29 +75,19 @@ def at_least(kind: type, low: float, *, strict: bool = False):
 
 
 @lru_cache(maxsize=32)
-def _cached_setup(name: str, p: int, machine: MachineSpec, mode: str,
-                  cache_dir: str | None) -> BenchSetup:
+def _cached_setup(name: str, p: int, machine: MachineSpec,
+                  mode: str) -> BenchSetup:
     graph = BENCHMARKS[name]()
     space = ConfigSpace.build(graph, p, mode=mode)
-    cache = None
-    if cache_dir is not None:
-        from ..core.tablecache import TableCache
-        cache = TableCache(cache_dir)
-    tables = CostModel(machine).build_tables(
-        graph, space, ctx=RunContext(cache=cache))
+    tables = CostModel(machine).build_tables(graph, space)
     return BenchSetup(graph=graph, p=p, machine=machine, space=space,
                       tables=tables)
 
 
 def build_setup(name: str, p: int, *, machine: MachineSpec = GTX1080TI,
-                mode: str = "pow2",
-                cache_dir: str | None = None) -> BenchSetup:
-    """Build (and memoize) graph + config space + cost tables.
-
-    ``cache_dir`` enables the on-disk table cache rooted there.
-    """
-    return _cached_setup(name, p, machine, mode,
-                         None if cache_dir is None else str(cache_dir))
+                mode: str = "pow2") -> BenchSetup:
+    """Build (and memoize) graph + config space + cost tables."""
+    return _cached_setup(name, p, machine, mode)
 
 
 def search_with(setup: BenchSetup, method: str, *, seed: int = 0,

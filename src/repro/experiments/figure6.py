@@ -17,7 +17,7 @@ from ..analysis.reporting import format_speedup_table
 from ..cluster.simulator import simulate_step
 from ..core.machine import GTX1080TI, RTX2080TI, MachineSpec
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, at_least, build_setup, search_with
+from .common import add_reduce_arg, at_least, build_setup, search_with
 
 __all__ = ["Figure6Point", "run_figure6", "main", "DEFAULT_PS"]
 
@@ -43,8 +43,7 @@ def run_figure6(*, benchmarks: Sequence[str] = BENCH_ORDER,
                 ps: Sequence[int] = DEFAULT_PS,
                 machines: Sequence[MachineSpec] = (GTX1080TI, RTX2080TI),
                 methods: Sequence[str] = METHODS,
-                seed: int = 0, cache_dir: str | None = None,
-                reduce: bool = False,
+                seed: int = 0, reduce: bool = False,
                 budget: RunBudget | None = None) -> list[Figure6Point]:
     """An expired ``budget`` deadline stops the sweep at the next
     (machine, benchmark, p) cell and returns the points measured so far.
@@ -56,8 +55,7 @@ def run_figure6(*, benchmarks: Sequence[str] = BENCH_ORDER,
             for p in ps:
                 if budget.expired:
                     return points
-                setup = build_setup(bench, p, machine=machine,
-                                    cache_dir=cache_dir)
+                setup = build_setup(bench, p, machine=machine)
                 dp = search_with(setup, "data_parallel").strategy
                 base = simulate_step(setup.graph, dp, machine, p)
                 points.append(Figure6Point(machine.name, bench, p,
@@ -93,7 +91,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
-    add_table_args(parser)
+    add_reduce_arg(parser)
     parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (machine, "
@@ -103,8 +101,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     budget = RunBudget(deadline=args.deadline).start()
     points = run_figure6(benchmarks=args.benchmarks,
                          ps=FULL_PS if args.full else DEFAULT_PS,
-                         seed=args.seed, cache_dir=args.table_cache,
-                         reduce=args.reduce, budget=budget)
+                         seed=args.seed, reduce=args.reduce, budget=budget)
     for machine in ("1080Ti", "2080Ti"):
         fig = "6a" if machine == "1080Ti" else "6b"
         print(f"== Figure {fig}: speedup over data parallelism ({machine}) ==")

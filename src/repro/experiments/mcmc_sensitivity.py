@@ -25,7 +25,7 @@ from ..baselines import (
 )
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, at_least, build_setup, search_with
+from .common import add_reduce_arg, at_least, build_setup, search_with
 
 __all__ = ["run_mcmc_sensitivity", "SensitivityRow", "main"]
 
@@ -45,7 +45,6 @@ class SensitivityRow:
 def run_mcmc_sensitivity(*, benchmark: str = "transformer", p: int = 8,
                          seeds: Sequence[int] = (0, 1, 2),
                          max_iters: int = 50_000,
-                         cache_dir: str | None = None,
                          reduce: bool = False,
                          budget: RunBudget | None = None
                          ) -> list[SensitivityRow]:
@@ -53,7 +52,7 @@ def run_mcmc_sensitivity(*, benchmark: str = "transformer", p: int = 8,
     (init, seed) MCMC run and returns the rows measured so far.
     """
     budget = (budget or RunBudget()).start()
-    setup = build_setup(benchmark, p, cache_dir=cache_dir)
+    setup = build_setup(benchmark, p)
     optimum = search_with(setup, "ours", reduce=reduce).cost
     inits: dict[str, Strategy | None] = {
         "serial": None,
@@ -90,7 +89,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--p", type=at_least(int, 1), default=8)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                         help="RNG seeds, one MCMC run per seed and init")
-    add_table_args(parser)
+    add_reduce_arg(parser)
     parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next (init, seed) run "
@@ -100,7 +99,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     budget = RunBudget(deadline=args.deadline).start()
     rows = run_mcmc_sensitivity(benchmark=args.benchmark, p=args.p,
                                 seeds=tuple(args.seeds),
-                                cache_dir=args.table_cache,
                                 reduce=args.reduce, budget=budget)
     print(format_sensitivity(rows))
     if budget.expired:

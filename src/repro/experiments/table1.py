@@ -16,7 +16,7 @@ from ..analysis.reporting import format_grid, format_time
 from ..core.exceptions import SearchResourceError
 from ..core.machine import GTX1080TI
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, at_least, build_setup, search_with
+from .common import add_reduce_arg, at_least, build_setup, search_with
 
 __all__ = ["Table1Cell", "run_table1", "main", "DEFAULT_PS", "FULL_PS"]
 
@@ -47,19 +47,17 @@ class Table1Cell:
 def run_table1(*, benchmarks: Sequence[str] = BENCH_ORDER,
                ps: Sequence[int] = DEFAULT_PS,
                methods: Sequence[str] = METHOD_ORDER,
-               seed: int = 0, cache_dir: str | None = None,
-               reduce: bool = False,
+               seed: int = 0, reduce: bool = False,
                budget: RunBudget | None = None) -> list[Table1Cell]:
     """Time every (benchmark, p, method) combination.
 
     BF's state-space blow-ups surface as `SearchResourceError` and are
-    recorded as OOM cells, matching the paper's entries.  ``cache_dir``
-    speeds up cost-table construction only — the timed search phase is
-    unaffected.  ``reduce`` runs the exact search-space
-    reduction ahead of the "ours" DP (its seconds are part of the timed
-    search, so the column stays honest).  An expired ``budget`` deadline
-    stops the sweep at the next cell boundary and returns the cells
-    measured so far (partial results, never a crash).
+    recorded as OOM cells, matching the paper's entries.  ``reduce``
+    runs the exact search-space reduction ahead of the "ours" DP (its
+    seconds are part of the timed search, so the column stays honest).
+    An expired ``budget`` deadline stops the sweep at the next cell
+    boundary and returns the cells measured so far (partial results,
+    never a crash).
     """
     budget = (budget or RunBudget()).start()
     cells: list[Table1Cell] = []
@@ -67,8 +65,7 @@ def run_table1(*, benchmarks: Sequence[str] = BENCH_ORDER,
         for p in ps:
             if budget.expired:
                 return cells
-            setup = build_setup(bench, p, machine=GTX1080TI,
-                                cache_dir=cache_dir)
+            setup = build_setup(bench, p, machine=GTX1080TI)
             for method in methods:
                 if budget.expired:
                     return cells
@@ -107,7 +104,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for the stochastic baselines (MCMC)")
-    add_table_args(parser)
+    add_reduce_arg(parser)
     parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next cell boundary once "
@@ -117,8 +114,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     budget = RunBudget(deadline=args.deadline).start()
     cells = run_table1(benchmarks=args.benchmarks,
                        ps=FULL_PS if args.full else DEFAULT_PS,
-                       seed=args.seed, cache_dir=args.table_cache,
-                       reduce=args.reduce, budget=budget)
+                       seed=args.seed, reduce=args.reduce, budget=budget)
     print(format_table1(cells))
     if budget.expired:
         print(f"deadline of {args.deadline:.1f}s exceeded after "

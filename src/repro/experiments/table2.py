@@ -19,7 +19,7 @@ from typing import Sequence
 from ..core.machine import GTX1080TI
 from ..core.strategy import Strategy
 from ..runtime import EXIT_DEADLINE, RunBudget
-from .common import add_table_args, at_least, build_setup, search_with
+from .common import add_reduce_arg, at_least, build_setup, search_with
 
 __all__ = ["run_table2", "strategy_structure_checks", "main"]
 
@@ -27,7 +27,6 @@ BENCH_ORDER = ("alexnet", "inception_v3", "rnnlm", "transformer")
 
 
 def run_table2(*, p: int = 32, benchmarks: Sequence[str] = BENCH_ORDER,
-               cache_dir: str | None = None,
                reduce: bool = False,
                budget: RunBudget | None = None) -> dict[str, Strategy]:
     """Best strategy per benchmark at ``p`` devices (1080Ti balance).
@@ -40,8 +39,7 @@ def run_table2(*, p: int = 32, benchmarks: Sequence[str] = BENCH_ORDER,
     for bench in benchmarks:
         if budget.expired:
             return out
-        setup = build_setup(bench, p, machine=GTX1080TI,
-                            cache_dir=cache_dir)
+        setup = build_setup(bench, p, machine=GTX1080TI)
         out[bench] = search_with(setup, "ours", reduce=reduce).strategy
     return out
 
@@ -110,7 +108,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=at_least(int, 1), default=32)
     parser.add_argument("--benchmarks", nargs="*", default=list(BENCH_ORDER))
-    add_table_args(parser)
+    add_reduce_arg(parser)
     parser.add_argument("--deadline", type=at_least(float, 0), default=None,
                         metavar="SECONDS",
                         help="stop the sweep at the next benchmark boundary "
@@ -119,7 +117,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     budget = RunBudget(deadline=args.deadline).start()
     strategies = run_table2(p=args.p, benchmarks=args.benchmarks,
-                            cache_dir=args.table_cache,
                             reduce=args.reduce, budget=budget)
     for bench, strategy in strategies.items():
         setup = build_setup(bench, args.p, machine=GTX1080TI)

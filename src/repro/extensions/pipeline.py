@@ -93,7 +93,7 @@ class PipelineResult:
 
 def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
                   machine: MachineSpec = GTX1080TI,
-                  mode: str = "pow2", cache: "object | None" = None,
+                  mode: str = "pow2",
                   reduce: bool = False) -> PipelineResult:
     """Partition into pipeline stages, then run PaSE within each stage.
 
@@ -101,27 +101,22 @@ def pipeline_pase(graph: CompGraph, p: int, stages: int, *,
     is searched independently — exactly the composition Section VI
     proposes.  The returned ``combined`` strategy concatenates the
     per-stage assignments and is valid for the whole graph at the
-    per-stage device count.  ``cache`` is forwarded to each
-    stage's `CostModel.build_tables` (every stage subgraph gets its own
-    cache entry — the digest covers the induced structure); ``reduce``
-    runs the search-space reduction ahead of each per-stage DP — stage
-    subgraphs are mostly chains, where contraction shines.
+    per-stage device count.  ``reduce`` runs the search-space reduction
+    ahead of each per-stage DP — stage subgraphs are mostly chains, where
+    contraction shines.
     """
     if stages < 1 or p % stages != 0:
         raise StrategyError(f"p={p} must split evenly into {stages} stages")
     per_stage = p // stages
     parts = partition_stages(graph, stages)
     cm = CostModel(machine)
-    from ..runtime.context import RunContext
-
-    ctx = RunContext(cache=cache)
     strategies: list[Strategy] = []
     costs: list[float] = []
     merged: dict[str, tuple[int, ...]] = {}
     for part in parts:
         sub = graph.induced_subgraph(part)
         space = ConfigSpace.build(sub, per_stage, mode=mode)
-        tables = cm.build_tables(sub, space, ctx=ctx)
+        tables = cm.build_tables(sub, space)
         res = find_best_strategy(sub, space, tables, reduce=reduce)
         strategies.append(res.strategy)
         costs.append(res.cost)

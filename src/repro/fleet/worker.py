@@ -23,12 +23,14 @@ crash-safe files under the task's directory
     handled: the scheduler sees the dead process and the missing result.
 
 The search itself is a journalled `execute_search` under the task's own
-`RunContext` — per-task wall-clock deadline and memory budget — with
-the journal's table store pointed at the fleet-wide shared `TableCache`
-(multi-process safe), so identical (graph, machine, p, mode) cells
-across the sweep build their cost tables exactly once.  A retried task
-resumes its own journal when the previous attempt got far enough to
-leave one.  The graph and configuration space come from
+`RunContext` — per-task wall-clock deadline and memory budget — whose
+``cache`` is the fleet-wide shared `TableCache` (multi-process safe), so
+identical (graph, machine, p, mode) cells across the sweep build their
+cost tables exactly once.  This pool is the only place an on-disk table
+store is opened: its long-lived workers hit the store's mmap memo,
+where a one-shot process rebuilds faster than it stores.  A retried
+task resumes its own journal when the previous attempt got far enough
+to leave one.  The graph and configuration space come from
 `benchmark_problem`, a process-wide memo that the serve engine's
 fingerprints read too, so a worker forked from the fleet supervisor or
 the serve daemon inherits every problem its parent already built.
@@ -229,14 +231,13 @@ def _run_task(task: SweepTask, attempt: int, fleet: Path,
 
     machine = MACHINES[task.machine]
     graph, space = benchmark_problem(task.model, task.p, task.mode)
-    shared_cache = TableCache(fleet / "table-cache")
     tdir = task_dir(fleet, task.task_id)
-    journal = SearchJournal(tdir / "journal", table_store=shared_cache)
     ctx = RunContext(
         budget=RunBudget(
             deadline=options.get("task_deadline"),
             memory_budget=task.memory_budget or DEFAULT_MEMORY_BUDGET),
-        journal=journal)
+        cache=TableCache(fleet / "table-cache"),
+        journal=SearchJournal(tdir / "journal"))
     # A previous attempt that reached the journal gets replayed/resumed
     # bit-identically; a fresh or fingerprint-mismatched journal starts
     # over (the journal overwrites itself on a fresh open).

@@ -122,8 +122,7 @@ class RunContext:
 
     def with_overrides(self, **changes) -> "RunContext":
         """Dataclass ``replace`` spelled as a method, for call sites that
-        need a one-field variant (e.g. swapping the cache for a
-        journal's embedded store)."""
+        need a one-field variant (e.g. filling in a default budget)."""
         return replace(self, **changes)
 
     def started(self) -> "RunContext":

@@ -7,9 +7,10 @@ A `SearchJournal` makes an interrupted run resumable *bit-identically*:
   completion markers, degradation events, a throttled progress snapshot
   (current phase / DP vertex), and — once the search finishes — the full
   `SearchResult` (strategy, cost, stats).
-* A `TableCache` rooted at ``<journal>/tables/`` persists the built cost
-  tables, so a run killed mid-DP resumes straight into the (fully
-  deterministic) search without rebuilding a single matrix.
+
+``journal.json`` is the journal's only file.  A resume rebuilds the cost
+tables, and the build is deterministic, so the resumed search answers
+bit-identically.
 
 Every write goes through `repro.obs.metrics.atomic_write_text` (temp
 file in the journal directory, fsync, ``os.replace``), so a crash at any
@@ -25,14 +26,11 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.exceptions import JournalError
 from ..core.strategy import FrontierPoint, SearchResult, Strategy
 from ..obs.metrics import atomic_write_text
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.tablecache import TableCache
 
 __all__ = ["SearchJournal", "JOURNAL_VERSION", "read_snapshot"]
 
@@ -75,12 +73,10 @@ def _normalize(fingerprint: dict) -> dict:
 class SearchJournal:
     """One resumable run's on-disk state under a journal directory."""
 
-    def __init__(self, root: str | os.PathLike, *,
-                 table_store: "TableCache | None" = None) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.path = self.root / "journal.json"
         self.state: dict[str, Any] | None = None
-        self._table_store = table_store
         self._last_progress_write = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -120,24 +116,6 @@ class SearchJournal:
             return
         atomic_write_text(self.path,
                           json.dumps(self.state, indent=2, sort_keys=True))
-
-    # -- tables --------------------------------------------------------------
-
-    def table_cache(self) -> "TableCache":
-        """The journal's cost-table store.
-
-        Defaults to an embedded store at ``<journal>/tables``; a
-        ``table_store`` passed at construction (e.g. a fleet-wide shared
-        cache) is used instead.  Either way the store is
-        content-addressed, so a resume hits the digest of the
-        interrupted build and a fingerprint-mismatched entry is simply
-        never read — sharing the store across runs is sound.
-        """
-        from ..core.tablecache import TableCache
-
-        if self._table_store is not None:
-            return self._table_store
-        return TableCache(self.root / "tables")
 
     # -- phase bookkeeping ---------------------------------------------------
 

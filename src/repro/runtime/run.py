@@ -9,9 +9,9 @@ Every failure mode degrades instead of crashing:
   never silent);
 * SIGINT/SIGTERM and deadline expiry unwind at the next checkpoint with
   the journal flushed, so ``--resume`` replays the run bit-identically —
-  tables come back from the journal's content-addressed store and the DP
-  is deterministic, so an interrupted-then-resumed run returns exactly
-  the strategy and cost an uninterrupted run would.
+  the resume rebuilds the tables and both the build and the DP are
+  deterministic, so an interrupted-then-resumed run returns exactly the
+  strategy and cost an uninterrupted run would.
 
 All run-scoped knobs travel in one `RunContext` (``ctx=``): budget,
 cancellation, journal, cache, and the observability pair.  The
@@ -170,9 +170,7 @@ def execute_search(
         The run's `RunContext`: budget (deadline + DP memory),
         cancellation token (pair with `trap_signals`), crash-safe
         journal, table ``cache``, and the tracer/metrics
-        pair activated around the whole pipeline.  When the context
-        carries a journal its embedded table store is used instead of
-        ``ctx.cache``, so resumes find the interrupted build's tables.
+        pair activated around the whole pipeline.
     resume:
         Requires a journal whose fingerprint matches this run; a journal
         holding a finished search replays it without recomputing
@@ -242,18 +240,14 @@ def execute_search(
             return phase[1]
 
         try:
-            # -- phase 1: cost tables (journal store beats the user cache)
+            # -- phase 1: cost tables ------------------------------------
             _enter("tables")
             with tracer.span("tables"):
-                tables_ctx = ctx
-                if journal_obj is not None:
-                    tables_ctx = ctx.with_overrides(
-                        cache=journal_obj.table_cache())
-                tables = model.build_tables(graph, space, ctx=tables_ctx,
+                tables = model.build_tables(graph, space, ctx=ctx,
                                             memory=obj.is_frontier)
                 status = ("cache-hit"
                           if tables.build_stats.get("cache_hit") else "ok")
-                quarantined = getattr(tables_ctx.cache, "quarantined", 0)
+                quarantined = getattr(ctx.cache, "quarantined", 0)
                 if quarantined:
                     msg = (f"quarantined {quarantined} corrupt table-cache "
                            f"entr{'y' if quarantined == 1 else 'ies'} "

@@ -121,12 +121,20 @@ def pick_holders(ov, src_blocks, src_devs, dst_devs, topo) -> list[list[int]]:
                 if d == dst_dev:
                     best = j
                     break
-                bw = topo.bandwidth(d, dst_dev)
+                bw = float(topo.bandwidths[d, dst_dev])
                 if bw > best_bw:
                     best, best_bw = j, bw
             picks.append(best)
         out.append(picks)
     return out
+
+
+def transfer_time(topo, nbytes: float, a: int, b: int) -> float:
+    """Seconds to move ``nbytes`` from device ``a`` to ``b``: nothing
+    when local or empty, else the bytes over the pair's bandwidth."""
+    if a == b or nbytes <= 0:
+        return 0.0
+    return nbytes / float(topo.bandwidths[a, b])
 
 
 def shard_groups(shards: np.ndarray, varying: list[int]) -> list[list[int]]:
@@ -145,7 +153,8 @@ def ring_time(topo, nbytes: float, devices: list[int]) -> float:
     m = len(ring)
     if m < 2 or nbytes <= 0:
         return 0.0
-    bw = min(topo.bandwidth(a, b) for a, b in zip(ring, ring[1:] + ring[:1]))
+    bw = min(float(topo.bandwidths[a, b])
+             for a, b in zip(ring, ring[1:] + ring[:1]))
     return 2.0 * nbytes * (m - 1) / m / bw / RING_CHANNELS
 
 
@@ -196,7 +205,7 @@ class RefStepBuilder:
                 deps.append(self.sched.append(
                     "xfer", f"{label}->dev{dst_dev}",
                     (("tx", src_dev), ("rx", dst_dev)),
-                    self.topo.transfer_time(nbytes, src_dev, dst_dev),
+                    transfer_time(self.topo, nbytes, src_dev, dst_dev),
                     tuple(sorted(producers))))
             out.append(deps)
         return out
@@ -210,8 +219,8 @@ class RefStepBuilder:
         return [self.sched.append(
             "halo", f"{phase}-halo {op.name}[{s}]",
             (("tx", int(devs[s])), ("rx", int(devs[s]))),
-            self.topo.transfer_time(per_dev, int(devs[s]),
-                                    int(devs[(s + 1) % n])),
+            transfer_time(self.topo, per_dev, int(devs[s]),
+                          int(devs[(s + 1) % n])),
             tuple(deps[s])) for s in range(n)]
 
     def compute(self, op, devs, deps, phase: str, duration: float):

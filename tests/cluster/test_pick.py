@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from repro.assignment.greedy import greedy_placement
 from repro.cluster.simulator import _pick_holders, _StepBuilder
-from repro.cluster.topology import ClusterTopology, LinkKind
+from repro.cluster.topology import ClusterTopology
 from repro.core.machine import MachineSpec
 from repro.core.strategy import Strategy
 from repro.core.tensors import DTYPE_BYTES
-from tests.cluster.reference import pick_holders
+from tests.cluster.reference import pick_holders, transfer_time
 from tests.conftest import build_dag
 
 #: Dummy producer tasks the drawn ``ready`` ids point at.
@@ -122,8 +122,8 @@ class TestPick:
                                                     remote.items()):
                 duration = arrays.durations[t]
                 assert type(duration) is float
-                assert duration == topo.transfer_time(nbytes, src,
-                                                      int(dst_devs[i]))
+                assert duration == transfer_time(topo, nbytes, src,
+                                                 int(dst_devs[i]))
                 u = int(np.searchsorted(arrays.unit_first, t))
                 assert arrays.unit_first[u] == t
                 assert sorted(arrays.deps[arrays.dep_ptr[u]:
@@ -139,10 +139,13 @@ class TestPick:
     def test_bandwidth_matrix_follows_link_kinds(self, case):
         topo = case[0]
         m = topo.machine
-        by_kind = {LinkKind.LOCAL: float("inf"),
-                   LinkKind.INTRA_P2P: m.intra_node_bw,
-                   LinkKind.INTRA_HOST: m.intra_node_bw / 2.0,
-                   LinkKind.INTER: m.inter_node_bw}
+
+        def link_bw(a: int, b: int) -> float:
+            if a == b:
+                return float("inf")
+            if a // m.devices_per_node != b // m.devices_per_node:
+                return m.inter_node_bw
+            return m.intra_node_bw if m.p2p else m.intra_node_bw / 2.0
+
         assert topo.bandwidths.tolist() == [
-            [by_kind[topo.link_kind(a, b)] for b in range(topo.p)]
-            for a in range(topo.p)]
+            [link_bw(a, b) for b in range(topo.p)] for a in range(topo.p)]

@@ -321,21 +321,6 @@ class TestEviction:
             TableCache(tmp_path, max_bytes=0)
 
 
-class TestEnvOverrides:
-    def test_dir_and_cap_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PASE_TABLE_CACHE_DIR", str(tmp_path / "envdir"))
-        monkeypatch.setenv("PASE_TABLE_CACHE_BYTES", "12345")
-        cache = TableCache()
-        assert cache.root == tmp_path / "envdir"
-        assert cache.max_bytes == 12345
-
-    def test_explicit_args_win(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PASE_TABLE_CACHE_DIR", str(tmp_path / "envdir"))
-        cache = TableCache(tmp_path / "explicit", max_bytes=99)
-        assert cache.root == tmp_path / "explicit"
-        assert cache.max_bytes == 99
-
-
 class TestManifest:
     def test_manifest_contents(self, tmp_path):
         g, space, cm = setup_instance()

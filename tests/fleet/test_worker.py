@@ -1,4 +1,5 @@
-"""The worker's problem memo, shared by fleet workers and serve threads."""
+"""The fleet worker: its problem memo, shared by fleet workers and serve
+threads, and the table store its task attempts share."""
 
 import os
 import signal
@@ -6,7 +7,10 @@ import sys
 import threading
 
 from repro.api import Problem
-from repro.fleet.worker import benchmark_problem
+from repro.core.tablecache import TableCache
+from repro.fleet.spec import SweepTask
+from repro.fleet.worker import (benchmark_problem, read_result,
+                                run_task_attempt, task_dir)
 
 
 class TestProblemMemo:
@@ -61,3 +65,20 @@ class TestProblemMemo:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+class TestTaskAttempt:
+    def test_one_cell_stores_its_tables_once(self, tmp_path):
+        """Two tasks of one (model, machine, p, mode) cell share one
+        entry in the fleet's table store, and their journals hold
+        nothing but ``journal.json``."""
+        tasks = [SweepTask(model="alexnet", p=4, seed=seed)
+                 for seed in (0, 1)]
+        for task in tasks:
+            assert run_task_attempt(task.to_dict(), 1, str(tmp_path), {})
+            assert read_result(tmp_path, task.task_id) is not None
+        entries = list(TableCache(tmp_path / "table-cache").entries())
+        assert len(entries) == 1
+        for task in tasks:
+            journal = task_dir(tmp_path, task.task_id) / "journal"
+            assert [f.name for f in journal.iterdir()] == ["journal.json"]

@@ -148,8 +148,3 @@ class TestResultReplay:
         j.open(FP, resume=False)
         j.phase_done("tables", digest="abc")
         assert j.load_result() is None
-
-    def test_table_cache_lives_under_journal_root(self, tmp_path):
-        j = SearchJournal(tmp_path / "j")
-        cache = j.table_cache()
-        assert cache.root == j.root / "tables"

@@ -210,8 +210,11 @@ class TestJournalledRuns:
         assert resumed.report.resumed
         assert resumed.report.clean
 
-    def test_resume_after_tables_skips_rebuild(self, tmp_path):
+    def test_resume_after_tables_rebuilds_identically(self, tmp_path):
+        """The journal keeps no tables: a resume past the tables phase
+        rebuilds them and answers exactly as a fresh run does."""
         graph, space = make_problem()
+        fresh = execute_search(graph, space, GTX1080TI).result
         journal = SearchJournal(tmp_path / "journal")
         # Trip late enough that the tables phase completed and journalled.
         n_tasks = len(graph) + len(graph.edges)
@@ -219,10 +222,18 @@ class TestJournalledRuns:
             execute_search(graph, space, GTX1080TI,
                            ctx=RunContext(journal=journal,
                                           cancellation=TripAfter(n_tasks + 1)))
+        assert journal.phase("tables")["done"]
+        assert journal.phase("search") is None
         resumed = execute_search(graph, space, GTX1080TI,
                                  ctx=journal_ctx(tmp_path / "journal"),
                                  resume=True)
-        assert resumed.result.stats["table_cache_hit"] == 1.0
+        assert resumed.report.resumed
+        assert resumed.result.stats["table_cache_hit"] == 0.0
+        assert resumed.result.cost == fresh.cost
+        assert resumed.result.strategy.assignment == \
+            fresh.strategy.assignment
+        assert [f.name for f in (tmp_path / "journal").iterdir()] == \
+            ["journal.json"]
 
     def test_finished_journal_replays_without_recompute(self, tmp_path):
         graph, space = make_problem()

@@ -6,6 +6,14 @@ import pytest
 
 from repro.cli import main
 
+#: (option, value) pairs of options the CLI no longer has: whatever the
+#: value, each is an unknown option.
+REMOVED_OPTIONS = [
+    pytest.param("--jobs", "-1", id="-1"),
+    pytest.param("--jobs", "processes:2", id="processes:2"),
+    pytest.param("--table-cache", "/tmp/x", id="table-cache"),
+]
+
 
 class TestCLI:
     def test_search(self, capsys):
@@ -63,15 +71,17 @@ class TestCLI:
         ["table1", "--benchmarks", "rnnlm"],
         ["table2", "--benchmarks", "rnnlm"],
         ["figure6", "--benchmarks", "rnnlm"],
+        ["pipeline", "--model", "alexnet", "--p", "4"],
     ])
-    @pytest.mark.parametrize("jobs", ["-1", "processes:2"])
-    def test_bad_jobs_is_usage_error(self, argv, jobs, capsys):
-        """``--jobs`` is gone from every entry point that had it: any
-        value is an unknown option, a usage error (exit 2)."""
+    @pytest.mark.parametrize("option, value", REMOVED_OPTIONS)
+    def test_bad_jobs_is_usage_error(self, argv, option, value, capsys):
+        """``--jobs`` and ``--table-cache`` are gone from every entry
+        point that had them: any value is an unknown option, a usage
+        error (exit 2) naming it."""
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--jobs", jobs])
+            main(argv + [option, value])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, option", [
         pytest.param(argv, opt,
@@ -125,9 +135,12 @@ class TestCLI:
     def test_mcmc_sensitivity_rejects_bad_jobs(self, capsys):
         from repro.experiments import mcmc_sensitivity
 
-        with pytest.raises(SystemExit) as exc:
-            mcmc_sensitivity.main(["--jobs", "-1"])
-        assert exc.value.code == 2
+        for param in REMOVED_OPTIONS:
+            option, value = param.values
+            with pytest.raises(SystemExit) as exc:
+                mcmc_sensitivity.main([option, value])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--p", "0"], ["--deadline", "-1"]],
                              ids="=".join)
